@@ -45,7 +45,6 @@ from .frobenius import (
 )
 from .lattice import (
     Constraint,
-    InfeasibleSystemError,
     IntMat,
     IntVec,
     LinearSystem,
@@ -56,10 +55,8 @@ from .lattice import (
     feasible,
     feasible_point,
     hermite_normal_form,
-    is_bounded,
     lattice_points,
     solve_integer,
-    system,
 )
 from .tilting import (
     ChainCheck,

@@ -3,7 +3,8 @@
 Every pipeline stage is exposed as a subcommand with deterministic output
 in json (default), md, or csv.  Exit codes: 0 success / verified, 1 a
 verification failed (e.g. orlov status is not VERIFIED_MODULO_FULLNESS),
-2 invalid input (unknown target, malformed file or divisor, invalid fan).
+2 invalid input (unknown target, malformed file or divisor, invalid fan,
+or a fan whose cohomology turns out infinite, i.e. one that is not complete).
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .catalog import FanFileError, catalog_names, resolve
-from .cohomology import cohomology, weight_patterns
+from .catalog import FanFileError, resolve
+from .cohomology import InfiniteCohomologyError, cohomology, weight_patterns
 from .cones import bu_set, is_nef, nef_fano_status
-from .fan import InvalidFanError, TorusDivisor, canonical_divisor, divisor_class
+from .fan import InvalidFanError, TorusDivisor, canonical_divisor
 from .frobenius import frob_set, minimal_stabilizing_ell, pushforward_summands
 from .tilting import VERIFIED, build_candidate, ext_vanishing, orlov_check
 
@@ -352,7 +353,8 @@ def main(argv=None) -> int:
             if cfg.verbose:
                 print(f"resolved {cfg.target} ({entry.provenance})", file=sys.stderr)
             payload, headers, rows, code = _HANDLERS[cfg.command](entry, cfg)
-    except (KeyError, FanFileError, InvalidFanError, ValueError, OSError) as exc:
+    except (KeyError, FanFileError, InvalidFanError, InfiniteCohomologyError,
+            ValueError, OSError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)
         return 2

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .fan import DivisorClass, Fan, TorusDivisor, canonical_divisor, divisor_class
+from .fan import DivisorClass, Fan, TorusDivisor, divisor_class
 from .lattice import (
-    EQ,
     LE,
     IntVec,
     LinearSystem,
@@ -218,10 +216,6 @@ def cohomology(fan: Fan, D: TorusDivisor, with_patterns: bool = False) -> Cohomo
     return CohomologyVector(vec.dims)
 
 
-def cohomology_of_class(cls: DivisorClass) -> CohomologyVector:
-    return cohomology(cls.fan, cls.representative())
-
-
 def ext_dims(fan: Fan, L: DivisorClass, M: DivisorClass) -> CohomologyVector:
     """Ext^*(O(L), O(M)) = H^*(X, O(M - L)) for line bundles."""
     return cohomology(fan, (M - L).representative())
@@ -230,12 +224,3 @@ def ext_dims(fan: Fan, L: DivisorClass, M: DivisorClass) -> CohomologyVector:
 def euler_chi(fan: Fan, L: DivisorClass, M: DivisorClass) -> int:
     """Alternating sum of the Ext dimensions; the K-theoretic pairing."""
     return ext_dims(fan, L, M).euler()
-
-
-def h0(fan: Fan, D: TorusDivisor) -> int:
-    return cohomology(fan, D).dims[0]
-
-
-def serre_dual_divisor(D: TorusDivisor) -> TorusDivisor:
-    """K - D, the Serre-duality partner of D."""
-    return canonical_divisor(D.fan) - D

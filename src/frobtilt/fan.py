@@ -215,7 +215,8 @@ def cartier_data(D: TorusDivisor) -> CartierData:
         m = solve_integer(A, b)
         if m is None:
             raise InvalidFanError(f"cone {cone} is not smooth: no integral Cartier data")
-        assert all(dot(m, fan.rays[i]) == -D.coeffs[i] for i in cone)
+        if any(dot(m, fan.rays[i]) != -D.coeffs[i] for i in cone):
+            raise AssertionError(f"Cartier data of cone {cone} is wrong")
         out.append(m)
     return CartierData(D, tuple(out))
 

@@ -14,12 +14,12 @@ minimal witness ell of each class.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fan import DivisorClass, Fan, TorusDivisor, divisor_class
-from .lattice import LE, LT, IntVec, LinearSystem, constraint, dot, feasible, feasible_point
+from .lattice import LT, IntVec, LinearSystem, constraint, dot, feasible, feasible_point
 
 
 @dataclass(frozen=True)
@@ -149,11 +149,9 @@ def _witness_denominator_bound(fan: Fan, chambers) -> int:
     bound = 1
     for sys in chambers:
         point = feasible_point(sys)
-        assert point is not None
-        for f in point:
-            d = Fraction(f).denominator
-            g = _gcd(bound, d)
-            bound = bound // g * d
+        if point is None:
+            raise AssertionError("a frob chamber has no rational point")
+        bound = math.lcm(bound, *(f.denominator for f in point))
     return bound
 
 
@@ -181,9 +179,3 @@ def minimal_stabilizing_ell(fan: Fan) -> int:
 
 def _zero(fan: Fan) -> TorusDivisor:
     return TorusDivisor(fan, (0,) * fan.n_rays)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)

@@ -1,17 +1,20 @@
 """Exact integer and rational linear algebra.
 
 All arithmetic is arbitrary precision: integer vectors and matrices are
-plain tuples of Python ints, rational data uses fractions.Fraction.  No
-floating point is used anywhere; strict inequalities are decided exactly
-(via an auxiliary slack maximization, never a numeric tolerance).
+plain tuples of Python ints.  Linear constraints are integer rows; only
+genuinely rational values (LP optima and points, coordinate bounds,
+solve_rational) use fractions.Fraction.  No floating point is used
+anywhere; strict inequalities are decided exactly (via an auxiliary slack
+maximization, never a numeric tolerance).
 """
 
 from __future__ import annotations
 
-import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 IntVec = tuple[int, ...]
 RatVec = tuple[Fraction, ...]
@@ -24,21 +27,17 @@ LT = "<"
 EQ = "=="
 
 
-class InfeasibleSystemError(ValueError):
-    """Raised when an operation requires a feasible system."""
-
-
 class UnboundedSystemError(ValueError):
     """Raised when an operation requires a bounded solution set."""
 
 
 @dataclass(frozen=True)
 class Constraint:
-    """A single linear condition ``coeffs . x  rel  rhs``."""
+    """A single integer linear condition ``coeffs . x  rel  rhs``."""
 
-    coeffs: RatVec
+    coeffs: IntVec
     rel: str
-    rhs: Fraction
+    rhs: int
 
 
 @dataclass(frozen=True)
@@ -56,10 +55,14 @@ class LinearSystem:
                 raise ValueError("constraint dimension mismatch")
 
 
-def constraint(coeffs: Sequence, rel: str, rhs) -> Constraint:
-    """Build a constraint, normalizing >=, > to <=, < by negation."""
-    cs = tuple(Fraction(c) for c in coeffs)
-    b = Fraction(rhs)
+def constraint(coeffs: Sequence[int], rel: str, rhs: int) -> Constraint:
+    """Build an integer constraint, normalizing >=, > to <=, < by negation.
+
+    Coefficients and right-hand side must be integers; anything else
+    raises TypeError.
+    """
+    cs = tuple(map(operator.index, coeffs))
+    b = operator.index(rhs)
     if rel in (">=", ">"):
         cs = tuple(-c for c in cs)
         b = -b
@@ -69,14 +72,6 @@ def constraint(coeffs: Sequence, rel: str, rhs) -> Constraint:
     if rel not in (LE, LT, EQ):
         raise ValueError(f"unknown relation {rel!r}")
     return Constraint(cs, rel, b)
-
-
-def system(dim: int, constraints: Iterable) -> LinearSystem:
-    """Assemble a LinearSystem from (coeffs, rel, rhs) triples or Constraints."""
-    rows = []
-    for c in constraints:
-        rows.append(c if isinstance(c, Constraint) else constraint(*c))
-    return LinearSystem(dim, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +167,8 @@ def solve_integer(A: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[IntV
     if any(resid):
         return None
     x = tuple(sum(U[i][k] * y[i] for i in range(n)) for k in range(n))
-    assert all(dot(A[i], x) == b[i] for i in range(m))
+    if any(dot(A[i], x) != b[i] for i in range(m)):
+        raise AssertionError("solve_integer produced a non-solution")
     return x
 
 
@@ -254,22 +250,6 @@ _INFEASIBLE = "infeasible"
 _UNBOUNDED = "unbounded"
 
 
-def _scale_to_int(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[list[int], int, int]:
-    """Clear denominators; returns (int coeffs, int rhs, positive scale)."""
-    lcm = 1
-    for f in itertools.chain(coeffs, (rhs,)):
-        d = f.denominator
-        g = _gcd(lcm, d)
-        lcm = lcm // g * d
-    return [int(f * lcm) for f in coeffs], int(rhs * lcm), lcm
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 class _Tableau:
     """Dense integer simplex tableau sharing one positive denominator.
 
@@ -288,7 +268,8 @@ class _Tableau:
         rows = self.rows
         prow = rows[r]
         p = prow[c]
-        assert p > 0
+        if p <= 0:
+            raise AssertionError("simplex pivot must be positive")
         den = self.den
         for i in range(len(rows)):
             if i == r:
@@ -303,14 +284,11 @@ class _Tableau:
         if r < len(self.basis):
             self.basis[r] = c
 
-    def maximize(self, obj: list[int], allowed: Sequence[int],
-                 stop_when_positive: bool = False) -> str:
+    def maximize(self, obj: list[int], allowed: Sequence[int]) -> str:
         """Run simplex on the given objective row (modified in place)."""
         rows = self.rows
         nbody = len(self.basis)
         while True:
-            if stop_when_positive and obj[self.ncols] > 0:
-                return _OPTIMAL
             enter = next((j for j in allowed if obj[j] < 0), None)
             if enter is None:
                 return _OPTIMAL
@@ -340,11 +318,12 @@ class _Tableau:
             obj[:] = new_obj
 
 
-def lp_maximize(dim: int, rows: Sequence[tuple[Sequence[Fraction], str, Fraction]],
-                objective: Sequence[Fraction]) -> tuple[str, Optional[Fraction], Optional[RatVec]]:
+def lp_maximize(dim: int, rows: Sequence[tuple[Sequence[int], str, int]],
+                objective: Sequence[int]) -> tuple[str, Optional[Fraction], Optional[RatVec]]:
     """Maximize objective.x over {x : rows}, x free, relations <= or ==.
 
-    Returns (status, value, point); value and point are exact Fractions.
+    Rows and objective are integer; returns (status, value, point), with
+    value and point exact Fractions.
     """
     if dim <= 0:
         raise ValueError("dimension must be positive")
@@ -356,13 +335,9 @@ def lp_maximize(dim: int, rows: Sequence[tuple[Sequence[Fraction], str, Fraction
     slack_at = 2 * dim
     art_rows: list[int] = []
     for coeffs, rel, rhs in rows:
-        ic, ib, _ = _scale_to_int(tuple(coeffs), Fraction(rhs))
-        if ib < 0:
-            ic = [-v for v in ic]
-            ib = -ib
-            slack_sign = -1
-        else:
-            slack_sign = 1
+        slack_sign = -1 if rhs < 0 else 1
+        ic = [slack_sign * v for v in coeffs]
+        ib = slack_sign * rhs
         row = ic + [-v for v in ic] + [0] * nineq
         if rel == LE:
             row[slack_at] = slack_sign
@@ -390,8 +365,7 @@ def lp_maximize(dim: int, rows: Sequence[tuple[Sequence[Fraction], str, Fraction
         body[i] = body[i] + pad + [rhs]
     tab = _Tableau(body, basis, ncols)
 
-    oc, _, oscale = _scale_to_int(tuple(Fraction(v) for v in objective), Fraction(0))
-    obj2 = [-v for v in oc] + [v for v in oc] + [0] * (nineq + nart) + [0]
+    obj2 = [-v for v in objective] + list(objective) + [0] * (nineq + nart) + [0]
     nstruct = 2 * dim + nineq
 
     if art_rows:
@@ -403,8 +377,8 @@ def lp_maximize(dim: int, rows: Sequence[tuple[Sequence[Fraction], str, Fraction
         # Carry the phase-2 row through phase-1 pivots by pivoting on a
         # combined tableau: append obj2 as a passive row.
         tab.rows.append(obj2)
-        status = tab.maximize(obj1, range(ncols))
-        assert status == _OPTIMAL
+        if tab.maximize(obj1, range(ncols)) != _OPTIMAL:
+            raise AssertionError("phase 1 of the simplex cannot be unbounded")
         if obj1[ncols] != 0:
             return _INFEASIBLE, None, None
         # Drive leftover basic artificials out (degenerate pivots at rhs 0)
@@ -430,18 +404,13 @@ def lp_maximize(dim: int, rows: Sequence[tuple[Sequence[Fraction], str, Fraction
     if status == _UNBOUNDED:
         return _UNBOUNDED, None, None
     den = tab.den
-    value = Fraction(obj2[ncols], den * oscale)
+    value = Fraction(obj2[ncols], den)
     vals = {}
     for i, col in enumerate(tab.basis):
         vals[col] = Fraction(tab.rows[i][ncols], den)
     point = tuple(vals.get(k, Fraction(0)) - vals.get(dim + k, Fraction(0))
                   for k in range(dim))
     return _OPTIMAL, value, point
-
-
-def _relaxed_rows(S: LinearSystem) -> list[tuple[RatVec, str, Fraction]]:
-    """Drop strictness: every < becomes <=."""
-    return [(c.coeffs, EQ if c.rel == EQ else LE, c.rhs) for c in S.constraints]
 
 
 def feasible_point(S: LinearSystem) -> Optional[RatVec]:
@@ -451,17 +420,16 @@ def feasible_point(S: LinearSystem) -> Optional[RatVec]:
     has a solution iff the slack optimum is positive.
     """
     n = S.dim
-    rows: list[tuple[tuple[Fraction, ...], str, Fraction]] = []
-    for c in S.constraints:
-        ext = c.coeffs + (Fraction(1 if c.rel == LT else 0),)
-        rows.append((ext, EQ if c.rel == EQ else LE, c.rhs))
-    delta_row = tuple(Fraction(0) for _ in range(n)) + (Fraction(1),)
-    rows.append((delta_row, LE, Fraction(1)))
-    obj = [Fraction(0)] * n + [Fraction(1)]
-    status, value, point = lp_maximize(n + 1, rows, obj)
+    rows = [
+        (c.coeffs + (int(c.rel == LT),), EQ if c.rel == EQ else LE, c.rhs)
+        for c in S.constraints
+    ]
+    rows.append(((0,) * n + (1,), LE, 1))
+    status, value, point = lp_maximize(n + 1, rows, (0,) * n + (1,))
     if status != _OPTIMAL or value <= 0:
         return None
-    assert point is not None
+    if point is None:
+        raise AssertionError("an optimal LP must return a point")
     return point[:n]
 
 
@@ -470,40 +438,19 @@ def feasible(S: LinearSystem) -> bool:
     return feasible_point(S) is not None
 
 
-def is_bounded(S: LinearSystem) -> bool:
-    """True iff the solution set of S is bounded.
-
-    Decided on the recession cone of the non-strict relaxation; raises
-    InfeasibleSystemError when S itself has no solution.
-    """
-    if not feasible(S):
-        raise InfeasibleSystemError("system is infeasible")
-    cone = [(c.coeffs, EQ if c.rel == EQ else LE, Fraction(0))
-            for c in S.constraints]
-    for k in range(S.dim):
-        for sgn in (1, -1):
-            obj = [Fraction(0)] * S.dim
-            obj[k] = Fraction(sgn)
-            status, value, _ = lp_maximize(S.dim, cone, obj)
-            if status == _UNBOUNDED:
-                return False
-            assert status == _OPTIMAL and value == 0
-    return True
-
-
 def coordinate_bounds(S: LinearSystem) -> Optional[list[tuple[Fraction, Fraction]]]:
     """Exact [min, max] of each coordinate over the non-strict relaxation.
 
     Returns None when the relaxation is empty; raises UnboundedSystemError
     when some coordinate is unbounded.
     """
-    rows = _relaxed_rows(S)
+    rows = [(c.coeffs, EQ if c.rel == EQ else LE, c.rhs) for c in S.constraints]
     out = []
     for k in range(S.dim):
         pair = []
         for sgn in (-1, 1):
-            obj = [Fraction(0)] * S.dim
-            obj[k] = Fraction(sgn)
+            obj = [0] * S.dim
+            obj[k] = sgn
             status, value, _ = lp_maximize(S.dim, rows, obj)
             if status == _INFEASIBLE:
                 return None
@@ -523,83 +470,77 @@ def lattice_points(S: LinearSystem) -> list[IntVec]:
     bounds = coordinate_bounds(S)
     if bounds is None:
         return []
-    boxes = [(_ceil(lo), _floor(hi)) for lo, hi in bounds]
+    boxes = [(math.ceil(lo), math.floor(hi)) for lo, hi in bounds]
     if any(lo > hi for lo, hi in boxes):
         return []
-    n = S.dim
-    # Integer-scaled rows (g, rel, h) meaning g.x rel h.
-    rows = []
-    for c in S.constraints:
-        g, h, _ = _scale_to_int(c.coeffs, c.rhs)
-        rows.append((g, c.rel, h))
+    rows = [(c.coeffs, c.rel, c.rhs) for c in S.constraints]
     out: list[IntVec] = []
-    x = [0] * n
-
-    def descend(k: int, partial: list[int]) -> None:
-        # partial[i] = fixed part of row i's dot product
-        if k == n:
-            for (g, rel, h), s in zip(rows, partial):
-                if rel == LE and not s <= h:
-                    return
-                if rel == LT and not s < h:
-                    return
-                if rel == EQ and s != h:
-                    return
-            out.append(tuple(x))
-            return
-        lo, hi = boxes[k]
-        # Tighten [lo, hi] for x[k] from each constraint via interval
-        # arithmetic over the still-free coordinates.
-        for (g, rel, h), s in zip(rows, partial):
-            gk = g[k]
-            rest_min = rest_max = 0
-            for j in range(k + 1, n):
-                gj = g[j]
-                if gj > 0:
-                    rest_min += gj * boxes[j][0]
-                    rest_max += gj * boxes[j][1]
-                elif gj < 0:
-                    rest_min += gj * boxes[j][1]
-                    rest_max += gj * boxes[j][0]
-            strict = 1 if rel == LT else 0
-            if rel in (LE, LT):
-                # gk*xk <= h - s - rest_min (- strictness margin)
-                cap = h - s - rest_min - strict
-                if gk > 0:
-                    hi = min(hi, cap // gk)
-                elif gk < 0:
-                    lo = max(lo, _ceil_div(cap, gk))
-                elif cap < 0:
-                    return
-            else:  # EQ: bound both sides
-                cap_hi = h - s - rest_min
-                cap_lo = h - s - rest_max
-                if gk > 0:
-                    hi = min(hi, cap_hi // gk)
-                    lo = max(lo, _ceil_div(cap_lo, gk))
-                elif gk < 0:
-                    hi = min(hi, cap_lo // gk)
-                    lo = max(lo, _ceil_div(cap_hi, gk))
-                elif cap_hi < 0 or cap_lo > 0:
-                    return
-            if lo > hi:
-                return
-        for v in range(lo, hi + 1):
-            x[k] = v
-            descend(k + 1, [s + g[k] * v for (g, _, _), s in zip(rows, partial)])
-
-    descend(0, [0] * len(rows))
+    _descend(rows, boxes, 0, [0] * len(rows), [0] * S.dim, out)
     return out
+
+
+def _descend(rows: list[tuple[IntVec, str, int]], boxes: list[tuple[int, int]], k: int,
+             partial: list[int], x: list[int], out: list[IntVec]) -> None:
+    """Append to out every point of the box extending x[:k] that meets rows.
+
+    Row (g, rel, h) means g.x rel h; partial[i] is the part of row i's dot
+    product fixed by x[:k].  A module-level function rather than a closure,
+    so the recursion leaves no reference cycle holding the point list.
+    """
+    n = len(x)
+    if k == n:
+        for (g, rel, h), s in zip(rows, partial):
+            if rel == LE and not s <= h:
+                return
+            if rel == LT and not s < h:
+                return
+            if rel == EQ and s != h:
+                return
+        out.append(tuple(x))
+        return
+    lo, hi = boxes[k]
+    # Tighten [lo, hi] for x[k] from each constraint via interval
+    # arithmetic over the still-free coordinates.
+    for (g, rel, h), s in zip(rows, partial):
+        gk = g[k]
+        rest_min = rest_max = 0
+        for j in range(k + 1, n):
+            gj = g[j]
+            if gj > 0:
+                rest_min += gj * boxes[j][0]
+                rest_max += gj * boxes[j][1]
+            elif gj < 0:
+                rest_min += gj * boxes[j][1]
+                rest_max += gj * boxes[j][0]
+        strict = 1 if rel == LT else 0
+        if rel in (LE, LT):
+            # gk*xk <= h - s - rest_min (- strictness margin)
+            cap = h - s - rest_min - strict
+            if gk > 0:
+                hi = min(hi, cap // gk)
+            elif gk < 0:
+                lo = max(lo, _ceil_div(cap, gk))
+            elif cap < 0:
+                return
+        else:  # EQ: bound both sides
+            cap_hi = h - s - rest_min
+            cap_lo = h - s - rest_max
+            if gk > 0:
+                hi = min(hi, cap_hi // gk)
+                lo = max(lo, _ceil_div(cap_lo, gk))
+            elif gk < 0:
+                hi = min(hi, cap_lo // gk)
+                lo = max(lo, _ceil_div(cap_hi, gk))
+            elif cap_hi < 0 or cap_lo > 0:
+                return
+        if lo > hi:
+            return
+    for v in range(lo, hi + 1):
+        x[k] = v
+        _descend(rows, boxes, k + 1,
+                 [s + g[k] * v for (g, _, _), s in zip(rows, partial)], x, out)
 
 
 def _ceil_div(a: int, b: int) -> int:
     # ceil(a / b) for b != 0, exact
-    return -((-a) // b) if b > 0 else -(a // (-b))
-
-
-def _floor(f: Fraction) -> int:
-    return f.numerator // f.denominator
-
-
-def _ceil(f: Fraction) -> int:
-    return -((-f.numerator) // f.denominator)
+    return -(-a // b)

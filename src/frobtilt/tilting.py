@@ -119,13 +119,6 @@ class OrlovReport:
             "reason": self.reason,
         }
 
-    def to_markdown(self) -> str:
-        rows = self.to_dict()
-        lines = ["| field | value |", "| --- | --- |"]
-        for key, val in rows.items():
-            lines.append(f"| {key} | {val} |")
-        return "\n".join(lines)
-
 
 def build_candidate(fan: Fan, summands: Optional[tuple[DivisorClass, ...]] = None) -> TiltingCandidate:
     """Assemble the candidate: summands (bu set by default), Ext table, Gram."""

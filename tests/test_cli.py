@@ -170,6 +170,36 @@ def test_describe_reports_invalid_fan_without_failing(tmp_path, capsys):
     assert data["failures"]
 
 
+# rays winding twice around the origin, cyclic cones: every cone is
+# unimodular and every ridge paired, so validation accepts it, but its
+# cones overlap and some weight regions are unbounded
+WINDING_TWO = {
+    "name": "winding2",
+    "dim": 2,
+    "rays": [[1, 0], [0, 1], [-1, -2], [1, 1], [-1, 0], [-3, -1], [-2, -1]],
+    "max_cones": [[i, (i + 1) % 7] for i in range(7)],
+}
+
+
+@pytest.mark.parametrize("command", ["cohom", "tilting", "orlov", "batch"])
+def test_infinite_cohomology_exits_two(tmp_path, capsys, command):
+    p = tmp_path / "winding2.json"
+    p.write_text(json.dumps(WINDING_TWO))
+    if command == "batch":
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([str(p)]))
+        argv = ["batch", "--manifest", str(manifest)]
+    elif command == "cohom":
+        argv = ["cohom", str(p), "--divisor", "-1,-1,-1,-1,-1,-1,-1"]
+    else:
+        argv = [command, str(p)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "unbounded" in err
+
+
 # --- batch -------------------------------------------------------------------------
 
 

@@ -23,7 +23,7 @@ from frobtilt.fan import (
     principal_divisor,
 )
 from frobtilt.cones import is_nef
-from frobtilt.lattice import lattice_points, system
+from frobtilt.lattice import LinearSystem, constraint, lattice_points
 
 P1 = builtin("P1").fan
 P2 = builtin("P2").fan
@@ -148,8 +148,8 @@ def test_sign_pattern_partition_counts_sections():
             pats = weight_patterns(fan, D)
             empties = [p for p in pats if p.neg_rays == ()]
             assert len(empties) == 1
-            cons = [(ray, ">=", -c) for ray, c in zip(fan.rays, D.coeffs)]
-            polytope = system(fan.dim, cons)
+            cons = [constraint(ray, ">=", -c) for ray, c in zip(fan.rays, D.coeffs)]
+            polytope = LinearSystem(fan.dim, tuple(cons))
             assert empties[0].point_count == len(lattice_points(polytope))
             assert cohomology(fan, D).dims[0] == empties[0].point_count
 

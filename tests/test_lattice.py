@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -7,20 +8,24 @@ from frobtilt.lattice import (
     EQ,
     LE,
     LT,
-    InfeasibleSystemError,
+    LinearSystem,
     UnboundedSystemError,
+    constraint,
     determinant,
     dot,
     feasible,
     feasible_point,
     hermite_normal_form,
     integer_rank,
-    is_bounded,
     lattice_points,
     solve_integer,
-    system,
     transpose,
 )
+
+
+def system(dim, rows):
+    """A LinearSystem from (coeffs, rel, rhs) triples."""
+    return LinearSystem(dim, tuple(constraint(*row) for row in rows))
 
 
 # --- independent oracles -----------------------------------------------
@@ -262,7 +267,7 @@ def test_feasible_contradiction():
 
 
 def test_feasible_equality_vs_strict():
-    S = system(1, [((2,), "=", 1), ((1,), "<", Fraction(1, 2))])
+    S = system(1, [((2,), "=", 1), ((2,), "<", 1)])
     assert not feasible(S)
 
 
@@ -279,8 +284,10 @@ def test_feasible_agrees_with_fourier_motzkin(seed):
         coeffs = [rng.randint(-2, 2) for _ in range(n)]
         rel = rng.choice(["<=", "<", ">=", ">", "="] if rng.random() < 0.3
                          else ["<=", "<", ">=", ">"])
-        rhs = Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2]))
-        cons.append((coeffs, rel, rhs))
+        # rhs num/den, cleared by scaling the row with den
+        num = rng.randint(-4, 4)
+        den = rng.choice([1, 1, 2])
+        cons.append(([den * c for c in coeffs], rel, num))
     S = system(n, cons)
     got = feasible(S)
     assert got == fm_feasible(S)
@@ -304,38 +311,6 @@ def test_feasible_grid_hits_imply_feasible(seed):
     )
     if hit:
         assert feasible(S)
-
-
-# --- is_bounded -----------------------------------------------------------
-
-
-def unit_cube(n):
-    cons = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        cons.append((list(e), ">=", 0))
-        cons.append((list(e), "<", 1))
-    return system(n, cons)
-
-
-def test_bounded_unit_cube():
-    assert is_bounded(unit_cube(2))
-    assert is_bounded(unit_cube(3))
-
-
-def test_unbounded_halfline():
-    assert not is_bounded(system(1, [((1,), ">=", 0)]))
-
-
-def test_bounded_simplex():
-    S = system(2, [((1, 0), ">=", 0), ((0, 1), ">=", 0), ((1, 1), "<=", 3)])
-    assert is_bounded(S)
-
-
-def test_is_bounded_requires_feasible():
-    with pytest.raises(InfeasibleSystemError):
-        is_bounded(system(1, [((1,), ">=", 1), ((1,), "<", 1)]))
 
 
 # --- lattice_points --------------------------------------------------------
@@ -364,6 +339,25 @@ def test_lattice_points_degree_two_triangle():
 def test_lattice_points_unbounded_errors():
     with pytest.raises(UnboundedSystemError):
         lattice_points(system(1, [((1,), ">=", 0)]))
+
+
+def test_lattice_points_leaves_no_reference_cycles():
+    S = system(2, [((1, 0), ">=", 0), ((0, 1), ">=", 0), ((-1, -1), ">=", -2)])
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(lattice_points(S)) == 6
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_constraint_rejects_non_integer_data():
+    with pytest.raises(TypeError):
+        constraint((1,), "<", Fraction(1, 2))
+    with pytest.raises(TypeError):
+        constraint((Fraction(1, 2),), "<=", 1)
+    assert constraint((1, 2), ">", 3) == constraint((-1, -2), "<", -3)
 
 
 def test_lattice_points_empty_relaxation():
