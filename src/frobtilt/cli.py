@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -251,13 +252,23 @@ def _batch_worker(target: str) -> dict:
     return orlov_check(entry.fan, entry.name).to_dict()
 
 
+def _worker_count(jobs: int, n_targets: int) -> int:
+    """Processes to start for batch: --jobs, but no more than targets or CPUs.
+
+    The pool starts all its workers at once, so an oversized --jobs would
+    fork that many processes before any work is handed out.
+    """
+    return min(jobs, n_targets, os.cpu_count() or 1)
+
+
 def _cmd_batch(cfg):
     with open(cfg.manifest) as fh:
         targets = json.load(fh)
     if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets):
         raise FanFileError(f"{cfg.manifest}: manifest must be a JSON array of strings")
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    workers = _worker_count(cfg.jobs, len(targets))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_batch_worker, targets))
     else:
         reports = [_batch_worker(t) for t in targets]
@@ -344,6 +355,9 @@ def main(argv=None) -> int:
     )
     if cfg.command == "frob" and cfg.ell < 1:
         print("error: --ell must be >= 1", file=sys.stderr)
+        return 2
+    if cfg.command == "batch" and cfg.jobs < 1:
+        print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
     try:
         if cfg.command == "batch":

@@ -7,6 +7,12 @@ into sign-pattern regions (one inequality per ray), so each fan needs the
 reduced-cohomology ranks of every vertex subset only once; per divisor only
 the regions whose subcomplex has nonzero reduced cohomology are examined,
 counted exactly by lattice point enumeration.
+
+Most of those regions are empty.  A region's constraint matrix depends only
+on the fan and the pattern, so emptiness is decided by Farkas certificates
+computed once per fan: the sign-consistent circuits of the rays.  Per
+divisor each circuit costs one dot product, and only the regions that no
+certificate empties reach the simplex and the lattice point enumeration.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .lattice import (
     constraint,
     dot,
     feasible,
+    hermite_normal_form,
     integer_rank,
     lattice_points,
 )
@@ -143,6 +150,77 @@ def _active_patterns(fan: Fan) -> tuple[tuple[frozenset[int], tuple[int, ...]], 
     return result
 
 
+def _circuits(fan: Fan) -> tuple[IntVec, ...]:
+    """The minimal linear relations sum lambda_i v_i = 0 among the rays, up to sign.
+
+    A support is a circuit when its rays satisfy exactly one relation and
+    that relation uses all of them.  The relation is the row of U giving a
+    zero row of the Hermite form H = U.A, primitive since U is unimodular.
+    """
+    out = []
+    for k in range(2, fan.dim + 2):
+        for support in itertools.combinations(range(fan.n_rays), k):
+            H, U = hermite_normal_form([fan.rays[i] for i in support])
+            relations = [u for h, u in zip(H, U) if not any(h)]
+            if len(relations) == 1 and all(relations[0]):
+                lam = [0] * fan.n_rays
+                for i, x in zip(support, relations[0]):
+                    lam[i] = x
+                out.append(tuple(lam))
+    return tuple(out)
+
+
+def _certificates(fan: Fan) -> tuple[tuple[tuple[IntVec, int, int], ...], tuple[int, ...]]:
+    """Farkas certificates of the active pattern regions, once per fan.
+
+    The region of pattern S is {m : A_S m <= b_S} with rows v_i (i in S)
+    and -v_i (i not in S); it is empty iff an extreme ray y of
+    {y >= 0 : y^T A_S = 0} has y^T b_S < 0.  Those rays are the circuits
+    lambda read in an orientation sigma with sigma*lambda_i > 0 only on S
+    and sigma*lambda_i < 0 only off S.  Certificate 2c reads circuit c as
+    lambda, 2c + 1 as -lambda.  Returns each circuit with the positive-part
+    sums of lambda and -lambda, and for each active pattern (in the order
+    of _active_patterns) the bitmask of the certificates that apply to it.
+    """
+    key = "__certificates__"
+    cache = fan._rank_cache
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    circuits = []
+    signs = []  # (positive support, negative support) of each certificate
+    for lam in _circuits(fan):
+        pos = sum(1 << i for i, x in enumerate(lam) if x > 0)
+        neg = sum(1 << i for i, x in enumerate(lam) if x < 0)
+        signs += [(pos, neg), (neg, pos)]
+        circuits.append((lam, sum(x for x in lam if x > 0), -sum(x for x in lam if x < 0)))
+    masks = []
+    for verts, _ in _active_patterns(fan):
+        s = sum(1 << i for i in verts)
+        masks.append(sum(
+            1 << k for k, (pos, neg) in enumerate(signs) if pos & s == pos and not neg & s
+        ))
+    result = (tuple(circuits), tuple(masks))
+    cache[key] = result
+    return result
+
+
+def _emptied(circuits: tuple[tuple[IntVec, int, int], ...], coeffs: IntVec) -> int:
+    """Bitmask of the certificates proving their patterns' regions empty for D.
+
+    With y = sigma*lambda, y^T b_S = -(<y, a> + sum of the positive y_i),
+    so the certificate applies when <y, a> plus that sum is positive.
+    """
+    out = 0
+    for c, (lam, pos_sum, neg_sum) in enumerate(circuits):
+        t = dot(lam, coeffs)
+        if t + pos_sum > 0:
+            out |= 1 << 2 * c
+        if neg_sum - t > 0:
+            out |= 1 << 2 * c + 1
+    return out
+
+
 def _pattern_region(fan: Fan, coeffs: IntVec, neg: frozenset[int]) -> LinearSystem:
     """Weights m with <m, v_rho> <= -a_rho - 1 on neg rays, >= -a_rho off them.
 
@@ -174,11 +252,18 @@ def weight_cohomology(fan: Fan, D: TorusDivisor, m: IntVec) -> tuple[int, ...]:
 def weight_patterns(fan: Fan, D: TorusDivisor) -> tuple[WeightPattern, ...]:
     """The cohomologically active sign patterns of D with exact point counts."""
     fan.require_valid()
+    circuits, masks = _certificates(fan)
+    emptied = _emptied(circuits, D.coeffs)
     out = []
-    for verts, ranks in _active_patterns(fan):
+    for (verts, ranks), mask in zip(_active_patterns(fan), masks):
+        if mask & emptied:
+            continue
         region = _pattern_region(fan, D.coeffs, verts)
         if not feasible(region):
-            continue
+            raise AssertionError(
+                f"weight region of sign pattern {sorted(verts)} is empty "
+                "but no circuit certifies it"
+            )
         try:
             pts = lattice_points(region)
         except UnboundedSystemError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .fan import DivisorClass, Fan, TorusDivisor, canonical_divisor, cartier_data, divisor_class
-from .frobenius import frob_set
+from .frobenius import FrobSet, frob_set
 from .lattice import dot
 
 FANO = "fano"
@@ -56,14 +56,16 @@ def is_antinef(D: TorusDivisor) -> bool:
     return is_nef(-D).is_nef
 
 
-def bu_set(fan: Fan) -> tuple[DivisorClass, ...]:
-    """The anti-nef frob classes, sorted by canonical coordinates."""
+def bu_set(fan: Fan, frob: Optional[FrobSet] = None) -> tuple[DivisorClass, ...]:
+    """The anti-nef frob classes, sorted by canonical coordinates.
+
+    A caller already holding frob_set(fan) passes it as frob, so the
+    chamber enumeration is not run again.
+    """
     fan.require_valid()
-    out = [
-        cls
-        for cls in frob_set(fan).classes
-        if is_antinef(cls.representative())
-    ]
+    if frob is None:
+        frob = frob_set(fan)
+    out = [cls for cls in frob.classes if is_antinef(cls.representative())]
     return tuple(sorted(out))
 
 

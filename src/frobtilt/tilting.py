@@ -167,7 +167,7 @@ def orlov_check(fan: Fan, name: str = "") -> OrlovReport:
     """Evaluate every computable hypothesis and assemble the report."""
     fan.require_valid()
     fs = frob_set(fan)
-    candidate = build_candidate(fan)
+    candidate = build_candidate(fan, bu_set(fan, fs))
     ev = ext_vanishing(candidate)
     status_k = nef_fano_status(fan)
     m0_val = m0(candidate)

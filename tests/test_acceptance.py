@@ -18,7 +18,7 @@ from frobtilt.catalog import builtin, catalog_names
 from frobtilt.cli import main
 from frobtilt.cohomology import cohomology
 from frobtilt.cones import NEITHER, bu_set, is_nef, nef_fano_status
-from frobtilt.fan import TorusDivisor, canonical_divisor, divisor_class
+from frobtilt.fan import TorusDivisor, canonical_divisor, divisor_class, product
 from frobtilt.frobenius import frob_set, minimal_stabilizing_ell, pushforward_summands
 from frobtilt.tilting import (
     NOT_APPLICABLE,
@@ -224,3 +224,16 @@ def test_criterion_8_determinism_and_interface(tmp_path, capsys):
             got = main(list(argv))
             capsys.readouterr()
             assert got == expected, (argv, got, expected)
+
+
+def test_criterion_9_stretch_product():
+    with criterion(9, "cold dP6 x dP6 (12 rays, dim 4) verified with m0=0 and |bu| = 36"):
+        t0 = time.monotonic()
+        dp6 = builtin("dP6").fan
+        fan = product(dp6, dp6)  # a fresh Fan: every per-fan cache starts empty
+        r = orlov_check(fan, "dP6xdP6")
+        assert r.status == VERIFIED
+        assert r.m0 == 0
+        assert r.n_bu == 36 == EXPECTED_BU_SIZE["dP6"] ** 2  # Kunneth
+        assert r.n_bu == r.n_max_cones and abs(r.gram_det) == 1
+        assert time.monotonic() - t0 < 60.0

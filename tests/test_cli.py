@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from frobtilt import cli
 from frobtilt.catalog import builtin, save
 from frobtilt.cli import main
 
@@ -242,6 +243,28 @@ def test_batch_parallel_matches_serial(tmp_path, capsys):
     code1, out1, _ = run(capsys, "batch", "--manifest", str(manifest))
     code2, out2, _ = run(capsys, "batch", "--manifest", str(manifest), "--jobs", "2")
     assert (code1, out1) == (code2, out2)
+
+
+def test_batch_worker_count_clamped(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli._worker_count(1, 16) == 1
+    assert cli._worker_count(2, 16) == 2
+    assert cli._worker_count(10_000, 16) == 2
+    assert cli._worker_count(10_000, 1) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert cli._worker_count(10_000, 16) == 16
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._worker_count(4, 16) == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_batch_rejects_nonpositive_jobs(tmp_path, capsys, jobs):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(["P1"]))
+    code, out, err = run(capsys, "batch", "--manifest", str(manifest), "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --jobs must be >= 1\n"
 
 
 # --- determinism and formats ----------------------------------------------------------

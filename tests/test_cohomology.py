@@ -7,6 +7,11 @@ import pytest
 from frobtilt.catalog import builtin, catalog_names
 from frobtilt.cohomology import (
     InfiniteCohomologyError,
+    _active_patterns,
+    _certificates,
+    _circuits,
+    _emptied,
+    _pattern_region,
     cohomology,
     ext_dims,
     euler_chi,
@@ -21,14 +26,18 @@ from frobtilt.fan import (
     canonical_divisor,
     divisor_class,
     principal_divisor,
+    product,
 )
 from frobtilt.cones import is_nef
-from frobtilt.lattice import LinearSystem, constraint, lattice_points
+from frobtilt.lattice import LinearSystem, constraint, feasible, lattice_points
 
 P1 = builtin("P1").fan
 P2 = builtin("P2").fan
 P3 = builtin("P3").fan
 P1xP1 = builtin("P1xP1").fan
+dP6 = builtin("dP6").fan
+dP6xP1 = product(dP6, P1)
+dP6xP2 = product(dP6, P2)
 
 
 def h_pn_oracle(n, j):
@@ -109,6 +118,17 @@ def test_p1xp1_kunneth_all_small_coefficients():
         a = coeffs[0] + coeffs[1]
         b = coeffs[2] + coeffs[3]
         assert cohomology(P1xP1, D).dims == h_p1xp1_oracle(a, b)
+    # dP6 x P1, against dP6's own cohomology and the line's closed form
+    rng = random.Random(7)
+    for _ in range(40):
+        a = tuple(rng.randint(-3, 3) for _ in dP6.rays)
+        b = tuple(rng.randint(-3, 3) for _ in P1.rays)
+        hx = cohomology(dP6, TorusDivisor(dP6, a)).dims
+        hy = h_pn_oracle(1, sum(b))
+        dims = [0] * 4
+        for i, j in itertools.product(range(3), range(2)):
+            dims[i + j] += hx[i] * hy[j]
+        assert cohomology(dP6xP1, TorusDivisor(dP6xP1, a + b)).dims == tuple(dims), (a, b)
 
 
 def test_p2_brute_force_small_coefficients():
@@ -164,6 +184,42 @@ def test_euler_invariant_under_principal_twist():
             for i in range(fan.dim):
                 w = tuple(int(i == j) for j in range(fan.dim))
                 assert cohomology(fan, D + principal_divisor(fan, w)).euler() == chi0
+
+
+# --- Farkas certificates against the LP route ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fan", [builtin(n).fan for n in catalog_names()] + [dP6xP1, dP6xP2],
+    ids=list(catalog_names()) + ["dP6xP1", "dP6xP2"],
+)
+def test_certificates_agree_with_feasibility_lp(fan):
+    circuits, masks = _certificates(fan)
+    rng = random.Random(fan.n_rays * 1000 + fan.dim)
+    nonempty = 0
+    for _ in range(30):
+        coeffs = tuple(rng.randint(-3, 3) for _ in fan.rays)
+        emptied = _emptied(circuits, coeffs)
+        for (verts, _), mask in zip(_active_patterns(fan), masks):
+            lp = feasible(_pattern_region(fan, coeffs, verts))
+            assert lp == (not mask & emptied), (coeffs, sorted(verts))
+            nonempty += lp
+    assert nonempty > 0
+
+
+@pytest.mark.parametrize("x, y", [("dP6", "P1"), ("dP6", "P2"), ("P1xP1", "F2"), ("P2", "BlptP3")])
+def test_circuits_of_product_are_those_of_the_factors(x, y):
+    fx, fy = builtin(x).fan, builtin(y).fan
+    expected = {c + (0,) * fy.n_rays for c in _circuits(fx)}
+    expected |= {(0,) * fx.n_rays + c for c in _circuits(fy)}
+    got = _circuits(product(fx, fy))
+    assert len(got) == len(set(got))
+    assert set(got) == expected
+
+
+def test_circuit_counts():
+    # dP6's six rays: three opposite pairs, and the 8 triples without one
+    assert [len(_circuits(f)) for f in (P2, P1xP1, dP6)] == [1, 2, 11]
 
 
 # --- ext_dims / euler_chi ----------------------------------------------------------

@@ -1,9 +1,12 @@
+import sys
+
 import pytest
 
+import frobtilt.frobenius
 from frobtilt.catalog import builtin, catalog_names
 from frobtilt.cohomology import cohomology
 from frobtilt.cones import NEITHER, bu_set, nef_fano_status
-from frobtilt.fan import TorusDivisor, canonical_divisor, divisor_class
+from frobtilt.fan import TorusDivisor, canonical_divisor, divisor_class, product
 from frobtilt.tilting import (
     HYPOTHESIS_FAILED,
     NOT_APPLICABLE,
@@ -146,6 +149,25 @@ def test_gram_unimodular_when_rank_matches():
         if r.status == VERIFIED:
             assert r.k_rank_match
             assert r.gram_unimodular
+
+
+def test_orlov_runs_frob_set_once(monkeypatch):
+    original = frobtilt.frobenius.frob_set
+    calls = []
+
+    def counting(fan):
+        calls.append(fan)
+        return original(fan)
+
+    for name, module in list(sys.modules.items()):
+        if name == "frobtilt" or name.startswith("frobtilt."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    fan = product(P1, P2)  # a fresh Fan: no cache carries over
+    r = orlov_check(fan, "P1xP2")
+    assert r.status == VERIFIED and r.n_bu == 6
+    assert len(calls) == 1
 
 
 def test_report_serialization_round_trip():
