@@ -13,13 +13,10 @@ from .cohomology import (
     WeightPattern,
     cohomology,
     ext_dims,
-    euler_chi,
-    weight_cohomology,
     weight_patterns,
 )
 from .cones import NefVerdict, bu_set, is_antinef, is_nef, nef_fano_status
 from .fan import (
-    CartierData,
     DivisorClass,
     Fan,
     InvalidFanError,
@@ -37,10 +34,8 @@ from .fan import (
 )
 from .frobenius import (
     FrobSet,
-    FrobSummand,
     frob_set,
     minimal_stabilizing_ell,
-    pushforward_detail,
     pushforward_summands,
 )
 from .lattice import (
@@ -59,7 +54,6 @@ from .lattice import (
     solve_integer,
 )
 from .tilting import (
-    ChainCheck,
     ExtVanishing,
     OrlovReport,
     TiltingCandidate,
@@ -67,7 +61,6 @@ from .tilting import (
     ext_vanishing,
     m0,
     orlov_check,
-    projection_chain_check,
 )
 
 __version__ = "0.1.0"

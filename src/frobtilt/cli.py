@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Optional
 
 from .catalog import FanFileError, resolve
@@ -23,33 +22,6 @@ from .cones import bu_set, is_nef, nef_fano_status
 from .fan import InvalidFanError, TorusDivisor, canonical_divisor
 from .frobenius import frob_set, minimal_stabilizing_ell, pushforward_summands
 from .tilting import VERIFIED, build_candidate, ext_vanishing, orlov_check
-
-_COMMANDS = (
-    "describe",
-    "frob",
-    "frob-set",
-    "stabilize",
-    "nef",
-    "cohom",
-    "bu",
-    "tilting",
-    "orlov",
-    "batch",
-)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    target: Optional[str]
-    ell: int
-    divisor: Optional[str]  # comma-separated ray coefficients
-    fmt: str
-    jobs: int
-    verbose: bool
-    manifest: Optional[str]
-    patterns: bool
-
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -108,7 +80,7 @@ def _parse_divisor(text: Optional[str], fan) -> TorusDivisor:
 # --- command handlers; each returns (payload, headers, rows, exit_code) ----
 
 
-def _cmd_describe(entry, cfg):
+def _cmd_describe(entry, args):
     fan = entry.fan
     rep = fan.validation
     payload = {
@@ -130,17 +102,17 @@ def _cmd_describe(entry, cfg):
     return payload, ["ray", "coords"], rows, 0
 
 
-def _cmd_frob(entry, cfg):
+def _cmd_frob(entry, args):
     fan = entry.fan
-    D = _parse_divisor(cfg.divisor, fan)
-    counts = pushforward_summands(fan, D, cfg.ell)
+    D = _parse_divisor(args.divisor, fan)
+    counts = pushforward_summands(fan, D, args.ell)
     summands = [
         {"coords": list(cls.coords), "multiplicity": counts[cls]}
         for cls in sorted(counts)
     ]
     payload = {
         "name": entry.name,
-        "ell": cfg.ell,
+        "ell": args.ell,
         "divisor": list(D.coeffs),
         "count": sum(counts.values()),
         "summands": summands,
@@ -149,7 +121,7 @@ def _cmd_frob(entry, cfg):
     return payload, ["class", "multiplicity"], rows, 0
 
 
-def _cmd_frob_set(entry, cfg):
+def _cmd_frob_set(entry, args):
     fs = frob_set(entry.fan)
     classes = [
         {"coords": list(w.cls.coords), "min_witness_ell": w.min_ell}
@@ -160,14 +132,14 @@ def _cmd_frob_set(entry, cfg):
     return payload, ["class", "min_witness_ell"], rows, 0
 
 
-def _cmd_stabilize(entry, cfg):
+def _cmd_stabilize(entry, args):
     payload = {"name": entry.name, "minimal_stabilizing_ell": minimal_stabilizing_ell(entry.fan)}
     return payload, None, None, 0
 
 
-def _cmd_nef(entry, cfg):
+def _cmd_nef(entry, args):
     fan = entry.fan
-    D = _parse_divisor(cfg.divisor, fan)
+    D = _parse_divisor(args.divisor, fan)
     v = is_nef(D)
     failing = None
     if v.failing is not None:
@@ -184,9 +156,9 @@ def _cmd_nef(entry, cfg):
     return payload, None, None, 0
 
 
-def _cmd_cohom(entry, cfg):
+def _cmd_cohom(entry, args):
     fan = entry.fan
-    D = _parse_divisor(cfg.divisor, fan)
+    D = _parse_divisor(args.divisor, fan)
     vec = cohomology(fan, D)
     payload = {
         "name": entry.name,
@@ -194,7 +166,7 @@ def _cmd_cohom(entry, cfg):
         "h": list(vec.dims),
         "euler": vec.euler(),
     }
-    if cfg.patterns:
+    if args.patterns:
         payload["patterns"] = [
             {
                 "neg_rays": list(p.neg_rays),
@@ -207,7 +179,7 @@ def _cmd_cohom(entry, cfg):
     return payload, ["degree", "dim"], rows, 0
 
 
-def _cmd_bu(entry, cfg):
+def _cmd_bu(entry, args):
     classes = bu_set(entry.fan)
     payload = {
         "name": entry.name,
@@ -218,7 +190,7 @@ def _cmd_bu(entry, cfg):
     return payload, ["class"], rows, 0
 
 
-def _cmd_tilting(entry, cfg):
+def _cmd_tilting(entry, args):
     cand = build_candidate(entry.fan)
     ev = ext_vanishing(cand)
     order = cand.triangular_order()
@@ -240,7 +212,7 @@ def _cmd_tilting(entry, cfg):
     return payload, headers, rows, 0 if ev.ok else 1
 
 
-def _cmd_orlov(entry, cfg):
+def _cmd_orlov(entry, args):
     report = orlov_check(entry.fan, entry.name)
     payload = report.to_dict()
     rows = [[k, json.dumps(v)] for k, v in payload.items()]
@@ -261,12 +233,12 @@ def _worker_count(jobs: int, n_targets: int) -> int:
     return min(jobs, n_targets, os.cpu_count() or 1)
 
 
-def _cmd_batch(cfg):
-    with open(cfg.manifest) as fh:
+def _cmd_batch(args):
+    with open(args.manifest) as fh:
         targets = json.load(fh)
     if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets):
-        raise FanFileError(f"{cfg.manifest}: manifest must be a JSON array of strings")
-    workers = _worker_count(cfg.jobs, len(targets))
+        raise FanFileError(f"{args.manifest}: manifest must be a JSON array of strings")
+    workers = _worker_count(args.jobs, len(targets))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_batch_worker, targets))
@@ -306,19 +278,16 @@ _HANDLERS = {
 def _render(payload, headers, rows, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, indent=2) + "\n"
+    if headers is None:
+        headers = ["field", "value"]
+        rows = [[k, json.dumps(v)] for k, v in payload.items()]
     if fmt == "md":
-        if headers is None:
-            headers = ["field", "value"]
-            rows = [[k, json.dumps(v)] for k, v in payload.items()]
         out = ["| " + " | ".join(str(h) for h in headers) + " |"]
         out.append("| " + " | ".join("---" for _ in headers) + " |")
         for row in rows:
             out.append("| " + " | ".join(str(x) for x in row) + " |")
         return "\n".join(out) + "\n"
     if fmt == "csv":
-        if headers is None:
-            headers = ["field", "value"]
-            rows = [[k, json.dumps(v)] for k, v in payload.items()]
         import csv as _csv
         import io
 
@@ -342,37 +311,26 @@ def main(argv=None) -> int:
             argv[i : i + 2] = [f"--divisor={argv[i + 1]}"]
             break
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        target=getattr(args, "target", None),
-        ell=getattr(args, "ell", 1),
-        divisor=getattr(args, "divisor", None),
-        fmt=args.fmt,
-        jobs=getattr(args, "jobs", 1),
-        verbose=args.verbose,
-        manifest=getattr(args, "manifest", None),
-        patterns=getattr(args, "patterns", False),
-    )
-    if cfg.command == "frob" and cfg.ell < 1:
+    if args.command == "frob" and args.ell < 1:
         print("error: --ell must be >= 1", file=sys.stderr)
         return 2
-    if cfg.command == "batch" and cfg.jobs < 1:
+    if args.command == "batch" and args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
     try:
-        if cfg.command == "batch":
-            payload, headers, rows, code = _cmd_batch(cfg)
+        if args.command == "batch":
+            payload, headers, rows, code = _cmd_batch(args)
         else:
-            entry = resolve(cfg.target)
-            if cfg.verbose:
-                print(f"resolved {cfg.target} ({entry.provenance})", file=sys.stderr)
-            payload, headers, rows, code = _HANDLERS[cfg.command](entry, cfg)
+            entry = resolve(args.target)
+            if args.verbose:
+                print(f"resolved {args.target} ({entry.provenance})", file=sys.stderr)
+            payload, headers, rows, code = _HANDLERS[args.command](entry, args)
     except (KeyError, FanFileError, InvalidFanError, InfiniteCohomologyError,
             ValueError, OSError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)
         return 2
-    sys.stdout.write(_render(payload, headers, rows, cfg.fmt))
+    sys.stdout.write(_render(payload, headers, rows, args.fmt))
     return code
 
 

@@ -46,23 +46,18 @@ class InfiniteCohomologyError(ArithmeticError):
 
 @dataclass(frozen=True)
 class WeightPattern:
-    """A sign pattern over rays together with its weight region and ranks."""
+    """A sign pattern over rays with its reduced ranks and weight count."""
 
     neg_rays: tuple[int, ...]
-    region: LinearSystem
     reduced_ranks: tuple[int, ...]  # index q holds rank H~^{q-1}
     point_count: int
-
-    def contribution(self) -> tuple[int, ...]:
-        return tuple(self.point_count * r for r in self.reduced_ranks)
 
 
 @dataclass(frozen=True)
 class CohomologyVector:
-    """(h^0, ..., h^n), optionally with the contributing weight patterns."""
+    """(h^0, ..., h^n)."""
 
     dims: tuple[int, ...]
-    patterns: Optional[tuple[WeightPattern, ...]] = None
 
     def __getitem__(self, q: int) -> int:
         return self.dims[q]
@@ -76,7 +71,7 @@ class CohomologyVector:
 
 
 # ---------------------------------------------------------------------------
-# reduced cohomology of ray subcomplexes, cached per fan
+# reduced cohomology of ray subcomplexes
 
 
 def _subcomplex_ranks(fan: Fan, verts: frozenset[int]) -> tuple[int, ...]:
@@ -85,10 +80,6 @@ def _subcomplex_ranks(fan: Fan, verts: frozenset[int]) -> tuple[int, ...]:
     Simplices are the ray subsets spanning a cone of the fan, i.e. the
     subsets of the maximal cones' ray sets (the fan is simplicial).
     """
-    cache = fan._rank_cache
-    hit = cache.get(verts)
-    if hit is not None:
-        return hit
     n = fan.dim
     faces: set[tuple[int, ...]] = set()
     for cone in fan.max_cones:
@@ -125,13 +116,11 @@ def _subcomplex_ranks(fan: Fan, verts: frozenset[int]) -> tuple[int, ...]:
         below = aug_rank if p == 0 else co_rank[p - 1]
         above = co_rank[p] if p < n - 1 else 0
         ranks[p + 1] = dim_cp - above - below
-    result = tuple(ranks)
-    cache[verts] = result
-    return result
+    return tuple(ranks)
 
 
 def _active_patterns(fan: Fan) -> tuple[tuple[frozenset[int], tuple[int, ...]], ...]:
-    """All ray subsets whose subcomplex has nonzero reduced cohomology."""
+    """All ray subsets whose subcomplex has nonzero reduced cohomology, once per fan."""
     key = "__active__"
     cache = fan._rank_cache
     hit = cache.get(key)
@@ -240,15 +229,6 @@ def _pattern_region(fan: Fan, coeffs: IntVec, neg: frozenset[int]) -> LinearSyst
 # public operations
 
 
-def weight_cohomology(fan: Fan, D: TorusDivisor, m: IntVec) -> tuple[int, ...]:
-    """(h^0_m, ..., h^n_m) for the single weight m."""
-    fan.require_valid()
-    neg = frozenset(
-        i for i, ray in enumerate(fan.rays) if dot(m, ray) < -D.coeffs[i]
-    )
-    return _subcomplex_ranks(fan, neg)
-
-
 def weight_patterns(fan: Fan, D: TorusDivisor) -> tuple[WeightPattern, ...]:
     """The cohomologically active sign patterns of D with exact point counts."""
     fan.require_valid()
@@ -273,39 +253,29 @@ def weight_patterns(fan: Fan, D: TorusDivisor) -> tuple[WeightPattern, ...]:
             ) from exc
         if not pts:
             continue
-        out.append(WeightPattern(tuple(sorted(verts)), region, ranks, len(pts)))
+        out.append(WeightPattern(tuple(sorted(verts)), ranks, len(pts)))
     return tuple(out)
 
 
-def cohomology(fan: Fan, D: TorusDivisor, with_patterns: bool = False) -> CohomologyVector:
+def cohomology(fan: Fan, D: TorusDivisor) -> CohomologyVector:
     """All cohomology dimensions of O(D), exactly.
 
     Dimensions depend only on the divisor class, so results are cached per
     fan under the canonical class coordinates.
     """
     fan.require_valid()
-    if with_patterns:
-        pats = weight_patterns(fan, D)
-        dims = [0] * (fan.dim + 1)
-        for p in pats:
-            for q, v in enumerate(p.contribution()):
-                dims[q] += v
-        return CohomologyVector(tuple(dims), pats)
     cls = divisor_class(D)
     cache = fan._cohomology_cache
-    hit = cache.get(cls.coords)
-    if hit is not None:
-        return CohomologyVector(hit)
-    vec = cohomology(fan, cls.representative(), with_patterns=True)
-    cache[cls.coords] = vec.dims
-    return CohomologyVector(vec.dims)
+    dims = cache.get(cls.coords)
+    if dims is None:
+        total = [0] * (fan.dim + 1)
+        for p in weight_patterns(fan, cls.representative()):
+            for q, r in enumerate(p.reduced_ranks):
+                total[q] += p.point_count * r
+        dims = cache[cls.coords] = tuple(total)
+    return CohomologyVector(dims)
 
 
 def ext_dims(fan: Fan, L: DivisorClass, M: DivisorClass) -> CohomologyVector:
     """Ext^*(O(L), O(M)) = H^*(X, O(M - L)) for line bundles."""
     return cohomology(fan, (M - L).representative())
-
-
-def euler_chi(fan: Fan, L: DivisorClass, M: DivisorClass) -> int:
-    """Alternating sum of the Ext dimensions; the K-theoretic pairing."""
-    return ext_dims(fan, L, M).euler()

@@ -33,10 +33,9 @@ def is_nef(D: TorusDivisor) -> NefVerdict:
     """Support-function convexity check; also decides ampleness."""
     fan = D.fan
     fan.require_valid()
-    cd = cartier_data(D)
     first_violation = None
     first_equality = None
-    for ci, (cone, m) in enumerate(zip(fan.max_cones, cd.vertices)):
+    for ci, (cone, m) in enumerate(zip(fan.max_cones, cartier_data(D))):
         inside = set(cone)
         for ri, ray in enumerate(fan.rays):
             if ri in inside:

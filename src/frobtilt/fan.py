@@ -24,7 +24,6 @@ from .lattice import (
     dot,
     hermite_normal_form,
     solve_integer,
-    solve_rational,
 )
 
 _POINT_LOCATION_TRIALS = 20
@@ -198,15 +197,8 @@ def divisor_class(D: TorusDivisor) -> DivisorClass:
     return DivisorClass(tuple(v[j] for j in nonpivots), fan)
 
 
-@dataclass(frozen=True)
-class CartierData:
-    """Per maximal cone, the lattice functional m with <m, v_rho> = -a_rho."""
-
-    divisor: TorusDivisor
-    vertices: tuple[IntVec, ...]  # aligned with fan.max_cones
-
-
-def cartier_data(D: TorusDivisor) -> CartierData:
+def cartier_data(D: TorusDivisor) -> tuple[IntVec, ...]:
+    """Per maximal cone (in fan.max_cones order), the m with <m, v_rho> = -a_rho."""
     fan = D.fan
     out = []
     for cone in fan.max_cones:
@@ -218,7 +210,7 @@ def cartier_data(D: TorusDivisor) -> CartierData:
         if any(dot(m, fan.rays[i]) != -D.coeffs[i] for i in cone):
             raise AssertionError(f"Cartier data of cone {cone} is wrong")
         out.append(m)
-    return CartierData(D, tuple(out))
+    return tuple(out)
 
 
 def canonical_divisor(fan: Fan) -> TorusDivisor:
@@ -330,9 +322,16 @@ def validate(fan: Fan) -> ValidationReport:
 
 
 def _cone_contains(fan: Fan, cone: tuple[int, ...], x: IntVec) -> bool:
-    cols = tuple(zip(*fan.cone_matrix(cone)))  # columns = ray generators
-    lam = solve_rational(cols, x)
-    return lam is not None and all(v >= 0 for v in lam)
+    """x is a nonnegative combination of the cone's rays, decided by Cramer's rule.
+
+    The coefficient of ray k is det(M_k) / det(M), where M_k is the ray
+    matrix M with ray k replaced by x; so each must share det(M)'s sign.
+    """
+    M = fan.cone_matrix(cone)
+    d = determinant(M)
+    return d != 0 and all(
+        determinant(M[:k] + (x,) + M[k + 1:]) * d >= 0 for k in range(len(M))
+    )
 
 
 # ---------------------------------------------------------------------------

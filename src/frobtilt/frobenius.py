@@ -6,9 +6,8 @@ by the residues u in {0..ell-1}^n, with coefficients
 b_rho(u) = floor((a_rho + <u, v_rho>) / ell).
 
 The full summand set over every ell is computed exactly from the chambers
-of the arrangement {<t, v_rho> = k} inside the half-open unit cube; the
-ell sweep is kept alongside as an independent route and supplies the
-minimal witness ell of each class.
+of the arrangement {<t, v_rho> = k} inside the half-open unit cube; an ell
+sweep then supplies the minimal witness ell of each class.
 """
 
 from __future__ import annotations
@@ -20,16 +19,6 @@ from dataclasses import dataclass
 
 from .fan import DivisorClass, Fan, TorusDivisor, divisor_class
 from .lattice import LT, IntVec, LinearSystem, constraint, dot, feasible, feasible_point
-
-
-@dataclass(frozen=True)
-class FrobSummand:
-    """One summand of the degree-ell pushforward of O(D)."""
-
-    residue: IntVec
-    ell: int
-    divisor: TorusDivisor
-    cls: DivisorClass
 
 
 @dataclass(frozen=True)
@@ -56,27 +45,12 @@ class FrobSet:
     def __iter__(self):
         return iter(self.classes)
 
-    def __contains__(self, cls: DivisorClass) -> bool:
-        return any(w.cls == cls for w in self.witnesses)
-
 
 def summand_divisor(fan: Fan, D: TorusDivisor, ell: int, u: IntVec) -> TorusDivisor:
     coeffs = tuple(
         (D.coeffs[i] + dot(u, ray)) // ell for i, ray in enumerate(fan.rays)
     )
     return TorusDivisor(fan, coeffs)
-
-
-def pushforward_detail(fan: Fan, D: TorusDivisor, ell: int) -> list[FrobSummand]:
-    """All ell^n summands, one per residue vector."""
-    fan.require_valid()
-    if ell < 1:
-        raise ValueError("ell must be a positive integer")
-    out = []
-    for u in itertools.product(range(ell), repeat=fan.dim):
-        div = summand_divisor(fan, D, ell, u)
-        out.append(FrobSummand(u, ell, div, divisor_class(div)))
-    return out
 
 
 def pushforward_summands(fan: Fan, D: TorusDivisor, ell: int) -> Counter:
@@ -167,11 +141,15 @@ def _witness_sweep(fan: Fan, classes: set[DivisorClass]) -> dict[DivisorClass, i
 
 
 def minimal_stabilizing_ell(fan: Fan) -> int:
-    """Least ell whose single pushforward of O contains every frob class."""
+    """Least ell whose single pushforward of O contains every frob class.
+
+    Every class appears at that ell, so it is at least each class's
+    minimal witness ell; the search starts from the largest of those.
+    """
     fs = frob_set(fan)
     classes = set(fs.classes)
     bound = _witness_denominator_bound(fan, (w.chamber for w in fs.witnesses))
-    for ell in range(1, bound + 1):
+    for ell in range(max(w.min_ell for w in fs.witnesses), bound + 1):
         if classes <= set(pushforward_summands(fan, _zero(fan), ell)):
             return ell
     raise AssertionError("stabilization bound violated; chamber witnesses inconsistent")

@@ -2,8 +2,8 @@
 
 All arithmetic is arbitrary precision: integer vectors and matrices are
 plain tuples of Python ints.  Linear constraints are integer rows; only
-genuinely rational values (LP optima and points, coordinate bounds,
-solve_rational) use fractions.Fraction.  No floating point is used
+genuinely rational values (LP optima and points, coordinate bounds) use
+fractions.Fraction.  No floating point is used
 anywhere; strict inequalities are decided exactly (via an auxiliary slack
 maximization, never a numeric tolerance).
 """
@@ -222,24 +222,6 @@ def integer_rank(A: Sequence[Sequence[int]]) -> int:
         prev = p
         r += 1
     return r
-
-
-def solve_rational(A: Sequence[Sequence], b: Sequence) -> Optional[RatVec]:
-    """Solve a square nonsingular rational system exactly; None if singular."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(A, b, strict=True)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if M[i][c] != 0), None)
-        if piv is None:
-            return None
-        M[c], M[piv] = M[piv], M[c]
-        p = M[c][c]
-        M[c] = [x / p for x in M[c]]
-        for i in range(n):
-            if i != c and M[i][c]:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return tuple(M[i][n] for i in range(n))
 
 
 # ---------------------------------------------------------------------------

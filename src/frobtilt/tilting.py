@@ -19,8 +19,8 @@ from typing import Optional
 
 from .cohomology import CohomologyVector, cohomology, ext_dims
 from .cones import NEITHER, bu_set, nef_fano_status
-from .fan import DivisorClass, Fan, TorusDivisor, canonical_divisor
-from .frobenius import frob_set, pushforward_summands
+from .fan import DivisorClass, Fan, canonical_divisor
+from .frobenius import frob_set
 from .lattice import determinant
 
 VERIFIED = "VERIFIED_MODULO_FULLNESS"
@@ -70,12 +70,6 @@ class TiltingCandidate:
 class ExtVanishing:
     ok: bool
     violations: tuple[tuple[int, int, int, int], ...]  # (a, b, degree, dim)
-
-
-@dataclass(frozen=True)
-class ChainCheck:
-    ok: bool
-    violation: Optional[tuple[DivisorClass, int, int]]  # (L, ell, degree)
 
 
 @dataclass(frozen=True)
@@ -200,29 +194,3 @@ def orlov_check(fan: Fan, name: str = "") -> OrlovReport:
         status=status,
         reason=reason,
     )
-
-
-def projection_chain_check(fan: Fan, ell: int) -> ChainCheck:
-    """Dimension-level identity behind the twist computation.
-
-    For every frob class L and every degree m, the summed cohomology of
-    the pushforward summands twisted by -L - K equals the cohomology of
-    -ell*(L + K); this is the rank shadow of the projection-formula and
-    adjunction steps.
-    """
-    fan.require_valid()
-    K = canonical_divisor(fan)
-    zero = TorusDivisor(fan, (0,) * fan.n_rays)
-    push = pushforward_summands(fan, zero, ell)
-    for L in frob_set(fan).classes:
-        DL = L.representative()
-        lhs = [0] * (fan.dim + 1)
-        for B, mult in sorted(push.items()):
-            vec = cohomology(fan, B.representative() - DL - K)
-            for q, h in enumerate(vec.dims):
-                lhs[q] += mult * h
-        rhs = cohomology(fan, -ell * (DL + K))
-        for q in range(fan.dim + 1):
-            if lhs[q] != rhs.dims[q]:
-                return ChainCheck(False, (L, ell, q))
-    return ChainCheck(True, None)

@@ -26,8 +26,8 @@ from frobtilt.tilting import (
     build_candidate,
     ext_vanishing,
     orlov_check,
-    projection_chain_check,
 )
+from oracles import projection_chain_check
 
 ALL_NAMES = catalog_names()
 

@@ -4,7 +4,10 @@ Each case runs ``frobtilt.cli.main`` in-process and compares its exit code
 and the SHA-256 of its stdout with ``cli_golden.json``.  The table covers
 every subcommand except ``batch`` on every catalog fan in json (``frob``
 with ``--ell 2``; ``nef`` and ``cohom`` with ``--divisor`` set to the
-canonical divisor K = -1 on every ray), plus ``orlov`` in md and csv.
+canonical divisor K = -1 on every ray, ``cohom`` also with ``--patterns``),
+plus ``orlov`` in md and csv, and ``batch`` over ``batch_manifest.json`` in
+json, md and csv.  A case is keyed by its argv with the manifest's path
+shortened to its file name, so the key does not depend on the checkout.
 
 The table is regenerated, only when an output change is intended, with
 
@@ -24,9 +27,10 @@ from frobtilt.catalog import builtin, catalog_names
 from frobtilt.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
+MANIFEST = Path(__file__).with_name("batch_manifest.json")
 
 
-def cases() -> list[list[str]]:
+def cases() -> dict[str, list[str]]:
     out = []
     for name in catalog_names():
         K = ",".join("-1" for _ in builtin(name).fan.rays)
@@ -37,13 +41,15 @@ def cases() -> list[list[str]]:
             ["stabilize", name],
             ["nef", name, "--divisor", K],
             ["cohom", name, "--divisor", K],
+            ["cohom", name, "--divisor", K, "--patterns"],
             ["bu", name],
             ["tilting", name],
             ["orlov", name],
             ["orlov", name, "--format", "md"],
             ["orlov", name, "--format", "csv"],
         ]
-    return out
+    out += [["batch", "--manifest", str(MANIFEST), "--format", fmt] for fmt in ("json", "md", "csv")]
+    return {" ".join(MANIFEST.name if a == str(MANIFEST) else a for a in argv): argv for argv in out}
 
 
 def digest(argv: list[str]) -> dict:
@@ -53,17 +59,17 @@ def digest(argv: list[str]) -> dict:
     return {"exit": code, "sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()}
 
 
-@pytest.mark.parametrize("argv", cases(), ids=" ".join)
-def test_cli_output_matches_golden(argv):
+@pytest.mark.parametrize("key", cases())
+def test_cli_output_matches_golden(key):
     golden = json.loads(GOLDEN.read_text())
-    assert digest(argv) == golden[" ".join(argv)]
+    assert digest(cases()[key]) == golden[key]
 
 
 def test_golden_table_covers_exactly_the_cases():
     golden = json.loads(GOLDEN.read_text())
-    assert sorted(golden) == sorted(" ".join(argv) for argv in cases())
+    assert sorted(golden) == sorted(cases())
 
 
 if __name__ == "__main__":
-    table = {" ".join(argv): digest(argv) for argv in cases()}
+    table = {key: digest(argv) for key, argv in cases().items()}
     sys.stdout.write(json.dumps(table, indent=2, sort_keys=True) + "\n")

@@ -14,8 +14,6 @@ from frobtilt.cohomology import (
     _pattern_region,
     cohomology,
     ext_dims,
-    euler_chi,
-    weight_cohomology,
     weight_patterns,
 )
 from frobtilt.fan import (
@@ -30,6 +28,7 @@ from frobtilt.fan import (
 )
 from frobtilt.cones import is_nef
 from frobtilt.lattice import LinearSystem, constraint, feasible, lattice_points
+from oracles import weight_cohomology
 
 P1 = builtin("P1").fan
 P2 = builtin("P2").fan
@@ -86,13 +85,20 @@ def test_interior_weight_gives_section():
 
 
 def test_weight_sum_over_box_matches_total():
-    for coeffs in ((-2, 0), (3, 0), (-1, -1)):
-        D = TorusDivisor(P1, coeffs)
-        total = [0, 0]
-        for m in range(-9, 10):
-            w = weight_cohomology(P1, D, (m,))
+    divisors = [TorusDivisor(P1, c) for c in ((-2, 0), (3, 0), (-1, -1))]
+    rng = random.Random(5)
+    for name in ("P2", "F1", "dP7"):
+        fan = builtin(name).fan
+        divisors += [
+            TorusDivisor(fan, tuple(rng.randint(-3, 3) for _ in fan.rays)) for _ in range(6)
+        ]
+    for D in divisors:
+        fan = D.fan
+        total = [0] * (fan.dim + 1)
+        for m in itertools.product(range(-9, 10), repeat=fan.dim):
+            w = weight_cohomology(fan, D, m)
             total = [a + b for a, b in zip(total, w)]
-        assert tuple(total) == cohomology(P1, D).dims
+        assert tuple(total) == cohomology(fan, D).dims, (fan, D.coeffs)
 
 
 # --- cohomology: frozen trivials and closed-form sweeps -----------------------
@@ -222,7 +228,7 @@ def test_circuit_counts():
     assert [len(_circuits(f)) for f in (P2, P1xP1, dP6)] == [1, 2, 11]
 
 
-# --- ext_dims / euler_chi ----------------------------------------------------------
+# --- ext_dims and their Euler characteristic ----------------------------------------------------------
 
 
 def cls_of(fan, coeffs):
@@ -243,14 +249,14 @@ def test_ext_self_is_structure_sheaf_cohomology(name):
     L = cls_of(fan, tuple(range(fan.n_rays)))
     expected = (1,) + (0,) * fan.dim
     assert ext_dims(fan, L, L).dims == expected
-    assert euler_chi(fan, L, L) == 1
+    assert ext_dims(fan, L, L).euler() == 1
 
 
 def test_euler_chi_p2_twists():
     o = cls_of(P2, (0, 0, 0))
     for j, expected in ((0, 1), (1, 3), (2, 6)):
-        assert euler_chi(P2, o, cls_of(P2, (j, 0, 0))) == expected
-    assert euler_chi(P2, o, cls_of(P2, (-1, 0, 0))) == 0
+        assert ext_dims(P2, o, cls_of(P2, (j, 0, 0))).euler() == expected
+    assert ext_dims(P2, o, cls_of(P2, (-1, 0, 0))).euler() == 0
 
 
 # --- error paths ---------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from frobtilt.catalog import builtin, catalog_names
 from frobtilt.fan import (
-    CartierData,
     DivisorClass,
     Fan,
     InvalidFanError,
@@ -18,6 +19,7 @@ from frobtilt.fan import (
     projective_space,
     star_subdivision,
     validate,
+    _cone_contains,
 )
 from frobtilt.lattice import dot, solve_integer
 
@@ -108,6 +110,42 @@ def test_catalog_style_invariant_rank_pic():
         assert f.picard_rank == f.n_rays - f.dim
 
 
+def _solve_fraction(M, x):
+    """lam with sum lam_k M[k] = x, by Gauss-Jordan over the rationals."""
+    n = len(M)
+    A = [[Fraction(M[k][i]) for k in range(n)] + [Fraction(x[i])] for i in range(n)]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if A[i][c])
+        A[c], A[piv] = A[piv], A[c]
+        A[c] = [v / A[c][c] for v in A[c]]
+        for i in range(n):
+            if i != c:
+                A[i] = [v - A[i][c] * w for v, w in zip(A[i], A[c])]
+    return [row[n] for row in A]
+
+
+def test_cone_contains_matches_rational_solve():
+    # random directions, plus points on the cones' faces (some lam_k = 0)
+    wedge = Fan(2, ((1, 0), (1, 3), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
+    fans = [builtin(n).fan for n in catalog_names()]
+    fans += [product(builtin("dP6").fan, P2), wedge]
+    rng = random.Random(17)
+    inside = 0
+    for fan in fans:
+        for cone in fan.max_cones:
+            M = fan.cone_matrix(cone)
+            for _ in range(12):
+                if rng.random() < 0.5:
+                    x = tuple(rng.randint(-9, 9) for _ in range(fan.dim))
+                else:
+                    lam = [rng.choice((0, 0, 1, 2, -1)) for _ in M]
+                    x = tuple(sum(l * r[i] for l, r in zip(lam, M)) for i in range(fan.dim))
+                expected = all(v >= 0 for v in _solve_fraction(M, x))
+                assert _cone_contains(fan, cone, x) == expected, (fan.rays, cone, x)
+                inside += expected
+    assert inside > 0
+
+
 # --- divisor_class ----------------------------------------------------------
 
 
@@ -165,7 +203,7 @@ def test_class_arithmetic_matches_divisor_arithmetic():
 def test_p1_cartier_example():
     D = TorusDivisor(P1, (-2, 0))
     cd = cartier_data(D)
-    by_cone = dict(zip(P1.max_cones, cd.vertices))
+    by_cone = dict(zip(P1.max_cones, cd))
     assert by_cone[(0,)] == (2,)
     assert by_cone[(1,)] == (0,)
 
@@ -173,13 +211,13 @@ def test_p1_cartier_example():
 def test_zero_divisor_zero_cartier():
     for fan in (P1, P2, F1):
         cd = cartier_data(TorusDivisor(fan, (0,) * fan.n_rays))
-        assert all(all(x == 0 for x in m) for m in cd.vertices)
+        assert all(all(x == 0 for x in m) for m in cd)
 
 
 def test_p2_anticanonical_cartier():
     D = -canonical_divisor(P2)
     cd = cartier_data(D)
-    for cone, m in zip(P2.max_cones, cd.vertices):
+    for cone, m in zip(P2.max_cones, cd):
         for i in cone:
             assert dot(m, P2.rays[i]) == -1
 
@@ -190,7 +228,7 @@ def test_cartier_back_substitution_random():
         for _ in range(10):
             D = TorusDivisor(fan, tuple(rng.randint(-4, 4) for _ in fan.rays))
             cd = cartier_data(D)
-            for cone, m in zip(fan.max_cones, cd.vertices):
+            for cone, m in zip(fan.max_cones, cd):
                 for i in cone:
                     assert dot(m, fan.rays[i]) == -D.coeffs[i]
 

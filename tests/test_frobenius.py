@@ -4,14 +4,14 @@ from collections import Counter
 import pytest
 
 from frobtilt.catalog import builtin, catalog_names
-from frobtilt.fan import TorusDivisor, divisor_class, principal_divisor
+from frobtilt.fan import TorusDivisor, divisor_class, principal_divisor, product
 from frobtilt.frobenius import (
     frob_set,
     minimal_stabilizing_ell,
-    pushforward_detail,
     pushforward_summands,
     summand_divisor,
 )
+from oracles import stabilizing_ell_from_one
 
 P1 = builtin("P1").fan
 P2 = builtin("P2").fan
@@ -92,13 +92,6 @@ def test_residue_representative_independence():
                 d2 = summand_divisor(fan, zero(fan), ell, u2)
                 assert divisor_class(d1) == divisor_class(d2)
                 assert (d2 - d1).coeffs == principal_divisor(fan, w).coeffs
-
-
-def test_pushforward_detail_matches_counts():
-    detail = pushforward_detail(P2, zero(P2), 2)
-    assert len(detail) == 4
-    counts = Counter(s.cls for s in detail)
-    assert counts == pushforward_summands(P2, zero(P2), 2)
 
 
 @pytest.mark.parametrize("name", ["P1", "P2", "P1xP1", "F1", "F2", "F3", "dP6"])
@@ -210,3 +203,15 @@ def test_stabilizing_ell_finite_on_catalog(name):
     ell = minimal_stabilizing_ell(fan)
     assert ell >= 1
     assert set(frob_set(fan).classes) <= set(pushforward_summands(fan, zero(fan), ell))
+
+
+PRODUCTS = {"dP6xP1": ("dP6", "P1"), "dP6xP2": ("dP6", "P2"), "BlptP3xP1": ("BlptP3", "P1")}
+
+
+@pytest.mark.parametrize("name", list(catalog_names()) + list(PRODUCTS))
+def test_stabilizing_ell_matches_search_from_one(name):
+    if name in PRODUCTS:
+        fan = product(*(builtin(f).fan for f in PRODUCTS[name]))
+    else:
+        fan = builtin(name).fan
+    assert minimal_stabilizing_ell(fan) == stabilizing_ell_from_one(fan)

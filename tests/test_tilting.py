@@ -15,8 +15,8 @@ from frobtilt.tilting import (
     ext_vanishing,
     m0,
     orlov_check,
-    projection_chain_check,
 )
+from oracles import projection_chain_check
 
 P1 = builtin("P1").fan
 P2 = builtin("P2").fan
