@@ -39,13 +39,11 @@ from .frobenius import (
     pushforward_summands,
 )
 from .lattice import (
-    Constraint,
     IntMat,
     IntVec,
     LinearSystem,
     RatVec,
     UnboundedSystemError,
-    constraint,
     determinant,
     feasible,
     feasible_point,

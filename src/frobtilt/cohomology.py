@@ -23,11 +23,9 @@ from typing import Optional
 
 from .fan import DivisorClass, Fan, TorusDivisor, divisor_class
 from .lattice import (
-    LE,
     IntVec,
     LinearSystem,
     UnboundedSystemError,
-    constraint,
     dot,
     feasible,
     hermite_normal_form,
@@ -213,16 +211,16 @@ def _emptied(circuits: tuple[tuple[IntVec, int, int], ...], coeffs: IntVec) -> i
 def _pattern_region(fan: Fan, coeffs: IntVec, neg: frozenset[int]) -> LinearSystem:
     """Weights m with <m, v_rho> <= -a_rho - 1 on neg rays, >= -a_rho off them.
 
-    The strict "<" of the negativity condition is integer-tight, so it is
-    stored as "<= -a - 1".
+    The strict < of the negativity condition is integer-tight, so a neg row
+    is stored as <v_rho, m> <= -a_rho - 1, and any other as <-v_rho, m> <= a_rho.
     """
-    cons = []
+    rows = []
     for i, ray in enumerate(fan.rays):
         if i in neg:
-            cons.append(constraint(ray, LE, -coeffs[i] - 1))
+            rows.append((ray, -coeffs[i] - 1, False))
         else:
-            cons.append(constraint(ray, ">=", -coeffs[i]))
-    return LinearSystem(fan.dim, tuple(cons))
+            rows.append((tuple(-x for x in ray), coeffs[i], False))
+    return LinearSystem(fan.dim, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

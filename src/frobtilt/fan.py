@@ -1,9 +1,9 @@
 """Fans of smooth projective toric varieties and their divisor theory.
 
 A Fan is the combinatorial model of the variety: primitive ray generators
-in Z^n plus the maximal cones as ray index sets.  Completeness is certified
-by a surrogate (ridge pairing + dual-graph connectivity + randomized point
-location), which is exact for the intended inputs; see validate().
+in Z^n plus the maximal cones as ray index sets.  Completeness is proven
+exactly: ridge pairing, dual-graph connectivity, local injectivity at every
+ridge, and degree one at a generic point; see validate().
 
 Divisor classes live in Pic = Z^{#rays} / M, coordinatized once and for all
 through the row Hermite form of the ray relation matrix, so class equality
@@ -13,7 +13,6 @@ is plain integer-vector equality.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
@@ -25,9 +24,6 @@ from .lattice import (
     hermite_normal_form,
     solve_integer,
 )
-
-_POINT_LOCATION_TRIALS = 20
-_POINT_LOCATION_SEED = 0x5EED
 
 
 class InvalidFanError(ValueError):
@@ -41,12 +37,12 @@ class ValidationReport:
     smooth: bool
     ridge_paired: bool
     connected: bool
-    point_location_ok: bool
+    covers_once: bool  # local injectivity at every ridge and degree one
     failures: tuple[str, ...]
 
     @property
     def complete(self) -> bool:
-        return self.ridge_paired and self.connected and self.point_location_ok
+        return self.ridge_paired and self.connected and self.covers_once
 
     @property
     def ok(self) -> bool:
@@ -296,19 +292,9 @@ def validate(fan: Fan) -> ValidationReport:
     else:
         ridge_paired = connected = False
 
-    point_location_ok = True
-    if simplicial and ridge_paired and connected:
-        rng = random.Random(_POINT_LOCATION_SEED)
-        for t in range(_POINT_LOCATION_TRIALS):
-            x = tuple(rng.randint(-99, 99) for _ in range(n))
-            if all(v == 0 for v in x):
-                continue
-            if not any(_cone_contains(fan, c, x) for c in fan.max_cones):
-                point_location_ok = False
-                failures.append(f"direction {x} lies in no maximal cone")
-                break
-    else:
-        point_location_ok = False
+    covers_once = simplicial and ridge_paired and connected and _covers_once(
+        fan, ridges, failures
+    )
 
     return ValidationReport(
         primitive=primitive,
@@ -316,9 +302,45 @@ def validate(fan: Fan) -> ValidationReport:
         smooth=smooth,
         ridge_paired=ridge_paired,
         connected=connected,
-        point_location_ok=point_location_ok,
+        covers_once=covers_once,
         failures=tuple(failures),
     )
+
+
+def _covers_once(fan: Fan, ridges: dict[tuple[int, ...], list[int]],
+                 failures: list[str]) -> bool:
+    """The paired, connected simplicial cones cover R^n exactly once.
+
+    Local injectivity: the two cones on each ridge lie strictly on opposite
+    sides of its hyperplane, so the cones are coherently oriented and the
+    number of cones containing a point stays constant off the ridges.
+    Degree one: a point on no ridge hyperplane lies in exactly one cone.
+    That point is the first (1, t, ..., t^(n-1)), t = 1, 2, ..., off every
+    ridge hyperplane; each hyperplane meets this curve at most n - 1 times.
+    """
+    for ridge, (c1, c2) in sorted(ridges.items()):
+        M = fan.cone_matrix(ridge)
+        o1, o2 = (
+            next(i for i in fan.max_cones[c] if i not in ridge) for c in (c1, c2)
+        )
+        if determinant(M + (fan.rays[o1],)) * determinant(M + (fan.rays[o2],)) >= 0:
+            failures.append(f"rays {o1} and {o2} lie on the same side of ridge {ridge}")
+            return False
+    mats = [fan.cone_matrix(ridge) for ridge in ridges]
+    t = 1
+    while True:
+        x = tuple(t**k for k in range(fan.dim))
+        if all(determinant(M + (x,)) for M in mats):
+            break
+        t += 1
+    degree = sum(1 for c in fan.max_cones if _cone_contains(fan, c, x))
+    if degree != 1:
+        failures.append(
+            f"the cones cover R^{fan.dim} with degree {degree}, not 1: "
+            f"direction {x} lies in {degree} maximal cones"
+        )
+        return False
+    return True
 
 
 def _cone_contains(fan: Fan, cone: tuple[int, ...], x: IntVec) -> bool:

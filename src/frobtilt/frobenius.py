@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .fan import DivisorClass, Fan, TorusDivisor, divisor_class
-from .lattice import LT, IntVec, LinearSystem, constraint, dot, feasible, feasible_point
+from .lattice import IntVec, LinearSystem, dot, feasible, feasible_point
 
 
 @dataclass(frozen=True)
@@ -102,15 +102,15 @@ def frob_set(fan: Fan) -> FrobSet:
 def _chamber_system_partial(fan: Fan, bs: tuple[int, ...]) -> LinearSystem:
     """t in [0,1)^n with <t, v_rho> in [b_rho, b_rho + 1) for assigned rays."""
     n = fan.dim
-    cons = []
+    rows = []
     for i in range(n):
         e = tuple(int(i == j) for j in range(n))
-        cons.append(constraint(e, ">=", 0))
-        cons.append(constraint(e, LT, 1))
+        rows.append((tuple(-x for x in e), 0, False))
+        rows.append((e, 1, True))
     for ray, b in zip(fan.rays, bs):
-        cons.append(constraint(ray, ">=", b))
-        cons.append(constraint(ray, LT, b + 1))
-    return LinearSystem(n, tuple(cons))
+        rows.append((tuple(-x for x in ray), -b, False))
+        rows.append((ray, b + 1, True))
+    return LinearSystem(n, tuple(rows))
 
 
 def _witness_denominator_bound(fan: Fan, chambers) -> int:

@@ -1,11 +1,11 @@
 """Exact integer and rational linear algebra.
 
 All arithmetic is arbitrary precision: integer vectors and matrices are
-plain tuples of Python ints.  Linear constraints are integer rows; only
-genuinely rational values (LP optima and points, coordinate bounds) use
-fractions.Fraction.  No floating point is used
-anywhere; strict inequalities are decided exactly (via an auxiliary slack
-maximization, never a numeric tolerance).
+plain tuples of Python ints.  A linear system is a tuple of integer rows
+a.x <= b, strict (a.x < b) where flagged; only genuinely rational values
+(LP optima and points, coordinate bounds) use fractions.Fraction.  No
+floating point is used anywhere; strict rows are decided exactly (via an
+auxiliary slack maximization, never a numeric tolerance).
 """
 
 from __future__ import annotations
@@ -20,58 +20,32 @@ IntVec = tuple[int, ...]
 RatVec = tuple[Fraction, ...]
 IntMat = tuple[IntVec, ...]
 
-# Canonical constraint relations.  Input helpers also accept ">=" and ">",
-# which are flipped on construction.
-LE = "<="
-LT = "<"
-EQ = "=="
-
 
 class UnboundedSystemError(ValueError):
     """Raised when an operation requires a bounded solution set."""
 
 
 @dataclass(frozen=True)
-class Constraint:
-    """A single integer linear condition ``coeffs . x  rel  rhs``."""
-
-    coeffs: IntVec
-    rel: str
-    rhs: int
-
-
-@dataclass(frozen=True)
 class LinearSystem:
-    """A conjunction of linear constraints over dim free rational variables."""
+    """Integer rows (a, b, strict) over dim free rational variables.
+
+    Each row means a.x <= b, or a.x < b when strict is set; non-integer
+    coefficients or right-hand sides raise TypeError.
+    """
 
     dim: int
-    constraints: tuple[Constraint, ...]
+    rows: tuple[tuple[IntVec, int, bool], ...]
 
     def __post_init__(self) -> None:
         if self.dim <= 0:
             raise ValueError("system dimension must be positive")
-        for c in self.constraints:
-            if len(c.coeffs) != self.dim:
-                raise ValueError("constraint dimension mismatch")
-
-
-def constraint(coeffs: Sequence[int], rel: str, rhs: int) -> Constraint:
-    """Build an integer constraint, normalizing >=, > to <=, < by negation.
-
-    Coefficients and right-hand side must be integers; anything else
-    raises TypeError.
-    """
-    cs = tuple(map(operator.index, coeffs))
-    b = operator.index(rhs)
-    if rel in (">=", ">"):
-        cs = tuple(-c for c in cs)
-        b = -b
-        rel = LE if rel == ">=" else LT
-    if rel == "=":
-        rel = EQ
-    if rel not in (LE, LT, EQ):
-        raise ValueError(f"unknown relation {rel!r}")
-    return Constraint(cs, rel, b)
+        rows = tuple(
+            (tuple(map(operator.index, a)), operator.index(b), bool(strict))
+            for a, b, strict in self.rows
+        )
+        if any(len(a) != self.dim for a, _, _ in rows):
+            raise ValueError("row dimension mismatch")
+        object.__setattr__(self, "rows", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -300,55 +274,39 @@ class _Tableau:
             obj[:] = new_obj
 
 
-def lp_maximize(dim: int, rows: Sequence[tuple[Sequence[int], str, int]],
+def lp_maximize(dim: int, rows: Sequence[tuple[Sequence[int], int]],
                 objective: Sequence[int]) -> tuple[str, Optional[Fraction], Optional[RatVec]]:
-    """Maximize objective.x over {x : rows}, x free, relations <= or ==.
+    """Maximize objective.x over {x : a.x <= b for each row (a, b)}, x free.
 
     Rows and objective are integer; returns (status, value, point), with
     value and point exact Fractions.
     """
     if dim <= 0:
         raise ValueError("dimension must be positive")
-    # Structural columns: x+ (dim), x- (dim), then one slack per <= row,
-    # then artificials as needed.
-    nineq = sum(1 for _, rel, _ in rows if rel == LE)
+    # Columns: x+ (dim), x- (dim), one slack per row, then one artificial
+    # per row with negative rhs (such a row is negated, so its slack
+    # cannot start basic).
+    m = len(rows)
+    nstruct = 2 * dim + m
+    ncols = nstruct + sum(1 for _, b in rows if b < 0)
     body: list[list[int]] = []
-    kinds: list[tuple[str, int]] = []  # per row: ("slack"|"art", column)
-    slack_at = 2 * dim
+    basis: list[int] = []
     art_rows: list[int] = []
-    for coeffs, rel, rhs in rows:
-        slack_sign = -1 if rhs < 0 else 1
-        ic = [slack_sign * v for v in coeffs]
-        ib = slack_sign * rhs
-        row = ic + [-v for v in ic] + [0] * nineq
-        if rel == LE:
-            row[slack_at] = slack_sign
-            kinds.append(("slack" if slack_sign > 0 else "art", slack_at))
-            slack_at += 1
-        elif rel == EQ:
-            kinds.append(("art", -1))
+    for i, (coeffs, rhs) in enumerate(rows):
+        sign = -1 if rhs < 0 else 1
+        ic = [sign * v for v in coeffs]
+        row = ic + [-v for v in ic] + [0] * (ncols - 2 * dim) + [sign * rhs]
+        row[2 * dim + i] = sign
+        if sign > 0:
+            basis.append(2 * dim + i)
         else:
-            raise ValueError("lp rows must use <= or ==")
-        body.append(row + [ib])
-    nart = sum(1 for k, _ in kinds if k == "art")
-    ncols = 2 * dim + nineq + nart
-    basis = []
-    ai = 2 * dim + nineq
-    for i, (kind, col) in enumerate(kinds):
-        pad = [0] * nart
-        if kind == "art":
-            pad[ai - (2 * dim + nineq)] = 1
+            row[nstruct + len(art_rows)] = 1
+            basis.append(nstruct + len(art_rows))
             art_rows.append(i)
-            basis.append(ai)
-            ai += 1
-        else:
-            basis.append(col)
-        rhs = body[i].pop()
-        body[i] = body[i] + pad + [rhs]
+        body.append(row)
     tab = _Tableau(body, basis, ncols)
 
-    obj2 = [-v for v in objective] + list(objective) + [0] * (nineq + nart) + [0]
-    nstruct = 2 * dim + nineq
+    obj2 = [-v for v in objective] + list(objective) + [0] * (ncols - 2 * dim) + [0]
 
     if art_rows:
         obj1 = [0] * (ncols + 1)
@@ -364,19 +322,15 @@ def lp_maximize(dim: int, rows: Sequence[tuple[Sequence[int], str, int]],
         if obj1[ncols] != 0:
             return _INFEASIBLE, None, None
         # Drive leftover basic artificials out (degenerate pivots at rhs 0)
-        # so that phase 2 cannot raise an artificial above zero.
-        i = 0
-        while i < len(tab.basis):
-            if tab.basis[i] >= nstruct:
-                c = next((j for j in range(nstruct) if tab.rows[i][j] != 0), None)
-                if c is None:
-                    del tab.rows[i]
-                    del tab.basis[i]
-                    continue
+        # so that phase 2 cannot raise an artificial above zero.  Every row
+        # has a slack, so the structural columns have full row rank and
+        # each such row has a nonzero structural entry.
+        for i, col in enumerate(tab.basis):
+            if col >= nstruct:
+                c = next(j for j in range(nstruct) if tab.rows[i][j] != 0)
                 if tab.rows[i][c] < 0:
                     tab.rows[i] = [-x for x in tab.rows[i]]
                 tab.pivot(i, c)
-            i += 1
         obj2 = tab.rows.pop()
         allowed = range(nstruct)  # artificials may not re-enter
     else:
@@ -385,38 +339,35 @@ def lp_maximize(dim: int, rows: Sequence[tuple[Sequence[int], str, int]],
     status = tab.maximize(obj2, allowed)
     if status == _UNBOUNDED:
         return _UNBOUNDED, None, None
-    den = tab.den
-    value = Fraction(obj2[ncols], den)
-    vals = {}
-    for i, col in enumerate(tab.basis):
-        vals[col] = Fraction(tab.rows[i][ncols], den)
-    point = tuple(vals.get(k, Fraction(0)) - vals.get(dim + k, Fraction(0))
-                  for k in range(dim))
-    return _OPTIMAL, value, point
+    # x_k = x+_k - x-_k: sum the basic rows' numerators over the shared
+    # denominator, one Fraction per coordinate.
+    num = [0] * dim
+    for row, col in zip(tab.rows, tab.basis):
+        if col < dim:
+            num[col] += row[ncols]
+        elif col < 2 * dim:
+            num[col - dim] -= row[ncols]
+    return _OPTIMAL, Fraction(obj2[ncols], tab.den), tuple(Fraction(v, tab.den) for v in num)
 
 
 def feasible_point(S: LinearSystem) -> Optional[RatVec]:
     """An exact rational point satisfying S (strictness included), or None.
 
-    Strict constraints are handled by maximizing a shared slack: the system
-    has a solution iff the slack optimum is positive.
+    Strict rows are handled by maximizing a shared slack t in
+    a.x + t <= b with t <= 1: the system has a solution iff the optimum
+    is positive.
     """
     n = S.dim
-    rows = [
-        (c.coeffs + (int(c.rel == LT),), EQ if c.rel == EQ else LE, c.rhs)
-        for c in S.constraints
-    ]
-    rows.append(((0,) * n + (1,), LE, 1))
+    rows = [(a + (int(strict),), b) for a, b, strict in S.rows]
+    rows.append(((0,) * n + (1,), 1))
     status, value, point = lp_maximize(n + 1, rows, (0,) * n + (1,))
     if status != _OPTIMAL or value <= 0:
         return None
-    if point is None:
-        raise AssertionError("an optimal LP must return a point")
     return point[:n]
 
 
 def feasible(S: LinearSystem) -> bool:
-    """True iff some rational point satisfies every constraint of S."""
+    """True iff some rational point satisfies every row of S."""
     return feasible_point(S) is not None
 
 
@@ -426,7 +377,7 @@ def coordinate_bounds(S: LinearSystem) -> Optional[list[tuple[Fraction, Fraction
     Returns None when the relaxation is empty; raises UnboundedSystemError
     when some coordinate is unbounded.
     """
-    rows = [(c.coeffs, EQ if c.rel == EQ else LE, c.rhs) for c in S.constraints]
+    rows = [(a, b) for a, b, _ in S.rows]
     out = []
     for k in range(S.dim):
         pair = []
@@ -455,72 +406,52 @@ def lattice_points(S: LinearSystem) -> list[IntVec]:
     boxes = [(math.ceil(lo), math.floor(hi)) for lo, hi in bounds]
     if any(lo > hi for lo, hi in boxes):
         return []
-    rows = [(c.coeffs, c.rel, c.rhs) for c in S.constraints]
+    # On integer points a.x < b is a.x <= b - 1.
+    rows = [(a, b - strict) for a, b, strict in S.rows]
     out: list[IntVec] = []
     _descend(rows, boxes, 0, [0] * len(rows), [0] * S.dim, out)
     return out
 
 
-def _descend(rows: list[tuple[IntVec, str, int]], boxes: list[tuple[int, int]], k: int,
+def _descend(rows: list[tuple[IntVec, int]], boxes: list[tuple[int, int]], k: int,
              partial: list[int], x: list[int], out: list[IntVec]) -> None:
     """Append to out every point of the box extending x[:k] that meets rows.
 
-    Row (g, rel, h) means g.x rel h; partial[i] is the part of row i's dot
-    product fixed by x[:k].  A module-level function rather than a closure,
-    so the recursion leaves no reference cycle holding the point list.
+    Row (g, h) means g.x <= h; partial[i] is the part of row i's dot
+    product fixed by x[:k].  At the last coordinate the tightened interval
+    is exact, so every point reaching k == n meets every row.  A
+    module-level function rather than a closure, so the recursion leaves
+    no reference cycle holding the point list.
     """
     n = len(x)
     if k == n:
-        for (g, rel, h), s in zip(rows, partial):
-            if rel == LE and not s <= h:
-                return
-            if rel == LT and not s < h:
-                return
-            if rel == EQ and s != h:
-                return
         out.append(tuple(x))
         return
     lo, hi = boxes[k]
-    # Tighten [lo, hi] for x[k] from each constraint via interval
-    # arithmetic over the still-free coordinates.
-    for (g, rel, h), s in zip(rows, partial):
+    # Tighten [lo, hi] for x[k] from each row via interval arithmetic
+    # over the still-free coordinates: g[k]*x[k] <= h - s - rest_min.
+    for (g, h), s in zip(rows, partial):
         gk = g[k]
-        rest_min = rest_max = 0
+        rest_min = 0
         for j in range(k + 1, n):
             gj = g[j]
             if gj > 0:
                 rest_min += gj * boxes[j][0]
-                rest_max += gj * boxes[j][1]
             elif gj < 0:
                 rest_min += gj * boxes[j][1]
-                rest_max += gj * boxes[j][0]
-        strict = 1 if rel == LT else 0
-        if rel in (LE, LT):
-            # gk*xk <= h - s - rest_min (- strictness margin)
-            cap = h - s - rest_min - strict
-            if gk > 0:
-                hi = min(hi, cap // gk)
-            elif gk < 0:
-                lo = max(lo, _ceil_div(cap, gk))
-            elif cap < 0:
-                return
-        else:  # EQ: bound both sides
-            cap_hi = h - s - rest_min
-            cap_lo = h - s - rest_max
-            if gk > 0:
-                hi = min(hi, cap_hi // gk)
-                lo = max(lo, _ceil_div(cap_lo, gk))
-            elif gk < 0:
-                hi = min(hi, cap_lo // gk)
-                lo = max(lo, _ceil_div(cap_hi, gk))
-            elif cap_hi < 0 or cap_lo > 0:
-                return
+        cap = h - s - rest_min
+        if gk > 0:
+            hi = min(hi, cap // gk)
+        elif gk < 0:
+            lo = max(lo, _ceil_div(cap, gk))
+        elif cap < 0:
+            return
         if lo > hi:
             return
     for v in range(lo, hi + 1):
         x[k] = v
         _descend(rows, boxes, k + 1,
-                 [s + g[k] * v for (g, _, _), s in zip(rows, partial)], x, out)
+                 [s + g[k] * v for (g, _), s in zip(rows, partial)], x, out)
 
 
 def _ceil_div(a: int, b: int) -> int:

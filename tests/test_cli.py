@@ -5,6 +5,7 @@ import pytest
 from frobtilt import cli
 from frobtilt.catalog import builtin, save
 from frobtilt.cli import main
+from frobtilt.fan import Fan
 
 
 def run(capsys, *argv):
@@ -172,8 +173,8 @@ def test_describe_reports_invalid_fan_without_failing(tmp_path, capsys):
 
 
 # rays winding twice around the origin, cyclic cones: every cone is
-# unimodular and every ridge paired, so validation accepts it, but its
-# cones overlap and some weight regions are unbounded
+# unimodular, every ridge paired and the dual graph connected, but the
+# cones cover the plane twice
 WINDING_TWO = {
     "name": "winding2",
     "dim": 2,
@@ -182,19 +183,42 @@ WINDING_TWO = {
 }
 
 
-@pytest.mark.parametrize("command", ["cohom", "tilting", "orlov", "batch"])
-def test_infinite_cohomology_exits_two(tmp_path, capsys, command):
+def _winding_two_argv(tmp_path, command):
     p = tmp_path / "winding2.json"
     p.write_text(json.dumps(WINDING_TWO))
     if command == "batch":
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps([str(p)]))
-        argv = ["batch", "--manifest", str(manifest)]
-    elif command == "cohom":
-        argv = ["cohom", str(p), "--divisor", "-1,-1,-1,-1,-1,-1,-1"]
-    else:
-        argv = [command, str(p)]
-    code, out, err = run(capsys, *argv)
+        return ["batch", "--manifest", str(manifest)]
+    if command in ("cohom", "nef"):
+        return [command, str(p), "--divisor", "-1,-1,-1,-1,-1,-1,-1"]
+    return [command, str(p)]
+
+
+def test_winding_two_fan_described_as_invalid(tmp_path, capsys):
+    code, out, _ = run(capsys, *_winding_two_argv(tmp_path, "describe"))
+    assert code == 0
+    data = json.loads(out)
+    assert data["valid"] is False and data["complete"] is False
+    assert any("degree 2" in msg for msg in data["failures"])
+
+
+@pytest.mark.parametrize("command", [
+    "frob", "frob-set", "stabilize", "nef", "cohom", "bu", "tilting", "orlov", "batch",
+])
+def test_winding_two_fan_refused(tmp_path, capsys, command):
+    code, out, err = run(capsys, *_winding_two_argv(tmp_path, command))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "degree 2" in err
+
+
+@pytest.mark.parametrize("command", ["cohom", "tilting", "orlov", "batch"])
+def test_infinite_cohomology_exits_two(tmp_path, capsys, monkeypatch, command):
+    # validation now refuses this fan; bypass it to reach the unbounded guard
+    monkeypatch.setattr(Fan, "require_valid", lambda self: None)
+    code, out, err = run(capsys, *_winding_two_argv(tmp_path, command))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

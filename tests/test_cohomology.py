@@ -27,7 +27,7 @@ from frobtilt.fan import (
     product,
 )
 from frobtilt.cones import is_nef
-from frobtilt.lattice import LinearSystem, constraint, feasible, lattice_points
+from frobtilt.lattice import LinearSystem, feasible, lattice_points
 from oracles import weight_cohomology
 
 P1 = builtin("P1").fan
@@ -174,8 +174,8 @@ def test_sign_pattern_partition_counts_sections():
             pats = weight_patterns(fan, D)
             empties = [p for p in pats if p.neg_rays == ()]
             assert len(empties) == 1
-            cons = [constraint(ray, ">=", -c) for ray, c in zip(fan.rays, D.coeffs)]
-            polytope = LinearSystem(fan.dim, tuple(cons))
+            rows = [(tuple(-x for x in ray), c, False) for ray, c in zip(fan.rays, D.coeffs)]
+            polytope = LinearSystem(fan.dim, tuple(rows))
             assert empties[0].point_count == len(lattice_points(polytope))
             assert cohomology(fan, D).dims[0] == empties[0].point_count
 

@@ -99,6 +99,18 @@ def test_incomplete_fan_flagged():
     assert not rep.complete and not rep.ok
 
 
+def test_folded_fan_flagged_by_local_injectivity():
+    # cyclic unimodular cones that fold back: the generic direction (1, 1)
+    # lies in one cone, but (3, -1) lies in three
+    rays = ((1, 0), (-2, -1), (-1, 0), (-2, 1), (-1, 1), (2, -1))
+    f = Fan(2, rays, tuple((i, (i + 1) % 6) for i in range(6)))
+    rep = validate(f)
+    assert rep.smooth and rep.ridge_paired and rep.connected
+    assert not rep.complete
+    assert rep.failures == ("rays 1 and 5 lie on the same side of ridge (0,)",)
+    assert sum(_cone_contains(f, c, (3, -1)) for c in f.max_cones) == 3
+
+
 def test_nonprimitive_ray_flagged():
     f = Fan(2, ((2, 0), (0, 1), (-2, -1)), ((0, 1), (1, 2), (2, 0)))
     rep = validate(f)

@@ -5,12 +5,8 @@ from fractions import Fraction
 import pytest
 
 from frobtilt.lattice import (
-    EQ,
-    LE,
-    LT,
     LinearSystem,
     UnboundedSystemError,
-    constraint,
     determinant,
     dot,
     feasible,
@@ -24,8 +20,17 @@ from frobtilt.lattice import (
 
 
 def system(dim, rows):
-    """A LinearSystem from (coeffs, rel, rhs) triples."""
-    return LinearSystem(dim, tuple(constraint(*row) for row in rows))
+    """A LinearSystem from (coeffs, rel, rhs) triples, rel one of <=, <, >=, >, =.
+
+    >= and > rows are negated; = becomes two <= rows.
+    """
+    out = []
+    for coeffs, rel, rhs in rows:
+        if rel in ("<=", "<", "="):
+            out.append((tuple(coeffs), rhs, rel == "<"))
+        if rel in (">=", ">", "="):
+            out.append((tuple(-c for c in coeffs), -rhs, rel == ">"))
+    return LinearSystem(dim, tuple(out))
 
 
 # --- independent oracles -----------------------------------------------
@@ -80,47 +85,26 @@ def is_row_hermite(H):
 
 def fm_feasible(S):
     """Fourier-Motzkin elimination; exact, strictness-aware feasibility."""
-    rows = []
-    for c in S.constraints:
-        if c.rel == EQ:
-            rows.append((list(c.coeffs), LE, c.rhs))
-            rows.append(([-x for x in c.coeffs], LE, -c.rhs))
-        else:
-            rows.append((list(c.coeffs), c.rel, c.rhs))
+    rows = [(list(a), b, strict) for a, b, strict in S.rows]
     for k in range(S.dim):
         lower, upper, rest = [], [], []
-        for coeffs, rel, rhs in rows:
-            a = coeffs[k]
-            if a > 0:
-                upper.append((coeffs, rel, rhs))
-            elif a < 0:
-                lower.append((coeffs, rel, rhs))
-            else:
-                rest.append((coeffs, rel, rhs))
+        for row in rows:
+            a = row[0][k]
+            (upper if a > 0 else lower if a < 0 else rest).append(row)
         new = rest
-        for lc, lrel, lrhs in lower:
-            for uc, urel, urhs in upper:
+        for lc, lrhs, lstrict in lower:
+            for uc, urhs, ustrict in upper:
                 la, ua = -lc[k], uc[k]
                 coeffs = [la * u + ua * l for l, u in zip(lc, uc)]
-                rel = LT if LT in (lrel, urel) else LE
-                new.append((coeffs, rel, la * urhs + ua * lrhs))
+                new.append((coeffs, la * urhs + ua * lrhs, lstrict or ustrict))
         rows = new
-    for coeffs, rel, rhs in rows:
-        if rel == LE and not 0 <= rhs:
-            return False
-        if rel == LT and not 0 < rhs:
-            return False
-    return True
+    return all(0 < rhs if strict else 0 <= rhs for _, rhs, strict in rows)
 
 
 def satisfies(S, point):
-    for c in S.constraints:
-        v = sum(a * x for a, x in zip(c.coeffs, point))
-        if c.rel == LE and not v <= c.rhs:
-            return False
-        if c.rel == LT and not v < c.rhs:
-            return False
-        if c.rel == EQ and v != c.rhs:
+    for a, b, strict in S.rows:
+        v = sum(c * x for c, x in zip(a, point))
+        if not (v < b if strict else v <= b):
             return False
     return True
 
@@ -352,12 +336,12 @@ def test_lattice_points_leaves_no_reference_cycles():
         gc.enable()
 
 
-def test_constraint_rejects_non_integer_data():
+def test_linear_system_rejects_non_integer_data():
     with pytest.raises(TypeError):
-        constraint((1,), "<", Fraction(1, 2))
+        LinearSystem(1, (((1,), Fraction(1, 2), True),))
     with pytest.raises(TypeError):
-        constraint((Fraction(1, 2),), "<=", 1)
-    assert constraint((1, 2), ">", 3) == constraint((-1, -2), "<", -3)
+        LinearSystem(1, (((Fraction(1, 2),), 1, False),))
+    assert system(2, [((1, 2), ">", 3)]) == LinearSystem(2, (((-1, -2), -3, True),))
 
 
 def test_lattice_points_empty_relaxation():
@@ -394,9 +378,7 @@ def test_lattice_point_count_unimodular_invariance():
     # x -> U x with U unimodular maps lattice points bijectively
     S = system(2, [((1, 0), ">=", 0), ((0, 1), ">=", 0), ((-1, -1), ">=", -3)])
     U = ((1, 1), (0, 1))  # substitute x = U y in each constraint
-    cons = []
-    for c in S.constraints:
-        coeffs = tuple(dot(c.coeffs, col) for col in transpose(U))
-        cons.append((coeffs, "<=" if c.rel == LE else c.rel, c.rhs))
-    T = system(2, cons)
+    T = LinearSystem(2, tuple(
+        (tuple(dot(a, col) for col in transpose(U)), b, strict) for a, b, strict in S.rows
+    ))
     assert len(lattice_points(S)) == len(lattice_points(T))
