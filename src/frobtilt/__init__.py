@@ -44,11 +44,11 @@ from .lattice import (
     LinearSystem,
     RatVec,
     UnboundedSystemError,
+    count_points,
     determinant,
     feasible,
     feasible_point,
     hermite_normal_form,
-    lattice_points,
     solve_integer,
 )
 from .tilting import (

@@ -4,7 +4,8 @@ Every pipeline stage is exposed as a subcommand with deterministic output
 in json (default), md, or csv.  Exit codes: 0 success / verified, 1 a
 verification failed (e.g. orlov status is not VERIFIED_MODULO_FULLNESS),
 2 invalid input (unknown target, malformed file or divisor, invalid fan,
-or a fan whose cohomology turns out infinite, i.e. one that is not complete).
+a fan whose cohomology turns out infinite, i.e. one that is not complete,
+or work beyond a supported bound: --ell or the ray count).
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ from .cones import bu_set, is_nef, nef_fano_status
 from .fan import InvalidFanError, TorusDivisor, canonical_divisor
 from .frobenius import frob_set, minimal_stabilizing_ell, pushforward_summands
 from .tilting import VERIFIED, build_candidate, ext_vanishing, orlov_check
+
+# frob walks ell^dim residues at 12-20 us each on a 2-vCPU host, so a
+# million residues take about 15 s
+MAX_FROB_RESIDUES = 1_000_000
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -104,6 +110,12 @@ def _cmd_describe(entry, args):
 
 def _cmd_frob(entry, args):
     fan = entry.fan
+    residues = args.ell ** fan.dim
+    if residues > MAX_FROB_RESIDUES:
+        raise ValueError(
+            f"--ell {args.ell} walks ell^dim = {args.ell}^{fan.dim} = {residues} residues; "
+            f"at most {MAX_FROB_RESIDUES} are supported"
+        )
     D = _parse_divisor(args.divisor, fan)
     counts = pushforward_summands(fan, D, args.ell)
     summands = [

@@ -6,13 +6,13 @@ ray nerve on Neg(m) = {rho : <m, v_rho> < -a_rho}.  Weights are grouped
 into sign-pattern regions (one inequality per ray), so each fan needs the
 reduced-cohomology ranks of every vertex subset only once; per divisor only
 the regions whose subcomplex has nonzero reduced cohomology are examined,
-counted exactly by lattice point enumeration.
+and the weights in each are counted exactly, never listed.
 
 Most of those regions are empty.  A region's constraint matrix depends only
 on the fan and the pattern, so emptiness is decided by Farkas certificates
 computed once per fan: the sign-consistent circuits of the rays.  Per
 divisor each circuit costs one dot product, and only the regions that no
-certificate empties reach the simplex and the lattice point enumeration.
+certificate empties reach the simplex and the lattice point count.
 """
 
 from __future__ import annotations
@@ -26,12 +26,16 @@ from .lattice import (
     IntVec,
     LinearSystem,
     UnboundedSystemError,
+    count_points,
     dot,
     feasible,
     hermite_normal_form,
     integer_rank,
-    lattice_points,
 )
+
+# _active_patterns visits all 2^r ray subsets, and its time doubles with
+# each ray: about 3 s at 14 rays in dimension 3 on a 2-vCPU host.
+MAX_PATTERN_RAYS = 16
 
 
 class InfiniteCohomologyError(ArithmeticError):
@@ -118,14 +122,23 @@ def _subcomplex_ranks(fan: Fan, verts: frozenset[int]) -> tuple[int, ...]:
 
 
 def _active_patterns(fan: Fan) -> tuple[tuple[frozenset[int], tuple[int, ...]], ...]:
-    """All ray subsets whose subcomplex has nonzero reduced cohomology, once per fan."""
+    """All ray subsets whose subcomplex has nonzero reduced cohomology, once per fan.
+
+    The walk visits all 2^r ray subsets, so fans with more than
+    MAX_PATTERN_RAYS rays raise ValueError before it starts.
+    """
     key = "__active__"
     cache = fan._rank_cache
     hit = cache.get(key)
     if hit is not None:
         return hit
-    out = []
     r = fan.n_rays
+    if r > MAX_PATTERN_RAYS:
+        raise ValueError(
+            f"cohomology walks all 2^r subsets of the rays; the fan has {r} rays "
+            f"and at most {MAX_PATTERN_RAYS} are supported"
+        )
+    out = []
     for bits in range(1 << r):
         verts = frozenset(i for i in range(r) if bits >> i & 1)
         ranks = _subcomplex_ranks(fan, verts)
@@ -243,15 +256,14 @@ def weight_patterns(fan: Fan, D: TorusDivisor) -> tuple[WeightPattern, ...]:
                 "but no circuit certifies it"
             )
         try:
-            pts = lattice_points(region)
+            count = count_points(region)
         except UnboundedSystemError as exc:
             raise InfiniteCohomologyError(
                 f"weight region of sign pattern {sorted(verts)} is unbounded; "
                 "the fan cannot be complete"
             ) from exc
-        if not pts:
-            continue
-        out.append(WeightPattern(tuple(sorted(verts)), ranks, len(pts)))
+        if count:
+            out.append(WeightPattern(tuple(sorted(verts)), ranks, count))
     return tuple(out)
 
 

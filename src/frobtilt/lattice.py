@@ -5,7 +5,8 @@ plain tuples of Python ints.  A linear system is a tuple of integer rows
 a.x <= b, strict (a.x < b) where flagged; only genuinely rational values
 (LP optima and points, coordinate bounds) use fractions.Fraction.  No
 floating point is used anywhere; strict rows are decided exactly (via an
-auxiliary slack maximization, never a numeric tolerance).
+auxiliary slack maximization, never a numeric tolerance).  The integer
+points of a bounded system are counted, not listed.
 """
 
 from __future__ import annotations
@@ -394,66 +395,55 @@ def coordinate_bounds(S: LinearSystem) -> Optional[list[tuple[Fraction, Fraction
     return out
 
 
-def lattice_points(S: LinearSystem) -> list[IntVec]:
-    """All integer points satisfying S, in lexicographic order.
+def count_points(S: LinearSystem) -> int:
+    """The number of integer points satisfying S.
 
-    Enumerates the exact bounding box with per-coordinate interval
-    tightening; errors on unbounded input.
+    Walks the exact bounding box with per-coordinate interval tightening,
+    counting the last coordinate's interval in one step; errors on
+    unbounded input.
     """
     bounds = coordinate_bounds(S)
     if bounds is None:
-        return []
+        return 0
     boxes = [(math.ceil(lo), math.floor(hi)) for lo, hi in bounds]
     if any(lo > hi for lo, hi in boxes):
-        return []
-    # On integer points a.x < b is a.x <= b - 1.
-    rows = [(a, b - strict) for a, b, strict in S.rows]
-    out: list[IntVec] = []
-    _descend(rows, boxes, 0, [0] * len(rows), [0] * S.dim, out)
-    return out
+        return 0
+    # caps[k][i]: row i's part in x[:k+1] is at most b - strict minus the
+    # least value the still-free x[k+1:] can give it (on integer points
+    # a.x < b is a.x <= b - 1).  It depends only on the level k.
+    caps = [
+        [
+            b - strict - sum(min(g * lo, g * hi) for g, (lo, hi) in zip(a[k + 1:], boxes[k + 1:]))
+            for a, b, strict in S.rows
+        ]
+        for k in range(S.dim)
+    ]
+    return _count(tuple(a for a, _, _ in S.rows), boxes, caps, 0, [0] * len(S.rows))
 
 
-def _descend(rows: list[tuple[IntVec, int]], boxes: list[tuple[int, int]], k: int,
-             partial: list[int], x: list[int], out: list[IntVec]) -> None:
-    """Append to out every point of the box extending x[:k] that meets rows.
+def _count(rows: tuple[IntVec, ...], boxes: list[tuple[int, int]], caps: list[list[int]],
+           k: int, partial: list[int]) -> int:
+    """The number of points of the box extending x[:k] that meet every row.
 
-    Row (g, h) means g.x <= h; partial[i] is the part of row i's dot
-    product fixed by x[:k].  At the last coordinate the tightened interval
-    is exact, so every point reaching k == n meets every row.  A
-    module-level function rather than a closure, so the recursion leaves
-    no reference cycle holding the point list.
+    Row i means rows[i].x <= caps[k][i] given the free x[k+1:]; partial[i]
+    is the part of that dot product fixed by x[:k].  At the last
+    coordinate the tightened interval is exact, so its length is the count.
     """
-    n = len(x)
-    if k == n:
-        out.append(tuple(x))
-        return
     lo, hi = boxes[k]
-    # Tighten [lo, hi] for x[k] from each row via interval arithmetic
-    # over the still-free coordinates: g[k]*x[k] <= h - s - rest_min.
-    for (g, h), s in zip(rows, partial):
+    for g, cap, s in zip(rows, caps[k], partial):
         gk = g[k]
-        rest_min = 0
-        for j in range(k + 1, n):
-            gj = g[j]
-            if gj > 0:
-                rest_min += gj * boxes[j][0]
-            elif gj < 0:
-                rest_min += gj * boxes[j][1]
-        cap = h - s - rest_min
+        c = cap - s
         if gk > 0:
-            hi = min(hi, cap // gk)
+            hi = min(hi, c // gk)
         elif gk < 0:
-            lo = max(lo, _ceil_div(cap, gk))
-        elif cap < 0:
-            return
+            lo = max(lo, -(c // -gk))
+        elif c < 0:
+            return 0
         if lo > hi:
-            return
-    for v in range(lo, hi + 1):
-        x[k] = v
-        _descend(rows, boxes, k + 1,
-                 [s + g[k] * v for (g, _), s in zip(rows, partial)], x, out)
-
-
-def _ceil_div(a: int, b: int) -> int:
-    # ceil(a / b) for b != 0, exact
-    return -(-a // b)
+            return 0
+    if k == len(boxes) - 1:
+        return hi - lo + 1
+    return sum(
+        _count(rows, boxes, caps, k + 1, [s + g[k] * v for g, s in zip(rows, partial)])
+        for v in range(lo, hi + 1)
+    )

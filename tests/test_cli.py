@@ -1,11 +1,13 @@
+import importlib
 import json
+import time
 
 import pytest
 
 from frobtilt import cli
-from frobtilt.catalog import builtin, save
+from frobtilt.catalog import CatalogEntry, builtin, save
 from frobtilt.cli import main
-from frobtilt.fan import Fan
+from frobtilt.fan import Fan, star_subdivision
 
 
 def run(capsys, *argv):
@@ -134,6 +136,52 @@ def test_bad_divisor_format_exits_two(capsys):
 def test_bad_ell_exits_two(capsys):
     code, _, err = run(capsys, "frob", "P1", "--ell", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("target, ell", [("P1", "1000001"), ("P4", "32")])
+def test_frob_refuses_more_than_a_million_residues(capsys, target, ell):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "frob", target, "--ell", ell)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "ell^dim" in err
+
+
+def test_frob_residue_bound_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_FROB_RESIDUES", 9)
+    assert run(capsys, "frob", "P2", "--ell", "3")[0] == 0
+    assert run(capsys, "frob", "P2", "--ell", "4")[0] == 2
+
+
+def _p2_chain_file(tmp_path, n_rays):
+    """A fan file of a chain of star subdivisions of P2 with n_rays rays."""
+    fan = builtin("P2").fan
+    while fan.n_rays < n_rays:
+        fan = star_subdivision(fan, fan.max_cones[0])
+    path = tmp_path / f"chain{n_rays}.json"
+    save(CatalogEntry(f"P2 chain {n_rays}", fan, "star subdivisions of P2"), path)
+    return str(path)
+
+
+def test_cohomology_refuses_more_than_sixteen_rays(tmp_path, capsys):
+    path = _p2_chain_file(tmp_path, 17)
+    assert run(capsys, "describe", path)[0] == 0
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cohom", path, "--divisor", ",".join("0" * 17))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "17 rays" in err and "at most 16" in err
+
+
+def test_ray_bound_is_inclusive(tmp_path, capsys, monkeypatch):
+    # the package's name "cohomology" is the function, not the module
+    monkeypatch.setattr(importlib.import_module("frobtilt.cohomology"), "MAX_PATTERN_RAYS", 4)
+    assert run(capsys, "cohom", _p2_chain_file(tmp_path, 4), "--divisor", "0,0,0,0")[0] == 0
+    assert run(capsys, "cohom", _p2_chain_file(tmp_path, 5), "--divisor", "0,0,0,0,0")[0] == 2
 
 
 def test_malformed_fan_file_exits_two(tmp_path, capsys):

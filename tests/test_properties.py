@@ -1,18 +1,34 @@
-"""Property tests of the fan certificate over generated fans.
+"""Property tests of the fan certificate and the exact results over generated fans.
 
 Fans are random chains of star subdivisions and products starting from the
 catalog, kept to at most 10 rays.  Hypothesis runs derandomized, so every
-run draws the same examples.
+run draws the same examples.  Cohomology and frob sets are checked against
+Serre duality, Kuenneth and the product rule for frob on fewer and smaller
+fans, since each costs a cold per-fan set-up that doubles with every ray.
 """
+
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobtilt.catalog import builtin, catalog_names
-from frobtilt.fan import Fan, product, star_subdivision, validate
+from frobtilt.cohomology import cohomology
+from frobtilt.fan import (
+    Fan,
+    TorusDivisor,
+    canonical_divisor,
+    divisor_class,
+    product,
+    star_subdivision,
+    validate,
+)
+from frobtilt.frobenius import frob_set
 
 MAX_RAYS = 10
+EXACT_RAYS = 8
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=100)
+EXACT = settings(derandomize=True, deadline=None, database=None, max_examples=20)
 
 # 2-D fans whose cyclic cones are unimodular and wind k times around the
 # origin; ridge pairing and dual-graph connectivity accept them
@@ -33,16 +49,29 @@ def _subdivide(draw, fan: Fan) -> Fan:
 
 
 @st.composite
-def smooth_fans(draw) -> Fan:
-    fan = builtin(draw(st.sampled_from(catalog_names()))).fan
+def smooth_fans(draw, max_rays: int = MAX_RAYS) -> Fan:
+    names = [n for n in catalog_names() if builtin(n).fan.n_rays <= max_rays]
+    fan = builtin(draw(st.sampled_from(names))).fan
     for _ in range(draw(st.integers(0, 3))):
         if draw(st.booleans()):
             other = builtin(draw(st.sampled_from(catalog_names()))).fan
-            if fan.n_rays + other.n_rays <= MAX_RAYS:
+            if fan.n_rays + other.n_rays <= max_rays:
                 fan = product(fan, other)
-        elif fan.dim >= 2 and fan.n_rays < MAX_RAYS:
+        elif fan.dim >= 2 and fan.n_rays < max_rays:
             fan = _subdivide(draw, fan)
     return fan
+
+
+@st.composite
+def fan_pairs(draw) -> tuple[Fan, Fan]:
+    """Two generated fans whose product has at most EXACT_RAYS rays."""
+    x = draw(smooth_fans(EXACT_RAYS - 2))
+    return x, draw(smooth_fans(EXACT_RAYS - x.n_rays))
+
+
+def small_divisor(fan: Fan):
+    coeffs = st.lists(st.integers(-2, 2), min_size=fan.n_rays, max_size=fan.n_rays)
+    return coeffs.map(lambda a: TorusDivisor(fan, tuple(a)))
 
 
 @PROPERTY
@@ -64,3 +93,40 @@ def test_certificate_rejects_winding_fans(k, data):
     assert rep.smooth and rep.ridge_paired and rep.connected
     assert not rep.complete and not rep.ok
     assert any(f"degree {k}," in msg for msg in rep.failures)
+
+
+@EXACT
+@given(smooth_fans(EXACT_RAYS), st.data())
+def test_serre_duality(fan, data):
+    D = data.draw(small_divisor(fan))
+    K = canonical_divisor(fan)
+    dual = TorusDivisor(fan, tuple(k - a for k, a in zip(K.coeffs, D.coeffs)))
+    assert cohomology(fan, D).dims == cohomology(fan, dual).dims[::-1]
+
+
+@EXACT
+@given(fan_pairs(), st.data())
+def test_kuenneth_on_products(pair, data):
+    x, y = pair
+    a, b = data.draw(small_divisor(x)), data.draw(small_divisor(y))
+    xy = product(x, y)
+    hx, hy = cohomology(x, a).dims, cohomology(y, b).dims
+    expected = [0] * (xy.dim + 1)
+    for i, j in itertools.product(range(x.dim + 1), range(y.dim + 1)):
+        expected[i + j] += hx[i] * hy[j]
+    assert cohomology(xy, TorusDivisor(xy, a.coeffs + b.coeffs)).dims == tuple(expected)
+
+
+@EXACT
+@given(fan_pairs())
+def test_frob_of_product_is_product_of_frobs(pair):
+    x, y = pair
+    split = set()
+    for cls in frob_set(product(x, y)):
+        coeffs = cls.representative().coeffs
+        split.add((
+            divisor_class(TorusDivisor(x, coeffs[:x.n_rays])).coords,
+            divisor_class(TorusDivisor(y, coeffs[x.n_rays:])).coords,
+        ))
+    pairs = {(cx.coords, cy.coords) for cx in frob_set(x) for cy in frob_set(y)}
+    assert split == pairs

@@ -21,3 +21,44 @@ def test_no_bare_assert_in_library():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _names(node) -> set[str]:
+    """Every name a node reads or writes, attribute names included."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+    return out
+
+
+def test_no_unused_imports_or_private_functions():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    top_level = [(node, _names(node)) for tree in trees.values() for node in tree.body]
+    found = []
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        used = _names(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        found.append(f"{name}:{node.lineno} imports unused {bound}")
+        for node in tree.body:
+            if (
+                isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+                # a reference from the function's own body (recursion) does not count
+                and not any(
+                    node.name in names for other, names in top_level if other is not node
+                )
+            ):
+                found.append(f"{name}:{node.lineno} defines unreferenced {node.name}")
+    assert found == []
