@@ -121,6 +121,15 @@ def _subcomplex_ranks(fan: Fan, verts: frozenset[int]) -> tuple[int, ...]:
     return tuple(ranks)
 
 
+def require_pattern_rays(fan: Fan) -> None:
+    """Raise ValueError when the fan has more than MAX_PATTERN_RAYS rays."""
+    if fan.n_rays > MAX_PATTERN_RAYS:
+        raise ValueError(
+            f"cohomology walks all 2^r subsets of the rays; the fan has {fan.n_rays} rays "
+            f"and at most {MAX_PATTERN_RAYS} are supported"
+        )
+
+
 def _active_patterns(fan: Fan) -> tuple[tuple[frozenset[int], tuple[int, ...]], ...]:
     """All ray subsets whose subcomplex has nonzero reduced cohomology, once per fan.
 
@@ -132,12 +141,8 @@ def _active_patterns(fan: Fan) -> tuple[tuple[frozenset[int], tuple[int, ...]], 
     hit = cache.get(key)
     if hit is not None:
         return hit
+    require_pattern_rays(fan)
     r = fan.n_rays
-    if r > MAX_PATTERN_RAYS:
-        raise ValueError(
-            f"cohomology walks all 2^r subsets of the rays; the fan has {r} rays "
-            f"and at most {MAX_PATTERN_RAYS} are supported"
-        )
     out = []
     for bits in range(1 << r):
         verts = frozenset(i for i in range(r) if bits >> i & 1)

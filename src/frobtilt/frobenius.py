@@ -3,7 +3,10 @@
 The degree-ell endomorphism F_ell acts as the ell-th power map on the
 torus; the pushforward of O(D) splits into the ell^n line bundles indexed
 by the residues u in {0..ell-1}^n, with coefficients
-b_rho(u) = floor((a_rho + <u, v_rho>) / ell).
+b_rho(u) = floor((a_rho + <u, v_rho>) / ell).  Along the last coordinate
+the floors are constant on runs between at most sum_rho |v_rho[n-1]|
+breakpoints, so the split is counted run by run: ell^(n-1) prefixes times
+at most 1 + sum_rho |v_rho[n-1]| runs, one class reduction per run.
 
 The full summand set over every ell is computed exactly from the chambers
 of the arrangement {<t, v_rho> = k} inside the half-open unit cube; an ell
@@ -54,14 +57,43 @@ def summand_divisor(fan: Fan, D: TorusDivisor, ell: int, u: IntVec) -> TorusDivi
 
 
 def pushforward_summands(fan: Fan, D: TorusDivisor, ell: int) -> Counter:
-    """Multiset of summand classes of the degree-ell pushforward of O(D)."""
+    """Multiset of summand classes of the degree-ell pushforward of O(D).
+
+    For each prefix u[:n-1] the floors b_rho are constant on runs of the
+    last coordinate x; each run adds its length to the class of its first
+    residue.  Cost: ell^(n-1) prefixes, each with at most
+    1 + sum_rho |v_rho[n-1]| runs.
+    """
     fan.require_valid()
     if ell < 1:
         raise ValueError("ell must be a positive integer")
+    heads = [ray[:-1] for ray in fan.rays]
+    lasts = [ray[-1] for ray in fan.rays]
     counts: Counter = Counter()
-    for u in itertools.product(range(ell), repeat=fan.dim):
-        counts[divisor_class(summand_divisor(fan, D, ell, u))] += 1
+    for prefix in itertools.product(range(ell), repeat=fan.dim - 1):
+        starts = {0}
+        for a, head, g in zip(D.coeffs, heads, lasts):
+            if g:
+                starts.update(_breakpoints(a + dot(prefix, head), g, ell))
+        xs = sorted(starts)
+        for x, end in zip(xs, xs[1:] + [ell]):
+            cls = divisor_class(summand_divisor(fan, D, ell, prefix + (x,)))
+            counts[cls] += end - x
     return counts
+
+
+def _breakpoints(c: int, g: int, ell: int) -> list[int]:
+    """The x in (0, ell) where floor((c + g*x) / ell) differs from its value at x - 1.
+
+    The floor moves from c // ell at x = 0 to (c + g*(ell-1)) // ell at
+    x = ell - 1, one step per multiple k*ell that c + g*x crosses: the
+    first x with c + g*x >= k*ell when g > 0, with c + g*x < k*ell when
+    g < 0.  That is at most |g| breakpoints.
+    """
+    first, final = c // ell, (c + g * (ell - 1)) // ell
+    if g > 0:
+        return [-((c - k * ell) // g) for k in range(first + 1, final + 1)]
+    return [(c - k * ell) // -g + 1 for k in range(final + 1, first + 1)]
 
 
 def frob_set(fan: Fan) -> FrobSet:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cohomology import CohomologyVector, cohomology, ext_dims
+from .cohomology import CohomologyVector, cohomology, ext_dims, require_pattern_rays
 from .cones import NEITHER, bu_set, nef_fano_status
 from .fan import DivisorClass, Fan, canonical_divisor
 from .frobenius import frob_set
@@ -117,6 +117,7 @@ class OrlovReport:
 def build_candidate(fan: Fan, summands: Optional[tuple[DivisorClass, ...]] = None) -> TiltingCandidate:
     """Assemble the candidate: summands (bu set by default), Ext table, Gram."""
     fan.require_valid()
+    require_pattern_rays(fan)  # before bu_set's chamber walk
     if summands is None:
         summands = bu_set(fan)
     table = tuple(
@@ -160,6 +161,7 @@ def m0(candidate: TiltingCandidate) -> int:
 def orlov_check(fan: Fan, name: str = "") -> OrlovReport:
     """Evaluate every computable hypothesis and assemble the report."""
     fan.require_valid()
+    require_pattern_rays(fan)  # before frob_set's chamber walk
     fs = frob_set(fan)
     candidate = build_candidate(fan, bu_set(fan, fs))
     ev = ext_vanishing(candidate)

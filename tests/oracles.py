@@ -1,16 +1,19 @@
 """Second, independent routes to quantities the library computes one way.
 
 The tests compare the library's answers with these: the per-weight brute
-force for cohomology, the ell sweep from 1 for the stabilizing ell, and the
-projection-formula identity between pushforwards and cohomology.
+force for cohomology, the residue-by-residue walk for pushforwards, the ell
+sweep from 1 for the stabilizing ell, and the projection-formula identity
+between pushforwards and cohomology.
 """
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from frobtilt.cohomology import _subcomplex_ranks, cohomology
-from frobtilt.fan import DivisorClass, Fan, TorusDivisor, canonical_divisor
-from frobtilt.frobenius import frob_set, pushforward_summands
+from frobtilt.fan import DivisorClass, Fan, TorusDivisor, canonical_divisor, divisor_class
+from frobtilt.frobenius import frob_set, pushforward_summands, summand_divisor
 from frobtilt.lattice import IntVec, dot
 
 
@@ -21,6 +24,17 @@ def weight_cohomology(fan: Fan, D: TorusDivisor, m: IntVec) -> tuple[int, ...]:
         i for i, ray in enumerate(fan.rays) if dot(m, ray) < -D.coeffs[i]
     )
     return _subcomplex_ranks(fan, neg)
+
+
+def residue_walk(fan: Fan, D: TorusDivisor, ell: int) -> Counter:
+    """Multiset of summand classes of the degree-ell pushforward of O(D)."""
+    fan.require_valid()
+    if ell < 1:
+        raise ValueError("ell must be a positive integer")
+    counts: Counter = Counter()
+    for u in itertools.product(range(ell), repeat=fan.dim):
+        counts[divisor_class(summand_divisor(fan, D, ell, u))] += 1
+    return counts
 
 
 def stabilizing_ell_from_one(fan: Fan) -> int:

@@ -177,6 +177,24 @@ def test_cohomology_refuses_more_than_sixteen_rays(tmp_path, capsys):
     assert "17 rays" in err and "at most 16" in err
 
 
+@pytest.mark.parametrize("command", ["tilting", "orlov", "batch"])
+def test_ray_bound_checked_before_the_chamber_walk(tmp_path, capsys, command):
+    path = _p2_chain_file(tmp_path, 17)
+    if command == "batch":
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([path]))
+        argv = ["batch", "--manifest", str(manifest)]
+    else:
+        argv = [command, path]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "17 rays" in err and "at most 16" in err
+
+
 def test_ray_bound_is_inclusive(tmp_path, capsys, monkeypatch):
     # the package's name "cohomology" is the function, not the module
     monkeypatch.setattr(importlib.import_module("frobtilt.cohomology"), "MAX_PATTERN_RAYS", 4)

@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -11,7 +13,7 @@ from frobtilt.frobenius import (
     pushforward_summands,
     summand_divisor,
 )
-from oracles import stabilizing_ell_from_one
+from oracles import residue_walk, stabilizing_ell_from_one
 
 P1 = builtin("P1").fan
 P2 = builtin("P2").fan
@@ -70,6 +72,38 @@ def test_p2_floor_formula_direct_enumeration_oracle():
         b = tuple((u[0] * r[0] + u[1] * r[1]) // 3 for r in P2.rays)
         expected[divisor_class(TorusDivisor(P2, b))] += 1
     assert pushforward_summands(P2, zero(P2), 3) == expected
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_run_walk_matches_residue_walk_on_catalog(name):
+    # P1 has an empty prefix; every other catalog fan has a ray whose last
+    # coordinate is 0.  Coefficients up to 7 reach negative floors and |a| > ell.
+    fan = builtin(name).fan
+    rng = random.Random(f"run-walk {name}")
+    for ell in range(1, 13):
+        if ell ** fan.dim > 20_736:
+            break
+        seeded = TorusDivisor(fan, tuple(rng.randint(-7, 7) for _ in fan.rays))
+        for D in (zero(fan), seeded):
+            counts = pushforward_summands(fan, D, ell)
+            assert dict(counts) == dict(residue_walk(fan, D, ell)), (ell, D.coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [(0, 0, 0), (-7, 3, 5)])
+def test_run_walk_reduces_one_class_per_run(monkeypatch, coeffs):
+    frobenius = importlib.import_module("frobtilt.frobenius")
+    calls = []
+
+    def counted(D):
+        calls.append(D)
+        return divisor_class(D)
+
+    monkeypatch.setattr(frobenius, "divisor_class", counted)
+    ell = 1000
+    counts = pushforward_summands(P2, TorusDivisor(P2, coeffs), ell)
+    runs_per_prefix = 1 + sum(abs(ray[-1]) for ray in P2.rays)
+    assert len(calls) <= ell ** (P2.dim - 1) * runs_per_prefix
+    assert sum(counts.values()) == ell ** P2.dim
 
 
 @pytest.mark.parametrize("name", ["P1", "P2", "P1xP1", "F1", "F2"])

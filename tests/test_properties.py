@@ -9,7 +9,7 @@ fans, since each costs a cold per-fan set-up that doubles with every ray.
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobtilt.catalog import builtin, catalog_names
@@ -23,7 +23,8 @@ from frobtilt.fan import (
     star_subdivision,
     validate,
 )
-from frobtilt.frobenius import frob_set
+from frobtilt.frobenius import frob_set, pushforward_summands
+from oracles import residue_walk
 
 MAX_RAYS = 10
 EXACT_RAYS = 8
@@ -93,6 +94,23 @@ def test_certificate_rejects_winding_fans(k, data):
     assert rep.smooth and rep.ridge_paired and rep.connected
     assert not rep.complete and not rep.ok
     assert any(f"degree {k}," in msg for msg in rep.failures)
+
+
+@st.composite
+def pushforwards(draw) -> tuple[TorusDivisor, int]:
+    """A divisor with coefficients in [-7, 7] and an ell <= 12 with ell^dim <= 4096."""
+    fan = draw(smooth_fans(EXACT_RAYS))
+    top = max(e for e in range(1, 13) if e ** fan.dim <= 4096)
+    coeffs = draw(st.lists(st.integers(-7, 7), min_size=fan.n_rays, max_size=fan.n_rays))
+    return TorusDivisor(fan, tuple(coeffs)), draw(st.integers(1, top))
+
+
+@EXACT
+@given(pushforwards())
+@example((TorusDivisor(builtin("P1").fan, (-7, 5)), 12))  # empty prefix
+def test_run_walk_matches_residue_walk(case):
+    D, ell = case
+    assert dict(pushforward_summands(D.fan, D, ell)) == dict(residue_walk(D.fan, D, ell))
 
 
 @EXACT
