@@ -49,7 +49,6 @@ from .lattice import (
     feasible,
     feasible_point,
     hermite_normal_form,
-    solve_integer,
 )
 from .tilting import (
     ExtVanishing,

@@ -17,13 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 
-from .lattice import (
-    IntVec,
-    determinant,
-    dot,
-    hermite_normal_form,
-    solve_integer,
-)
+from .lattice import IntMat, IntVec, determinant, dot, hermite_normal_form, identity_matrix
 
 
 class InvalidFanError(ValueError):
@@ -117,6 +111,20 @@ class Fan:
         nonpivots = tuple(j for j in range(self.n_rays) if j not in pivots)
         return rows, tuple(pivots), nonpivots
 
+    @cached_property
+    def _cone_inverses(self) -> tuple[IntMat, ...]:
+        """Per maximal cone, the inverse of its ray matrix A.
+
+        The Hermite form of a unimodular A is H = I, so U = A^-1.
+        """
+        out = []
+        for cone in self.max_cones:
+            H, U = hermite_normal_form(self.cone_matrix(cone))
+            if H != identity_matrix(self.dim):
+                raise InvalidFanError(f"cone {cone} is not smooth: no integral Cartier data")
+            out.append(U)
+        return tuple(out)
+
     @property
     def picard_rank(self) -> int:
         return len(self._pic[2])
@@ -194,15 +202,15 @@ def divisor_class(D: TorusDivisor) -> DivisorClass:
 
 
 def cartier_data(D: TorusDivisor) -> tuple[IntVec, ...]:
-    """Per maximal cone (in fan.max_cones order), the m with <m, v_rho> = -a_rho."""
+    """Per maximal cone (in fan.max_cones order), the m with <m, v_rho> = -a_rho.
+
+    m = A^-1.(-a_sigma), with A^-1 from the fan's cone inverses.
+    """
     fan = D.fan
     out = []
-    for cone in fan.max_cones:
-        A = fan.cone_matrix(cone)
+    for cone, U in zip(fan.max_cones, fan._cone_inverses):
         b = tuple(-D.coeffs[i] for i in cone)
-        m = solve_integer(A, b)
-        if m is None:
-            raise InvalidFanError(f"cone {cone} is not smooth: no integral Cartier data")
+        m = tuple(dot(row, b) for row in U)
         if any(dot(m, fan.rays[i]) != -D.coeffs[i] for i in cone):
             raise AssertionError(f"Cartier data of cone {cone} is wrong")
         out.append(m)

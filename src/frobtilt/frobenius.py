@@ -9,8 +9,10 @@ breakpoints, so the split is counted run by run: ell^(n-1) prefixes times
 at most 1 + sum_rho |v_rho[n-1]| runs, one class reduction per run.
 
 The full summand set over every ell is computed exactly from the chambers
-of the arrangement {<t, v_rho> = k} inside the half-open unit cube; an ell
-sweep then supplies the minimal witness ell of each class.
+of the arrangement {<t, v_rho> = k} inside the half-open unit cube.  The
+rational point t found in a chamber realizes its class at every ell that
+clears t's denominators, so an ell sweep that stops at the largest such
+ell supplies the minimal witness ell of each class.
 """
 
 from __future__ import annotations
@@ -21,13 +23,12 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .fan import DivisorClass, Fan, TorusDivisor, divisor_class
-from .lattice import IntVec, LinearSystem, dot, feasible, feasible_point
+from .lattice import IntVec, LinearSystem, dot, feasible_point
 
 
 @dataclass(frozen=True)
 class FrobWitness:
     cls: DivisorClass
-    chamber: LinearSystem  # region of t in [0,1)^n realizing the class
     min_ell: int
 
 
@@ -100,34 +101,35 @@ def frob_set(fan: Fan) -> FrobSet:
     """The exact set of classes appearing in some pushforward of O.
 
     Chamber enumeration over the floor vector b: ray by ray, each partial
-    assignment keeps only values whose chamber is still nonempty.
+    assignment keeps only values whose chamber is still nonempty.  Since
+    t < 1 in every coordinate, <t, v_rho> < hi whenever hi > 0, so b = hi
+    occurs only when hi = 0.
     """
     fan.require_valid()
-    chambers: dict[DivisorClass, LinearSystem] = {}
+    witness_ells: dict[DivisorClass, int] = {}
     ranges = []
     for ray in fan.rays:
         lo = sum(min(x, 0) for x in ray)
         hi = sum(max(x, 0) for x in ray)
-        ranges.append(range(lo, hi + 1))
+        ranges.append(range(lo, max(hi, 1)))
 
     def descend(k: int, prefix: tuple[int, ...]) -> None:
-        sys = _chamber_system_partial(fan, prefix)
-        if not feasible(sys):
+        point = feasible_point(_chamber_system_partial(fan, prefix))
+        if point is None:
             return
         if k == fan.n_rays:
+            # u = ell*t is a residue at ell = the lcm of t's denominators,
+            # and its summand has floor vector prefix.
             cls = divisor_class(TorusDivisor(fan, prefix))
-            chambers.setdefault(cls, sys)
+            witness_ells.setdefault(cls, math.lcm(*(f.denominator for f in point)))
             return
         for b in ranges[k]:
             descend(k + 1, prefix + (b,))
 
     descend(0, ())
 
-    min_ell = _witness_sweep(fan, set(chambers))
-    witnesses = tuple(
-        FrobWitness(cls, chambers[cls], min_ell[cls])
-        for cls in sorted(chambers)
-    )
+    min_ell = _witness_sweep(fan, witness_ells)
+    witnesses = tuple(FrobWitness(cls, min_ell[cls]) for cls in sorted(witness_ells))
     return FrobSet(fan, witnesses)
 
 
@@ -145,46 +147,34 @@ def _chamber_system_partial(fan: Fan, bs: tuple[int, ...]) -> LinearSystem:
     return LinearSystem(n, tuple(rows))
 
 
-def _witness_denominator_bound(fan: Fan, chambers) -> int:
-    """An ell guaranteed to realize every chamber class at once.
-
-    Each chamber contains a rational point t; the class is realized at any
-    ell divisible by the denominators of t, so the lcm over one witness
-    point per chamber suffices.
-    """
-    bound = 1
-    for sys in chambers:
-        point = feasible_point(sys)
-        if point is None:
-            raise AssertionError("a frob chamber has no rational point")
-        bound = math.lcm(bound, *(f.denominator for f in point))
-    return bound
-
-
-def _witness_sweep(fan: Fan, classes: set[DivisorClass]) -> dict[DivisorClass, int]:
+def _witness_sweep(fan: Fan, witness_ells: dict[DivisorClass, int]) -> dict[DivisorClass, int]:
+    """Each class's least ell, sweeping ell = 1 up to the largest witness ell."""
     found: dict[DivisorClass, int] = {}
-    ell = 0
-    while len(found) < len(classes):
-        ell += 1
+    for ell in range(1, max(witness_ells.values()) + 1):
         for cls in pushforward_summands(fan, _zero(fan), ell):
-            if cls in classes and cls not in found:
-                found[cls] = ell
-    return found
+            if cls in witness_ells:
+                found.setdefault(cls, ell)
+        if len(found) == len(witness_ells):
+            return found
+    raise AssertionError("the ell sweep missed a chamber class by its witness ell")
 
 
 def minimal_stabilizing_ell(fan: Fan) -> int:
     """Least ell whose single pushforward of O contains every frob class.
 
     Every class appears at that ell, so it is at least each class's
-    minimal witness ell; the search starts from the largest of those.
+    minimal witness ell; the search starts from the largest of those.  A
+    class seen at ell through residue u is seen again at k*ell through
+    k*u, so every class appears at the lcm of the witness ells, which
+    ends the search.
     """
     fs = frob_set(fan)
     classes = set(fs.classes)
-    bound = _witness_denominator_bound(fan, (w.chamber for w in fs.witnesses))
-    for ell in range(max(w.min_ell for w in fs.witnesses), bound + 1):
+    min_ells = [w.min_ell for w in fs.witnesses]
+    for ell in range(max(min_ells), math.lcm(*min_ells) + 1):
         if classes <= set(pushforward_summands(fan, _zero(fan), ell)):
             return ell
-    raise AssertionError("stabilization bound violated; chamber witnesses inconsistent")
+    raise AssertionError("stabilization bound violated; witness ells inconsistent")
 
 
 def _zero(fan: Fan) -> TorusDivisor:

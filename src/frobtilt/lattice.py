@@ -57,10 +57,6 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v, strict=True))
 
 
-def transpose(A: Sequence[Sequence]) -> IntMat:
-    return tuple(zip(*A))
-
-
 def identity_matrix(n: int) -> IntMat:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
@@ -112,39 +108,6 @@ def hermite_normal_form(A: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat]:
                 U[i] = [x - q * y for x, y in zip(U[i], U[r])]
         r += 1
     return tuple(map(tuple, H)), tuple(map(tuple, U))
-
-
-def solve_integer(A: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[IntVec]:
-    """One integer solution of A.x = b, or None when none exists.
-
-    Works through the column-style HNF: with H = U.A^T we have
-    A.U^T = H^T, and H^T.y = b is triangular in the pivot order.
-    """
-    m = len(A)
-    n = len(A[0])
-    if len(b) != m:
-        raise ValueError("dimension mismatch")
-    H, U = hermite_normal_form(transpose(A))  # H: n x m
-    y = [0] * n
-    resid = [int(v) for v in b]
-    for i in range(n):
-        row = H[i]
-        p = next((j for j in range(m) if row[j] != 0), None)
-        if p is None:
-            break
-        num, den = resid[p], row[p]
-        if num % den:
-            return None
-        q = num // den
-        y[i] = q
-        if q:
-            resid = [r - q * h for r, h in zip(resid, row)]
-    if any(resid):
-        return None
-    x = tuple(sum(U[i][k] * y[i] for i in range(n)) for k in range(n))
-    if any(dot(A[i], x) != b[i] for i in range(m)):
-        raise AssertionError("solve_integer produced a non-solution")
-    return x
 
 
 def determinant(A: Sequence[Sequence[int]]) -> int:

@@ -2,19 +2,22 @@
 
 The tests compare the library's answers with these: the per-weight brute
 force for cohomology, the residue-by-residue walk for pushforwards, the ell
-sweep from 1 for the stabilizing ell, and the projection-formula identity
-between pushforwards and cohomology.
+sweep from 1 for the stabilizing ell, the projection-formula identity
+between pushforwards and cohomology, wall-curve intersection numbers for
+nefness, and an integer solve per cone for the Cartier data behind a
+failing nef inequality.
 """
 
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from fractions import Fraction
+from typing import Optional, Sequence
 
 from frobtilt.cohomology import _subcomplex_ranks, cohomology
 from frobtilt.fan import DivisorClass, Fan, TorusDivisor, canonical_divisor, divisor_class
 from frobtilt.frobenius import frob_set, pushforward_summands, summand_divisor
-from frobtilt.lattice import IntVec, dot
+from frobtilt.lattice import IntVec, dot, hermite_normal_form
 
 
 def weight_cohomology(fan: Fan, D: TorusDivisor, m: IntVec) -> tuple[int, ...]:
@@ -77,3 +80,80 @@ def projection_chain_check(fan: Fan, ell: int) -> ChainCheck:
             if lhs[q] != rhs.dims[q]:
                 return ChainCheck(False, (L, ell, q))
     return ChainCheck(True, None)
+
+
+def solve_integer(A: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[IntVec]:
+    """One integer solution of A.x = b, or None when none exists.
+
+    Works through the column-style HNF: with H = U.A^T we have
+    A.U^T = H^T, and H^T.y = b is triangular in the pivot order.
+    """
+    m = len(A)
+    n = len(A[0])
+    if len(b) != m:
+        raise ValueError("dimension mismatch")
+    H, U = hermite_normal_form(tuple(zip(*A)))  # H: n x m
+    y = [0] * n
+    resid = [int(v) for v in b]
+    for i in range(n):
+        row = H[i]
+        p = next((j for j in range(m) if row[j] != 0), None)
+        if p is None:
+            break
+        num, den = resid[p], row[p]
+        if num % den:
+            return None
+        q = num // den
+        y[i] = q
+        if q:
+            resid = [r - q * h for r, h in zip(resid, row)]
+    if any(resid):
+        return None
+    x = tuple(sum(U[i][k] * y[i] for i in range(n)) for k in range(n))
+    if any(dot(A[i], x) != b[i] for i in range(m)):
+        raise AssertionError("solve_integer produced a non-solution")
+    return x
+
+
+def nef_by_walls(D: TorusDivisor) -> tuple[bool, bool]:
+    """(nef, ample) from the intersection numbers of D with the wall curves.
+
+    A wall tau is the common facet of two maximal cones, with v_a and v_b
+    their rays off tau.  On a smooth fan the wall relation reads
+    v_a + v_b + sum_{i in tau} c_i v_i = 0, and D.V(tau) = a_a + a_b +
+    sum c_i a_i (Cox-Little-Schenck, Toric Varieties, Prop. 6.4.4).  D is
+    nef iff every D.V(tau) >= 0 and ample iff every one is > 0 (toric
+    Kleiman criterion, ibid. Thm. 6.3.13).
+    """
+    fan = D.fan
+    fan.require_valid()
+    walls: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for cone in fan.max_cones:
+        for tau in itertools.combinations(cone, fan.dim - 1):
+            walls.setdefault(tau, []).append(cone)
+    degrees = []
+    for tau, (s1, s2) in walls.items():
+        (a,) = set(s1) - set(tau)
+        (b,) = set(s2) - set(tau)
+        # v_b = x_a v_a + sum_{i in tau} x_i v_i over Q; smoothness gives x_a = -1.
+        basis = (a,) + tau
+        x = _fraction_solve([fan.rays[i] for i in basis], fan.rays[b])
+        if x[0] != -1:
+            raise ValueError(f"wall {tau} is not a smooth wall")
+        degrees.append(D.coeffs[a] + D.coeffs[b] - sum(xi * D.coeffs[i] for xi, i in zip(x[1:], tau)))
+    return all(d >= 0 for d in degrees), all(d > 0 for d in degrees)
+
+
+def _fraction_solve(vectors: Sequence[IntVec], target: IntVec) -> list[Fraction]:
+    """The coefficients x with sum_k x_k vectors[k] = target, for a basis of Q^n."""
+    n = len(target)
+    # Gauss-Jordan on the n x (n+1) matrix [vectors^T | target].
+    M = [[Fraction(v[r]) for v in vectors] + [Fraction(target[r])] for r in range(n)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if M[r][c] != 0)
+        M[c], M[p] = M[p], M[c]
+        M[c] = [x / M[c][c] for x in M[c]]
+        for r in range(n):
+            if r != c and M[r][c] != 0:
+                M[r] = [x - M[r][c] * y for x, y in zip(M[r], M[c])]
+    return [M[r][n] for r in range(n)]

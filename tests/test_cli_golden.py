@@ -4,7 +4,8 @@ Each case runs ``frobtilt.cli.main`` in-process and compares its exit code
 and the SHA-256 of its stdout with ``cli_golden.json``.  The table covers
 every subcommand except ``batch`` on every catalog fan in json (``frob``
 with ``--ell 2``; ``nef`` and ``cohom`` with ``--divisor`` set to the
-canonical divisor K = -1 on every ray, ``cohom`` also with ``--patterns``),
+canonical divisor K = -1 on every ray, ``nef`` also with -K = 1 on every
+ray, ``cohom`` also with ``--patterns``),
 plus ``orlov`` in md and csv, and ``batch`` over ``batch_manifest.json`` in
 json, md and csv.  A case is keyed by its argv with the manifest's path
 shortened to its file name, so the key does not depend on the checkout.
@@ -34,12 +35,14 @@ def cases() -> dict[str, list[str]]:
     out = []
     for name in catalog_names():
         K = ",".join("-1" for _ in builtin(name).fan.rays)
+        antiK = ",".join("1" for _ in builtin(name).fan.rays)
         out += [
             ["describe", name],
             ["frob", name, "--ell", "2"],
             ["frob-set", name],
             ["stabilize", name],
             ["nef", name, "--divisor", K],
+            ["nef", name, "--divisor", antiK],
             ["cohom", name, "--divisor", K],
             ["cohom", name, "--divisor", K, "--patterns"],
             ["bu", name],

@@ -5,8 +5,10 @@ import pytest
 from frobtilt.catalog import builtin, catalog_names
 from frobtilt.cohomology import cohomology
 from frobtilt.cones import FANO, NEF_FANO, NEITHER, bu_set, is_antinef, is_nef, nef_fano_status
-from frobtilt.fan import TorusDivisor, canonical_divisor, divisor_class, principal_divisor
+from frobtilt.fan import TorusDivisor, canonical_divisor, divisor_class, principal_divisor, product
 from frobtilt.frobenius import frob_set
+from frobtilt.lattice import dot
+from oracles import nef_by_walls, solve_integer
 
 P1 = builtin("P1").fan
 P2 = builtin("P2").fan
@@ -15,8 +17,36 @@ F2 = builtin("F2").fan
 F3 = builtin("F3").fan
 P1xP1 = builtin("P1xP1").fan
 
+WALL_FANS = {name: builtin(name).fan for name in catalog_names()}
+WALL_FANS.update({
+    "dP6xP1": product(builtin("dP6").fan, P1),
+    "dP6xP2": product(builtin("dP6").fan, P2),
+    "BlptP3xP1": product(builtin("BlptP3").fan, P1),
+})
+
 
 # --- is_nef / is_antinef ------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", WALL_FANS)
+def test_is_nef_matches_wall_curve_oracle(name):
+    fan = WALL_FANS[name]
+    rng = random.Random(f"walls-{name}")
+    divisors = [TorusDivisor(fan, tuple(rng.randint(-3, 3) for _ in fan.rays)) for _ in range(40)]
+    divisors += [-canonical_divisor(fan), TorusDivisor(fan, (0,) * fan.n_rays)]
+    for D in divisors:
+        v = is_nef(D)
+        assert (v.is_nef, v.is_ample) == nef_by_walls(D)
+        if v.is_ample:
+            assert v.failing is None
+            continue
+        # the reported pair violates (not nef) or meets (nef, not ample) its inequality
+        ci, ri = v.failing
+        cone = fan.max_cones[ci]
+        assert ri not in cone
+        m = solve_integer(fan.cone_matrix(cone), [-D.coeffs[i] for i in cone])
+        val = dot(m, fan.rays[ri])
+        assert val == -D.coeffs[ri] if v.is_nef else val < -D.coeffs[ri]
 
 
 def test_p1_degree_criterion():

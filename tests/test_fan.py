@@ -21,7 +21,7 @@ from frobtilt.fan import (
     validate,
     _cone_contains,
 )
-from frobtilt.lattice import dot, solve_integer
+from frobtilt.lattice import dot, hermite_normal_form
 
 
 P1 = projective_space(1)
@@ -40,20 +40,11 @@ def fans_isomorphic(f, g):
     )
     if basis is None:
         return False
-    B = tuple(f.rays[i] for i in basis)
+    _, B_inv = hermite_normal_form(tuple(f.rays[i] for i in basis))  # H = I: unimodular
     for image in itertools.permutations(range(g.n_rays), n):
-        # find U with U.B[k] = g.rays[image[k]]; U^T solves row systems
-        cols = []
-        ok = True
-        for j in range(n):
-            col = solve_integer(B, [g.rays[image[k]][j] for k in range(n)])
-            if col is None:
-                ok = False
-                break
-            cols.append(col)
-        if not ok:
-            continue
-        U = tuple(zip(*cols))  # apply as ray -> tuple(dot(row, ray))
+        # U.B[k] = g.rays[image[k]] for each k, so U = C^T.(B^-1)^T with C's rows the images
+        C = [g.rays[image[k]] for k in range(n)]
+        U = tuple(tuple(dot(col, inv_row) for inv_row in B_inv) for col in zip(*C))
         mapped = [tuple(dot(row, r) for row in U) for r in f.rays]
         if sorted(mapped) != sorted(g.rays):
             continue
@@ -243,6 +234,12 @@ def test_cartier_back_substitution_random():
             for cone, m in zip(fan.max_cones, cd):
                 for i in cone:
                     assert dot(m, fan.rays[i]) == -D.coeffs[i]
+
+
+def test_cartier_data_refuses_a_non_unimodular_cone():
+    fan = Fan(2, ((1, 0), (1, 2), (-1, -1)), ((0, 1), (1, 2), (0, 2)))  # det(0, 1) = 2
+    with pytest.raises(InvalidFanError, match="not smooth"):
+        cartier_data(TorusDivisor(fan, (0, 0, 0)))
 
 
 # --- canonical divisor --------------------------------------------------------

@@ -1,12 +1,13 @@
 import importlib
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
 
 from frobtilt.catalog import builtin, catalog_names
-from frobtilt.fan import TorusDivisor, divisor_class, principal_divisor, product
+from frobtilt.fan import DivisorClass, TorusDivisor, divisor_class, principal_divisor, product
 from frobtilt.frobenius import (
     frob_set,
     minimal_stabilizing_ell,
@@ -203,6 +204,24 @@ def test_witness_ells_are_minimal():
     fs = frob_set(P2)
     by_coords = {w.cls.coords: w.min_ell for w in fs.witnesses}
     assert by_coords == {(0,): 1, (-1,): 2, (-2,): 3}
+
+
+def test_witness_sweep_fails_instead_of_looping_on_a_missed_class(monkeypatch):
+    # A pushforward that never yields P2's class (-1,) must end the sweep at
+    # the chamber's witness ell with an error, not run on forever.
+    frobenius = importlib.import_module("frobtilt.frobenius")
+    real = frobenius.pushforward_summands
+
+    def dropping(fan, D, ell):
+        counts = real(fan, D, ell)
+        counts.pop(DivisorClass((-1,), fan), None)
+        return counts
+
+    monkeypatch.setattr(frobenius, "pushforward_summands", dropping)
+    start = time.perf_counter()
+    with pytest.raises(AssertionError, match="missed a chamber class"):
+        frob_set(P2)
+    assert time.perf_counter() - start < 1
 
 
 def test_frob_classes_sorted():
