@@ -109,6 +109,11 @@ def _expect(cond: bool, field: str, detail: str) -> None:
         raise FanFileError(f"field {field!r}: {detail}")
 
 
+def _is_int(x) -> bool:
+    # JSON true and false load as bool, which Python counts as an int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def entry_from_dict(data: dict) -> CatalogEntry:
     _expect(isinstance(data, dict), "<root>", "expected a JSON object")
     for key in ("name", "dim", "rays", "max_cones"):
@@ -116,12 +121,12 @@ def entry_from_dict(data: dict) -> CatalogEntry:
     name = data["name"]
     _expect(isinstance(name, str), "name", "expected a string")
     dim = data["dim"]
-    _expect(isinstance(dim, int) and dim >= 1, "dim", "expected a positive integer")
+    _expect(_is_int(dim) and dim >= 1, "dim", "expected a positive integer")
     rays = data["rays"]
     _expect(isinstance(rays, list) and rays, "rays", "expected a nonempty list")
     for i, ray in enumerate(rays):
         _expect(
-            isinstance(ray, list) and len(ray) == dim and all(isinstance(x, int) for x in ray),
+            isinstance(ray, list) and len(ray) == dim and all(_is_int(x) for x in ray),
             f"rays[{i}]",
             f"expected a list of {dim} integers",
         )
@@ -129,7 +134,7 @@ def entry_from_dict(data: dict) -> CatalogEntry:
     _expect(isinstance(cones, list) and cones, "max_cones", "expected a nonempty list")
     for i, cone in enumerate(cones):
         _expect(
-            isinstance(cone, list) and all(isinstance(x, int) for x in cone),
+            isinstance(cone, list) and all(_is_int(x) for x in cone),
             f"max_cones[{i}]",
             "expected a list of integers",
         )
@@ -149,9 +154,10 @@ def entry_to_dict(entry: CatalogEntry) -> dict:
 
 
 def load(path) -> CatalogEntry:
-    text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FanFileError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise FanFileError(f"{path}: not valid JSON (line {exc.lineno}, col {exc.colno})") from exc
     try:

@@ -341,7 +341,8 @@ def main(argv=None) -> int:
             payload, headers, rows, code = _HANDLERS[args.command](entry, args)
     except (KeyError, FanFileError, InvalidFanError, InfiniteCohomologyError,
             ValueError, OSError) as exc:
-        msg = exc.args[0] if exc.args else str(exc)
+        # str() of a KeyError quotes its message
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)
         return 2
     sys.stdout.write(_render(payload, headers, rows, args.fmt))

@@ -13,6 +13,10 @@ on the fan and the pattern, so emptiness is decided by Farkas certificates
 computed once per fan: the sign-consistent circuits of the rays.  Per
 divisor each circuit costs one dot product, and only the regions that no
 certificate empties reach the simplex and the lattice point count.
+
+The per-fan set-up is one walk: the nerve is enumerated once, each full
+subcomplex is ranked through its augmented cochain complex, and each active
+pattern gets its certificates in the same pass.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ from .lattice import (
 # _active_patterns visits all 2^r ray subsets, and its time doubles with
 # each ray: about 3 s at 14 rays in dimension 3 on a 2-vCPU host.
 MAX_PATTERN_RAYS = 16
+
+Circuit = tuple[IntVec, int, int]  # lambda and the positive-part sums of +-lambda
+Pattern = tuple[frozenset[int], tuple[int, ...], int]  # rays, ranks, certificate mask
 
 
 class InfiniteCohomologyError(ArithmeticError):
@@ -76,49 +83,28 @@ class CohomologyVector:
 # reduced cohomology of ray subcomplexes
 
 
-def _subcomplex_ranks(fan: Fan, verts: frozenset[int]) -> tuple[int, ...]:
-    """Ranks of H~^{-1..n-1} of the full subcomplex on the given rays.
+def _subcomplex_ranks(faces: list[tuple[int, ...]], n: int) -> tuple[int, ...]:
+    """Ranks of H~^{-1..n-1} of the complex whose faces (the empty one too) are given.
 
-    Simplices are the ray subsets spanning a cone of the fan, i.e. the
-    subsets of the maximal cones' ray sets (the fan is simplicial).
+    Entry q is the number of faces of size q minus the ranks of the
+    coboundaries of the augmented cochain complex out of and into size q.
     """
-    n = fan.dim
-    faces: set[tuple[int, ...]] = set()
-    for cone in fan.max_cones:
-        inside = tuple(i for i in cone if i in verts)
-        for k in range(1, len(inside) + 1):
-            faces.update(itertools.combinations(inside, k))
-    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    by_size: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
     for f in faces:
-        by_dim[len(f) - 1].append(f)
-    for lst in by_dim:
-        lst.sort()
-    index = [{f: i for i, f in enumerate(lst)} for lst in by_dim]
-
-    # coboundary delta_p: C^p -> C^{p+1}; store rank of each
-    co_rank = [0] * n  # co_rank[p] = rank delta_p for p = 0..n-1 (delta_{n-1}=0)
-    for p in range(n - 1):
+        by_size[len(f)].append(f)
+    d = [0] * (n + 2)  # d[k]: size k -> k + 1; d[-1] = d[n] = d[n + 1] = 0
+    d[0] = 1 if by_size[1] else 0  # the augmentation is onto iff a vertex exists
+    for k in range(1, n):
+        index = {f: i for i, f in enumerate(by_size[k])}
         rows = []
-        for tau in by_dim[p + 1]:
-            row = [0] * len(by_dim[p])
-            for i in range(len(tau)):
-                face = tau[:i] + tau[i + 1 :]
-                row[index[p][face]] = (-1) ** i
+        for tau in by_size[k + 1]:
+            row = [0] * len(by_size[k])
+            for i in range(k + 1):
+                row[index[tau[:i] + tau[i + 1 :]]] = (-1) ** i
             rows.append(row)
         if rows:
-            co_rank[p] = integer_rank(rows)
-
-    # augmentation C^{-1} = Q -> C^0
-    aug_rank = 1 if by_dim[0] else 0
-    ranks = [0] * (n + 1)
-    # q = 0 entry is rank H~^{-1}
-    ranks[0] = 1 - aug_rank
-    for p in range(n):
-        dim_cp = len(by_dim[p])
-        below = aug_rank if p == 0 else co_rank[p - 1]
-        above = co_rank[p] if p < n - 1 else 0
-        ranks[p + 1] = dim_cp - above - below
-    return tuple(ranks)
+            d[k] = integer_rank(rows)
+    return tuple(len(by_size[q]) - d[q] - d[q - 1] for q in range(n + 1))
 
 
 def require_pattern_rays(fan: Fan) -> None:
@@ -128,31 +114,6 @@ def require_pattern_rays(fan: Fan) -> None:
             f"cohomology walks all 2^r subsets of the rays; the fan has {fan.n_rays} rays "
             f"and at most {MAX_PATTERN_RAYS} are supported"
         )
-
-
-def _active_patterns(fan: Fan) -> tuple[tuple[frozenset[int], tuple[int, ...]], ...]:
-    """All ray subsets whose subcomplex has nonzero reduced cohomology, once per fan.
-
-    The walk visits all 2^r ray subsets, so fans with more than
-    MAX_PATTERN_RAYS rays raise ValueError before it starts.
-    """
-    key = "__active__"
-    cache = fan._rank_cache
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    require_pattern_rays(fan)
-    r = fan.n_rays
-    out = []
-    for bits in range(1 << r):
-        verts = frozenset(i for i in range(r) if bits >> i & 1)
-        ranks = _subcomplex_ranks(fan, verts)
-        if any(ranks):
-            out.append((verts, ranks))
-    out.sort(key=lambda item: (len(item[0]), sorted(item[0])))
-    result = tuple(out)
-    cache[key] = result
-    return result
 
 
 def _circuits(fan: Fan) -> tuple[IntVec, ...]:
@@ -175,23 +136,24 @@ def _circuits(fan: Fan) -> tuple[IntVec, ...]:
     return tuple(out)
 
 
-def _certificates(fan: Fan) -> tuple[tuple[tuple[IntVec, int, int], ...], tuple[int, ...]]:
-    """Farkas certificates of the active pattern regions, once per fan.
+def _active_patterns(fan: Fan) -> tuple[tuple[Circuit, ...], tuple[Pattern, ...]]:
+    """The circuits and the active patterns of the fan, in one walk, once per fan.
 
-    The region of pattern S is {m : A_S m <= b_S} with rows v_i (i in S)
-    and -v_i (i not in S); it is empty iff an extreme ray y of
+    A pattern is a ray subset S whose full subcomplex has nonzero reduced
+    cohomology, with its ranks and the bitmask of the Farkas certificates
+    that can empty its region {m : A_S m <= b_S}, with rows v_i (i in S) and
+    -v_i (i not in S).  It is empty iff an extreme ray y of
     {y >= 0 : y^T A_S = 0} has y^T b_S < 0.  Those rays are the circuits
     lambda read in an orientation sigma with sigma*lambda_i > 0 only on S
     and sigma*lambda_i < 0 only off S.  Certificate 2c reads circuit c as
-    lambda, 2c + 1 as -lambda.  Returns each circuit with the positive-part
-    sums of lambda and -lambda, and for each active pattern (in the order
-    of _active_patterns) the bitmask of the certificates that apply to it.
+    lambda, 2c + 1 as -lambda; each circuit comes with the positive-part
+    sums of lambda and -lambda.  The walk visits all 2^r ray subsets, so
+    fans with more than MAX_PATTERN_RAYS rays raise ValueError first.
     """
-    key = "__certificates__"
-    cache = fan._rank_cache
-    hit = cache.get(key)
+    hit = fan._rank_cache.get("patterns")
     if hit is not None:
         return hit
+    require_pattern_rays(fan)
     circuits = []
     signs = []  # (positive support, negative support) of each certificate
     for lam in _circuits(fan):
@@ -199,18 +161,23 @@ def _certificates(fan: Fan) -> tuple[tuple[tuple[IntVec, int, int], ...], tuple[
         neg = sum(1 << i for i, x in enumerate(lam) if x < 0)
         signs += [(pos, neg), (neg, pos)]
         circuits.append((lam, sum(x for x in lam if x > 0), -sum(x for x in lam if x < 0)))
-    masks = []
-    for verts, _ in _active_patterns(fan):
-        s = sum(1 << i for i in verts)
-        masks.append(sum(
-            1 << k for k, (pos, neg) in enumerate(signs) if pos & s == pos and not neg & s
-        ))
-    result = (tuple(circuits), tuple(masks))
-    cache[key] = result
+    faces = {f for cone in fan.max_cones for k in range(len(cone) + 1)
+             for f in itertools.combinations(cone, k)}
+    nerve = [(sum(1 << i for i in f), f) for f in sorted(faces)]
+    patterns = []
+    for s in range(1 << fan.n_rays):
+        ranks = _subcomplex_ranks([f for bits, f in nerve if bits & s == bits], fan.dim)
+        if any(ranks):
+            mask = sum(
+                1 << k for k, (pos, neg) in enumerate(signs) if pos & s == pos and not neg & s
+            )
+            patterns.append((frozenset(i for i in range(fan.n_rays) if s >> i & 1), ranks, mask))
+    patterns.sort(key=lambda p: (len(p[0]), sorted(p[0])))
+    result = fan._rank_cache["patterns"] = (tuple(circuits), tuple(patterns))
     return result
 
 
-def _emptied(circuits: tuple[tuple[IntVec, int, int], ...], coeffs: IntVec) -> int:
+def _emptied(circuits: tuple[Circuit, ...], coeffs: IntVec) -> int:
     """Bitmask of the certificates proving their patterns' regions empty for D.
 
     With y = sigma*lambda, y^T b_S = -(<y, a> + sum of the positive y_i),
@@ -248,10 +215,10 @@ def _pattern_region(fan: Fan, coeffs: IntVec, neg: frozenset[int]) -> LinearSyst
 def weight_patterns(fan: Fan, D: TorusDivisor) -> tuple[WeightPattern, ...]:
     """The cohomologically active sign patterns of D with exact point counts."""
     fan.require_valid()
-    circuits, masks = _certificates(fan)
+    circuits, patterns = _active_patterns(fan)
     emptied = _emptied(circuits, D.coeffs)
     out = []
-    for (verts, ranks), mask in zip(_active_patterns(fan), masks):
+    for verts, ranks, mask in patterns:
         if mask & emptied:
             continue
         region = _pattern_region(fan, D.coeffs, verts)

@@ -1,11 +1,13 @@
 """Second, independent routes to quantities the library computes one way.
 
 The tests compare the library's answers with these: the per-weight brute
-force for cohomology, the residue-by-residue walk for pushforwards, the ell
-sweep from 1 for the stabilizing ell, the projection-formula identity
-between pushforwards and cohomology, wall-curve intersection numbers for
-nefness, and an integer solve per cone for the Cartier data behind a
-failing nef inequality.
+force for cohomology, the reduced-cohomology ranks of one ray subcomplex
+built from the maximal cones alone (the reference for the per-fan pattern
+table), the residue-by-residue walk for pushforwards, the ell sweep from 1
+for the stabilizing ell, the projection-formula identity between
+pushforwards and cohomology, wall-curve intersection numbers for nefness,
+and an integer solve per cone for the Cartier data behind a failing nef
+inequality.
 """
 
 import itertools
@@ -14,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from frobtilt.cohomology import _subcomplex_ranks, cohomology
+from frobtilt.cohomology import cohomology
 from frobtilt.fan import DivisorClass, Fan, TorusDivisor, canonical_divisor, divisor_class
 from frobtilt.frobenius import frob_set, pushforward_summands, summand_divisor
-from frobtilt.lattice import IntVec, dot, hermite_normal_form
+from frobtilt.lattice import IntVec, dot, hermite_normal_form, integer_rank
 
 
 def weight_cohomology(fan: Fan, D: TorusDivisor, m: IntVec) -> tuple[int, ...]:
@@ -26,7 +28,52 @@ def weight_cohomology(fan: Fan, D: TorusDivisor, m: IntVec) -> tuple[int, ...]:
     neg = frozenset(
         i for i, ray in enumerate(fan.rays) if dot(m, ray) < -D.coeffs[i]
     )
-    return _subcomplex_ranks(fan, neg)
+    return subcomplex_ranks(fan, neg)
+
+
+def subcomplex_ranks(fan: Fan, verts: frozenset[int]) -> tuple[int, ...]:
+    """Ranks of H~^{-1..n-1} of the full subcomplex on the given rays.
+
+    Simplices are the ray subsets spanning a cone of the fan, i.e. the
+    subsets of the maximal cones' ray sets (the fan is simplicial).
+    """
+    n = fan.dim
+    faces: set[tuple[int, ...]] = set()
+    for cone in fan.max_cones:
+        inside = tuple(i for i in cone if i in verts)
+        for k in range(1, len(inside) + 1):
+            faces.update(itertools.combinations(inside, k))
+    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for f in faces:
+        by_dim[len(f) - 1].append(f)
+    for lst in by_dim:
+        lst.sort()
+    index = [{f: i for i, f in enumerate(lst)} for lst in by_dim]
+
+    # coboundary delta_p: C^p -> C^{p+1}; store rank of each
+    co_rank = [0] * n  # co_rank[p] = rank delta_p for p = 0..n-1 (delta_{n-1}=0)
+    for p in range(n - 1):
+        rows = []
+        for tau in by_dim[p + 1]:
+            row = [0] * len(by_dim[p])
+            for i in range(len(tau)):
+                face = tau[:i] + tau[i + 1 :]
+                row[index[p][face]] = (-1) ** i
+            rows.append(row)
+        if rows:
+            co_rank[p] = integer_rank(rows)
+
+    # augmentation C^{-1} = Q -> C^0
+    aug_rank = 1 if by_dim[0] else 0
+    ranks = [0] * (n + 1)
+    # q = 0 entry is rank H~^{-1}
+    ranks[0] = 1 - aug_rank
+    for p in range(n):
+        dim_cp = len(by_dim[p])
+        below = aug_rank if p == 0 else co_rank[p - 1]
+        above = co_rank[p] if p < n - 1 else 0
+        ranks[p + 1] = dim_cp - above - below
+    return tuple(ranks)
 
 
 def residue_walk(fan: Fan, D: TorusDivisor, ell: int) -> Counter:

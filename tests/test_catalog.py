@@ -145,6 +145,22 @@ def test_malformed_cone_index(tmp_path):
     assert "max_cones[1]" in str(err.value)
 
 
+P1_FILE = {"name": "P1", "dim": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]}
+
+
+@pytest.mark.parametrize("field, patch", [
+    ("dim", {"dim": True, "rays": [[True], [-1]]}),
+    ("rays[0]", {"rays": [[True], [-1]]}),
+    ("max_cones[0]", {"max_cones": [[False], [1]]}),
+], ids=["dim", "ray", "cone-index"])
+def test_json_booleans_are_not_integers(tmp_path, field, patch):
+    p = tmp_path / "bool.json"
+    p.write_text(json.dumps({**P1_FILE, **patch}))
+    with pytest.raises(FanFileError) as err:
+        load(p)
+    assert f"field {field!r}" in str(err.value)
+
+
 def test_malformed_json(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")

@@ -210,6 +210,25 @@ def test_malformed_fan_file_exits_two(tmp_path, capsys):
     assert "max_cones[0]" in err
 
 
+@pytest.mark.parametrize("case", ["directory", "missing-manifest", "non-utf8"])
+def test_unreadable_input_exits_two_with_its_reason(tmp_path, capsys, case):
+    if case == "directory":
+        argv, expected = ["describe", str(tmp_path)], ["Is a directory", str(tmp_path)]
+    elif case == "missing-manifest":
+        missing = tmp_path / "missing.json"
+        argv, expected = ["batch", "--manifest", str(missing)], ["No such file", str(missing)]
+    else:
+        p = tmp_path / "latin1.json"
+        p.write_bytes(b'{"name": "caf\xe9"}')
+        argv, expected = ["describe", str(p)], ["not UTF-8", str(p)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    for text in expected:
+        assert text in err
+
+
 def test_invalid_fan_refused_by_orlov(tmp_path, capsys):
     p = tmp_path / "nonsmooth.json"
     p.write_text(json.dumps({

@@ -8,7 +8,6 @@ from frobtilt.catalog import builtin, catalog_names
 from frobtilt.cohomology import (
     InfiniteCohomologyError,
     _active_patterns,
-    _certificates,
     _circuits,
     _emptied,
     _pattern_region,
@@ -28,7 +27,7 @@ from frobtilt.fan import (
 )
 from frobtilt.cones import is_nef
 from frobtilt.lattice import LinearSystem, count_points, feasible
-from oracles import weight_cohomology
+from oracles import subcomplex_ranks, weight_cohomology
 
 P1 = builtin("P1").fan
 P2 = builtin("P2").fan
@@ -37,6 +36,7 @@ P1xP1 = builtin("P1xP1").fan
 dP6 = builtin("dP6").fan
 dP6xP1 = product(dP6, P1)
 dP6xP2 = product(dP6, P2)
+BlptP3xP1 = product(builtin("BlptP3").fan, P1)
 
 
 def h_pn_oracle(n, j):
@@ -192,6 +192,26 @@ def test_euler_invariant_under_principal_twist():
                 assert cohomology(fan, D + principal_divisor(fan, w)).euler() == chi0
 
 
+# --- per-fan pattern table against the rank oracle ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fan", [builtin(n).fan for n in catalog_names()] + [dP6xP1, dP6xP2, BlptP3xP1],
+    ids=list(catalog_names()) + ["dP6xP1", "dP6xP2", "BlptP3xP1"],
+)
+def test_active_patterns_match_rank_oracle(fan):
+    expected = {}
+    for bits in range(1 << fan.n_rays):
+        verts = frozenset(i for i in range(fan.n_rays) if bits >> i & 1)
+        ranks = subcomplex_ranks(fan, verts)
+        if any(ranks):
+            expected[verts] = ranks
+    _, patterns = _active_patterns(fan)
+    got = {verts: ranks for verts, ranks, _ in patterns}
+    assert len(got) == len(patterns)
+    assert got == expected
+
+
 # --- Farkas certificates against the LP route ----------------------------------------
 
 
@@ -200,13 +220,13 @@ def test_euler_invariant_under_principal_twist():
     ids=list(catalog_names()) + ["dP6xP1", "dP6xP2"],
 )
 def test_certificates_agree_with_feasibility_lp(fan):
-    circuits, masks = _certificates(fan)
+    circuits, patterns = _active_patterns(fan)
     rng = random.Random(fan.n_rays * 1000 + fan.dim)
     nonempty = 0
     for _ in range(30):
         coeffs = tuple(rng.randint(-3, 3) for _ in fan.rays)
         emptied = _emptied(circuits, coeffs)
-        for (verts, _), mask in zip(_active_patterns(fan), masks):
+        for verts, _, mask in patterns:
             lp = feasible(_pattern_region(fan, coeffs, verts))
             assert lp == (not mask & emptied), (coeffs, sorted(verts))
             nonempty += lp
