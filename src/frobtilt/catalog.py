@@ -153,13 +153,18 @@ def entry_to_dict(entry: CatalogEntry) -> dict:
     }
 
 
-def load(path) -> CatalogEntry:
+def read_json(path):
+    """The JSON value in a UTF-8 file; FanFileError naming the path when it is not one."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise FanFileError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise FanFileError(f"{path}: not valid JSON (line {exc.lineno}, col {exc.colno})") from exc
+
+
+def load(path) -> CatalogEntry:
+    data = read_json(path)
     try:
         return entry_from_dict(data)
     except FanFileError as exc:

@@ -17,7 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
-from .catalog import FanFileError, resolve
+from .catalog import FanFileError, read_json, resolve
 from .cohomology import InfiniteCohomologyError, cohomology, weight_patterns
 from .cones import bu_set, is_nef, nef_fano_status
 from .fan import InvalidFanError, TorusDivisor, canonical_divisor
@@ -248,8 +248,7 @@ def _worker_count(jobs: int, n_targets: int) -> int:
 
 
 def _cmd_batch(args):
-    with open(args.manifest) as fh:
-        targets = json.load(fh)
+    targets = read_json(args.manifest)
     if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets):
         raise FanFileError(f"{args.manifest}: manifest must be a JSON array of strings")
     workers = _worker_count(args.jobs, len(targets))

@@ -238,12 +238,14 @@ class _Tableau:
             obj[:] = new_obj
 
 
-def lp_maximize(dim: int, rows: Sequence[tuple[Sequence[int], int]],
-                objective: Sequence[int]) -> tuple[str, Optional[Fraction], Optional[RatVec]]:
+def lp_maximize(dim: int, rows: Sequence[tuple[Sequence[int], int]], objective: Sequence[int]
+                ) -> tuple[str, Optional[Fraction], Optional[RatVec], Optional[_Tableau]]:
     """Maximize objective.x over {x : a.x <= b for each row (a, b)}, x free.
 
-    Rows and objective are integer; returns (status, value, point), with
-    value and point exact Fractions.
+    Rows and objective are integer; returns (status, value, point, tableau),
+    with value and point exact Fractions and, at an optimum, the final
+    tableau: column 2*dim + i is row i's slack, and tableau.basis holds the
+    basic column of each row.
     """
     if dim <= 0:
         raise ValueError("dimension must be positive")
@@ -284,7 +286,7 @@ def lp_maximize(dim: int, rows: Sequence[tuple[Sequence[int], int]],
         if tab.maximize(obj1, range(ncols)) != _OPTIMAL:
             raise AssertionError("phase 1 of the simplex cannot be unbounded")
         if obj1[ncols] != 0:
-            return _INFEASIBLE, None, None
+            return _INFEASIBLE, None, None, None
         # Drive leftover basic artificials out (degenerate pivots at rhs 0)
         # so that phase 2 cannot raise an artificial above zero.  Every row
         # has a slack, so the structural columns have full row rank and
@@ -302,7 +304,7 @@ def lp_maximize(dim: int, rows: Sequence[tuple[Sequence[int], int]],
 
     status = tab.maximize(obj2, allowed)
     if status == _UNBOUNDED:
-        return _UNBOUNDED, None, None
+        return _UNBOUNDED, None, None, None
     # x_k = x+_k - x-_k: sum the basic rows' numerators over the shared
     # denominator, one Fraction per coordinate.
     num = [0] * dim
@@ -311,7 +313,7 @@ def lp_maximize(dim: int, rows: Sequence[tuple[Sequence[int], int]],
             num[col] += row[ncols]
         elif col < 2 * dim:
             num[col - dim] -= row[ncols]
-    return _OPTIMAL, Fraction(obj2[ncols], tab.den), tuple(Fraction(v, tab.den) for v in num)
+    return _OPTIMAL, Fraction(obj2[ncols], tab.den), tuple(Fraction(v, tab.den) for v in num), tab
 
 
 def feasible_point(S: LinearSystem) -> Optional[RatVec]:
@@ -324,7 +326,7 @@ def feasible_point(S: LinearSystem) -> Optional[RatVec]:
     n = S.dim
     rows = [(a + (int(strict),), b) for a, b, strict in S.rows]
     rows.append(((0,) * n + (1,), 1))
-    status, value, point = lp_maximize(n + 1, rows, (0,) * n + (1,))
+    status, value, point, _ = lp_maximize(n + 1, rows, (0,) * n + (1,))
     if status != _OPTIMAL or value <= 0:
         return None
     return point[:n]
@@ -335,37 +337,89 @@ def feasible(S: LinearSystem) -> bool:
     return feasible_point(S) is not None
 
 
-def coordinate_bounds(S: LinearSystem) -> Optional[list[tuple[Fraction, Fraction]]]:
+def coordinate_bounds(S: LinearSystem, bases: Optional[dict] = None
+                      ) -> Optional[list[tuple[Fraction, Fraction]]]:
     """Exact [min, max] of each coordinate over the non-strict relaxation.
 
     Returns None when the relaxation is empty; raises UnboundedSystemError
-    when some coordinate is unbounded.
+    when some coordinate is unbounded.  bases, a dict the caller keeps
+    across systems, collects optimal bases per constraint matrix and
+    direction.  Dual feasibility does not depend on the right-hand sides,
+    so a basis whose vertex meets every row gives the bound with no LP.
     """
-    rows = [(a, b) for a, b, _ in S.rows]
+    A = tuple(a for a, _, _ in S.rows)
+    rhs = [b for _, b, _ in S.rows]
+    known = {} if bases is None else bases.setdefault(A, {})
     out = []
     for k in range(S.dim):
         pair = []
         for sgn in (-1, 1):
-            obj = [0] * S.dim
-            obj[k] = sgn
-            status, value, _ = lp_maximize(S.dim, rows, obj)
-            if status == _INFEASIBLE:
-                return None
-            if status == _UNBOUNDED:
-                raise UnboundedSystemError("coordinate %d unbounded" % k)
-            pair.append(sgn * value)
+            cached = known.setdefault((k, sgn), [])
+            for pos, (B, P, d, checks) in enumerate(cached):
+                bB = [rhs[i] for i in B]
+                if all(sum(map(operator.mul, row, bB)) <= d * rhs[i] for i, row in checks):
+                    cached.insert(0, cached.pop(pos))
+                    pair.append(Fraction(sum(map(operator.mul, P[k], bB)), d))
+                    break
+            else:
+                obj = [0] * S.dim
+                obj[k] = sgn
+                status, value, _, tab = lp_maximize(S.dim, list(zip(A, rhs)), obj)
+                if status == _INFEASIBLE:
+                    return None
+                if status == _UNBOUNDED:
+                    raise UnboundedSystemError("coordinate %d unbounded" % k)
+                pair.append(sgn * value)
+                basis = None if bases is None else _optimal_basis(tab, S.dim, len(A), k, sgn)
+                if basis is not None:
+                    cached.append(basis)
         out.append((pair[0], pair[1]))
     return out
 
 
-def count_points(S: LinearSystem) -> int:
+def _optimal_basis(tab: _Tableau, dim: int, m: int, k: int, sgn: int) -> Optional[tuple]:
+    """The optimal basis of a final tableau as (rows B, P, d, checks), or None.
+
+    The optimum may lie inside a face: a coordinate with neither x+ nor x-
+    basic has zero reduced cost, so pivoting one of them in by the usual
+    ratio test keeps the optimum and reaches a vertex (none can enter when
+    the region contains a line).  Then B is the rows with non-basic slacks,
+    and the tableau holds d * A_B^-1 in their columns: x = P b_B / d, and a
+    basic slack b_j - A_j.x stays >= 0 iff checks_j . b_B <= d * b_j.  The
+    dual sgn * P[k] / d must be >= 0; it does not depend on b.
+    """
+    for c in range(dim):
+        if c in tab.basis or dim + c in tab.basis:
+            continue
+        for col in (c, dim + c):
+            up = [(Fraction(row[tab.ncols], row[col]), i) for i, row in enumerate(tab.rows)
+                  if row[col] > 0]
+            if up:
+                tab.pivot(min(up)[1], col)
+                break
+        else:
+            return None
+    B = [i for i in range(m) if 2 * dim + i not in tab.basis]
+    P, checks = [None] * dim, []
+    for row, col in zip(tab.rows, tab.basis):
+        t = [row[2 * dim + i] for i in B]
+        if col < 2 * dim:
+            P[col % dim] = t if col < dim else [-v for v in t]
+        else:
+            checks.append((col - 2 * dim, [-v for v in t]))
+    if any(sgn * y < 0 for y in P[k]):
+        return None
+    return B, P, tab.den, checks
+
+
+def count_points(S: LinearSystem, bases: Optional[dict] = None) -> int:
     """The number of integer points satisfying S.
 
     Walks the exact bounding box with per-coordinate interval tightening,
     counting the last coordinate's interval in one step; errors on
-    unbounded input.
+    unbounded input.  bases is passed to coordinate_bounds.
     """
-    bounds = coordinate_bounds(S)
+    bounds = coordinate_bounds(S, bases)
     if bounds is None:
         return 0
     boxes = [(math.ceil(lo), math.floor(hi)) for lo, hi in bounds]

@@ -229,6 +229,18 @@ def test_unreadable_input_exits_two_with_its_reason(tmp_path, capsys, case):
         assert text in err
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b"{not json", "not valid JSON"), (b'["caf\xe9"]', "not UTF-8"),
+], ids=["invalid-json", "non-utf8"])
+def test_unreadable_manifest_exits_two_naming_it(tmp_path, capsys, content, reason):
+    manifest = tmp_path / "m.json"
+    manifest.write_bytes(content)
+    code, out, err = run(capsys, "batch", "--manifest", str(manifest))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {manifest}: {reason}")
+
+
 def test_invalid_fan_refused_by_orlov(tmp_path, capsys):
     p = tmp_path / "nonsmooth.json"
     p.write_text(json.dumps({

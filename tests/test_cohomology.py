@@ -24,6 +24,7 @@ from frobtilt.fan import (
     divisor_class,
     principal_divisor,
     product,
+    star_subdivision,
 )
 from frobtilt.cones import is_nef
 from frobtilt.lattice import LinearSystem, count_points, feasible
@@ -195,9 +196,23 @@ def test_euler_invariant_under_principal_twist():
 # --- per-fan pattern table against the rank oracle ------------------------------------
 
 
+def subdivision_chain(base, steps, seed):
+    """The fan after steps star subdivisions of faces drawn by random.Random(seed)."""
+    rng = random.Random(seed)
+    fan = builtin(base).fan
+    for _ in range(steps):
+        cone = rng.choice(fan.max_cones)
+        fan = star_subdivision(fan, tuple(rng.sample(cone, rng.randint(2, fan.dim))))
+    return fan
+
+
+# The 13-ray 4-fold is not Fano; P1xP4 and dP6xP3 rank degree 1 (n >= 5) by coboundaries.
 @pytest.mark.parametrize(
-    "fan", [builtin(n).fan for n in catalog_names()] + [dP6xP1, dP6xP2, BlptP3xP1],
-    ids=list(catalog_names()) + ["dP6xP1", "dP6xP2", "BlptP3xP1"],
+    "fan",
+    [builtin(n).fan for n in catalog_names()] + [dP6xP1, dP6xP2, BlptP3xP1]
+    + [subdivision_chain("P4", 8, 5), product(P1, builtin("P4").fan), product(dP6, P3)],
+    ids=list(catalog_names())
+    + ["dP6xP1", "dP6xP2", "BlptP3xP1", "P4-chain13", "P1xP4", "dP6xP3"],
 )
 def test_active_patterns_match_rank_oracle(fan):
     expected = {}
@@ -210,6 +225,29 @@ def test_active_patterns_match_rank_oracle(fan):
     got = {verts: ranks for verts, ranks, _ in patterns}
     assert len(got) == len(patterns)
     assert got == expected
+
+
+def test_active_patterns_of_a_product_are_joins():
+    # The nerve of X x Y is the join of the factors' nerves, so over Q
+    # b~_{k+1}(K_{S1+S2}) = sum_{i+j=k} b~_i(K_S1) b~_j(K_S2): with index
+    # q holding b~_{q-1}, the rank vectors multiply as polynomials.
+    factor = {}
+    for bits in range(1 << dP6.n_rays):
+        verts = frozenset(i for i in range(dP6.n_rays) if bits >> i & 1)
+        ranks = subcomplex_ranks(dP6, verts)
+        if any(ranks):
+            factor[verts] = ranks
+    expected = {}
+    for v1, r1 in factor.items():
+        for v2, r2 in factor.items():
+            joined = [0] * (len(r1) + len(r2) - 1)
+            for i, x in enumerate(r1):
+                for j, y in enumerate(r2):
+                    joined[i + j] += x * y
+            expected[v1 | {dP6.n_rays + i for i in v2}] = tuple(joined)
+    _, patterns = _active_patterns(product(dP6, dP6))
+    assert len(expected) == 34 ** 2
+    assert {verts: ranks for verts, ranks, _ in patterns} == expected
 
 
 # --- Farkas certificates against the LP route ----------------------------------------

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from frobtilt import lattice
 from frobtilt.lattice import (
     LinearSystem,
     UnboundedSystemError,
+    coordinate_bounds,
     count_points,
     determinant,
     dot,
@@ -379,3 +381,68 @@ def test_lattice_point_count_unimodular_invariance():
         (tuple(dot(a, col) for col in zip(*U)), b, strict) for a, b, strict in S.rows
     ))
     assert count_points(S) == count_points(T)
+
+
+# --- coordinate bounds from cached optimal bases -----------------------------
+
+
+def rows_with(A, rhs):
+    return LinearSystem(len(A[0]), tuple((a, b, False) for a, b in zip(A, rhs)))
+
+
+@pytest.fixture
+def lp_counter(monkeypatch):
+    """Counts the lp_maximize calls made by coordinate_bounds."""
+    calls = []
+    original = lattice.lp_maximize
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lattice, "lp_maximize", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cached_bases_give_the_bounds_of_fresh_lps(seed, lp_counter):
+    # a box around the origin keeps every region bounded; the cuts shape it
+    rng = random.Random(900 + seed)
+    dim = rng.randint(1, 4)
+    A = [tuple(s * int(i == j) for j in range(dim)) for i in range(dim) for s in (1, -1)]
+    A += [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(1, 5))]
+    bases = {}
+    cold = warm = empty = 0
+    for _ in range(40):
+        rhs = [rng.randint(-1, 8) for _ in A]
+        S = rows_with(A, rhs)
+        before = len(lp_counter)
+        expected = coordinate_bounds(S)
+        cold += len(lp_counter) - before
+        before = len(lp_counter)
+        assert coordinate_bounds(S, bases) == expected
+        warm += len(lp_counter) - before
+        assert count_points(S, bases) == count_points(S)
+        empty += expected is None
+    assert list(bases) == [tuple(A)]
+    assert 0 < empty < 40
+    assert warm < cold
+
+
+def test_warm_cache_still_sees_empty_and_unbounded_regions():
+    bases = {}
+    box = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1))
+    assert coordinate_bounds(rows_with(box, (3, 0, 3, 0, 4)), bases) == [(0, 3), (0, 3)]
+    assert coordinate_bounds(rows_with(box, (2, -1, 2, -1, 5)), bases) == [(1, 2), (1, 2)]
+    # x >= 2, y >= 2 and x + y <= 3: empty, so no cached vertex passes its checks
+    assert coordinate_bounds(rows_with(box, (3, -2, 3, -2, 3)), bases) is None
+    assert count_points(rows_with(box, (3, -2, 3, -2, 3)), bases) == 0
+    # y has no lower bound: the x bounds are cached before y raises, and a
+    # later region of the same matrix reuses them and raises again
+    strip = ((1, 0), (-1, 0), (0, 1))
+    for rhs in ((2, 0, 5), (4, -1, 0)):
+        with pytest.raises(UnboundedSystemError, match="coordinate 1"):
+            coordinate_bounds(rows_with(strip, rhs), bases)
+    assert [len(bases[strip][0, sgn]) for sgn in (-1, 1)] == [1, 1]
+    assert coordinate_bounds(rows_with(strip, (-1, 0, 5)), bases) is None
+    assert set(bases) == {box, strip}
