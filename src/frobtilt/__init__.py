@@ -42,7 +42,6 @@ from .lattice import (
     IntMat,
     IntVec,
     LinearSystem,
-    RatVec,
     UnboundedSystemError,
     count_points,
     determinant,

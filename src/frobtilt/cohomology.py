@@ -44,7 +44,10 @@ from .lattice import (
 
 # _active_patterns visits all 2^r ray subsets, and its time about doubles
 # with each ray: 0.19 s at 14 rays and 0.9 s at 16 in dimension 3, 1.3 s at
-# 16 rays in dimension 4 (star subdivision chains; 2-vCPU host, CPython 3.11).
+# 16 rays in dimension 4 (star subdivision chains).  From dimension 5 on the
+# per-subset Bareiss ranks cost more: at 11 rays 0.65 s on dP6xP2xP1 (n = 5),
+# 0.77 s on dP6xP4 (n = 6) and 3.5 s on F1xP1xP4 (n = 7).  Medians of 3;
+# 2-vCPU host, CPython 3.11.
 MAX_PATTERN_RAYS = 16
 
 Circuit = tuple[IntVec, int, int]  # lambda and the positive-part sums of +-lambda

@@ -13,6 +13,7 @@ is plain integer-vector equality.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
@@ -52,8 +53,8 @@ class Fan:
     max_cones: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rays = tuple(tuple(int(x) for x in r) for r in self.rays)
-        cones = tuple(sorted(set(tuple(sorted(set(map(int, c)))) for c in self.max_cones)))
+        rays = tuple(tuple(map(operator.index, r)) for r in self.rays)
+        cones = tuple(sorted({tuple(sorted(set(map(operator.index, c)))) for c in self.max_cones}))
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "max_cones", cones)
         if self.dim < 1:
@@ -147,7 +148,7 @@ class TorusDivisor:
     coeffs: IntVec
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(int(x) for x in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(operator.index, self.coeffs)))
         if len(self.coeffs) != self.fan.n_rays:
             raise ValueError("one coefficient per ray required")
 

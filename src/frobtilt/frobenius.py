@@ -121,7 +121,7 @@ def frob_set(fan: Fan) -> FrobSet:
             # u = ell*t is a residue at ell = the lcm of t's denominators,
             # and its summand has floor vector prefix.
             cls = divisor_class(TorusDivisor(fan, prefix))
-            witness_ells.setdefault(cls, math.lcm(*(f.denominator for f in point)))
+            witness_ells.setdefault(cls, point[1] // math.gcd(point[1], *point[0]))
             return
         for b in ranges[k]:
             descend(k + 1, prefix + (b,))

@@ -1,9 +1,10 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
 All arithmetic is arbitrary precision: integer vectors and matrices are
 plain tuples of Python ints.  A linear system is a tuple of integer rows
-a.x <= b, strict (a.x < b) where flagged; only genuinely rational values
-(LP optima and points, coordinate bounds) use fractions.Fraction.  No
+a.x <= b, strict (a.x < b) where flagged.  Rational values stay integer
+numerators over one shared denominator (an LP optimum or point is read
+off the simplex tableau), and coordinate bounds are the integer box.  No
 floating point is used anywhere; strict rows are decided exactly (via an
 auxiliary slack maximization, never a numeric tolerance).  The integer
 points of a bounded system are counted, not listed.
@@ -11,14 +12,11 @@ points of a bounded system are counted, not listed.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 IntVec = tuple[int, ...]
-RatVec = tuple[Fraction, ...]
 IntMat = tuple[IntVec, ...]
 
 
@@ -68,7 +66,7 @@ def hermite_normal_form(A: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat]:
     positive pivots and the entries above each pivot reduced into
     [0, pivot).
     """
-    H = [list(map(int, row)) for row in A]
+    H = [list(map(operator.index, row)) for row in A]
     if not H or not H[0]:
         raise ValueError("matrix must be nonempty")
     m, n = len(H), len(H[0])
@@ -110,56 +108,48 @@ def hermite_normal_form(A: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat]:
     return tuple(map(tuple, H)), tuple(map(tuple, U))
 
 
+def _bareiss(M: list[list[int]]) -> tuple[int, int]:
+    """Bareiss (fraction-free) elimination of the integer rows M, in place.
+
+    Returns (rank, det), det the determinant of a square M and 0 for any
+    other shape.  A column with no pivot left is skipped; every entry
+    stays a minor of M, so each division is exact.
+    """
+    m, n = len(M), len(M[0]) if M else 0
+    sign, prev, r = 1, 1, 0
+    for c in range(n):
+        if r == m:
+            break
+        if M[r][c] == 0:
+            piv = next((i for i in range(r + 1, m) if M[i][c] != 0), None)
+            if piv is None:
+                continue
+            M[r], M[piv] = M[piv], M[r]
+            sign = -sign
+        prow = M[r]
+        p = prow[c]
+        for i in range(r + 1, m):
+            row = M[i]
+            f = row[c]
+            for j in range(c + 1, n):
+                row[j] = (row[j] * p - f * prow[j]) // prev
+            row[c] = 0
+        prev = p
+        r += 1
+    return r, sign * prev if r == m == n else 0
+
+
 def determinant(A: Sequence[Sequence[int]]) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    M = [list(map(int, row)) for row in A]
-    n = len(M)
-    if any(len(row) != n for row in M):
+    M = [list(map(operator.index, row)) for row in A]
+    if any(len(row) != len(M) for row in M):
         raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if swap is None:
-                return 0
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+    return _bareiss(M)[1]
 
 
 def integer_rank(A: Sequence[Sequence[int]]) -> int:
     """Rank over the rationals of an integer matrix (Bareiss elimination)."""
-    M = [list(map(int, row)) for row in A]
-    if not M or not M[0]:
-        return 0
-    m, n = len(M), len(M[0])
-    r = 0
-    prev = 1
-    for c in range(n):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            M[r], M[piv] = M[piv], M[r]
-        p = M[r][c]
-        for i in range(r + 1, m):
-            if any(M[i][c:]):
-                mic = M[i][c]
-                M[i] = [
-                    (M[i][j] * p - mic * M[r][j]) // prev if j >= c else 0
-                    for j in range(n)
-                ]
-        prev = p
-        r += 1
-    return r
+    return _bareiss([list(map(operator.index, row)) for row in A])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +163,10 @@ _UNBOUNDED = "unbounded"
 class _Tableau:
     """Dense integer simplex tableau sharing one positive denominator.
 
-    Pivoting uses the exact-division update T'[i][j] =
-    (T[r][c]*T[i][j] - T[i][c]*T[r][j]) / den, so all entries stay
-    integral (the standard integer-pivoting rule of exact LP codes).
+    rows holds one row per constraint, then the objective row last, which
+    pivots like any other row.  Pivoting uses the exact-division update
+    T'[i][j] = (T[r][c]*T[i][j] - T[i][c]*T[r][j]) / den, so all entries
+    stay integral (the standard integer-pivoting rule of exact LP codes).
     """
 
     def __init__(self, rows: list[list[int]], basis: list[int], ncols: int):
@@ -201,51 +192,51 @@ class _Tableau:
             elif p != den:
                 rows[i] = [(p * a) // den for a in row]
         self.den = p
-        if r < len(self.basis):
-            self.basis[r] = c
+        self.basis[r] = c
 
-    def maximize(self, obj: list[int], allowed: Sequence[int]) -> str:
-        """Run simplex on the given objective row (modified in place)."""
-        rows = self.rows
-        nbody = len(self.basis)
+    def leaving_row(self, col: int) -> Optional[int]:
+        """Bland's ratio test: the row that leaves when col enters, or None.
+
+        Among the constraint rows with a positive entry in col, the one of
+        least rhs/entry, ties to the smallest basic column.
+        """
+        rhs, basis = self.ncols, self.basis
+        best = None
+        for i in range(len(basis)):
+            row = self.rows[i]
+            a = row[col]
+            if a > 0:
+                if best is None:
+                    best, br, ba = i, row[rhs], a
+                else:
+                    cmp = row[rhs] * ba - br * a
+                    if cmp < 0 or (cmp == 0 and basis[i] < basis[best]):
+                        best, br, ba = i, row[rhs], a
+        return best
+
+    def maximize(self, allowed: Sequence[int]) -> str:
+        """Run simplex on the objective row, the last row."""
         while True:
+            obj = self.rows[-1]
             enter = next((j for j in allowed if obj[j] < 0), None)
             if enter is None:
                 return _OPTIMAL
-            # Bland ratio test: min rhs/entry over positive entries,
-            # ties resolved by smallest basic column.
-            best = None
-            for i in range(nbody):
-                a = rows[i][enter]
-                if a <= 0:
-                    continue
-                r = rows[i][self.ncols]
-                if best is None:
-                    best = (i, r, a)
-                else:
-                    cmp = r * best[2] - best[1] * a
-                    if cmp < 0 or (cmp == 0 and self.basis[i] < self.basis[best[0]]):
-                        best = (i, r, a)
-            if best is None:
+            r = self.leaving_row(enter)
+            if r is None:
                 return _UNBOUNDED
-            r0 = best[0]
-            prow = rows[r0]
-            p = prow[enter]
-            den = self.den
-            f = obj[enter]
-            new_obj = [(p * a - f * b) // den for a, b in zip(obj, prow)]
-            self.pivot(r0, enter)
-            obj[:] = new_obj
+            self.pivot(r, enter)
 
 
 def lp_maximize(dim: int, rows: Sequence[tuple[Sequence[int], int]], objective: Sequence[int]
-                ) -> tuple[str, Optional[Fraction], Optional[RatVec], Optional[_Tableau]]:
+                ) -> tuple[str, Optional[int], Optional[_Tableau]]:
     """Maximize objective.x over {x : a.x <= b for each row (a, b)}, x free.
 
-    Rows and objective are integer; returns (status, value, point, tableau),
-    with value and point exact Fractions and, at an optimum, the final
-    tableau: column 2*dim + i is row i's slack, and tableau.basis holds the
-    basic column of each row.
+    Rows and objective are integer; returns (status, value, tableau).  At
+    an optimum the maximum is value / tableau.den, and in the final
+    tableau column 2*dim + i is row i's slack, tableau.basis holds the
+    basic column of each row and x_k is the rhs of a row with x+_k basic
+    (column k) less that of a row with x-_k basic (column dim + k), over
+    tableau.den.  Otherwise value and tableau are None.
     """
     if dim <= 0:
         raise ValueError("dimension must be positive")
@@ -270,23 +261,22 @@ def lp_maximize(dim: int, rows: Sequence[tuple[Sequence[int], int]], objective: 
             basis.append(nstruct + len(art_rows))
             art_rows.append(i)
         body.append(row)
+    body.append([-v for v in objective] + list(objective) + [0] * (ncols - 2 * dim) + [0])
     tab = _Tableau(body, basis, ncols)
 
-    obj2 = [-v for v in objective] + list(objective) + [0] * (ncols - 2 * dim) + [0]
-
     if art_rows:
+        # Phase 1 maximizes minus the sum of the artificials, as a second
+        # objective row below the phase-2 one, which its pivots carry along.
         obj1 = [0] * (ncols + 1)
         for i in art_rows:
-            obj1 = [a - b for a, b in zip(obj1, tab.rows[i])]
+            obj1 = [a - b for a, b in zip(obj1, body[i])]
         for col in range(nstruct, ncols):
             obj1[col] = 0
-        # Carry the phase-2 row through phase-1 pivots by pivoting on a
-        # combined tableau: append obj2 as a passive row.
-        tab.rows.append(obj2)
-        if tab.maximize(obj1, range(ncols)) != _OPTIMAL:
+        tab.rows.append(obj1)
+        if tab.maximize(range(ncols)) != _OPTIMAL:
             raise AssertionError("phase 1 of the simplex cannot be unbounded")
-        if obj1[ncols] != 0:
-            return _INFEASIBLE, None, None, None
+        if tab.rows.pop()[ncols] != 0:
+            return _INFEASIBLE, None, None
         # Drive leftover basic artificials out (degenerate pivots at rhs 0)
         # so that phase 2 cannot raise an artificial above zero.  Every row
         # has a slack, so the structural columns have full row rank and
@@ -297,39 +287,36 @@ def lp_maximize(dim: int, rows: Sequence[tuple[Sequence[int], int]], objective: 
                 if tab.rows[i][c] < 0:
                     tab.rows[i] = [-x for x in tab.rows[i]]
                 tab.pivot(i, c)
-        obj2 = tab.rows.pop()
         allowed = range(nstruct)  # artificials may not re-enter
     else:
         allowed = range(ncols)
 
-    status = tab.maximize(obj2, allowed)
-    if status == _UNBOUNDED:
-        return _UNBOUNDED, None, None, None
-    # x_k = x+_k - x-_k: sum the basic rows' numerators over the shared
-    # denominator, one Fraction per coordinate.
-    num = [0] * dim
-    for row, col in zip(tab.rows, tab.basis):
-        if col < dim:
-            num[col] += row[ncols]
-        elif col < 2 * dim:
-            num[col - dim] -= row[ncols]
-    return _OPTIMAL, Fraction(obj2[ncols], tab.den), tuple(Fraction(v, tab.den) for v in num), tab
+    if tab.maximize(allowed) == _UNBOUNDED:
+        return _UNBOUNDED, None, None
+    return _OPTIMAL, tab.rows[-1][ncols], tab
 
 
-def feasible_point(S: LinearSystem) -> Optional[RatVec]:
+def feasible_point(S: LinearSystem) -> Optional[tuple[IntVec, int]]:
     """An exact rational point satisfying S (strictness included), or None.
 
-    Strict rows are handled by maximizing a shared slack t in
+    The point is returned as (numerators, denominator), the denominator
+    positive.  Strict rows are handled by maximizing a shared slack t in
     a.x + t <= b with t <= 1: the system has a solution iff the optimum
     is positive.
     """
     n = S.dim
     rows = [(a + (int(strict),), b) for a, b, strict in S.rows]
     rows.append(((0,) * n + (1,), 1))
-    status, value, point, _ = lp_maximize(n + 1, rows, (0,) * n + (1,))
+    status, value, tab = lp_maximize(n + 1, rows, (0,) * n + (1,))
     if status != _OPTIMAL or value <= 0:
         return None
-    return point[:n]
+    num = [0] * n
+    for row, col in zip(tab.rows, tab.basis):
+        if col < n:
+            num[col] += row[-1]
+        elif n + 1 <= col < 2 * n + 1:
+            num[col - n - 1] -= row[-1]
+    return tuple(num), tab.den
 
 
 def feasible(S: LinearSystem) -> bool:
@@ -338,8 +325,9 @@ def feasible(S: LinearSystem) -> bool:
 
 
 def coordinate_bounds(S: LinearSystem, bases: Optional[dict] = None
-                      ) -> Optional[list[tuple[Fraction, Fraction]]]:
-    """Exact [min, max] of each coordinate over the non-strict relaxation.
+                      ) -> Optional[list[tuple[int, int]]]:
+    """The integer box [ceil(min), floor(max)] of each coordinate over the
+    non-strict relaxation.
 
     Returns None when the relaxation is empty; raises UnboundedSystemError
     when some coordinate is unbounded.  bases, a dict the caller keeps
@@ -349,30 +337,32 @@ def coordinate_bounds(S: LinearSystem, bases: Optional[dict] = None
     """
     A = tuple(a for a, _, _ in S.rows)
     rhs = [b for _, b, _ in S.rows]
-    known = {} if bases is None else bases.setdefault(A, {})
+    known = ({} if bases is None else bases).setdefault(A, {})
     out = []
     for k in range(S.dim):
         pair = []
         for sgn in (-1, 1):
+            # the maximum of sgn * x_k is value / d
             cached = known.setdefault((k, sgn), [])
             for pos, (B, P, d, checks) in enumerate(cached):
                 bB = [rhs[i] for i in B]
                 if all(sum(map(operator.mul, row, bB)) <= d * rhs[i] for i, row in checks):
                     cached.insert(0, cached.pop(pos))
-                    pair.append(Fraction(sum(map(operator.mul, P[k], bB)), d))
+                    value = sgn * sum(map(operator.mul, P[k], bB))
                     break
             else:
                 obj = [0] * S.dim
                 obj[k] = sgn
-                status, value, _, tab = lp_maximize(S.dim, list(zip(A, rhs)), obj)
+                status, value, tab = lp_maximize(S.dim, list(zip(A, rhs)), obj)
                 if status == _INFEASIBLE:
                     return None
                 if status == _UNBOUNDED:
                     raise UnboundedSystemError("coordinate %d unbounded" % k)
-                pair.append(sgn * value)
-                basis = None if bases is None else _optimal_basis(tab, S.dim, len(A), k, sgn)
+                d = tab.den
+                basis = _optimal_basis(tab, S.dim, len(A), k, sgn)
                 if basis is not None:
                     cached.append(basis)
+            pair.append(sgn * (value // d))
         out.append((pair[0], pair[1]))
     return out
 
@@ -381,9 +371,9 @@ def _optimal_basis(tab: _Tableau, dim: int, m: int, k: int, sgn: int) -> Optiona
     """The optimal basis of a final tableau as (rows B, P, d, checks), or None.
 
     The optimum may lie inside a face: a coordinate with neither x+ nor x-
-    basic has zero reduced cost, so pivoting one of them in by the usual
-    ratio test keeps the optimum and reaches a vertex (none can enter when
-    the region contains a line).  Then B is the rows with non-basic slacks,
+    basic has zero reduced cost, so pivoting one of them in by the ratio
+    test keeps the optimum and reaches a vertex (none can enter when the
+    region contains a line).  Then B is the rows with non-basic slacks,
     and the tableau holds d * A_B^-1 in their columns: x = P b_B / d, and a
     basic slack b_j - A_j.x stays >= 0 iff checks_j . b_B <= d * b_j.  The
     dual sgn * P[k] / d must be >= 0; it does not depend on b.
@@ -392,10 +382,9 @@ def _optimal_basis(tab: _Tableau, dim: int, m: int, k: int, sgn: int) -> Optiona
         if c in tab.basis or dim + c in tab.basis:
             continue
         for col in (c, dim + c):
-            up = [(Fraction(row[tab.ncols], row[col]), i) for i, row in enumerate(tab.rows)
-                  if row[col] > 0]
-            if up:
-                tab.pivot(min(up)[1], col)
+            r = tab.leaving_row(col)
+            if r is not None:
+                tab.pivot(r, col)
                 break
         else:
             return None
@@ -415,15 +404,12 @@ def _optimal_basis(tab: _Tableau, dim: int, m: int, k: int, sgn: int) -> Optiona
 def count_points(S: LinearSystem, bases: Optional[dict] = None) -> int:
     """The number of integer points satisfying S.
 
-    Walks the exact bounding box with per-coordinate interval tightening,
-    counting the last coordinate's interval in one step; errors on
-    unbounded input.  bases is passed to coordinate_bounds.
+    Walks the integer bounding box with per-coordinate interval
+    tightening, counting the last coordinate's interval in one step;
+    errors on unbounded input.  bases is passed to coordinate_bounds.
     """
-    bounds = coordinate_bounds(S, bases)
-    if bounds is None:
-        return 0
-    boxes = [(math.ceil(lo), math.floor(hi)) for lo, hi in bounds]
-    if any(lo > hi for lo, hi in boxes):
+    boxes = coordinate_bounds(S, bases)
+    if boxes is None or any(lo > hi for lo, hi in boxes):
         return 0
     # caps[k][i]: row i's part in x[:k+1] is at most b - strict minus the
     # least value the still-free x[k+1:] can give it (on integer points

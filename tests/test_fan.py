@@ -108,6 +108,15 @@ def test_nonprimitive_ray_flagged():
     assert not rep.primitive
 
 
+@pytest.mark.parametrize("bad", [1.9, Fraction(19, 10), "1"])
+def test_fan_rejects_non_integer_rays_and_cones(bad):
+    # int() would truncate 1.9 to 1 and validate the fan of P2
+    with pytest.raises(TypeError):
+        Fan(2, ((bad, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)))
+    with pytest.raises(TypeError):
+        Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, bad), (1, 2), (2, 0)))
+
+
 def test_catalog_style_invariant_rank_pic():
     for f in (P1, P2, F1, P1xP1, projective_space(3)):
         assert f.picard_rank == f.n_rays - f.dim
@@ -150,6 +159,13 @@ def test_cone_contains_matches_rational_solve():
 
 
 # --- divisor_class ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [-2.5, Fraction(-5, 2), "-2"])
+def test_torus_divisor_rejects_non_integer_coefficients(bad):
+    # int() would truncate -2.5 to -2, a divisor with other cohomology
+    with pytest.raises(TypeError):
+        TorusDivisor(P2, (bad, 0, 0))
 
 
 def test_p1_principal_divisor_is_zero_class():

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 from fractions import Fraction
 
@@ -102,10 +103,35 @@ def fm_feasible(S):
     return all(0 < rhs if strict else 0 <= rhs for _, rhs, strict in rows)
 
 
-def satisfies(S, point):
+def fm_interval(S, k):
+    """Fourier-Motzkin projection of the non-strict relaxation onto x_k.
+
+    The exact rational (min, max) of x_k, or None when the relaxation is
+    empty; assumes x_k bounded.
+    """
+    rows = [(list(a), b) for a, b, _ in S.rows]
+    for j in range(S.dim):
+        if j == k:
+            continue
+        lower = [(a, b) for a, b in rows if a[j] < 0]
+        upper = [(a, b) for a, b in rows if a[j] > 0]
+        rows = [(a, b) for a, b in rows if a[j] == 0] + [
+            ([-la[j] * u + ua[j] * l for l, u in zip(la, ua)], -la[j] * ub + ua[j] * lb)
+            for la, lb in lower
+            for ua, ub in upper
+        ]
+    if any(a[k] == 0 and b < 0 for a, b in rows):
+        return None
+    lo = max(Fraction(b, a[k]) for a, b in rows if a[k] < 0)
+    hi = min(Fraction(b, a[k]) for a, b in rows if a[k] > 0)
+    return None if lo > hi else (lo, hi)
+
+
+def satisfies(S, point, den=1):
+    """point / den satisfies every row of S (den > 0)."""
     for a, b, strict in S.rows:
         v = sum(c * x for c, x in zip(a, point))
-        if not (v < b if strict else v <= b):
+        if not (v < b * den if strict else v <= b * den):
             return False
     return True
 
@@ -242,8 +268,7 @@ def test_feasible_strict_triangle():
         ((0, 1), ">=", 0), ((0, 1), "<", 1),
     ])
     assert feasible(S)
-    p = feasible_point(S)
-    assert satisfies(S, p)
+    assert satisfies(S, *feasible_point(S))
 
 
 def test_feasible_contradiction():
@@ -277,7 +302,10 @@ def test_feasible_agrees_with_fourier_motzkin(seed):
     got = feasible(S)
     assert got == fm_feasible(S)
     if got:
-        assert satisfies(S, feasible_point(S))
+        num, den = feasible_point(S)
+        assert den > 0 and satisfies(S, num, den)
+        # the witness ell of frob_set: the lcm of the reduced denominators
+        assert den // math.gcd(den, *num) == math.lcm(*(Fraction(x, den).denominator for x in num))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -290,7 +318,7 @@ def test_feasible_grid_hits_imply_feasible(seed):
         cons.append((coeffs, rel, rng.randint(-3, 3)))
     S = system(2, cons)
     hit = any(
-        satisfies(S, (Fraction(i, 4), Fraction(j, 4)))
+        satisfies(S, (i, j), 4)
         for i in range(-12, 13)
         for j in range(-12, 13)
     )
@@ -446,3 +474,28 @@ def test_warm_cache_still_sees_empty_and_unbounded_regions():
     assert [len(bases[strip][0, sgn]) for sgn in (-1, 1)] == [1, 1]
     assert coordinate_bounds(rows_with(strip, (-1, 0, 5)), bases) is None
     assert set(bases) == {box, strip}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_coordinate_bounds_are_the_integer_box_of_fourier_motzkin(seed):
+    # scaled box rows c*x_i <= b give fractional, often negative, optima,
+    # where floor and ceiling differ from truncation toward zero
+    rng = random.Random(6000 + seed)
+    dim = rng.randint(1, 3)
+    A = [tuple(s * rng.randint(2, 5) * int(i == j) for j in range(dim))
+         for i in range(dim) for s in (1, -1)]
+    A += [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(0, 3))]
+    bases = {}
+    fractional = 0
+    for _ in range(15):
+        # rows loose by -1..8 at an integer centre, mostly negative: few regions are empty
+        centre = [rng.randint(-4, 1) for _ in range(dim)]
+        S = rows_with(A, [dot(a, centre) + rng.randint(-1, 8) for a in A])
+        intervals = [fm_interval(S, k) for k in range(dim)]
+        expected = None if None in intervals else [
+            (math.ceil(lo), math.floor(hi)) for lo, hi in intervals
+        ]
+        assert coordinate_bounds(S) == expected
+        assert coordinate_bounds(S, bases) == expected
+        fractional += sum(x < 0 and x.denominator > 1 for iv in intervals if iv for x in iv)
+    assert fractional > 0

@@ -62,3 +62,15 @@ def test_no_unused_imports_or_private_functions():
             ):
                 found.append(f"{name}:{node.lineno} defines unreferenced {node.name}")
     assert found == []
+
+
+def test_no_fractions_in_library():
+    # rational values stay integer numerators over a shared denominator
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "fractions"
+    ]
+    assert found == []
