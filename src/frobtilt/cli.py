@@ -24,10 +24,10 @@ from .fan import InvalidFanError, TorusDivisor, canonical_divisor
 from .frobenius import frob_set, minimal_stabilizing_ell, pushforward_summands
 from .tilting import VERIFIED, build_candidate, ext_vanishing, orlov_check
 
-# frob counts ell^(dim-1) residue prefixes, each in at most
-# 1 + sum_rho |v_rho[dim-1]| runs of constant floors at 10-20 us a run on a
-# 2-vCPU host: a million residues of P4 (--ell 31) take about 1.5 s.  The
-# bound stays until the cost no longer grows with ell.
+# frob walks ell^(dim-1) residue prefixes, each an integer class sum over
+# the rays plus one class step per floor breakpoint, at 6-15 us a prefix on
+# a 2-vCPU host: a million residues of P4 (--ell 31) take about 0.35 s end
+# to end.  The bound stays until the cost no longer grows with ell.
 MAX_FROB_RESIDUES = 1_000_000
 
 

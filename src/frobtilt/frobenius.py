@@ -5,25 +5,30 @@ torus; the pushforward of O(D) splits into the ell^n line bundles indexed
 by the residues u in {0..ell-1}^n, with coefficients
 b_rho(u) = floor((a_rho + <u, v_rho>) / ell).  Along the last coordinate
 the floors are constant on runs between at most sum_rho |v_rho[n-1]|
-breakpoints, so the split is counted run by run: ell^(n-1) prefixes times
-at most 1 + sum_rho |v_rho[n-1]| runs, one class reduction per run.
+breakpoints, and the class map is linear, so the split is counted run by
+run on Picard coordinates: one class reduction per ray, then ell^(n-1)
+prefixes, each an integer class sum plus one +-[D_rho] step per
+breakpoint.
 
 The full summand set over every ell is computed exactly from the chambers
 of the arrangement {<t, v_rho> = k} inside the half-open unit cube.  The
 rational point t found in a chamber realizes its class at every ell that
 clears t's denominators, so an ell sweep that stops at the largest such
-ell supplies the minimal witness ell of each class.
+ell supplies the minimal witness ell of each class.  The walk solves one
+LP per chamber node except the child that holds its parent's point.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from typing import Optional
 
 from .fan import DivisorClass, Fan, TorusDivisor, divisor_class
-from .lattice import IntVec, LinearSystem, dot, feasible_point
+from .lattice import IntVec, LinearSystem, dot, feasible_point, identity_matrix
 
 
 @dataclass(frozen=True)
@@ -50,37 +55,50 @@ class FrobSet:
         return iter(self.classes)
 
 
-def summand_divisor(fan: Fan, D: TorusDivisor, ell: int, u: IntVec) -> TorusDivisor:
-    coeffs = tuple(
-        (D.coeffs[i] + dot(u, ray)) // ell for i, ray in enumerate(fan.rays)
-    )
-    return TorusDivisor(fan, coeffs)
-
-
 def pushforward_summands(fan: Fan, D: TorusDivisor, ell: int) -> Counter:
     """Multiset of summand classes of the degree-ell pushforward of O(D).
 
-    For each prefix u[:n-1] the floors b_rho are constant on runs of the
-    last coordinate x; each run adds its length to the class of its first
-    residue.  Cost: ell^(n-1) prefixes, each with at most
-    1 + sum_rho |v_rho[n-1]| runs.
+    divisor_class is linear, since every pivot of the Picard Hermite form
+    is 1, so each ray divisor D_rho is reduced once and a floor vector b
+    has the class sum_rho b_rho [D_rho].  For each prefix u[:n-1], with
+    c_rho = a_rho + <u[:n-1], v_rho[:n-1]>, the class at x = 0 is
+    sum_rho (c_rho // ell) [D_rho]; at each breakpoint of the last
+    coordinate x, every ray whose floor steps there adds +-[D_rho], and
+    each run adds its length to its class.  Cost: n_rays class
+    reductions, then ell^(n-1) prefixes with at most
+    sum_rho |v_rho[n-1]| breakpoints each, in integer arithmetic on
+    Picard coordinates.
     """
     fan.require_valid()
     if ell < 1:
         raise ValueError("ell must be a positive integer")
-    heads = [ray[:-1] for ray in fan.rays]
-    lasts = [ray[-1] for ray in fan.rays]
-    counts: Counter = Counter()
+    if D.fan != fan:
+        raise ValueError("the divisor is not on this fan")
+    rays = []
+    for a, ray, e in zip(D.coeffs, fan.rays, identity_matrix(fan.n_rays)):
+        unit = divisor_class(TorusDivisor(fan, e)).coords
+        step = unit if ray[-1] >= 0 else tuple(-x for x in unit)
+        rays.append((a, ray[:-1], ray[-1], unit, step))
+    origin = (0,) * fan.picard_rank
+    counts: dict[IntVec, int] = {}
     for prefix in itertools.product(range(ell), repeat=fan.dim - 1):
-        starts = {0}
-        for a, head, g in zip(D.coeffs, heads, lasts):
+        cls = origin
+        steps: dict[int, IntVec] = {}
+        for a, head, g, unit, step in rays:
+            c = a + sum(map(operator.mul, prefix, head))
+            q = c // ell
+            if q:
+                cls = tuple(x + q * y for x, y in zip(cls, unit))
             if g:
-                starts.update(_breakpoints(a + dot(prefix, head), g, ell))
-        xs = sorted(starts)
-        for x, end in zip(xs, xs[1:] + [ell]):
-            cls = divisor_class(summand_divisor(fan, D, ell, prefix + (x,)))
-            counts[cls] += end - x
-    return counts
+                for x in _breakpoints(c, g, ell):
+                    steps[x] = tuple(map(operator.add, steps[x], step)) if x in steps else step
+        start = 0
+        for x in sorted(steps):
+            counts[cls] = counts.get(cls, 0) + x - start
+            cls = tuple(map(operator.add, cls, steps[x]))
+            start = x
+        counts[cls] = counts.get(cls, 0) + ell - start
+    return Counter({DivisorClass(coords, fan): m for coords, m in counts.items()})
 
 
 def _breakpoints(c: int, g: int, ell: int) -> list[int]:
@@ -103,7 +121,9 @@ def frob_set(fan: Fan) -> FrobSet:
     Chamber enumeration over the floor vector b: ray by ray, each partial
     assignment keeps only values whose chamber is still nonempty.  Since
     t < 1 in every coordinate, <t, v_rho> < hi whenever hi > 0, so b = hi
-    occurs only when hi = 0.
+    occurs only when hi = 0.  A node's feasible point t lies in the child
+    b = floor(<t, v_k>), which inherits t instead of solving an LP; every
+    other child solves one.
     """
     fan.require_valid()
     witness_ells: dict[DivisorClass, int] = {}
@@ -113,20 +133,23 @@ def frob_set(fan: Fan) -> FrobSet:
         hi = sum(max(x, 0) for x in ray)
         ranges.append(range(lo, max(hi, 1)))
 
-    def descend(k: int, prefix: tuple[int, ...]) -> None:
-        point = feasible_point(_chamber_system_partial(fan, prefix))
+    def descend(k: int, prefix: tuple[int, ...], point: Optional[tuple[IntVec, int]]) -> None:
         if point is None:
-            return
+            point = feasible_point(_chamber_system_partial(fan, prefix))
+            if point is None:
+                return
+        num, den = point
         if k == fan.n_rays:
             # u = ell*t is a residue at ell = the lcm of t's denominators,
             # and its summand has floor vector prefix.
             cls = divisor_class(TorusDivisor(fan, prefix))
-            witness_ells.setdefault(cls, point[1] // math.gcd(point[1], *point[0]))
+            witness_ells.setdefault(cls, den // math.gcd(den, *num))
             return
+        inside = dot(num, fan.rays[k]) // den
         for b in ranges[k]:
-            descend(k + 1, prefix + (b,))
+            descend(k + 1, prefix + (b,), point if b == inside else None)
 
-    descend(0, ())
+    descend(0, (), None)
 
     min_ell = _witness_sweep(fan, witness_ells)
     witnesses = tuple(FrobWitness(cls, min_ell[cls]) for cls in sorted(witness_ells))

@@ -3,14 +3,16 @@
 The tests compare the library's answers with these: the per-weight brute
 force for cohomology, the reduced-cohomology ranks of one ray subcomplex
 built from the maximal cones alone (the reference for the per-fan pattern
-table), the residue-by-residue walk for pushforwards, the ell sweep from 1
-for the stabilizing ell, the projection-formula identity between
+table), the residue-by-residue walk for pushforwards, the chamber walk
+with one LP at every node for frob(X), the ell sweep from 1 for the
+stabilizing ell, the projection-formula identity between
 pushforwards and cohomology, wall-curve intersection numbers for nefness,
 and an integer solve per cone for the Cartier data behind a failing nef
 inequality.
 """
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,8 +20,8 @@ from typing import Optional, Sequence
 
 from frobtilt.cohomology import cohomology
 from frobtilt.fan import DivisorClass, Fan, TorusDivisor, canonical_divisor, divisor_class
-from frobtilt.frobenius import frob_set, pushforward_summands, summand_divisor
-from frobtilt.lattice import IntVec, dot, hermite_normal_form, integer_rank
+from frobtilt.frobenius import _chamber_system_partial, frob_set, pushforward_summands
+from frobtilt.lattice import IntVec, dot, feasible_point, hermite_normal_form, integer_rank
 
 
 def weight_cohomology(fan: Fan, D: TorusDivisor, m: IntVec) -> tuple[int, ...]:
@@ -76,6 +78,14 @@ def subcomplex_ranks(fan: Fan, verts: frozenset[int]) -> tuple[int, ...]:
     return tuple(ranks)
 
 
+def summand_divisor(fan: Fan, D: TorusDivisor, ell: int, u: IntVec) -> TorusDivisor:
+    """The summand of residue u: coefficients floor((a_rho + <u, v_rho>) / ell)."""
+    coeffs = tuple(
+        (D.coeffs[i] + dot(u, ray)) // ell for i, ray in enumerate(fan.rays)
+    )
+    return TorusDivisor(fan, coeffs)
+
+
 def residue_walk(fan: Fan, D: TorusDivisor, ell: int) -> Counter:
     """Multiset of summand classes of the degree-ell pushforward of O(D)."""
     fan.require_valid()
@@ -85,6 +95,46 @@ def residue_walk(fan: Fan, D: TorusDivisor, ell: int) -> Counter:
     for u in itertools.product(range(ell), repeat=fan.dim):
         counts[divisor_class(summand_divisor(fan, D, ell, u))] += 1
     return counts
+
+
+def chamber_walk(fan: Fan) -> tuple[dict[DivisorClass, int], int]:
+    """frob(X) by the chamber walk with one LP at every node.
+
+    Returns each class's minimal witness ell, from a residue-walk sweep of
+    ell = 1 up to the largest chamber witness ell, and the number of
+    chamber nodes visited.
+    """
+    fan.require_valid()
+    witness_ells: dict[DivisorClass, int] = {}
+    ranges = []
+    for ray in fan.rays:
+        lo = sum(min(x, 0) for x in ray)
+        hi = sum(max(x, 0) for x in ray)
+        ranges.append(range(lo, max(hi, 1)))
+    nodes = 0
+
+    def descend(k: int, prefix: tuple[int, ...]) -> None:
+        nonlocal nodes
+        nodes += 1
+        point = feasible_point(_chamber_system_partial(fan, prefix))
+        if point is None:
+            return
+        if k == fan.n_rays:
+            cls = divisor_class(TorusDivisor(fan, prefix))
+            witness_ells.setdefault(cls, point[1] // math.gcd(point[1], *point[0]))
+            return
+        for b in ranges[k]:
+            descend(k + 1, prefix + (b,))
+
+    descend(0, ())
+
+    zero = TorusDivisor(fan, (0,) * fan.n_rays)
+    found: dict[DivisorClass, int] = {}
+    for ell in range(1, max(witness_ells.values()) + 1):
+        for cls in residue_walk(fan, zero, ell):
+            if cls in witness_ells:
+                found.setdefault(cls, ell)
+    return found, nodes
 
 
 def stabilizing_ell_from_one(fan: Fan) -> int:

@@ -8,13 +8,9 @@ import pytest
 
 from frobtilt.catalog import builtin, catalog_names
 from frobtilt.fan import DivisorClass, TorusDivisor, divisor_class, principal_divisor, product
-from frobtilt.frobenius import (
-    frob_set,
-    minimal_stabilizing_ell,
-    pushforward_summands,
-    summand_divisor,
-)
-from oracles import residue_walk, stabilizing_ell_from_one
+from frobtilt.frobenius import frob_set, minimal_stabilizing_ell, pushforward_summands
+from frobtilt.lattice import dot
+from oracles import chamber_walk, residue_walk, stabilizing_ell_from_one, summand_divisor
 
 P1 = builtin("P1").fan
 P2 = builtin("P2").fan
@@ -90,8 +86,45 @@ def test_run_walk_matches_residue_walk_on_catalog(name):
             assert dict(counts) == dict(residue_walk(fan, D, ell)), (ell, D.coeffs)
 
 
+def steps_coincide(fan, D, ell):
+    """Whether two rays' floors step between the same residues (u', x - 1) and (u', x)."""
+    for u in itertools.product(range(ell), repeat=fan.dim):
+        if u[-1]:
+            before = u[:-1] + (u[-1] - 1,)
+            stepping = [
+                (a + dot(u, ray)) // ell != (a + dot(before, ray)) // ell
+                for a, ray in zip(D.coeffs, fan.rays)
+            ]
+            if sum(stepping) >= 2:
+                return True
+    return False
+
+
+# One ell above 12 per dimension that keeps the oracle within 10^4 residues,
+# coefficients beyond ell, and two rays whose floors step at the same x.
+@pytest.mark.parametrize(
+    "name, ell, coeffs",
+    [
+        ("P1", 97, (-150, 246)),
+        ("P2", 40, (-110, 101, -56)),
+        ("dP6", 41, (76, 21, 108, -7, -90, -37)),
+        ("BlptP3", 21, (32, -34, -41, 0, 33)),
+    ],
+)
+def test_run_walk_matches_residue_walk_at_coinciding_breakpoints(name, ell, coeffs):
+    fan = builtin(name).fan
+    D = TorusDivisor(fan, coeffs)
+    assert ell > 12 and ell ** fan.dim <= 10_000 and max(map(abs, coeffs)) > ell
+    assert steps_coincide(fan, D, ell)
+    counts = pushforward_summands(fan, D, ell)
+    walk = residue_walk(fan, D, ell)
+    assert dict(counts) == dict(walk)
+    assert list(counts) == list(walk)
+
+
 @pytest.mark.parametrize("coeffs", [(0, 0, 0), (-7, 3, 5)])
-def test_run_walk_reduces_one_class_per_run(monkeypatch, coeffs):
+def test_run_walk_reduces_each_ray_once(monkeypatch, coeffs):
+    # the class map is linear: n_rays reductions, whatever ell is
     frobenius = importlib.import_module("frobtilt.frobenius")
     calls = []
 
@@ -102,9 +135,19 @@ def test_run_walk_reduces_one_class_per_run(monkeypatch, coeffs):
     monkeypatch.setattr(frobenius, "divisor_class", counted)
     ell = 1000
     counts = pushforward_summands(P2, TorusDivisor(P2, coeffs), ell)
-    runs_per_prefix = 1 + sum(abs(ray[-1]) for ray in P2.rays)
-    assert len(calls) <= ell ** (P2.dim - 1) * runs_per_prefix
+    assert len(calls) <= P2.n_rays
     assert sum(counts.values()) == ell ** P2.dim
+
+
+# F1 and P1xP1 both have 4 rays; P2 has fewer coefficients than F1 has rays.
+@pytest.mark.parametrize(
+    "fan, D",
+    [(P1xP1, TorusDivisor(F1, (1, 0, 0, 0))), (F1, TorusDivisor(P2, (1, 0, 0)))],
+    ids=["same-ray-count", "fewer-coefficients"],
+)
+def test_pushforward_rejects_a_divisor_of_another_fan(fan, D):
+    with pytest.raises(ValueError, match="not on this fan"):
+        pushforward_summands(fan, D, 2)
 
 
 @pytest.mark.parametrize("name", ["P1", "P2", "P1xP1", "F1", "F2"])
@@ -188,6 +231,27 @@ def test_chamber_and_sweep_agree(name):
     fan = builtin(name).fan
     max_ell = 12 if fan.dim <= 3 else 8
     assert set(frob_set(fan).classes) == sweep_union(fan, max_ell)
+
+
+def test_chamber_walk_reuses_the_parent_point(monkeypatch):
+    # frob_set against the walk with one LP at every node: the same classes,
+    # the same minimal witness ells, and fewer LPs.
+    frobenius = importlib.import_module("frobtilt.frobenius")
+    real = frobenius.feasible_point
+    calls = []
+
+    def counted(S):
+        calls.append(S)
+        return real(S)
+
+    monkeypatch.setattr(frobenius, "feasible_point", counted)
+    nodes = 0
+    for fan in [builtin(name).fan for name in catalog_names()] + [product(builtin("dP6").fan, P1)]:
+        expected, visited = chamber_walk(fan)
+        nodes += visited
+        fs = frob_set(fan)
+        assert {w.cls: w.min_ell for w in fs.witnesses} == expected
+    assert len(calls) < nodes
 
 
 def test_frob_contains_trivial_class_with_witness_one():

@@ -64,6 +64,28 @@ def test_no_unused_imports_or_private_functions():
     assert found == []
 
 
+def test_public_functions_exported_or_called():
+    # public API with no caller is deleted
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    exported = {
+        alias.asname or alias.name
+        for node in trees["__init__.py"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    top_level = [(node, _names(node)) for tree in trees.values() for node in tree.body]
+    found = [
+        f"{name}:{node.lineno} defines {node.name}, neither exported nor called"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in exported
+        and not any(node.name in names for other, names in top_level if other is not node)
+    ]
+    assert found == []
+
+
 def test_no_fractions_in_library():
     # rational values stay integer numerators over a shared denominator
     found = [
