@@ -22,7 +22,7 @@ from .cohomology import InfiniteCohomologyError, cohomology, weight_patterns
 from .cones import bu_set, is_nef, nef_fano_status
 from .fan import InvalidFanError, TorusDivisor, canonical_divisor
 from .frobenius import frob_set, minimal_stabilizing_ell, pushforward_summands
-from .tilting import VERIFIED, build_candidate, ext_vanishing, orlov_check
+from .tilting import NOT_APPLICABLE, VERIFIED, build_candidate, ext_vanishing, orlov_check
 
 # frob walks ell^(dim-1) residue prefixes, each an integer class sum over
 # the rays plus one class step per floor breakpoint, at 6-15 us a prefix on
@@ -257,14 +257,14 @@ def _cmd_batch(args):
             reports = list(pool.map(_batch_worker, targets))
     else:
         reports = [_batch_worker(t) for t in targets]
-    summary = {"verified": 0, "hypothesis_failed": 0, "not_applicable": 0, "total": len(reports)}
-    for r in reports:
-        if r["status"] == VERIFIED:
-            summary["verified"] += 1
-        elif r["status"] == "NOT_APPLICABLE":
-            summary["not_applicable"] += 1
-        else:
-            summary["hypothesis_failed"] += 1
+    statuses = [r["status"] for r in reports]
+    verified, not_applicable = statuses.count(VERIFIED), statuses.count(NOT_APPLICABLE)
+    summary = {
+        "verified": verified,
+        "hypothesis_failed": len(reports) - verified - not_applicable,
+        "not_applicable": not_applicable,
+        "total": len(reports),
+    }
     payload = {"entries": reports, "summary": summary}
     headers = ["name", "dim", "n_bu", "m0", "status"]
     rows = [[r["name"], r["dim"], r["n_bu"], r["m0"], r["status"]] for r in reports]

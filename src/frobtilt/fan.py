@@ -67,13 +67,6 @@ class Fan:
         if not cones:
             raise ValueError("fan needs at least one maximal cone")
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.dim, self.rays, self.max_cones))
-
-    def __hash__(self) -> int:
-        return self._hash
-
     @property
     def n_rays(self) -> int:
         return len(self.rays)

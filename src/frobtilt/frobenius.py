@@ -12,10 +12,10 @@ breakpoint.
 
 The full summand set over every ell is computed exactly from the chambers
 of the arrangement {<t, v_rho> = k} inside the half-open unit cube.  The
-rational point t found in a chamber realizes its class at every ell that
-clears t's denominators, so an ell sweep that stops at the largest such
-ell supplies the minimal witness ell of each class.  The walk solves one
-LP per chamber node except the child that holds its parent's point.
+rational point t found in a chamber realizes its class at every multiple
+of the chamber ell that clears t's denominators.  The walk solves one LP
+per chamber node except the child that holds its parent's point; minimal
+witness ells are swept only when first read.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .fan import DivisorClass, Fan, TorusDivisor, divisor_class
@@ -39,17 +40,30 @@ class FrobWitness:
 
 @dataclass(frozen=True)
 class FrobSet:
-    """The finite set of summand classes with one witness per class."""
+    """The finite set of summand classes, sorted by class coordinates.
+
+    chamber_ells[i] is an ell at which the walk's point realizes
+    classes[i]; it depends on the LP vertex found, so equality and repr
+    skip it.  witnesses (minimal witness ells) are swept on first read.
+    """
 
     fan: Fan
-    witnesses: tuple[FrobWitness, ...]  # sorted by class coordinates
+    classes: tuple[DivisorClass, ...]
+    chamber_ells: tuple[int, ...] = field(compare=False, repr=False)
 
-    @property
-    def classes(self) -> tuple[DivisorClass, ...]:
-        return tuple(w.cls for w in self.witnesses)
+    @cached_property
+    def witnesses(self) -> tuple[FrobWitness, ...]:
+        """Each class's least ell, sweeping ell = 1 up to the largest chamber ell."""
+        found: dict[DivisorClass, int] = {}
+        for ell in range(1, max(self.chamber_ells) + 1):
+            for cls in pushforward_summands(self.fan, _zero(self.fan), ell):
+                found.setdefault(cls, ell)
+            if all(cls in found for cls in self.classes):
+                return tuple(FrobWitness(cls, found[cls]) for cls in self.classes)
+        raise AssertionError("the ell sweep missed a chamber class by its witness ell")
 
     def __len__(self) -> int:
-        return len(self.witnesses)
+        return len(self.classes)
 
     def __iter__(self):
         return iter(self.classes)
@@ -126,7 +140,7 @@ def frob_set(fan: Fan) -> FrobSet:
     other child solves one.
     """
     fan.require_valid()
-    witness_ells: dict[DivisorClass, int] = {}
+    chamber_ells: dict[DivisorClass, int] = {}
     ranges = []
     for ray in fan.rays:
         lo = sum(min(x, 0) for x in ray)
@@ -143,7 +157,7 @@ def frob_set(fan: Fan) -> FrobSet:
             # u = ell*t is a residue at ell = the lcm of t's denominators,
             # and its summand has floor vector prefix.
             cls = divisor_class(TorusDivisor(fan, prefix))
-            witness_ells.setdefault(cls, den // math.gcd(den, *num))
+            chamber_ells.setdefault(cls, den // math.gcd(den, *num))
             return
         inside = dot(num, fan.rays[k]) // den
         for b in ranges[k]:
@@ -151,9 +165,8 @@ def frob_set(fan: Fan) -> FrobSet:
 
     descend(0, (), None)
 
-    min_ell = _witness_sweep(fan, witness_ells)
-    witnesses = tuple(FrobWitness(cls, min_ell[cls]) for cls in sorted(witness_ells))
-    return FrobSet(fan, witnesses)
+    classes = tuple(sorted(chamber_ells))
+    return FrobSet(fan, classes, tuple(chamber_ells[cls] for cls in classes))
 
 
 def _chamber_system_partial(fan: Fan, bs: tuple[int, ...]) -> LinearSystem:
@@ -170,34 +183,20 @@ def _chamber_system_partial(fan: Fan, bs: tuple[int, ...]) -> LinearSystem:
     return LinearSystem(n, tuple(rows))
 
 
-def _witness_sweep(fan: Fan, witness_ells: dict[DivisorClass, int]) -> dict[DivisorClass, int]:
-    """Each class's least ell, sweeping ell = 1 up to the largest witness ell."""
-    found: dict[DivisorClass, int] = {}
-    for ell in range(1, max(witness_ells.values()) + 1):
-        for cls in pushforward_summands(fan, _zero(fan), ell):
-            if cls in witness_ells:
-                found.setdefault(cls, ell)
-        if len(found) == len(witness_ells):
-            return found
-    raise AssertionError("the ell sweep missed a chamber class by its witness ell")
-
-
 def minimal_stabilizing_ell(fan: Fan) -> int:
     """Least ell whose single pushforward of O contains every frob class.
 
-    Every class appears at that ell, so it is at least each class's
-    minimal witness ell; the search starts from the largest of those.  A
-    class seen at ell through residue u is seen again at k*ell through
-    k*u, so every class appears at the lcm of the witness ells, which
-    ends the search.
+    The search runs from ell = 1, so each ell is walked once.  A class
+    seen at ell through residue u is seen again at k*ell through k*u, so
+    every class appears at the lcm of the chamber ells, which ends the
+    search.
     """
     fs = frob_set(fan)
     classes = set(fs.classes)
-    min_ells = [w.min_ell for w in fs.witnesses]
-    for ell in range(max(min_ells), math.lcm(*min_ells) + 1):
+    for ell in range(1, math.lcm(*fs.chamber_ells) + 1):
         if classes <= set(pushforward_summands(fan, _zero(fan), ell)):
             return ell
-    raise AssertionError("stabilization bound violated; witness ells inconsistent")
+    raise AssertionError("stabilization bound violated; chamber ells inconsistent")
 
 
 def _zero(fan: Fan) -> TorusDivisor:

@@ -14,7 +14,7 @@ as VERIFIED_MODULO_FULLNESS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .cohomology import CohomologyVector, cohomology, ext_dims, require_pattern_rays
@@ -94,23 +94,8 @@ class OrlovReport:
 
     def to_dict(self) -> dict:
         return {
-            "name": self.name,
-            "dim": self.dim,
-            "n_rays": self.n_rays,
-            "n_max_cones": self.n_max_cones,
-            "n_frob": self.n_frob,
-            "n_bu": self.n_bu,
-            "nef_fano_status": self.nef_fano,
-            "ext_vanishing": self.ext_vanishing,
-            "ext_violations": [list(v) for v in self.ext_violations],
-            "k_rank_match": self.k_rank_match,
-            "gram_det": self.gram_det,
-            "gram_unimodular": self.gram_unimodular,
-            "m0": self.m0,
-            "gen_time_upper": self.gen_time_upper,
-            "rdim_lower": self.rdim_lower,
-            "status": self.status,
-            "reason": self.reason,
+            "nef_fano_status" if f.name == "nef_fano" else f.name: getattr(self, f.name)
+            for f in fields(self)
         }
 
 

@@ -20,8 +20,15 @@ from typing import Optional, Sequence
 
 from frobtilt.cohomology import cohomology
 from frobtilt.fan import DivisorClass, Fan, TorusDivisor, canonical_divisor, divisor_class
-from frobtilt.frobenius import _chamber_system_partial, frob_set, pushforward_summands
-from frobtilt.lattice import IntVec, dot, feasible_point, hermite_normal_form, integer_rank
+from frobtilt.frobenius import frob_set, pushforward_summands
+from frobtilt.lattice import (
+    IntVec,
+    LinearSystem,
+    dot,
+    feasible_point,
+    hermite_normal_form,
+    integer_rank,
+)
 
 
 def weight_cohomology(fan: Fan, D: TorusDivisor, m: IntVec) -> tuple[int, ...]:
@@ -97,6 +104,20 @@ def residue_walk(fan: Fan, D: TorusDivisor, ell: int) -> Counter:
     return counts
 
 
+def chamber_system(fan: Fan, bs: tuple[int, ...]) -> LinearSystem:
+    """t in [0,1)^n with <t, v_rho> in [b_rho, b_rho + 1) for the first len(bs) rays."""
+    n = fan.dim
+    rows = []
+    for i in range(n):
+        e = tuple(int(i == j) for j in range(n))
+        rows.append((tuple(-x for x in e), 0, False))
+        rows.append((e, 1, True))
+    for ray, b in zip(fan.rays, bs):
+        rows.append((tuple(-x for x in ray), -b, False))
+        rows.append((ray, b + 1, True))
+    return LinearSystem(n, tuple(rows))
+
+
 def chamber_walk(fan: Fan) -> tuple[dict[DivisorClass, int], int]:
     """frob(X) by the chamber walk with one LP at every node.
 
@@ -116,7 +137,7 @@ def chamber_walk(fan: Fan) -> tuple[dict[DivisorClass, int], int]:
     def descend(k: int, prefix: tuple[int, ...]) -> None:
         nonlocal nodes
         nodes += 1
-        point = feasible_point(_chamber_system_partial(fan, prefix))
+        point = feasible_point(chamber_system(fan, prefix))
         if point is None:
             return
         if k == fan.n_rays:
@@ -138,11 +159,15 @@ def chamber_walk(fan: Fan) -> tuple[dict[DivisorClass, int], int]:
 
 
 def stabilizing_ell_from_one(fan: Fan) -> int:
-    """Least ell whose pushforward of O contains every frob class, searched from 1."""
-    classes = set(frob_set(fan).classes)
+    """Least ell whose pushforward of O contains every frob class, searched from 1.
+
+    The classes come from chamber_walk and each ell from residue_walk, so
+    no library routine of frob(X) or of the pushforward takes part.
+    """
+    classes = set(chamber_walk(fan)[0])
     zero = TorusDivisor(fan, (0,) * fan.n_rays)
     ell = 1
-    while not classes <= set(pushforward_summands(fan, zero, ell)):
+    while not classes <= set(residue_walk(fan, zero, ell)):
         ell += 1
     return ell
 

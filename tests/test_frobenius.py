@@ -8,7 +8,7 @@ import pytest
 
 from frobtilt.catalog import builtin, catalog_names
 from frobtilt.fan import DivisorClass, TorusDivisor, divisor_class, principal_divisor, product
-from frobtilt.frobenius import frob_set, minimal_stabilizing_ell, pushforward_summands
+from frobtilt.frobenius import FrobSet, frob_set, minimal_stabilizing_ell, pushforward_summands
 from frobtilt.lattice import dot
 from oracles import chamber_walk, residue_walk, stabilizing_ell_from_one, summand_divisor
 
@@ -284,8 +284,48 @@ def test_witness_sweep_fails_instead_of_looping_on_a_missed_class(monkeypatch):
     monkeypatch.setattr(frobenius, "pushforward_summands", dropping)
     start = time.perf_counter()
     with pytest.raises(AssertionError, match="missed a chamber class"):
-        frob_set(P2)
+        frob_set(P2).witnesses
     assert time.perf_counter() - start < 1
+
+
+def pushforward_ells(monkeypatch):
+    """Wrap the library's pushforward; the returned list records each ell walked."""
+    frobenius = importlib.import_module("frobtilt.frobenius")
+    real = frobenius.pushforward_summands
+    ells = []
+
+    def recording(fan, D, ell):
+        ells.append(ell)
+        return real(fan, D, ell)
+
+    monkeypatch.setattr(frobenius, "pushforward_summands", recording)
+    return ells
+
+
+def test_frob_set_walks_no_pushforward_and_sweeps_witnesses_once(monkeypatch):
+    ells = pushforward_ells(monkeypatch)
+    fan = product(builtin("dP6").fan, P1)
+    fs = frob_set(fan)
+    assert len(fs) == len(fs.classes) and divisor_class(zero(fan)) in fs
+    assert ells == []
+    first = fs.witnesses
+    swept = list(range(1, max(w.min_ell for w in first) + 1))
+    assert ells == swept
+    assert fs.witnesses is first and ells == swept
+
+
+def test_frob_set_equality_ignores_chamber_ells():
+    fs = frob_set(P2)
+    other = FrobSet(fs.fan, fs.classes, tuple(2 * e for e in fs.chamber_ells))
+    assert fs == other and hash(fs) == hash(other) and repr(fs) == repr(other)
+    assert "chamber_ells" not in repr(fs)
+
+
+@pytest.mark.parametrize("name", ["P2", "dP6", "BlptP3"])
+def test_stabilize_walks_each_ell_once(monkeypatch, name):
+    ells = pushforward_ells(monkeypatch)
+    ell = minimal_stabilizing_ell(builtin(name).fan)
+    assert ells == list(range(1, ell + 1))
 
 
 def test_frob_classes_sorted():

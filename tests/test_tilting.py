@@ -203,3 +203,18 @@ def test_chain_ell1_trivial():
 @pytest.mark.parametrize("ell", [2, 3])
 def test_chain_p2(ell):
     assert projection_chain_check(P2, ell).ok
+
+
+@pytest.mark.parametrize("check", [orlov_check, bu_set, build_candidate])
+def test_candidate_paths_walk_no_pushforward(monkeypatch, check):
+    # bu(X) needs frob(X) only as a set: no minimal witness ell is swept
+    real = frobtilt.frobenius.pushforward_summands
+    ells = []
+
+    def recording(fan, D, ell):
+        ells.append(ell)
+        return real(fan, D, ell)
+
+    monkeypatch.setattr(frobtilt.frobenius, "pushforward_summands", recording)
+    check(product(builtin("dP6").fan, P1))  # a fresh Fan: no cache carries over
+    assert ells == []

@@ -96,3 +96,16 @@ def test_no_fractions_in_library():
         or isinstance(node, ast.ImportFrom) and node.module == "fractions"
     ]
     assert found == []
+
+
+def test_oracles_import_no_private_library_name():
+    # an oracle that borrows a private helper shares the code it should check
+    path = Path(__file__).with_name("oracles.py")
+    found = [
+        f"oracles.py:{node.lineno} imports {alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "frobtilt"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
