@@ -5,7 +5,8 @@ in json (default), md, or csv.  Exit codes: 0 success / verified, 1 a
 verification failed (e.g. orlov status is not VERIFIED_MODULO_FULLNESS),
 2 invalid input (unknown target, malformed file or divisor, invalid fan,
 a fan whose cohomology turns out infinite, i.e. one that is not complete,
-or work beyond a supported bound: --ell or the ray count).
+or work beyond a supported bound: the residues of one ell, for --ell and
+the ell sweeps of frob-set and stabilize, or the ray count).
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ from .catalog import FanFileError, read_json, resolve
 from .cohomology import InfiniteCohomologyError, cohomology, weight_patterns
 from .cones import bu_set, is_nef, nef_fano_status
 from .fan import InvalidFanError, TorusDivisor, canonical_divisor
-from .frobenius import frob_set, minimal_stabilizing_ell, pushforward_summands
+from .frobenius import (
+    MAX_FROB_RESIDUES,
+    frob_set,
+    minimal_stabilizing_ell,
+    pushforward_summands,
+)
 from .tilting import NOT_APPLICABLE, VERIFIED, build_candidate, ext_vanishing, orlov_check
-
-# frob walks ell^(dim-1) residue prefixes, each an integer class sum over
-# the rays plus one class step per floor breakpoint, at 6-15 us a prefix on
-# a 2-vCPU host: a million residues of P4 (--ell 31) take about 0.35 s end
-# to end.  The bound stays until the cost no longer grows with ell.
-MAX_FROB_RESIDUES = 1_000_000
 
 
 def build_parser() -> argparse.ArgumentParser:

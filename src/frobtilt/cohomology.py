@@ -19,8 +19,11 @@ triangulated sphere, so Alexander duality ranks every full subcomplex from
 1-skeleton components, the reduced Euler characteristic and, from dimension
 5 on, coboundary ranks in the low degrees; each active pattern gets its
 certificates in the same pass.  The regions that survive are counted with
-the optimal LP bases kept per pattern, so most coordinate bounds need no
-simplex.
+the optimal LP bases kept per constraint block, so most coordinate bounds
+need no simplex.  Every row +-v_rho of a product fan's region lies in one
+factor's coordinates, so a product region is counted per factor, as the
+product of the factors' counts, and the factor blocks share their bases
+across patterns.
 """
 
 from __future__ import annotations

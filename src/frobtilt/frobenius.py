@@ -15,7 +15,9 @@ of the arrangement {<t, v_rho> = k} inside the half-open unit cube.  The
 rational point t found in a chamber realizes its class at every multiple
 of the chamber ell that clears t's denominators.  The walk solves one LP
 per chamber node except the child that holds its parent's point; minimal
-witness ells are swept only when first read.
+witness ells are swept only when first read, and neither that sweep nor
+the stabilizing search walks an ell with more than MAX_FROB_RESIDUES
+residues.
 """
 
 from __future__ import annotations
@@ -30,6 +32,14 @@ from typing import Optional
 
 from .fan import DivisorClass, Fan, TorusDivisor, divisor_class
 from .lattice import IntVec, LinearSystem, dot, feasible_point, identity_matrix
+
+# A walk at ell visits ell^(dim-1) residue prefixes, each an integer class
+# sum over the rays plus one class step per floor breakpoint, at 6-15 us a
+# prefix on a 2-vCPU host: a million residues of P4 (ell = 31) take
+# 0.2-0.5 s end to end, as the host's load varies.  frob --ell and the ell
+# sweeps of frob-set and stabilize refuse an ell with more residues; the
+# bound stays until the cost no longer grows with ell.
+MAX_FROB_RESIDUES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -53,9 +63,15 @@ class FrobSet:
 
     @cached_property
     def witnesses(self) -> tuple[FrobWitness, ...]:
-        """Each class's least ell, sweeping ell = 1 up to the largest chamber ell."""
+        """Each class's least ell, sweeping ell = 1 up to the largest chamber ell.
+
+        Raises ValueError, before any walk, when that ell has more than
+        MAX_FROB_RESIDUES residues.
+        """
+        last = max(self.chamber_ells)
+        _require_residue_bound(self.fan, last)
         found: dict[DivisorClass, int] = {}
-        for ell in range(1, max(self.chamber_ells) + 1):
+        for ell in range(1, last + 1):
             for cls in pushforward_summands(self.fan, _zero(self.fan), ell):
                 found.setdefault(cls, ell)
             if all(cls in found for cls in self.classes):
@@ -189,14 +205,25 @@ def minimal_stabilizing_ell(fan: Fan) -> int:
     The search runs from ell = 1, so each ell is walked once.  A class
     seen at ell through residue u is seen again at k*ell through k*u, so
     every class appears at the lcm of the chamber ells, which ends the
-    search.
+    search.  Raises ValueError before walking an ell with more than
+    MAX_FROB_RESIDUES residues.
     """
     fs = frob_set(fan)
     classes = set(fs.classes)
     for ell in range(1, math.lcm(*fs.chamber_ells) + 1):
+        _require_residue_bound(fan, ell)
         if classes <= set(pushforward_summands(fan, _zero(fan), ell)):
             return ell
     raise AssertionError("stabilization bound violated; chamber ells inconsistent")
+
+
+def _require_residue_bound(fan: Fan, ell: int) -> None:
+    residues = ell ** fan.dim
+    if residues > MAX_FROB_RESIDUES:
+        raise ValueError(
+            f"the ell sweep reaches ell = {ell}, which walks ell^dim = {ell}^{fan.dim} = "
+            f"{residues} residues; at most {MAX_FROB_RESIDUES} are supported"
+        )
 
 
 def _zero(fan: Fan) -> TorusDivisor:

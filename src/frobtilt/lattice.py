@@ -7,11 +7,16 @@ numerators over one shared denominator (an LP optimum or point is read
 off the simplex tableau), and coordinate bounds are the integer box.  No
 floating point is used anywhere; strict rows are decided exactly (via an
 auxiliary slack maximization, never a numeric tolerance).  The integer
-points of a bounded system are counted, not listed.
+points of a bounded system are counted, not listed, per independent
+coordinate block (the coordinates that rows link), and the block counts
+are multiplied.  A block whose relaxation is empty makes the count 0 even
+beside an unbounded block; otherwise an unbounded block raises
+UnboundedSystemError.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -404,13 +409,53 @@ def _optimal_basis(tab: _Tableau, dim: int, m: int, k: int, sgn: int) -> Optiona
 def count_points(S: LinearSystem, bases: Optional[dict] = None) -> int:
     """The number of integer points satisfying S.
 
-    Walks the integer bounding box with per-coordinate interval
-    tightening, counting the last coordinate's interval in one step;
-    errors on unbounded input.  bases is passed to coordinate_bounds.
+    S splits into independent coordinate blocks: the connected components
+    of the coordinates, two joined when some row is nonzero on both.  Each
+    block keeps the rows that touch it, in their order, and its count is
+    independent of the others', so the count is their product.  An
+    all-zero row is decided alone (0 <= b, or 0 < b when strict).  The
+    non-strict relaxation of any block being empty gives 0, even beside an
+    unbounded block; otherwise an unbounded block raises
+    UnboundedSystemError, and otherwise a block with no integer point in
+    its box gives 0.  Each block's box is walked with per-coordinate
+    interval tightening, counting the last coordinate's interval in one
+    step.  bases is passed to coordinate_bounds, so it is keyed by block
+    matrices.
     """
-    boxes = coordinate_bounds(S, bases)
-    if boxes is None or any(lo > hi for lo, hi in boxes):
+    row_masks, blocks = [], []  # blocks: disjoint bitmasks of joined coordinates
+    for a, b, strict in S.rows:
+        mask = sum(1 << k for k, x in enumerate(a) if x)
+        if not mask and b < strict:
+            return 0
+        row_masks.append(mask)
+        if mask:
+            joined = [m for m in blocks if m & mask]
+            blocks = [m for m in blocks if not m & mask] + [mask | sum(joined)]
+    blocks += [1 << k for k in range(S.dim) if not any(m >> k & 1 for m in blocks)]
+    boxed, unbounded = [], None
+    for block_mask in blocks:
+        coords = [k for k in range(S.dim) if block_mask >> k & 1]
+        block = LinearSystem(len(coords), tuple(
+            (tuple(a[k] for k in coords), b, strict)
+            for (a, b, strict), mask in zip(S.rows, row_masks) if mask & block_mask
+        ))
+        try:
+            boxes = coordinate_bounds(block, bases)
+        except UnboundedSystemError:
+            unbounded = unbounded or coords
+            continue
+        if boxes is None:
+            return 0
+        boxed.append((block, boxes))
+    if unbounded:
+        raise UnboundedSystemError("coordinates %s unbounded" % unbounded)
+    if any(lo > hi for _, boxes in boxed for lo, hi in boxes):
         return 0
+    return math.prod(_count_box(block, boxes) for block, boxes in boxed)
+
+
+def _count_box(S: LinearSystem, boxes: list[tuple[int, int]]) -> int:
+    """The number of integer points of S inside its integer bounding box."""
     # caps[k][i]: row i's part in x[:k+1] is at most b - strict minus the
     # least value the still-free x[k+1:] can give it (on integer points
     # a.x < b is a.x <= b - 1).  It depends only on the level k.

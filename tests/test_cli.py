@@ -7,7 +7,7 @@ import pytest
 from frobtilt import cli
 from frobtilt.catalog import CatalogEntry, builtin, save
 from frobtilt.cli import main
-from frobtilt.fan import Fan, star_subdivision
+from frobtilt.fan import Fan, projective_space, star_subdivision
 
 
 def run(capsys, *argv):
@@ -153,6 +153,39 @@ def test_frob_residue_bound_is_inclusive(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_FROB_RESIDUES", 9)
     assert run(capsys, "frob", "P2", "--ell", "3")[0] == 0
     assert run(capsys, "frob", "P2", "--ell", "4")[0] == 2
+
+
+def _projective_space_file(tmp_path, n):
+    path = tmp_path / f"P{n}.json"
+    save(CatalogEntry(f"P{n}", projective_space(n), "projective space"), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("command, ell", [("frob-set", 9), ("stabilize", 6)])
+def test_ell_sweep_refuses_more_than_a_million_residues(tmp_path, capsys, command, ell):
+    # frob-set checks P8's largest chamber ell, 9, before any walk;
+    # stabilize walks ell = 1 ... 5 and refuses 6^8 residues
+    path = _projective_space_file(tmp_path, 8)
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, path)
+    if command == "frob-set":
+        assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: the ell sweep reaches ell = {ell},") and err.count("\n") == 1
+    assert "ell^dim" in err
+
+
+def test_ell_sweep_allows_p6(tmp_path, capsys):
+    # 7^6 = 117,649 residues at P6's largest chamber ell
+    path = _projective_space_file(tmp_path, 6)
+    code, out, _ = run(capsys, "frob-set", path)
+    assert code == 0
+    data = json.loads(out)
+    assert data["size"] == 7
+    assert max(c["min_witness_ell"] for c in data["classes"]) == 7
+    code, out, _ = run(capsys, "stabilize", path)
+    assert code == 0 and json.loads(out)["minimal_stabilizing_ell"] == 7
 
 
 def _p2_chain_file(tmp_path, n_rays):

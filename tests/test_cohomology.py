@@ -281,6 +281,27 @@ def test_circuits_of_product_are_those_of_the_factors(x, y):
     assert set(got) == expected
 
 
+@pytest.mark.parametrize("x, y", [("dP6", "P1"), ("dP6", "P2")])
+def test_product_regions_are_counted_per_factor(x, y):
+    # every row +-v_rho of a product's pattern region lies in one factor,
+    # so the cached bases are those of factor blocks, never of the product,
+    # and the counts obey Kunneth
+    fx, fy = builtin(x).fan, builtin(y).fan
+    fan = product(fx, fy)
+    rng = random.Random(31)
+    for _ in range(12):
+        ax = tuple(rng.randint(-4, 4) for _ in fx.rays)
+        ay = tuple(rng.randint(-4, 4) for _ in fy.rays)
+        hx = cohomology(fx, TorusDivisor(fx, ax)).dims
+        hy = cohomology(fy, TorusDivisor(fy, ay)).dims
+        expected = [0] * (fan.dim + 1)
+        for i, j in itertools.product(range(fx.dim + 1), range(fy.dim + 1)):
+            expected[i + j] += hx[i] * hy[j]
+        assert cohomology(fan, TorusDivisor(fan, ax + ay)).dims == tuple(expected)
+    widths = {len(row) for A in fan._rank_cache["bases"] for row in A}
+    assert widths == {fx.dim, fy.dim}
+
+
 def test_circuit_counts():
     # dP6's six rays: three opposite pairs, and the 8 triples without one
     assert [len(_circuits(f)) for f in (P2, P1xP1, dP6)] == [1, 2, 11]

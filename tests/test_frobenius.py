@@ -328,6 +328,23 @@ def test_stabilize_walks_each_ell_once(monkeypatch, name):
     assert ells == list(range(1, ell + 1))
 
 
+def test_ell_sweeps_refuse_an_ell_beyond_the_residue_bound(monkeypatch):
+    # P2's largest chamber ell and its stabilizing ell are 3: 3^2 = 9 residues
+    ells = pushforward_ells(monkeypatch)
+    frobenius = importlib.import_module("frobtilt.frobenius")
+    monkeypatch.setattr(frobenius, "MAX_FROB_RESIDUES", 8)
+    fs = frob_set(P2)
+    with pytest.raises(ValueError, match=r"ell = 3, which walks ell\^dim = 3\^2 = 9 residues"):
+        fs.witnesses
+    assert ells == []
+    with pytest.raises(ValueError, match="ell = 3"):
+        minimal_stabilizing_ell(P2)
+    assert ells == [1, 2]
+    monkeypatch.setattr(frobenius, "MAX_FROB_RESIDUES", 9)
+    assert max(w.min_ell for w in frob_set(P2).witnesses) == 3
+    assert minimal_stabilizing_ell(P2) == 3
+
+
 def test_frob_classes_sorted():
     for name in ("P2", "F1", "dP6"):
         coords = [c.coords for c in frob_set(builtin(name).fan).classes]

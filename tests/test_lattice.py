@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -213,8 +214,6 @@ def test_solve_no_rational_solution():
 
 @pytest.mark.parametrize("seed", range(30))
 def test_solve_none_agrees_with_box_search(seed):
-    import itertools
-
     rng = random.Random(2000 + seed)
     n = rng.randint(1, 3)
     m = rng.randint(1, 3)
@@ -391,8 +390,6 @@ def test_lattice_points_vs_brute_force(seed):
         rel = rng.choice(["<=", "<", ">=", ">", "="])
         cons.append((coeffs, rel, rng.randint(-3, 3)))
     S = system(n, cons)
-    import itertools
-
     brute = [
         pt
         for pt in itertools.product(range(-3, 4), repeat=n)
@@ -409,6 +406,81 @@ def test_lattice_point_count_unimodular_invariance():
         (tuple(dot(a, col) for col in zip(*U)), b, strict) for a, b, strict in S.rows
     ))
     assert count_points(S) == count_points(T)
+
+
+# --- count_points block by block ------------------------------------------
+
+
+def brute_count(S, radius=3):
+    return sum(
+        satisfies(S, pt) for pt in itertools.product(range(-radius, radius + 1), repeat=S.dim)
+    )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_count_is_the_product_of_interleaved_block_counts(seed):
+    # coordinate k goes to block k % nblocks, so every block but the last
+    # sits on non-contiguous coordinates; the rows are shuffled together
+    rng = random.Random(7000 + seed)
+    dim = rng.randint(2, 5)
+    nblocks = rng.randint(2, min(3, dim))
+    rows, factors = [], []
+    for j in range(nblocks):
+        coords = list(range(j, dim, nblocks))
+        local = []
+        for k in range(len(coords)):
+            e = tuple(int(i == k) for i in range(len(coords)))
+            local.append((e, rng.randint(0, 3), False))
+            local.append((tuple(-x for x in e), rng.randint(0, 3), False))
+        for _ in range(rng.randint(0, 3)):
+            a = tuple(rng.randint(-2, 2) for _ in coords)
+            local.append((a, rng.randint(-2, 4), rng.random() < 0.3))
+        factors.append(brute_count(LinearSystem(len(coords), tuple(local))))
+        for a, b, strict in local:
+            full = [0] * dim
+            for k, x in zip(coords, a):
+                full[k] = x
+            rows.append((tuple(full), b, strict))
+    rng.shuffle(rows)
+    S = LinearSystem(dim, tuple(rows))
+    assert count_points(S) == brute_count(S) == math.prod(factors)
+
+
+def test_empty_block_beside_unbounded_block_counts_zero():
+    # x_e >= 1 and x_e <= 0 is empty; x_u >= 0 is unbounded; either
+    # coordinate and either row order may come first
+    for e, u in ((0, 1), (1, 0)):
+        empty = (
+            (tuple(-int(k == e) for k in range(2)), -1, False),
+            (tuple(int(k == e) for k in range(2)), 0, False),
+        )
+        unbounded = ((tuple(-int(k == u) for k in range(2)), 0, False),)
+        assert count_points(LinearSystem(2, empty + unbounded)) == 0
+        assert count_points(LinearSystem(2, unbounded + empty)) == 0
+
+
+def test_unbounded_block_wins_over_integer_empty_block():
+    # 2x = 1 has no integer point, but y >= 0 is unbounded
+    S = LinearSystem(2, (((2, 0), 1, False), ((-2, 0), -1, False), ((0, -1), 0, False)))
+    with pytest.raises(UnboundedSystemError):
+        count_points(S)
+
+
+def test_untouched_coordinate_is_unbounded():
+    S = system(3, [((1, 0, 0), ">=", 0), ((1, 0, 0), "<=", 2),
+                   ((0, 0, 1), ">=", 0), ((0, 0, 1), "<=", 2)])
+    with pytest.raises(UnboundedSystemError):
+        count_points(S)
+
+
+def test_all_zero_rows_are_decided_alone():
+    square = ((1, 0), 2, False), ((-1, 0), 0, False), ((0, 1), 2, False), ((0, -1), 0, False)
+    for b, strict, count in ((-1, False, 0), (0, True, 0), (-1, True, 0),
+                             (0, False, 9), (1, True, 9), (5, False, 9)):
+        S = LinearSystem(2, square[:2] + (((0, 0), b, strict),) + square[2:])
+        assert count_points(S) == count, (b, strict)
+    # a false all-zero row empties the system even beside an unbounded coordinate
+    assert count_points(LinearSystem(2, square[:2] + (((0, 0), -1, False),))) == 0
 
 
 # --- coordinate bounds from cached optimal bases -----------------------------
@@ -439,7 +511,9 @@ def test_cached_bases_give_the_bounds_of_fresh_lps(seed, lp_counter):
     dim = rng.randint(1, 4)
     A = [tuple(s * int(i == j) for j in range(dim)) for i in range(dim) for s in (1, -1)]
     A += [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(1, 5))]
-    bases = {}
+    # count_points keys its own dict by block matrices, so bases holds
+    # only what coordinate_bounds put there
+    bases, block_bases = {}, {}
     cold = warm = empty = 0
     for _ in range(40):
         rhs = [rng.randint(-1, 8) for _ in A]
@@ -450,7 +524,7 @@ def test_cached_bases_give_the_bounds_of_fresh_lps(seed, lp_counter):
         before = len(lp_counter)
         assert coordinate_bounds(S, bases) == expected
         warm += len(lp_counter) - before
-        assert count_points(S, bases) == count_points(S)
+        assert count_points(S, block_bases) == count_points(S)
         empty += expected is None
     assert list(bases) == [tuple(A)]
     assert 0 < empty < 40
