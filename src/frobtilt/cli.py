@@ -12,6 +12,7 @@ the ell sweeps of frob-set and stabilize, or the ray count).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -31,6 +32,7 @@ from .frobenius import (
 from .tilting import NOT_APPLICABLE, VERIFIED, build_candidate, ext_vanishing, orlov_check
 
 
+@functools.cache  # parse_args leaves the parser as it was; building it costs 30x a parse
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="frobtilt",

@@ -18,12 +18,21 @@ The per-fan set-up is one walk over the ray subsets.  The nerve is a
 triangulated sphere, so Alexander duality ranks every full subcomplex from
 1-skeleton components, the reduced Euler characteristic and, from dimension
 5 on, coboundary ranks in the low degrees; each active pattern gets its
-certificates in the same pass.  The regions that survive are counted with
-the optimal LP bases kept per constraint block, so most coordinate bounds
-need no simplex.  Every row +-v_rho of a product fan's region lies in one
-factor's coordinates, so a product region is counted per factor, as the
-product of the factors' counts, and the factor blocks share their bases
-across patterns.
+certificates in the same pass, and with them a boundedness flag: the
+certificates are the conformal circuits of the region's rows, and those
+rows positively span R^n iff the circuits cover every ray.  The same
+set-up writes chi(O(D)) by Brion's localization as one integer polynomial
+per maximal cone.
+
+Per divisor, every surviving region is proven nonempty and bounded, but
+the regions whose ranks are nonzero in one degree q* alone, q* the degree
+with the most of them, are not counted: h^{q*} is what chi leaves of the
+other degrees.  The regions that are counted use the optimal LP bases
+kept per constraint block, so most coordinate bounds need no simplex.
+Every row +-v_rho of a product fan's region lies in one factor's
+coordinates, so a product region is counted per factor, as the product of
+the factors' counts, and the factor blocks share their bases across
+patterns.
 """
 
 from __future__ import annotations
@@ -38,7 +47,6 @@ from .fan import DivisorClass, Fan, TorusDivisor, divisor_class
 from .lattice import (
     IntVec,
     LinearSystem,
-    UnboundedSystemError,
     count_points,
     dot,
     feasible,
@@ -54,7 +62,10 @@ from .lattice import (
 MAX_PATTERN_RAYS = 16
 
 Circuit = tuple[IntVec, int, int]  # lambda and the positive-part sums of +-lambda
-Pattern = tuple[frozenset[int], tuple[int, ...], int]  # rays, ranks, certificate mask
+# rays, ranks, certificate mask, the one degree with a nonzero rank (or -1), bounded
+Pattern = tuple[frozenset[int], tuple[int, ...], int, int, bool]
+# the denominator, and per maximal cone its rays, the beta_j and chi's numerators in alpha
+Localization = tuple[int, tuple[tuple[tuple[int, ...], IntVec, IntVec], ...]]
 
 
 class InfiniteCohomologyError(ArithmeticError):
@@ -198,8 +209,69 @@ def _circuits(fan: Fan) -> tuple[IntVec, ...]:
     return tuple(out)
 
 
-def _active_patterns(fan: Fan) -> tuple[tuple[Circuit, ...], tuple[Pattern, ...]]:
-    """The circuits and the active patterns of the fan, in one walk, once per fan.
+def _localization(fan: Fan) -> Localization:
+    """Brion's localization of chi(O(D)) as one polynomial per maximal cone.
+
+    chi(O(D)) is the sum over the maximal cones sigma of the constant term at
+    s = 0 of e^{s alpha} / prod_j (1 - e^{s beta_j}), where alpha = <m_sigma,
+    xi> for the Cartier data m_sigma, beta_j = <u_j, xi> for the columns u_j
+    of A_sigma^-1, and xi is any vector making every beta_j nonzero (Brion,
+    Points entiers dans les polyedres convexes, 1988; Cox-Little-Schenck,
+    Toric Varieties, ch. 13).  With td(x) = x / (e^x - 1) the term is
+    (-1)^n / prod beta_j * [s^n] e^{s alpha} prod_j td(s beta_j), a
+    polynomial of degree n in alpha.  The td coefficients B_i / i! are
+    integer pairs, and each cone's polynomial is kept as integer numerators,
+    highest degree first, over one denominator for the fan.
+    """
+    n = fan.dim
+    nums, dens = [1], [1]  # td's coefficients: sum_{k<=i} t_k / (i-k+1)! is 1 at i = 0, else 0
+    for i in range(1, n + 1):
+        steps = [d * math.factorial(i - k + 1) for k, d in enumerate(dens)]
+        den = math.lcm(*steps)
+        num = -sum(x * (den // step) for x, step in zip(nums, steps))
+        g = math.gcd(num, den)
+        nums.append(num // g)
+        dens.append(den // g)
+    tden = math.lcm(*dens)
+    todd = [x * (tden // d) for x, d in zip(nums, dens)]
+    columns = [tuple(zip(*U)) for U in fan._cone_inverses]
+    for k in itertools.count(1):
+        xi = tuple(k ** i for i in range(n))  # the moment curve meets each u's hyperplane < n times
+        betas = [tuple(dot(u, xi) for u in cols) for cols in columns]
+        if all(map(all, betas)):
+            break
+    lcm = math.lcm(*map(math.prod, betas))
+    polys = []
+    for beta in betas:
+        ser = [1] + [0] * n  # prod_j td(s beta_j) to degree n, over tden^n
+        for b in beta:
+            ser = [sum(ser[i - k] * todd[k] * b ** k for k in range(i + 1)) for i in range(n + 1)]
+        scale = (-1) ** n * (lcm // math.prod(beta))
+        polys.append([scale * math.perm(n, n - k) * ser[n - k] for k in range(n, -1, -1)])
+    den = math.factorial(n) * tden ** n * lcm
+    g = math.gcd(den, *itertools.chain.from_iterable(polys))
+    return den // g, tuple((cone, beta, tuple(c // g for c in poly))
+                           for cone, beta, poly in zip(fan.max_cones, betas, polys))
+
+
+def _euler_characteristic(fan: Fan, coeffs: IntVec) -> int:
+    """chi(O(D)) from the fan's localization: one dot product and one Horner pass per cone."""
+    den, cones = _active_patterns(fan)[2]
+    total = 0
+    for cone, beta, poly in cones:
+        alpha = -sum(b * coeffs[i] for i, b in zip(cone, beta))
+        acc = 0
+        for c in poly:
+            acc = acc * alpha + c
+        total += acc
+    chi, rest = divmod(total, den)
+    if rest:
+        raise AssertionError(f"localized Euler characteristic {total}/{den} is not an integer")
+    return chi
+
+
+def _active_patterns(fan: Fan) -> tuple[tuple[Circuit, ...], tuple[Pattern, ...], Localization]:
+    """The circuits, the active patterns and the localization of chi, once per fan.
 
     A pattern is a ray subset S whose full subcomplex has nonzero reduced
     cohomology, with its ranks and the bitmask of the Farkas certificates
@@ -209,14 +281,19 @@ def _active_patterns(fan: Fan) -> tuple[tuple[Circuit, ...], tuple[Pattern, ...]
     lambda read in an orientation sigma with sigma*lambda_i > 0 only on S
     and sigma*lambda_i < 0 only off S.  Certificate 2c reads circuit c as
     lambda, 2c + 1 as -lambda; each circuit comes with the positive-part
-    sums of lambda and -lambda.  The walk visits all 2^r ray subsets, so
-    fans with more than MAX_PATTERN_RAYS rays raise ValueError first.
+    sums of lambda and -lambda.  A nonempty region is bounded iff the rows
+    of A_S positively span R^n: the rays span R^n and the certificates'
+    supports (the conformal circuits of the rows) cover every ray.  Each
+    pattern also carries the degree q when its ranks are nonzero in q
+    alone, -1 otherwise.  The walk visits all 2^r ray subsets, so fans with
+    more than MAX_PATTERN_RAYS rays raise ValueError first.
     """
     hit = fan._rank_cache.get("patterns")
     if hit is not None:
         return hit
     require_pattern_rays(fan)
     circuits = []
+    supports = []  # per certificate, its rays
     need_in = [0] * fan.n_rays  # the certificates that need ray i in S
     need_out = [0] * fan.n_rays  # and those that need it off S
     for c, lam in enumerate(_circuits(fan)):
@@ -225,7 +302,9 @@ def _active_patterns(fan: Fan) -> tuple[tuple[Circuit, ...], tuple[Pattern, ...]
                 need_in[i] |= 1 << 2 * c + (x < 0)
                 need_out[i] |= 1 << 2 * c + (x > 0)
         circuits.append((lam, sum(x for x in lam if x > 0), -sum(x for x in lam if x < 0)))
+        supports += [sum(1 << i for i, x in enumerate(lam) if x)] * 2
     every = (1 << 2 * len(circuits)) - 1
+    full, spans = (1 << fan.n_rays) - 1, integer_rank(fan.rays) == fan.dim
     faces = {f for cone in fan.max_cones for k in range(len(cone) + 1)
              for f in itertools.combinations(cone, k)}
     nerve = [(sum(1 << i for i in f), f) for f in sorted(faces)]
@@ -235,9 +314,16 @@ def _active_patterns(fan: Fan) -> tuple[tuple[Circuit, ...], tuple[Pattern, ...]
             mask = every
             for i in range(fan.n_rays):
                 mask &= ~(need_out[i] if s >> i & 1 else need_in[i])
-            patterns.append((frozenset(i for i in range(fan.n_rays) if s >> i & 1), ranks, mask))
+            cover, rest = 0, mask
+            while rest:
+                low = rest & -rest
+                cover |= supports[low.bit_length() - 1]
+                rest ^= low
+            degrees = [q for q, r in enumerate(ranks) if r]
+            patterns.append((frozenset(i for i in range(fan.n_rays) if s >> i & 1), ranks, mask,
+                             degrees[0] if len(degrees) == 1 else -1, spans and cover == full))
     patterns.sort(key=lambda p: (len(p[0]), sorted(p[0])))
-    result = fan._rank_cache["patterns"] = (tuple(circuits), tuple(patterns))
+    result = fan._rank_cache["patterns"] = (tuple(circuits), tuple(patterns), _localization(fan))
     return result
 
 
@@ -276,13 +362,19 @@ def _pattern_region(fan: Fan, coeffs: IntVec, neg: frozenset[int]) -> LinearSyst
 # public operations
 
 
-def weight_patterns(fan: Fan, D: TorusDivisor) -> tuple[WeightPattern, ...]:
-    """The cohomologically active sign patterns of D with exact point counts."""
+def weight_patterns(fan: Fan, D: TorusDivisor, skip: Optional[int] = None
+                    ) -> tuple[WeightPattern, ...]:
+    """The cohomologically active sign patterns of D with exact point counts.
+
+    With skip = q, a region whose ranks are nonzero in degree q alone is
+    proven nonempty and bounded but neither counted nor returned.
+    """
     fan.require_valid()
-    circuits, patterns = _active_patterns(fan)
+    circuits, patterns, _ = _active_patterns(fan)
     emptied = _emptied(circuits, D.coeffs)
+    bases = fan._rank_cache.setdefault("bases", {})
     out = []
-    for verts, ranks, mask in patterns:
+    for verts, ranks, mask, single, bounded in patterns:
         if mask & emptied:
             continue
         region = _pattern_region(fan, D.coeffs, verts)
@@ -291,13 +383,14 @@ def weight_patterns(fan: Fan, D: TorusDivisor) -> tuple[WeightPattern, ...]:
                 f"weight region of sign pattern {sorted(verts)} is empty "
                 "but no circuit certifies it"
             )
-        try:
-            count = count_points(region, fan._rank_cache.setdefault("bases", {}))
-        except UnboundedSystemError as exc:
+        if not bounded:
             raise InfiniteCohomologyError(
                 f"weight region of sign pattern {sorted(verts)} is unbounded; "
                 "the fan cannot be complete"
-            ) from exc
+            )
+        if single == skip:
+            continue
+        count = count_points(region, bases)
         if count:
             out.append(WeightPattern(tuple(sorted(verts)), ranks, count))
     return tuple(out)
@@ -306,18 +399,31 @@ def weight_patterns(fan: Fan, D: TorusDivisor) -> tuple[WeightPattern, ...]:
 def cohomology(fan: Fan, D: TorusDivisor) -> CohomologyVector:
     """All cohomology dimensions of O(D), exactly.
 
-    Dimensions depend only on the divisor class, so results are cached per
-    fan under the canonical class coordinates.
+    The degree q* with the most surviving single-degree regions is not
+    counted: h^{q*} is what chi leaves of the other degrees.  Dimensions
+    depend only on the divisor class, so results are cached per fan under
+    the canonical class coordinates.
     """
     fan.require_valid()
     cls = divisor_class(D)
     cache = fan._cohomology_cache
     dims = cache.get(cls.coords)
     if dims is None:
+        rep = cls.representative()
+        circuits, patterns, _ = _active_patterns(fan)
+        emptied = _emptied(circuits, rep.coeffs)
+        tally = [0] * (fan.dim + 2)  # the last slot collects the multi-degree patterns
+        for _, _, mask, single, _ in patterns:
+            if not mask & emptied:
+                tally[single] += 1
+        skip = tally.index(max(tally[:-1]))
         total = [0] * (fan.dim + 1)
-        for p in weight_patterns(fan, cls.representative()):
+        for p in weight_patterns(fan, rep, skip=skip):
             for q, r in enumerate(p.reduced_ranks):
                 total[q] += p.point_count * r
+        total[skip] = 0
+        rest = sum((-1) ** q * h for q, h in enumerate(total))
+        total[skip] = (-1) ** skip * (_euler_characteristic(fan, rep.coeffs) - rest)
         dims = cache[cls.coords] = tuple(total)
     return CohomologyVector(dims)
 

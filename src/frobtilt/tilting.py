@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .cohomology import CohomologyVector, cohomology, ext_dims, require_pattern_rays
+from .cohomology import CohomologyVector, cohomology, require_pattern_rays
 from .cones import NEITHER, bu_set, nef_fano_status
 from .fan import DivisorClass, Fan, canonical_divisor
 from .frobenius import frob_set
@@ -105,9 +105,8 @@ def build_candidate(fan: Fan, summands: Optional[tuple[DivisorClass, ...]] = Non
     require_pattern_rays(fan)  # before bu_set's chamber walk
     if summands is None:
         summands = bu_set(fan)
-    table = tuple(
-        tuple(ext_dims(fan, a, b) for b in summands) for a in summands
-    )
+    reps = [L.representative() for L in summands]
+    table = tuple(tuple(cohomology(fan, b - a) for b in reps) for a in reps)
     gram = tuple(tuple(v.euler() for v in row) for row in table)
     return TiltingCandidate(fan, tuple(summands), table, gram)
 
@@ -132,12 +131,12 @@ def m0(candidate: TiltingCandidate) -> int:
     """
     fan = candidate.fan
     K = canonical_divisor(fan)
+    reps = [L.representative() for L in candidate.summands]
     top = 0
-    for a in candidate.summands:
-        for b in candidate.summands:
-            twist = b.representative() - a.representative() - K
-            vec = cohomology(fan, twist)
-            nz = vec.top_nonzero()
+    for a in reps:
+        aK = a + K
+        for b in reps:
+            nz = cohomology(fan, b - aK).top_nonzero()
             if nz is not None and nz > top:
                 top = nz
     return top

@@ -1,7 +1,9 @@
 """Second, independent routes to quantities the library computes one way.
 
 The tests compare the library's answers with these: the per-weight brute
-force for cohomology, the reduced-cohomology ranks of one ray subcomplex
+force for cohomology, the sum over every active region with each region
+counted (the library leaves one degree to the Euler characteristic), an
+LP on the recession cone of a pattern region, the reduced-cohomology ranks of one ray subcomplex
 built from the maximal cones alone (the reference for the per-fan pattern
 table), the residue-by-residue walk for pushforwards, the chamber walk
 with one LP at every node for frob(X), the ell sweep from 1 for the
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from frobtilt.cohomology import cohomology
+from frobtilt.cohomology import cohomology, weight_patterns
 from frobtilt.fan import DivisorClass, Fan, TorusDivisor, canonical_divisor, divisor_class
 from frobtilt.frobenius import frob_set, pushforward_summands
 from frobtilt.lattice import (
@@ -28,6 +30,7 @@ from frobtilt.lattice import (
     feasible_point,
     hermite_normal_form,
     integer_rank,
+    lp_maximize,
 )
 
 
@@ -38,6 +41,29 @@ def weight_cohomology(fan: Fan, D: TorusDivisor, m: IntVec) -> tuple[int, ...]:
         i for i, ray in enumerate(fan.rays) if dot(m, ray) < -D.coeffs[i]
     )
     return subcomplex_ranks(fan, neg)
+
+
+def counted_cohomology(fan: Fan, D: TorusDivisor) -> tuple[int, ...]:
+    """(h^0, ..., h^n) with the weights of every active region counted."""
+    total = [0] * (fan.dim + 1)
+    for p in weight_patterns(fan, D):
+        for q, r in enumerate(p.reduced_ranks):
+            total[q] += p.point_count * r
+    return tuple(total)
+
+
+def recession_cone_is_zero(fan: Fan, verts: frozenset[int]) -> bool:
+    """True iff {d : <v_i, d> <= 0 for i in verts, >= 0 otherwise} is {0}.
+
+    That cone is the recession cone of every pattern region of verts, so a
+    nonempty region is bounded iff each +-e_k has the maximum 0 on it.
+    """
+    rows = [(ray if i in verts else tuple(-x for x in ray), 0) for i, ray in enumerate(fan.rays)]
+    return all(
+        lp_maximize(fan.dim, rows, tuple(sign * (j == k) for j in range(fan.dim)))[0] == "optimal"
+        for k in range(fan.dim)
+        for sign in (1, -1)
+    )
 
 
 def subcomplex_ranks(fan: Fan, verts: frozenset[int]) -> tuple[int, ...]:

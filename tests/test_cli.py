@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import time
@@ -26,6 +27,20 @@ def test_describe_lists_ray_order(capsys):
     assert data["rays"] == [[1, 0], [0, 1], [-1, -1]]
     assert data["valid"] and data["smooth"] and data["complete"]
     assert data["nef_fano_status"] == "fano"
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    assert run(capsys, "describe", "P1")[0] == 0
+    assert run(capsys, "cohom", "P2", "--divisor", "-3,0,0")[0] == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 def test_frob_set_p1_two_classes(capsys):

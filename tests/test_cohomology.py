@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from math import comb
 
@@ -10,6 +11,7 @@ from frobtilt.cohomology import (
     _active_patterns,
     _circuits,
     _emptied,
+    _euler_characteristic,
     _pattern_region,
     cohomology,
     ext_dims,
@@ -24,11 +26,12 @@ from frobtilt.fan import (
     divisor_class,
     principal_divisor,
     product,
+    projective_space,
     star_subdivision,
 )
 from frobtilt.cones import is_nef
 from frobtilt.lattice import LinearSystem, count_points, feasible
-from oracles import subcomplex_ranks, weight_cohomology
+from oracles import counted_cohomology, recession_cone_is_zero, subcomplex_ranks, weight_cohomology
 
 P1 = builtin("P1").fan
 P2 = builtin("P2").fan
@@ -221,8 +224,8 @@ def test_active_patterns_match_rank_oracle(fan):
         ranks = subcomplex_ranks(fan, verts)
         if any(ranks):
             expected[verts] = ranks
-    _, patterns = _active_patterns(fan)
-    got = {verts: ranks for verts, ranks, _ in patterns}
+    _, patterns, _ = _active_patterns(fan)
+    got = {verts: ranks for verts, ranks, *_ in patterns}
     assert len(got) == len(patterns)
     assert got == expected
 
@@ -245,9 +248,9 @@ def test_active_patterns_of_a_product_are_joins():
                 for j, y in enumerate(r2):
                     joined[i + j] += x * y
             expected[v1 | {dP6.n_rays + i for i in v2}] = tuple(joined)
-    _, patterns = _active_patterns(product(dP6, dP6))
+    _, patterns, _ = _active_patterns(product(dP6, dP6))
     assert len(expected) == 34 ** 2
-    assert {verts: ranks for verts, ranks, _ in patterns} == expected
+    assert {verts: ranks for verts, ranks, *_ in patterns} == expected
 
 
 # --- Farkas certificates against the LP route ----------------------------------------
@@ -258,13 +261,13 @@ def test_active_patterns_of_a_product_are_joins():
     ids=list(catalog_names()) + ["dP6xP1", "dP6xP2"],
 )
 def test_certificates_agree_with_feasibility_lp(fan):
-    circuits, patterns = _active_patterns(fan)
+    circuits, patterns, _ = _active_patterns(fan)
     rng = random.Random(fan.n_rays * 1000 + fan.dim)
     nonempty = 0
     for _ in range(30):
         coeffs = tuple(rng.randint(-3, 3) for _ in fan.rays)
         emptied = _emptied(circuits, coeffs)
-        for verts, _, mask in patterns:
+        for verts, _, mask, *_ in patterns:
             lp = feasible(_pattern_region(fan, coeffs, verts))
             assert lp == (not mask & emptied), (coeffs, sorted(verts))
             nonempty += lp
@@ -305,6 +308,67 @@ def test_product_regions_are_counted_per_factor(x, y):
 def test_circuit_counts():
     # dP6's six rays: three opposite pairs, and the 8 triples without one
     assert [len(_circuits(f)) for f in (P2, P1xP1, dP6)] == [1, 2, 11]
+
+
+# --- chi by localization, one degree left uncounted ----------------------------------
+
+
+def fake_validated(fan):
+    """The fan with validation bypassed, to reach the guards behind it."""
+    fan.__dict__["validation"] = ValidationReport(True, True, True, True, True, True, ())
+    return fan
+
+
+P1xP1xP1xP1 = product(P1xP1, P1xP1)
+dP6xdP6 = product(dP6, dP6)
+P4_CHAIN = subdivision_chain("P4", 8, 5)
+ORLOV_FANS = {"P1xP1xP1xP1": P1xP1xP1xP1, "BlptP3xP1": BlptP3xP1, "dP6xP1": dP6xP1,
+              "dP6xP2": dP6xP2}
+LOCALIZED = (
+    [(n, builtin(n).fan, 16, 6) for n in catalog_names()]
+    + [(n, f, 12, 5) for n, f in ORLOV_FANS.items()]
+    + [("dP6xdP6", dP6xdP6, 6, 3), ("P4-chain13", P4_CHAIN, 6, 3)]
+)
+
+
+@pytest.mark.parametrize("name, fan, draws, bound", LOCALIZED, ids=[c[0] for c in LOCALIZED])
+def test_localized_chi_and_dims_match_the_all_count_route(name, fan, draws, bound):
+    rng = random.Random(fan.n_rays * 100 + fan.dim)
+    K = canonical_divisor(fan)
+    for _ in range(draws):
+        D = TorusDivisor(fan, tuple(rng.randint(-bound, bound) for _ in fan.rays))
+        counted = counted_cohomology(fan, D)
+        chi = sum((-1) ** q * h for q, h in enumerate(counted))
+        assert _euler_characteristic(fan, D.coeffs) == chi, D.coeffs
+        assert cohomology(fan, D).dims == counted, D.coeffs
+        assert _euler_characteristic(fan, (K - D).coeffs) == (-1) ** fan.dim * chi, D.coeffs
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_localized_chi_on_projective_space(n):
+    fan = projective_space(n)
+    for k in range(-2 * n, 2 * n + 1):
+        expected = math.prod(range(k + 1, k + n + 1)) // math.factorial(n)
+        assert _euler_characteristic(fan, (k,) + (0,) * n) == expected, (n, k)
+
+
+@pytest.mark.parametrize("name, fan", [(c[0], c[1]) for c in LOCALIZED],
+                         ids=[c[0] for c in LOCALIZED])
+def test_every_active_pattern_of_a_valid_fan_is_bounded(name, fan):
+    _, patterns, _ = _active_patterns(fan)
+    for verts, _, _, _, bounded in patterns:
+        assert bounded and recession_cone_is_zero(fan, verts), sorted(verts)
+
+
+@pytest.mark.parametrize("fan", [Fan(1, ((1,),), ((0,),)), Fan(2, ((1, 0), (0, 1)), ((0, 1),))],
+                         ids=["half-line", "quadrant"])
+def test_incomplete_fans_have_unbounded_patterns(fan):
+    _, patterns, _ = _active_patterns(fake_validated(fan))
+    assert patterns
+    for verts, _, _, _, bounded in patterns:
+        assert not bounded and not recession_cone_is_zero(fan, verts), sorted(verts)
+    with pytest.raises(InfiniteCohomologyError):
+        cohomology(fan, TorusDivisor(fan, (0,) * fan.n_rays))
 
 
 # --- ext_dims and their Euler characteristic ----------------------------------------------------------
