@@ -24,15 +24,18 @@ rows positively span R^n iff the circuits cover every ray.  The same
 set-up writes chi(O(D)) by Brion's localization as one integer polynomial
 per maximal cone.
 
-Per divisor, every surviving region is proven nonempty and bounded, but
-the regions whose ranks are nonzero in one degree q* alone, q* the degree
-with the most of them, are not counted: h^{q*} is what chi leaves of the
-other degrees.  The regions that are counted use the optimal LP bases
-kept per constraint block, so most coordinate bounds need no simplex.
-Every row +-v_rho of a product fan's region lies in one factor's
-coordinates, so a product region is counted per factor, as the product of
-the factors' counts, and the factor blocks share their bases across
-patterns.
+Per divisor, every surviving region is proven nonempty and bounded.  A
+maximal cone's vertex, where the cone's rows are tight (the Cartier point
+of D plus the divisors of the region's negative rays), proves it nonempty
+with no LP when it meets the other rows; the LP runs only when no cone's
+vertex does.  The regions whose ranks are nonzero in one degree q* alone,
+q* the degree with the most of them, are not counted: h^{q*} is what chi
+leaves of the other degrees.  The regions that are counted use the
+optimal LP bases kept per constraint block, so most coordinate bounds
+need no simplex.  Every row +-v_rho of a product fan's region lies in
+one factor's coordinates, so a product region is counted per factor, as
+the product of the factors' counts, and the factor blocks share their
+bases across patterns.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .fan import DivisorClass, Fan, TorusDivisor, divisor_class
 from .lattice import (
@@ -343,6 +346,32 @@ def _emptied(circuits: tuple[Circuit, ...], coeffs: IntVec) -> int:
     return out
 
 
+def _survivors(fan: Fan, coeffs: IntVec) -> list[Pattern]:
+    """The active patterns of D that no certificate empties, for the last D asked.
+
+    cohomology tallies them before weight_patterns scans them for the same
+    representative, so the certificate mask is computed once per class.
+    """
+    last = fan._rank_cache.get("survivors")
+    if last is None or last[0] != coeffs:
+        circuits, patterns, _ = _active_patterns(fan)
+        emptied = _emptied(circuits, coeffs)
+        last = fan._rank_cache["survivors"] = (coeffs, [p for p in patterns if not p[2] & emptied])
+    return last[1]
+
+
+def _cone_witnesses(fan: Fan, coeffs: IntVec, neg: frozenset[int]) -> Iterator[IntVec]:
+    """Per maximal cone sigma, the m with <m, v_j> = -a_j - [j in neg] on sigma's rays.
+
+    It is the Cartier point of D + sum_{j in neg} D_j on sigma, integral
+    because sigma is unimodular, and a vertex of neg's region whenever it
+    meets the region's other rows.
+    """
+    for cone, U in zip(fan.max_cones, fan._cone_inverses):
+        t = [-coeffs[j] - (j in neg) for j in cone]
+        yield tuple(sum(map(operator.mul, row, t)) for row in U)
+
+
 def _pattern_region(fan: Fan, coeffs: IntVec, neg: frozenset[int]) -> LinearSystem:
     """Weights m with <m, v_rho> <= -a_rho - 1 on neg rays, >= -a_rho off them.
 
@@ -370,15 +399,11 @@ def weight_patterns(fan: Fan, D: TorusDivisor, skip: Optional[int] = None
     proven nonempty and bounded but neither counted nor returned.
     """
     fan.require_valid()
-    circuits, patterns, _ = _active_patterns(fan)
-    emptied = _emptied(circuits, D.coeffs)
     bases = fan._rank_cache.setdefault("bases", {})
     out = []
-    for verts, ranks, mask, single, bounded in patterns:
-        if mask & emptied:
-            continue
+    for verts, ranks, _, single, bounded in _survivors(fan, D.coeffs):
         region = _pattern_region(fan, D.coeffs, verts)
-        if not feasible(region):
+        if not feasible(region, _cone_witnesses(fan, D.coeffs, verts)):
             raise AssertionError(
                 f"weight region of sign pattern {sorted(verts)} is empty "
                 "but no circuit certifies it"
@@ -410,12 +435,9 @@ def cohomology(fan: Fan, D: TorusDivisor) -> CohomologyVector:
     dims = cache.get(cls.coords)
     if dims is None:
         rep = cls.representative()
-        circuits, patterns, _ = _active_patterns(fan)
-        emptied = _emptied(circuits, rep.coeffs)
         tally = [0] * (fan.dim + 2)  # the last slot collects the multi-degree patterns
-        for _, _, mask, single, _ in patterns:
-            if not mask & emptied:
-                tally[single] += 1
+        for _, _, _, single, _ in _survivors(fan, rep.coeffs):
+            tally[single] += 1
         skip = tally.index(max(tally[:-1]))
         total = [0] * (fan.dim + 1)
         for p in weight_patterns(fan, rep, skip=skip):

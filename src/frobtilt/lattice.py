@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
@@ -57,7 +57,9 @@ class LinearSystem:
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError("dot product of vectors of different lengths")
+    return sum(map(operator.mul, u, v))
 
 
 def identity_matrix(n: int) -> IntMat:
@@ -324,8 +326,19 @@ def feasible_point(S: LinearSystem) -> Optional[tuple[IntVec, int]]:
     return tuple(num), tab.den
 
 
-def feasible(S: LinearSystem) -> bool:
-    """True iff some rational point satisfies every row of S."""
+def feasible(S: LinearSystem, candidates: Iterable[Sequence[int]] = ()) -> bool:
+    """True iff some rational point satisfies every row of S.
+
+    The integer candidates, each of length S.dim, are tried first, in
+    order: the first that meets every row (a.m <= b, or a.m <= b - 1 on a
+    strict row) proves S nonempty with no LP.  Only when none does is the
+    LP solved.
+    """
+    for m in candidates:
+        if len(m) != S.dim:
+            raise ValueError("candidate dimension mismatch")
+        if all(sum(map(operator.mul, a, m)) <= b - strict for a, b, strict in S.rows):
+            return True
     return feasible_point(S) is not None
 
 

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import random
@@ -10,6 +11,7 @@ from frobtilt.cohomology import (
     InfiniteCohomologyError,
     _active_patterns,
     _circuits,
+    _cone_witnesses,
     _emptied,
     _euler_characteristic,
     _pattern_region,
@@ -30,7 +32,8 @@ from frobtilt.fan import (
     star_subdivision,
 )
 from frobtilt.cones import is_nef
-from frobtilt.lattice import LinearSystem, count_points, feasible
+from frobtilt.lattice import LinearSystem, count_points, dot, feasible
+from frobtilt.tilting import orlov_check
 from oracles import counted_cohomology, recession_cone_is_zero, subcomplex_ranks, weight_cohomology
 
 P1 = builtin("P1").fan
@@ -369,6 +372,74 @@ def test_incomplete_fans_have_unbounded_patterns(fan):
         assert not bounded and not recession_cone_is_zero(fan, verts), sorted(verts)
     with pytest.raises(InfiniteCohomologyError):
         cohomology(fan, TorusDivisor(fan, (0,) * fan.n_rays))
+
+
+# --- cone-vertex witnesses before the survivor LP ----------------------------------
+
+cohomology_module = importlib.import_module("frobtilt.cohomology")
+lattice_module = importlib.import_module("frobtilt.lattice")
+WITNESSED = ([(n, builtin(n).fan) for n in catalog_names()] + list(ORLOV_FANS.items())
+             + [("P4-chain13", P4_CHAIN)])
+
+
+@pytest.fixture
+def survivor_lps(monkeypatch):
+    """The systems whose nonemptiness lattice.feasible proves by the LP."""
+    calls = []
+    real = lattice_module.feasible_point
+
+    def counted(S):
+        calls.append(S)
+        return real(S)
+
+    monkeypatch.setattr(lattice_module, "feasible_point", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, fan", WITNESSED, ids=[c[0] for c in WITNESSED])
+def test_accepted_cone_witnesses_lie_in_their_regions(name, fan, monkeypatch, survivor_lps):
+    accepted = []
+
+    def recording(S, candidates=()):
+        tried, lps = [], len(survivor_lps)
+        ok = feasible(S, (tried.append(m) or m for m in candidates))
+        if len(survivor_lps) == lps:  # no LP: the last candidate tried fits
+            accepted.append((S, tried[-1]))
+        return ok
+
+    monkeypatch.setattr(cohomology_module, "feasible", recording)
+    rng = random.Random(fan.n_rays * 7 + fan.dim)
+    for _ in range(8):
+        D = TorusDivisor(fan, tuple(rng.randint(-5, 5) for _ in fan.rays))
+        assert cohomology(fan, D).dims == counted_cohomology(fan, D), D.coeffs
+        # each witness is its cone's vertex: tight on the cone's rows
+        for neg in (frozenset(), frozenset(range(0, fan.n_rays, 2))):
+            for cone, m in zip(fan.max_cones, _cone_witnesses(fan, D.coeffs, neg)):
+                assert all(dot(m, fan.rays[j]) == -D.coeffs[j] - (j in neg) for j in cone)
+    assert accepted
+    for S, m in accepted:
+        assert all(type(x) is int for x in m)
+        assert all(dot(a, m) <= b - strict for a, b, strict in S.rows), (S, m)
+
+
+@pytest.mark.parametrize("make", [lambda: product(dP6, P2), lambda: product(P1xP1, P1xP1)],
+                         ids=["dP6xP2", "P1xP1xP1xP1"])
+def test_orlov_classes_solve_no_survivor_lp(make, survivor_lps):
+    # every surviving region of the Ext table's and m0's classes holds a cone vertex
+    fan = make()
+    orlov_check(fan)
+    assert fan._cohomology_cache
+    assert survivor_lps == []
+
+
+def test_empty_survivor_still_reaches_the_lp_and_fails(monkeypatch, survivor_lps):
+    # with every certificate withheld, P1xP1's region {x <= -1, x >= 1} survives;
+    # no cone vertex lies in it, so the LP decides, and it is fatal
+    monkeypatch.setattr(cohomology_module, "_emptied", lambda circuits, coeffs: 0)
+    fan = product(P1, P1)
+    with pytest.raises(AssertionError, match="no circuit certifies"):
+        cohomology(fan, TorusDivisor(fan, (0, 0, 0, 0)))
+    assert survivor_lps
 
 
 # --- ext_dims and their Euler characteristic ----------------------------------------------------------

@@ -325,6 +325,72 @@ def test_feasible_grid_hits_imply_feasible(seed):
         assert feasible(S)
 
 
+# --- feasible with integer candidates ----------------------------------------
+
+
+def random_rows(rng, n):
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        coeffs = [rng.randint(-2, 2) for _ in range(n)]
+        rows.append((coeffs, rng.choice(["<=", "<", ">=", ">"]), rng.randint(-3, 3)))
+    return system(n, rows)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_candidates_never_change_feasibility(seed, lp_counter):
+    rng = random.Random(12000 + seed)
+    n = rng.randint(1, 3)
+    S = random_rows(rng, n)
+    candidates = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, 8))]
+    fits = [m for m in candidates if satisfies(S, m)]
+    assert feasible(S, candidates) == fm_feasible(S)
+    # an LP runs exactly when no candidate fits
+    assert len(lp_counter) == (not fits)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_no_candidates_is_the_plain_lp(seed, lp_counter):
+    rng = random.Random(13000 + seed)
+    S = random_rows(rng, rng.randint(1, 3))
+    assert feasible(S, []) == feasible(S) == fm_feasible(S)
+    assert feasible(S, iter(())) == fm_feasible(S)
+    assert len(lp_counter) == 3
+
+
+def test_candidate_on_a_strict_boundary_does_not_count(lp_counter):
+    # x < 1 holds at no point with x = 1, even though 1 <= 1
+    assert feasible(system(1, [((1,), "<", 1), ((1,), ">=", 0)]), [(1,)])
+    assert len(lp_counter) == 1
+    assert not feasible(system(1, [((1,), "<", 1), ((1,), ">=", 1)]), [(1,)])
+    assert feasible(system(1, [((1,), "<=", 1), ((1,), ">=", 1)]), [(1,)])
+    assert len(lp_counter) == 2
+
+
+def test_candidate_breaking_one_row_falls_through_to_the_lp(lp_counter):
+    S = system(2, [((1, 0), "<=", 2), ((0, 1), "<=", 2), ((1, 1), ">=", 1)])
+    assert feasible(S, [(3, 0)])
+    assert len(lp_counter) == 1
+    assert feasible(S, [(3, 0), (2, -1)])
+    assert len(lp_counter) == 1
+    assert not feasible(system(2, [((1, 1), ">=", 5), ((1, 0), "<=", 2), ((0, 1), "<=", 2)]),
+                        [(3, 2), (2, 3)])
+    assert len(lp_counter) == 2
+
+
+def test_candidate_of_the_wrong_dimension_raises():
+    with pytest.raises(ValueError):
+        feasible(system(2, [((1, 0), "<=", 2)]), [(0,)])
+
+
+def test_dot_of_different_lengths_raises():
+    assert dot((1, 2, 3), [4, 5, 6]) == 32
+    assert dot((), ()) == 0
+    with pytest.raises(ValueError):
+        dot((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError):
+        dot((1, 2, 3), (1, 2))
+
+
 # --- count_points ----------------------------------------------------------
 
 
@@ -492,7 +558,7 @@ def rows_with(A, rhs):
 
 @pytest.fixture
 def lp_counter(monkeypatch):
-    """Counts the lp_maximize calls made by coordinate_bounds."""
+    """Counts the lp_maximize calls."""
     calls = []
     original = lattice.lp_maximize
 
