@@ -23,12 +23,7 @@ from .catalog import FanFileError, read_json, resolve
 from .cohomology import InfiniteCohomologyError, cohomology, weight_patterns
 from .cones import bu_set, is_nef, nef_fano_status
 from .fan import InvalidFanError, TorusDivisor, canonical_divisor
-from .frobenius import (
-    MAX_FROB_RESIDUES,
-    frob_set,
-    minimal_stabilizing_ell,
-    pushforward_summands,
-)
+from .frobenius import frob_set, minimal_stabilizing_ell, pushforward_summands
 from .tilting import NOT_APPLICABLE, VERIFIED, build_candidate, ext_vanishing, orlov_check
 
 
@@ -114,12 +109,6 @@ def _cmd_describe(entry, args):
 
 def _cmd_frob(entry, args):
     fan = entry.fan
-    residues = args.ell ** fan.dim
-    if residues > MAX_FROB_RESIDUES:
-        raise ValueError(
-            f"--ell {args.ell} walks ell^dim = {args.ell}^{fan.dim} = {residues} residues; "
-            f"at most {MAX_FROB_RESIDUES} are supported"
-        )
     D = _parse_divisor(args.divisor, fan)
     counts = pushforward_summands(fan, D, args.ell)
     summands = [

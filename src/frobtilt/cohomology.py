@@ -46,7 +46,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .fan import DivisorClass, Fan, TorusDivisor, divisor_class
+from .fan import DivisorClass, Fan, TorusDivisor, _require_on_fan, divisor_class
 from .lattice import (
     IntVec,
     LinearSystem,
@@ -349,8 +349,8 @@ def _emptied(circuits: tuple[Circuit, ...], coeffs: IntVec) -> int:
 def _survivors(fan: Fan, coeffs: IntVec) -> list[Pattern]:
     """The active patterns of D that no certificate empties, for the last D asked.
 
-    cohomology tallies them before weight_patterns scans them for the same
-    representative, so the certificate mask is computed once per class.
+    _class_cohomology tallies them before weight_patterns scans them for the
+    same representative, so the certificate mask is computed once per class.
     """
     last = fan._rank_cache.get("survivors")
     if last is None or last[0] != coeffs:
@@ -399,6 +399,7 @@ def weight_patterns(fan: Fan, D: TorusDivisor, skip: Optional[int] = None
     proven nonempty and bounded but neither counted nor returned.
     """
     fan.require_valid()
+    _require_on_fan(fan, D)
     bases = fan._rank_cache.setdefault("bases", {})
     out = []
     for verts, ranks, _, single, bounded in _survivors(fan, D.coeffs):
@@ -421,16 +422,13 @@ def weight_patterns(fan: Fan, D: TorusDivisor, skip: Optional[int] = None
     return tuple(out)
 
 
-def cohomology(fan: Fan, D: TorusDivisor) -> CohomologyVector:
-    """All cohomology dimensions of O(D), exactly.
+def _class_cohomology(fan: Fan, cls: DivisorClass) -> CohomologyVector:
+    """The cohomology of a class, cached per fan under its coordinates.
 
-    The degree q* with the most surviving single-degree regions is not
-    counted: h^{q*} is what chi leaves of the other degrees.  Dimensions
-    depend only on the divisor class, so results are cached per fan under
-    the canonical class coordinates.
+    Only a cache miss builds the class's representative divisor.  The
+    degree q* with the most surviving single-degree regions is not
+    counted: h^{q*} is what chi leaves of the other degrees.
     """
-    fan.require_valid()
-    cls = divisor_class(D)
     cache = fan._cohomology_cache
     dims = cache.get(cls.coords)
     if dims is None:
@@ -450,6 +448,24 @@ def cohomology(fan: Fan, D: TorusDivisor) -> CohomologyVector:
     return CohomologyVector(dims)
 
 
+def cohomology(fan: Fan, D: TorusDivisor) -> CohomologyVector:
+    """All cohomology dimensions of O(D), exactly.
+
+    Dimensions depend only on the divisor class, so D is reduced to its
+    class and answered from the fan's per-class cache.  Raises ValueError
+    when D is a divisor on another fan.
+    """
+    fan.require_valid()
+    _require_on_fan(fan, D)
+    return _class_cohomology(fan, divisor_class(D))
+
+
 def ext_dims(fan: Fan, L: DivisorClass, M: DivisorClass) -> CohomologyVector:
-    """Ext^*(O(L), O(M)) = H^*(X, O(M - L)) for line bundles."""
-    return cohomology(fan, (M - L).representative())
+    """Ext^*(O(L), O(M)) = H^*(X, O(M - L)) for line bundles.
+
+    The class M - L goes to the per-class cache directly, so a cached
+    class costs no representative and no class reduction.
+    """
+    fan.require_valid()
+    _require_on_fan(fan, L, M)
+    return _class_cohomology(fan, M - L)

@@ -183,6 +183,17 @@ class DivisorClass:
         return TorusDivisor(self.fan, tuple(coeffs))
 
 
+def _require_on_fan(fan: Fan, *items) -> None:
+    """Raise ValueError when a divisor or class lives on another fan.
+
+    The identity test keeps the common call cheap; only a different Fan
+    object is compared field by field.
+    """
+    for x in items:
+        if x.fan is not fan and x.fan != fan:
+            raise ValueError("the divisor is not on this fan")
+
+
 def divisor_class(D: TorusDivisor) -> DivisorClass:
     """Reduce the coefficient vector modulo the principal-divisor lattice."""
     fan = D.fan

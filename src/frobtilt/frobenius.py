@@ -15,9 +15,9 @@ of the arrangement {<t, v_rho> = k} inside the half-open unit cube.  The
 rational point t found in a chamber realizes its class at every multiple
 of the chamber ell that clears t's denominators.  The walk solves one LP
 per chamber node except the child that holds its parent's point; minimal
-witness ells are swept only when first read, and neither that sweep nor
-the stabilizing search walks an ell with more than MAX_FROB_RESIDUES
-residues.
+witness ells are swept only when first read.  No pushforward walks an ell
+with more than MAX_FROB_RESIDUES residues, so neither that sweep nor the
+stabilizing search does.
 """
 
 from __future__ import annotations
@@ -30,15 +30,16 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .fan import DivisorClass, Fan, TorusDivisor, divisor_class
+from .fan import DivisorClass, Fan, TorusDivisor, _require_on_fan, divisor_class
 from .lattice import IntVec, LinearSystem, dot, feasible_point, identity_matrix
 
 # A walk at ell visits ell^(dim-1) residue prefixes, each an integer class
 # sum over the rays plus one class step per floor breakpoint, at 6-15 us a
 # prefix on a 2-vCPU host: a million residues of P4 (ell = 31) take
-# 0.2-0.5 s end to end, as the host's load varies.  frob --ell and the ell
-# sweeps of frob-set and stabilize refuse an ell with more residues; the
-# bound stays until the cost no longer grows with ell.
+# 0.2-0.5 s end to end, as the host's load varies.  pushforward_summands
+# refuses an ell with more residues, and with it frob --ell and the ell
+# sweeps of frob-set and stabilize; the bound stays until the cost no longer
+# grows with ell.
 MAX_FROB_RESIDUES = 1_000_000
 
 
@@ -97,13 +98,14 @@ def pushforward_summands(fan: Fan, D: TorusDivisor, ell: int) -> Counter:
     each run adds its length to its class.  Cost: n_rays class
     reductions, then ell^(n-1) prefixes with at most
     sum_rho |v_rho[n-1]| breakpoints each, in integer arithmetic on
-    Picard coordinates.
+    Picard coordinates.  Raises ValueError, before any walk, when ell has
+    more than MAX_FROB_RESIDUES residues.
     """
     fan.require_valid()
     if ell < 1:
         raise ValueError("ell must be a positive integer")
-    if D.fan != fan:
-        raise ValueError("the divisor is not on this fan")
+    _require_on_fan(fan, D)
+    _require_residue_bound(fan, ell)
     rays = []
     for a, ray, e in zip(D.coeffs, fan.rays, identity_matrix(fan.n_rays)):
         unit = divisor_class(TorusDivisor(fan, e)).coords
@@ -205,13 +207,12 @@ def minimal_stabilizing_ell(fan: Fan) -> int:
     The search runs from ell = 1, so each ell is walked once.  A class
     seen at ell through residue u is seen again at k*ell through k*u, so
     every class appears at the lcm of the chamber ells, which ends the
-    search.  Raises ValueError before walking an ell with more than
-    MAX_FROB_RESIDUES residues.
+    search.  The pushforward raises ValueError before walking an ell with
+    more than MAX_FROB_RESIDUES residues.
     """
     fs = frob_set(fan)
     classes = set(fs.classes)
     for ell in range(1, math.lcm(*fs.chamber_ells) + 1):
-        _require_residue_bound(fan, ell)
         if classes <= set(pushforward_summands(fan, _zero(fan), ell)):
             return ell
     raise AssertionError("stabilization bound violated; chamber ells inconsistent")
@@ -221,8 +222,8 @@ def _require_residue_bound(fan: Fan, ell: int) -> None:
     residues = ell ** fan.dim
     if residues > MAX_FROB_RESIDUES:
         raise ValueError(
-            f"the ell sweep reaches ell = {ell}, which walks ell^dim = {ell}^{fan.dim} = "
-            f"{residues} residues; at most {MAX_FROB_RESIDUES} are supported"
+            f"ell = {ell} walks ell^dim = {ell}^{fan.dim} = {residues} residues; "
+            f"at most {MAX_FROB_RESIDUES} are supported"
         )
 
 

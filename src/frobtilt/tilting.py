@@ -8,6 +8,10 @@ cones, unimodular Euler pairing), and the resulting bounds
 
     dim X  <=  rouquier dim  <=  generation time  <=  dim X + m0.
 
+Every Ext group goes through cohomology.ext_dims on the summands' classes,
+so each pair costs one lookup in the fan's per-class cohomology cache and
+builds a representative divisor only on a miss.
+
 Fullness of the candidate is never decided here; a clean run is reported
 as VERIFIED_MODULO_FULLNESS.
 """
@@ -17,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .cohomology import CohomologyVector, cohomology, require_pattern_rays
+from .cohomology import CohomologyVector, ext_dims, require_pattern_rays
 from .cones import NEITHER, bu_set, nef_fano_status
-from .fan import DivisorClass, Fan, canonical_divisor
+from .fan import DivisorClass, Fan, canonical_divisor, divisor_class
 from .frobenius import frob_set
 from .lattice import determinant
 
@@ -105,8 +109,7 @@ def build_candidate(fan: Fan, summands: Optional[tuple[DivisorClass, ...]] = Non
     require_pattern_rays(fan)  # before bu_set's chamber walk
     if summands is None:
         summands = bu_set(fan)
-    reps = [L.representative() for L in summands]
-    table = tuple(tuple(cohomology(fan, b - a) for b in reps) for a in reps)
+    table = tuple(tuple(ext_dims(fan, a, b) for b in summands) for a in summands)
     gram = tuple(tuple(v.euler() for v in row) for row in table)
     return TiltingCandidate(fan, tuple(summands), table, gram)
 
@@ -125,18 +128,18 @@ def ext_vanishing(candidate: TiltingCandidate) -> ExtVanishing:
 def m0(candidate: TiltingCandidate) -> int:
     """Top degree with Hom(T, T x w^-1 [m]) nonzero, computed directly.
 
-    Evaluates H^*(L_b - L_a - K) over all summand pairs; the degree-0 part
+    Evaluates Ext^*(L_a + K, L_b) = H^*(L_b - L_a - K) over all summand
+    pairs, with K reduced to its class once; the degree-0 part
     is never empty (for a = b it contains H^0(-K), and -K is effective on
     any toric variety), so the maximum is well defined and >= 0.
     """
     fan = candidate.fan
-    K = canonical_divisor(fan)
-    reps = [L.representative() for L in candidate.summands]
+    K = divisor_class(canonical_divisor(fan))
     top = 0
-    for a in reps:
+    for a in candidate.summands:
         aK = a + K
-        for b in reps:
-            nz = cohomology(fan, b - aK).top_nonzero()
+        for b in candidate.summands:
+            nz = ext_dims(fan, aK, b).top_nonzero()
             if nz is not None and nz > top:
                 top = nz
     return top

@@ -20,6 +20,7 @@ from frobtilt.cohomology import (
     weight_patterns,
 )
 from frobtilt.fan import (
+    DivisorClass,
     Fan,
     InvalidFanError,
     TorusDivisor,
@@ -473,7 +474,43 @@ def test_euler_chi_p2_twists():
     assert ext_dims(P2, o, cls_of(P2, (-1, 0, 0))).euler() == 0
 
 
+def test_ext_dims_of_a_cached_class_runs_no_weight_patterns(monkeypatch):
+    fan = Fan(dP6.dim, dP6.rays, dP6.max_cones)  # a fresh Fan: an empty cache
+    D = TorusDivisor(fan, (2, -1, 0, -3, 1, 0))
+    dims = cohomology(fan, D)
+    cohomology_mod = importlib.import_module("frobtilt.cohomology")
+    scanned = []
+    real = cohomology_mod.weight_patterns
+    monkeypatch.setattr(cohomology_mod, "weight_patterns",
+                        lambda *args, **kw: scanned.append(args) or real(*args, **kw))
+    L = cls_of(fan, (1, 0, 0, 2, 0, 0))
+    assert ext_dims(fan, L, L + divisor_class(D)) == dims
+    assert ext_dims(fan, cls_of(fan, (0,) * 6), divisor_class(D)) == dims
+    assert scanned == []
+
+
 # --- error paths ---------------------------------------------------------------------
+
+
+def test_divisor_from_another_fan_raises_and_leaves_the_cache():
+    # K_F1 has class coordinates (-1, -2) on F1; on P1xP1 those are O(-1) x O(-2)
+    fan = Fan(P1xP1.dim, P1xP1.rays, P1xP1.max_cones)  # a fresh Fan: an empty cache
+    F1 = builtin("F1").fan
+    K_F1 = canonical_divisor(F1)
+    assert divisor_class(K_F1).coords == (-1, -2)
+    O = cls_of(fan, (0, 0, 0, 0))
+    calls = [
+        lambda: cohomology(fan, K_F1),
+        lambda: weight_patterns(fan, K_F1),
+        lambda: ext_dims(fan, O, divisor_class(K_F1)),
+        lambda: ext_dims(fan, divisor_class(K_F1), O),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^the divisor is not on this fan$"):
+            call()
+        assert fan._cohomology_cache == {}
+    assert cohomology(fan, DivisorClass((-1, -2), fan).representative()).dims == (0, 0, 0)
+    assert cohomology(fan, TorusDivisor(fan, K_F1.coeffs)).dims == h_p1xp1_oracle(-2, -2)
 
 
 def test_invalid_fan_rejected():

@@ -334,15 +334,32 @@ def test_ell_sweeps_refuse_an_ell_beyond_the_residue_bound(monkeypatch):
     frobenius = importlib.import_module("frobtilt.frobenius")
     monkeypatch.setattr(frobenius, "MAX_FROB_RESIDUES", 8)
     fs = frob_set(P2)
-    with pytest.raises(ValueError, match=r"ell = 3, which walks ell\^dim = 3\^2 = 9 residues"):
+    with pytest.raises(ValueError, match=r"^ell = 3 walks ell\^dim = 3\^2 = 9 residues"):
         fs.witnesses
     assert ells == []
     with pytest.raises(ValueError, match="ell = 3"):
         minimal_stabilizing_ell(P2)
-    assert ells == [1, 2]
+    assert ells == [1, 2, 3]  # the pushforward at ell = 3 refuses before it walks
     monkeypatch.setattr(frobenius, "MAX_FROB_RESIDUES", 9)
     assert max(w.min_ell for w in frob_set(P2).witnesses) == 3
     assert minimal_stabilizing_ell(P2) == 3
+
+
+def test_pushforward_refuses_an_ell_beyond_the_residue_bound_before_walking(monkeypatch):
+    frobenius = importlib.import_module("frobtilt.frobenius")
+    reduced = []
+    real = frobenius.divisor_class
+    monkeypatch.setattr(frobenius, "divisor_class", lambda D: reduced.append(D) or real(D))
+    P4 = builtin("P4").fan
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^ell = 10000 walks ell\^dim = 10000\^4 = "):
+        pushforward_summands(P4, zero(P4), 10_000)
+    assert time.perf_counter() - start < 1
+    assert reduced == []
+    monkeypatch.setattr(frobenius, "MAX_FROB_RESIDUES", 16)
+    assert sum(pushforward_summands(P4, zero(P4), 2).values()) == 16
+    with pytest.raises(ValueError, match="^ell = 3 walks "):
+        pushforward_summands(P4, zero(P4), 3)
 
 
 def test_frob_classes_sorted():

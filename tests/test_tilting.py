@@ -1,3 +1,4 @@
+import importlib
 import sys
 
 import pytest
@@ -6,7 +7,7 @@ import frobtilt.frobenius
 from frobtilt.catalog import builtin, catalog_names
 from frobtilt.cohomology import cohomology
 from frobtilt.cones import NEITHER, bu_set, nef_fano_status
-from frobtilt.fan import TorusDivisor, canonical_divisor, divisor_class, product
+from frobtilt.fan import DivisorClass, Fan, TorusDivisor, canonical_divisor, divisor_class, product
 from frobtilt.tilting import (
     HYPOTHESIS_FAILED,
     NOT_APPLICABLE,
@@ -97,6 +98,52 @@ def test_m0_p2_is_zero():
 
 def test_m0_f2_nef_fano_stress_case():
     assert m0(build_candidate(F2)) == 0
+
+
+# The catalog and the product fans of the benchmark's cold orlov workload.
+ROUTE_FANS = {name: builtin(name).fan for name in catalog_names()} | {
+    name: product(builtin(x).fan, builtin(y).fan)
+    for name, (x, y) in {
+        "P1xP1xP1xP1": ("P1xP1", "P1xP1"),
+        "BlptP3xP1": ("BlptP3", "P1"),
+        "dP6xP1": ("dP6", "P1"),
+        "dP6xP2": ("dP6", "P2"),
+    }.items()
+}
+
+
+def fresh(fan):
+    """An equal Fan with empty caches."""
+    return Fan(fan.dim, fan.rays, fan.max_cones)
+
+
+@pytest.mark.parametrize("name", list(ROUTE_FANS))
+def test_ext_table_and_m0_match_the_representative_route(name):
+    # each route fills its own fan's class cache
+    c = build_candidate(fresh(ROUTE_FANS[name]))
+    other = fresh(c.fan)
+    K = canonical_divisor(other)
+    reps = [TorusDivisor(other, L.representative().coeffs) for L in c.summands]
+    assert c.ext_table == tuple(tuple(cohomology(other, b - a) for b in reps) for a in reps)
+    top = max(cohomology(other, b - a - K).top_nonzero() for a in reps for b in reps)
+    assert m0(c) == top
+
+
+def test_warm_m0_builds_no_representative_and_reduces_only_k(monkeypatch):
+    c = build_candidate(fresh(builtin("dP6").fan))
+    first = m0(c)
+    built, reduced = [], []
+    real_rep = DivisorClass.representative
+    monkeypatch.setattr(DivisorClass, "representative",
+                        lambda cls: built.append(cls) or real_rep(cls))
+    for name in ("frobtilt.cohomology", "frobtilt.tilting"):
+        module = importlib.import_module(name)
+        real = module.divisor_class
+        monkeypatch.setattr(module, "divisor_class",
+                            lambda D, name=name, real=real: reduced.append(name) or real(D))
+    assert m0(c) == first
+    assert built == []
+    assert reduced == ["frobtilt.tilting"]  # K, once
 
 
 # --- orlov_check -------------------------------------------------------------------
