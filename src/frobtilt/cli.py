@@ -5,8 +5,8 @@ in json (default), md, or csv.  Exit codes: 0 success / verified, 1 a
 verification failed (e.g. orlov status is not VERIFIED_MODULO_FULLNESS),
 2 invalid input (unknown target, malformed file or divisor, invalid fan,
 a fan whose cohomology turns out infinite, i.e. one that is not complete,
-or work beyond a supported bound: the residues of one ell, for --ell and
-the ell sweeps of frob-set and stabilize, or the ray count).
+or work beyond a supported bound: the residues of frob --ell, or the ray
+count).
 """
 
 from __future__ import annotations

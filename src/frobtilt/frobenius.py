@@ -11,13 +11,12 @@ prefixes, each an integer class sum plus one +-[D_rho] step per
 breakpoint.
 
 The full summand set over every ell is computed exactly from the chambers
-of the arrangement {<t, v_rho> = k} inside the half-open unit cube.  The
-rational point t found in a chamber realizes its class at every multiple
-of the chamber ell that clears t's denominators.  The walk solves one LP
-per chamber node except the child that holds its parent's point; minimal
-witness ells are swept only when first read.  No pushforward walks an ell
-with more than MAX_FROB_RESIDUES residues, so neither that sweep nor the
-stabilizing search does.
+of the arrangement {<t, v_rho> = k} inside the half-open unit cube, one
+LP per chamber node except the child that holds its parent's point.  A
+leaf's point t realizes its class at the chamber ell that clears t's
+denominators.  The least ell at which a class, or every class, appears is
+found with no pushforward, by asking whether a leaf's chamber scaled by
+ell holds an integer point.
 """
 
 from __future__ import annotations
@@ -31,15 +30,14 @@ from functools import cached_property
 from typing import Optional
 
 from .fan import DivisorClass, Fan, TorusDivisor, _require_on_fan, divisor_class
-from .lattice import IntVec, LinearSystem, dot, feasible_point, identity_matrix
+from .lattice import IntVec, LinearSystem, _count_box, dot, feasible_point, identity_matrix
 
 # A walk at ell visits ell^(dim-1) residue prefixes, each an integer class
 # sum over the rays plus one class step per floor breakpoint, at 6-15 us a
 # prefix on a 2-vCPU host: a million residues of P4 (ell = 31) take
-# 0.2-0.5 s end to end, as the host's load varies.  pushforward_summands
-# refuses an ell with more residues, and with it frob --ell and the ell
-# sweeps of frob-set and stabilize; the bound stays until the cost no longer
-# grows with ell.
+# 0.2-0.5 s end to end, as the host's load varies.  pushforward_summands,
+# and with it frob --ell, refuses an ell with more residues; the bound
+# stays until the cost no longer grows with ell.
 MAX_FROB_RESIDUES = 1_000_000
 
 
@@ -53,31 +51,22 @@ class FrobWitness:
 class FrobSet:
     """The finite set of summand classes, sorted by class coordinates.
 
-    chamber_ells[i] is an ell at which the walk's point realizes
-    classes[i]; it depends on the LP vertex found, so equality and repr
-    skip it.  witnesses (minimal witness ells) are swept on first read.
+    cells[i] holds (b, chamber ell) for each leaf of the walk whose floor
+    vector b has the class classes[i].  The ells depend on the LP vertex
+    found, so equality and repr skip cells.  witnesses are read lazily.
     """
 
     fan: Fan
     classes: tuple[DivisorClass, ...]
-    chamber_ells: tuple[int, ...] = field(compare=False, repr=False)
+    cells: tuple[tuple[tuple[IntVec, int], ...], ...] = field(compare=False, repr=False)
 
     @cached_property
     def witnesses(self) -> tuple[FrobWitness, ...]:
-        """Each class's least ell, sweeping ell = 1 up to the largest chamber ell.
-
-        Raises ValueError, before any walk, when that ell has more than
-        MAX_FROB_RESIDUES residues.
-        """
-        last = max(self.chamber_ells)
-        _require_residue_bound(self.fan, last)
-        found: dict[DivisorClass, int] = {}
-        for ell in range(1, last + 1):
-            for cls in pushforward_summands(self.fan, _zero(self.fan), ell):
-                found.setdefault(cls, ell)
-            if all(cls in found for cls in self.classes):
-                return tuple(FrobWitness(cls, found[cls]) for cls in self.classes)
-        raise AssertionError("the ell sweep missed a chamber class by its witness ell")
+        """Each class's least ell, over its leaves, at which a leaf's cell has a point."""
+        return tuple(
+            FrobWitness(cls, min(_least_ell(self.fan, b, last) for b, last in leaves))
+            for cls, leaves in zip(self.classes, self.cells)
+        )
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -105,7 +94,12 @@ def pushforward_summands(fan: Fan, D: TorusDivisor, ell: int) -> Counter:
     if ell < 1:
         raise ValueError("ell must be a positive integer")
     _require_on_fan(fan, D)
-    _require_residue_bound(fan, ell)
+    residues = ell ** fan.dim
+    if residues > MAX_FROB_RESIDUES:
+        raise ValueError(
+            f"ell = {ell} walks ell^dim = {ell}^{fan.dim} = {residues} residues; "
+            f"at most {MAX_FROB_RESIDUES} are supported"
+        )
     rays = []
     for a, ray, e in zip(D.coeffs, fan.rays, identity_matrix(fan.n_rays)):
         unit = divisor_class(TorusDivisor(fan, e)).coords
@@ -158,7 +152,8 @@ def frob_set(fan: Fan) -> FrobSet:
     other child solves one.
     """
     fan.require_valid()
-    chamber_ells: dict[DivisorClass, int] = {}
+    cells: dict[DivisorClass, list[tuple[IntVec, int]]] = {}
+    normals = identity_matrix(fan.dim) + fan.rays
     ranges = []
     for ray in fan.rays:
         lo = sum(min(x, 0) for x in ray)
@@ -167,7 +162,7 @@ def frob_set(fan: Fan) -> FrobSet:
 
     def descend(k: int, prefix: tuple[int, ...], point: Optional[tuple[IntVec, int]]) -> None:
         if point is None:
-            point = feasible_point(_chamber_system_partial(fan, prefix))
+            point = feasible_point(LinearSystem(fan.dim, _cell(normals, (0,) * fan.dim + prefix)))
             if point is None:
                 return
         num, den = point
@@ -175,7 +170,7 @@ def frob_set(fan: Fan) -> FrobSet:
             # u = ell*t is a residue at ell = the lcm of t's denominators,
             # and its summand has floor vector prefix.
             cls = divisor_class(TorusDivisor(fan, prefix))
-            chamber_ells.setdefault(cls, den // math.gcd(den, *num))
+            cells.setdefault(cls, []).append((prefix, den // math.gcd(den, *num)))
             return
         inside = dot(num, fan.rays[k]) // den
         for b in ranges[k]:
@@ -183,49 +178,48 @@ def frob_set(fan: Fan) -> FrobSet:
 
     descend(0, (), None)
 
-    classes = tuple(sorted(chamber_ells))
-    return FrobSet(fan, classes, tuple(chamber_ells[cls] for cls in classes))
+    classes = tuple(sorted(cells))
+    return FrobSet(fan, classes, tuple(tuple(cells[cls]) for cls in classes))
 
 
-def _chamber_system_partial(fan: Fan, bs: tuple[int, ...]) -> LinearSystem:
-    """t in [0,1)^n with <t, v_rho> in [b_rho, b_rho + 1) for assigned rays."""
-    n = fan.dim
+def _cell(vectors: tuple[IntVec, ...], bs: tuple[int, ...], ell: int = 1) -> tuple:
+    """The rows ell*b_i <= <u, vectors[i]> < ell*(b_i + 1) for i < len(bs).
+
+    A chamber of the walk is the cell of the unit vectors, each with b = 0,
+    then the rays.  Scaled by ell, a leaf's chamber holds the residues u
+    whose floor vector is the leaf's; they lie in [0, ell-1]^n, a box that
+    replaces the unit vectors' rows.
+    """
     rows = []
-    for i in range(n):
-        e = tuple(int(i == j) for j in range(n))
-        rows.append((tuple(-x for x in e), 0, False))
-        rows.append((e, 1, True))
-    for ray, b in zip(fan.rays, bs):
-        rows.append((tuple(-x for x in ray), -b, False))
-        rows.append((ray, b + 1, True))
-    return LinearSystem(n, tuple(rows))
+    for v, b in zip(vectors, bs):
+        rows += [(tuple(-x for x in v), -ell * b, False), (v, ell * (b + 1), True)]
+    return tuple(rows)
+
+
+def _realizes(fan: Fan, b: IntVec, ell: int) -> bool:
+    """Whether the pushforward of O at ell has a residue with floor vector b."""
+    return bool(_count_box(_cell(fan.rays, b, ell), [(0, ell - 1)] * fan.dim, any))
+
+
+def _least_ell(fan: Fan, b: IntVec, last: int) -> int:
+    """The least ell at which b's cell has a point; at its chamber ell last it must."""
+    for ell in range(1, last + 1):
+        if _realizes(fan, b, ell):
+            return ell
+    raise AssertionError("a chamber leaf has no residue at its chamber ell")
 
 
 def minimal_stabilizing_ell(fan: Fan) -> int:
     """Least ell whose single pushforward of O contains every frob class.
 
-    The search runs from ell = 1, so each ell is walked once.  A class
-    seen at ell through residue u is seen again at k*ell through k*u, so
-    every class appears at the lcm of the chamber ells, which ends the
-    search.  The pushforward raises ValueError before walking an ell with
-    more than MAX_FROB_RESIDUES residues.
+    A class is in the pushforward at ell iff one of its leaves' cells has
+    a point there.  A class seen at ell through residue u is seen again at
+    k*ell through k*u, so every class appears at the lcm of the chamber
+    ells, which ends the search from ell = 1.
     """
     fs = frob_set(fan)
-    classes = set(fs.classes)
-    for ell in range(1, math.lcm(*fs.chamber_ells) + 1):
-        if classes <= set(pushforward_summands(fan, _zero(fan), ell)):
+    last = math.lcm(*(e for leaves in fs.cells for _, e in leaves))
+    for ell in range(1, last + 1):
+        if all(any(_realizes(fan, b, ell) for b, _ in leaves) for leaves in fs.cells):
             return ell
     raise AssertionError("stabilization bound violated; chamber ells inconsistent")
-
-
-def _require_residue_bound(fan: Fan, ell: int) -> None:
-    residues = ell ** fan.dim
-    if residues > MAX_FROB_RESIDUES:
-        raise ValueError(
-            f"ell = {ell} walks ell^dim = {ell}^{fan.dim} = {residues} residues; "
-            f"at most {MAX_FROB_RESIDUES} are supported"
-        )
-
-
-def _zero(fan: Fan) -> TorusDivisor:
-    return TorusDivisor(fan, (0,) * fan.n_rays)

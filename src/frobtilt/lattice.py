@@ -464,31 +464,35 @@ def count_points(S: LinearSystem, bases: Optional[dict] = None) -> int:
         raise UnboundedSystemError("coordinates %s unbounded" % unbounded)
     if any(lo > hi for _, boxes in boxed for lo, hi in boxes):
         return 0
-    return math.prod(_count_box(block, boxes) for block, boxes in boxed)
+    return math.prod(_count_box(block.rows, boxes) for block, boxes in boxed)
 
 
-def _count_box(S: LinearSystem, boxes: list[tuple[int, int]]) -> int:
-    """The number of integer points of S inside its integer bounding box."""
+def _count_box(rows: Sequence[tuple[IntVec, int, bool]], boxes: list[tuple[int, int]],
+               total=sum) -> int:
+    """The number of integer points meeting rows (a, b, strict) in the nonempty box.
+
+    With total=any it is whether there is one, the walk stopping at the first.
+    """
     # caps[k][i]: row i's part in x[:k+1] is at most b - strict minus the
     # least value the still-free x[k+1:] can give it (on integer points
     # a.x < b is a.x <= b - 1).  It depends only on the level k.
-    caps = [
-        [
-            b - strict - sum(min(g * lo, g * hi) for g, (lo, hi) in zip(a[k + 1:], boxes[k + 1:]))
-            for a, b, strict in S.rows
-        ]
-        for k in range(S.dim)
-    ]
-    return _count(tuple(a for a, _, _ in S.rows), boxes, caps, 0, [0] * len(S.rows))
+    caps = [[] for _ in boxes]
+    for a, b, strict in rows:
+        cap = b - strict
+        for k in range(len(boxes) - 1, -1, -1):
+            caps[k].append(cap)
+            cap -= a[k] * boxes[k][a[k] < 0]  # the box end where a[k] * x is least
+    return _count(tuple(a for a, _, _ in rows), boxes, caps, 0, [0] * len(rows), total)
 
 
 def _count(rows: tuple[IntVec, ...], boxes: list[tuple[int, int]], caps: list[list[int]],
-           k: int, partial: list[int]) -> int:
+           k: int, partial: list[int], total) -> int:
     """The number of points of the box extending x[:k] that meet every row.
 
     Row i means rows[i].x <= caps[k][i] given the free x[k+1:]; partial[i]
     is the part of that dot product fixed by x[:k].  At the last
     coordinate the tightened interval is exact, so its length is the count.
+    total (sum, or any to stop at the first point) combines x[k]'s values.
     """
     lo, hi = boxes[k]
     for g, cap, s in zip(rows, caps[k], partial):
@@ -504,7 +508,7 @@ def _count(rows: tuple[IntVec, ...], boxes: list[tuple[int, int]], caps: list[li
             return 0
     if k == len(boxes) - 1:
         return hi - lo + 1
-    return sum(
-        _count(rows, boxes, caps, k + 1, [s + g[k] * v for g, s in zip(rows, partial)])
+    return total(
+        _count(rows, boxes, caps, k + 1, [s + g[k] * v for g, s in zip(rows, partial)], total)
         for v in range(lo, hi + 1)
     )

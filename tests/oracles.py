@@ -125,8 +125,12 @@ def residue_walk(fan: Fan, D: TorusDivisor, ell: int) -> Counter:
     if ell < 1:
         raise ValueError("ell must be a positive integer")
     counts: Counter = Counter()
+    classes: dict[IntVec, DivisorClass] = {}  # residues share few floor vectors
     for u in itertools.product(range(ell), repeat=fan.dim):
-        counts[divisor_class(summand_divisor(fan, D, ell, u))] += 1
+        b = tuple((a + dot(u, ray)) // ell for a, ray in zip(D.coeffs, fan.rays))
+        if b not in classes:
+            classes[b] = divisor_class(TorusDivisor(fan, b))
+        counts[classes[b]] += 1
     return counts
 
 
@@ -144,15 +148,14 @@ def chamber_system(fan: Fan, bs: tuple[int, ...]) -> LinearSystem:
     return LinearSystem(n, tuple(rows))
 
 
-def chamber_walk(fan: Fan) -> tuple[dict[DivisorClass, int], int]:
+def chamber_leaves(fan: Fan) -> tuple[dict[DivisorClass, int], int]:
     """frob(X) by the chamber walk with one LP at every node.
 
-    Returns each class's minimal witness ell, from a residue-walk sweep of
-    ell = 1 up to the largest chamber witness ell, and the number of
-    chamber nodes visited.
+    Returns each class with the chamber ell of its first leaf's point, and
+    the number of chamber nodes visited.
     """
     fan.require_valid()
-    witness_ells: dict[DivisorClass, int] = {}
+    chamber_ells: dict[DivisorClass, int] = {}
     ranges = []
     for ray in fan.rays:
         lo = sum(min(x, 0) for x in ray)
@@ -168,18 +171,27 @@ def chamber_walk(fan: Fan) -> tuple[dict[DivisorClass, int], int]:
             return
         if k == fan.n_rays:
             cls = divisor_class(TorusDivisor(fan, prefix))
-            witness_ells.setdefault(cls, point[1] // math.gcd(point[1], *point[0]))
+            chamber_ells.setdefault(cls, point[1] // math.gcd(point[1], *point[0]))
             return
         for b in ranges[k]:
             descend(k + 1, prefix + (b,))
 
     descend(0, ())
+    return chamber_ells, nodes
 
+
+def chamber_walk(fan: Fan) -> tuple[dict[DivisorClass, int], int]:
+    """frob(X) with minimal witness ells, by chamber_leaves and a residue-walk sweep.
+
+    Returns each class's minimal witness ell, from a sweep of ell = 1 up to
+    the largest chamber ell, and the number of chamber nodes visited.
+    """
+    chamber_ells, nodes = chamber_leaves(fan)
     zero = TorusDivisor(fan, (0,) * fan.n_rays)
     found: dict[DivisorClass, int] = {}
-    for ell in range(1, max(witness_ells.values()) + 1):
+    for ell in range(1, max(chamber_ells.values()) + 1):
         for cls in residue_walk(fan, zero, ell):
-            if cls in witness_ells:
+            if cls in chamber_ells:
                 found.setdefault(cls, ell)
     return found, nodes
 
@@ -187,10 +199,10 @@ def chamber_walk(fan: Fan) -> tuple[dict[DivisorClass, int], int]:
 def stabilizing_ell_from_one(fan: Fan) -> int:
     """Least ell whose pushforward of O contains every frob class, searched from 1.
 
-    The classes come from chamber_walk and each ell from residue_walk, so
+    The classes come from chamber_leaves and each ell from residue_walk, so
     no library routine of frob(X) or of the pushforward takes part.
     """
-    classes = set(chamber_walk(fan)[0])
+    classes = set(chamber_leaves(fan)[0])
     zero = TorusDivisor(fan, (0,) * fan.n_rays)
     ell = 1
     while not classes <= set(residue_walk(fan, zero, ell)):

@@ -176,19 +176,23 @@ def _projective_space_file(tmp_path, n):
     return str(path)
 
 
-@pytest.mark.parametrize("command, ell", [("frob-set", 9), ("stabilize", 6)])
-def test_ell_sweep_refuses_more_than_a_million_residues(tmp_path, capsys, command, ell):
-    # frob-set checks P8's largest chamber ell, 9, before any walk;
-    # stabilize walks ell = 1 ... 5 and refuses 6^8 residues
-    path = _projective_space_file(tmp_path, 8)
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("command", ["frob-set", "stabilize"])
+def test_ell_searches_succeed_beyond_a_million_residues(tmp_path, capsys, command, n):
+    # P8's stabilizing ell, 9, has 9^8 residues; its cells are decided instead
+    path = _projective_space_file(tmp_path, n)
     start = time.perf_counter()
-    code, out, err = run(capsys, command, path)
-    if command == "frob-set":
-        assert time.perf_counter() - start < 1
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"error: ell = {ell} walks ") and err.count("\n") == 1
-    assert "ell^dim" in err
+    code, out, _ = run(capsys, command, path)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    data = json.loads(out)
+    if command == "stabilize":
+        assert data["minimal_stabilizing_ell"] == n + 1
+    else:
+        # O(-k) first splits off at ell = n // (n + 1 - k) + 1, O itself at ell = 1
+        assert {c["coords"][0]: c["min_witness_ell"] for c in data["classes"]} == {
+            -k: n // (n + 1 - k) + 1 if k else 1 for k in range(n + 1)
+        }
 
 
 def test_ell_sweep_allows_p6(tmp_path, capsys):

@@ -7,7 +7,9 @@ from collections import Counter
 import pytest
 
 from frobtilt.catalog import builtin, catalog_names
-from frobtilt.fan import DivisorClass, TorusDivisor, divisor_class, principal_divisor, product
+from frobtilt.fan import (
+    DivisorClass, TorusDivisor, divisor_class, principal_divisor, product, projective_space,
+)
 from frobtilt.frobenius import FrobSet, frob_set, minimal_stabilizing_ell, pushforward_summands
 from frobtilt.lattice import dot
 from oracles import chamber_walk, residue_walk, stabilizing_ell_from_one, summand_divisor
@@ -246,7 +248,8 @@ def test_chamber_walk_reuses_the_parent_point(monkeypatch):
 
     monkeypatch.setattr(frobenius, "feasible_point", counted)
     nodes = 0
-    for fan in [builtin(name).fan for name in catalog_names()] + [product(builtin("dP6").fan, P1)]:
+    fans = [builtin(name).fan for name in catalog_names()]
+    for fan in fans + [product(builtin("dP6").fan, P1), projective_space(5), projective_space(6)]:
         expected, visited = chamber_walk(fan)
         nodes += visited
         fs = frob_set(fan)
@@ -270,79 +273,76 @@ def test_witness_ells_are_minimal():
     assert by_coords == {(0,): 1, (-1,): 2, (-2,): 3}
 
 
-def test_witness_sweep_fails_instead_of_looping_on_a_missed_class(monkeypatch):
-    # A pushforward that never yields P2's class (-1,) must end the sweep at
-    # the chamber's witness ell with an error, not run on forever.
+def closed_form_witness_ell(n, k):
+    """The least ell at which O(-k) splits off the pushforward of O on P^n.
+
+    A residue u has class O(-k) iff (k-1)*ell < sum(u) <= k*ell, and
+    sum(u) <= n*(ell-1), so k >= 1 needs ell*(n+1-k) > n.
+    """
+    return n // (n + 1 - k) + 1 if k else 1
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_projective_space_witness_and_stabilizing_ells_have_closed_forms(n):
+    fs = frob_set(projective_space(n))
+    assert {w.cls.coords: w.min_ell for w in fs.witnesses} == {
+        (-k,): closed_form_witness_ell(n, k) for k in range(n + 1)
+    }
+    assert minimal_stabilizing_ell(projective_space(n)) == n + 1
+
+
+def test_witnesses_fail_on_a_leaf_whose_cell_has_no_point(monkeypatch):
+    # A cell test that never finds P2's class (-1,) must end that leaf's
+    # search at its chamber ell with an error.
     frobenius = importlib.import_module("frobtilt.frobenius")
-    real = frobenius.pushforward_summands
-
-    def dropping(fan, D, ell):
-        counts = real(fan, D, ell)
-        counts.pop(DivisorClass((-1,), fan), None)
-        return counts
-
-    monkeypatch.setattr(frobenius, "pushforward_summands", dropping)
+    fs = frob_set(P2)
+    ((missed, _),) = fs.cells[fs.classes.index(DivisorClass((-1,), P2))]
+    real = frobenius._realizes
+    monkeypatch.setattr(frobenius, "_realizes",
+                        lambda fan, b, ell: b != missed and real(fan, b, ell))
     start = time.perf_counter()
-    with pytest.raises(AssertionError, match="missed a chamber class"):
-        frob_set(P2).witnesses
+    with pytest.raises(AssertionError, match="no residue at its chamber ell"):
+        fs.witnesses
     assert time.perf_counter() - start < 1
 
 
-def pushforward_ells(monkeypatch):
-    """Wrap the library's pushforward; the returned list records each ell walked."""
+@pytest.mark.parametrize("name", ["P2", "dP6", "BlptP3", "P2xP2"])
+def test_frob_set_and_stabilize_walk_no_pushforward(monkeypatch, name):
     frobenius = importlib.import_module("frobtilt.frobenius")
-    real = frobenius.pushforward_summands
-    ells = []
-
-    def recording(fan, D, ell):
-        ells.append(ell)
-        return real(fan, D, ell)
-
-    monkeypatch.setattr(frobenius, "pushforward_summands", recording)
-    return ells
-
-
-def test_frob_set_walks_no_pushforward_and_sweeps_witnesses_once(monkeypatch):
-    ells = pushforward_ells(monkeypatch)
-    fan = product(builtin("dP6").fan, P1)
+    pushed, tests = [], []
+    for attr, record in (("pushforward_summands", pushed), ("_realizes", tests)):
+        real = getattr(frobenius, attr)
+        monkeypatch.setattr(frobenius, attr, lambda *args, real=real, record=record:
+                            record.append(args) or real(*args))
+    fan = builtin(name).fan
     fs = frob_set(fan)
     assert len(fs) == len(fs.classes) and divisor_class(zero(fan)) in fs
-    assert ells == []
+    assert tests == []
     first = fs.witnesses
-    swept = list(range(1, max(w.min_ell for w in first) + 1))
-    assert ells == swept
-    assert fs.witnesses is first and ells == swept
+    decided = len(tests)
+    assert decided >= len(fs)
+    assert fs.witnesses is first and len(tests) == decided
+    assert minimal_stabilizing_ell(fan) >= max(w.min_ell for w in first)
+    assert pushed == []
 
 
-def test_frob_set_equality_ignores_chamber_ells():
-    fs = frob_set(P2)
-    other = FrobSet(fs.fan, fs.classes, tuple(2 * e for e in fs.chamber_ells))
-    assert fs == other and hash(fs) == hash(other) and repr(fs) == repr(other)
-    assert "chamber_ells" not in repr(fs)
-
-
-@pytest.mark.parametrize("name", ["P2", "dP6", "BlptP3"])
-def test_stabilize_walks_each_ell_once(monkeypatch, name):
-    ells = pushforward_ells(monkeypatch)
-    ell = minimal_stabilizing_ell(builtin(name).fan)
-    assert ells == list(range(1, ell + 1))
-
-
-def test_ell_sweeps_refuse_an_ell_beyond_the_residue_bound(monkeypatch):
-    # P2's largest chamber ell and its stabilizing ell are 3: 3^2 = 9 residues
-    ells = pushforward_ells(monkeypatch)
+def test_ell_searches_ignore_the_residue_bound(monkeypatch):
+    # MAX_FROB_RESIDUES bounds pushforward_summands alone
     frobenius = importlib.import_module("frobtilt.frobenius")
-    monkeypatch.setattr(frobenius, "MAX_FROB_RESIDUES", 8)
-    fs = frob_set(P2)
-    with pytest.raises(ValueError, match=r"^ell = 3 walks ell\^dim = 3\^2 = 9 residues"):
-        fs.witnesses
-    assert ells == []
-    with pytest.raises(ValueError, match="ell = 3"):
-        minimal_stabilizing_ell(P2)
-    assert ells == [1, 2, 3]  # the pushforward at ell = 3 refuses before it walks
-    monkeypatch.setattr(frobenius, "MAX_FROB_RESIDUES", 9)
+    monkeypatch.setattr(frobenius, "MAX_FROB_RESIDUES", 0)
+    with pytest.raises(ValueError, match=r"^ell = 1 walks "):
+        pushforward_summands(P2, zero(P2), 1)
     assert max(w.min_ell for w in frob_set(P2).witnesses) == 3
     assert minimal_stabilizing_ell(P2) == 3
+
+
+def test_frob_set_equality_ignores_cells():
+    fs = frob_set(P2)
+    other = FrobSet(fs.fan, fs.classes, tuple(
+        leaves + tuple((b, 2 * ell) for b, ell in leaves) for leaves in fs.cells
+    ))
+    assert fs == other and hash(fs) == hash(other) and repr(fs) == repr(other)
+    assert "cells" not in repr(fs)
 
 
 def test_pushforward_refuses_an_ell_beyond_the_residue_bound_before_walking(monkeypatch):
@@ -399,10 +399,12 @@ def test_stabilizing_ell_finite_on_catalog(name):
 PRODUCTS = {"dP6xP1": ("dP6", "P1"), "dP6xP2": ("dP6", "P2"), "BlptP3xP1": ("BlptP3", "P1")}
 
 
-@pytest.mark.parametrize("name", list(catalog_names()) + list(PRODUCTS))
+@pytest.mark.parametrize("name", list(catalog_names()) + list(PRODUCTS) + ["P5", "P6"])
 def test_stabilizing_ell_matches_search_from_one(name):
     if name in PRODUCTS:
         fan = product(*(builtin(f).fan for f in PRODUCTS[name]))
+    elif name in ("P5", "P6"):
+        fan = projective_space(int(name[1:]))
     else:
         fan = builtin(name).fan
     assert minimal_stabilizing_ell(fan) == stabilizing_ell_from_one(fan)

@@ -441,8 +441,8 @@ def test_lattice_points_empty_relaxation():
     assert count_points(S) == 0
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_lattice_points_vs_brute_force(seed):
+def seeded_box_system(seed):
+    """A system inside the box [-3, 3]^n, with random cuts of every relation."""
     rng = random.Random(500 + seed)
     n = rng.randint(1, 3)
     cons = []
@@ -455,7 +455,13 @@ def test_lattice_points_vs_brute_force(seed):
         coeffs = [rng.randint(-2, 2) for _ in range(n)]
         rel = rng.choice(["<=", "<", ">=", ">", "="])
         cons.append((coeffs, rel, rng.randint(-3, 3)))
-    S = system(n, cons)
+    return system(n, cons)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_lattice_points_vs_brute_force(seed):
+    S = seeded_box_system(seed)
+    n = S.dim
     brute = [
         pt
         for pt in itertools.product(range(-3, 4), repeat=n)
@@ -483,10 +489,12 @@ def brute_count(S, radius=3):
     )
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_count_is_the_product_of_interleaved_block_counts(seed):
-    # coordinate k goes to block k % nblocks, so every block but the last
-    # sits on non-contiguous coordinates; the rows are shuffled together
+def interleaved_blocks(seed):
+    """A system of independent blocks and each block's brute-force count.
+
+    Coordinate k goes to block k % nblocks, so every block but the last
+    sits on non-contiguous coordinates; the rows are shuffled together.
+    """
     rng = random.Random(7000 + seed)
     dim = rng.randint(2, 5)
     nblocks = rng.randint(2, min(3, dim))
@@ -508,7 +516,12 @@ def test_count_is_the_product_of_interleaved_block_counts(seed):
                 full[k] = x
             rows.append((tuple(full), b, strict))
     rng.shuffle(rows)
-    S = LinearSystem(dim, tuple(rows))
+    return LinearSystem(dim, tuple(rows)), factors
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_count_is_the_product_of_interleaved_block_counts(seed):
+    S, factors = interleaved_blocks(seed)
     assert count_points(S) == brute_count(S) == math.prod(factors)
 
 
@@ -547,6 +560,46 @@ def test_all_zero_rows_are_decided_alone():
         assert count_points(S) == count, (b, strict)
     # a false all-zero row empties the system even beside an unbounded coordinate
     assert count_points(LinearSystem(2, square[:2] + (((0, 0), -1, False),))) == 0
+
+
+# --- the count walk stopped at the first point ------------------------------
+
+EMPTY_SYSTEMS = [
+    system(1, [((1,), ">", 0), ((1,), "<", 1)]),
+    system(2, [((1, 0), ">=", 1), ((1, 0), "<=", 0)]),
+    LinearSystem(2, (((0, 0), -1, False),)),
+    LinearSystem(2, (((0, 0), 0, True),)),
+    system(2, [((2, 0), "=", 1)]),
+]
+
+
+@pytest.mark.parametrize(
+    "S",
+    [seeded_box_system(seed) for seed in range(25)]
+    + [interleaved_blocks(seed)[0] for seed in range(20)]
+    + EMPTY_SYSTEMS,
+    ids=[f"box{seed}" for seed in range(25)] + [f"blocks{seed}" for seed in range(20)]
+    + [f"empty{i}" for i in range(len(EMPTY_SYSTEMS))],
+)
+def test_any_walk_decides_what_counting_counts(S):
+    # every seeded point lies in [-3, 3]^n; the empty systems hold none there
+    exists = lattice._count_box(S.rows, [(-3, 3)] * S.dim, any)
+    assert bool(exists) == (brute_count(S) > 0)
+    assert bool(exists) == (lattice._count_box(S.rows, [(-3, 3)] * S.dim) > 0)
+    if S not in EMPTY_SYSTEMS:
+        assert bool(exists) == (count_points(S) > 0)
+
+
+def test_any_walk_stops_at_the_first_point(monkeypatch):
+    calls = []
+    real = lattice._count
+    monkeypatch.setattr(lattice, "_count", lambda *args: calls.append(args[3]) or real(*args))
+    cube = LinearSystem(3, (((1, 1, 1), 300, False),))
+    assert lattice._count_box(cube.rows, [(0, 99)] * 3) == 100 ** 3
+    assert len(calls) == 1 + 100 + 100 ** 2
+    calls.clear()
+    assert lattice._count_box(cube.rows, [(0, 99)] * 3, any)
+    assert calls == [0, 1, 2]
 
 
 # --- coordinate bounds from cached optimal bases -----------------------------
