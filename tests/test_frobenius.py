@@ -326,6 +326,41 @@ def test_frob_set_and_stabilize_walk_no_pushforward(monkeypatch, name):
     assert pushed == []
 
 
+def recorded_calls(monkeypatch, attr):
+    """Wrap a frobenius function; the returned list records each call's arguments."""
+    frobenius = importlib.import_module("frobtilt.frobenius")
+    real = getattr(frobenius, attr)
+    calls = []
+    monkeypatch.setattr(frobenius, attr, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_frob_set_walks_no_pushforward_and_sweeps_witnesses_once(monkeypatch):
+    pushed = recorded_calls(monkeypatch, "pushforward_summands")
+    tests = recorded_calls(monkeypatch, "_realizes")
+    fan = product(builtin("dP6").fan, P1)
+    fs = frob_set(fan)
+    assert len(fs) == len(fs.classes) and divisor_class(zero(fan)) in fs
+    assert tests == []
+    first = fs.witnesses
+    decided = len(tests)
+    assert decided >= len(fs)
+    assert fs.witnesses is first and len(tests) == decided
+    assert pushed == []
+
+
+@pytest.mark.parametrize("name", ["P2", "dP6", "BlptP3"])
+def test_stabilize_walks_each_ell_once(monkeypatch, name):
+    # the cell tests run ell by ell upward: each ell is one pass, never revisited
+    pushed = recorded_calls(monkeypatch, "pushforward_summands")
+    tests = recorded_calls(monkeypatch, "_realizes")
+    ell = minimal_stabilizing_ell(builtin(name).fan)
+    ells = [e for _, _, e in tests]
+    assert ells == sorted(ells)
+    assert list(dict.fromkeys(ells)) == list(range(1, ell + 1))
+    assert pushed == []
+
+
 def test_ell_searches_ignore_the_residue_bound(monkeypatch):
     # MAX_FROB_RESIDUES bounds pushforward_summands alone
     frobenius = importlib.import_module("frobtilt.frobenius")
