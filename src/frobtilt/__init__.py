@@ -47,7 +47,6 @@ from .lattice import (
     determinant,
     feasible,
     feasible_point,
-    hermite_normal_form,
 )
 from .tilting import (
     ExtVanishing,

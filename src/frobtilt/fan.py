@@ -5,9 +5,10 @@ in Z^n plus the maximal cones as ray index sets.  Completeness is proven
 exactly: ridge pairing, dual-graph connectivity, local injectivity at every
 ridge, and degree one at a generic point; see validate().
 
+Cone and basis questions are answered by integer adjugates of ray matrices.
 Divisor classes live in Pic = Z^{#rays} / M, coordinatized once and for all
-through the row Hermite form of the ray relation matrix, so class equality
-is plain integer-vector equality.
+by the one representative that vanishes on a fixed lattice basis of rays, so
+class equality is plain integer-vector equality.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
+from typing import Optional
 
-from .lattice import IntMat, IntVec, determinant, dot, hermite_normal_form, identity_matrix
+from .lattice import IntMat, IntVec, adjugate, dot, integer_rank
 
 
 class InvalidFanError(ValueError):
@@ -83,45 +85,58 @@ class Fan:
         if not rep.ok:
             raise InvalidFanError("; ".join(rep.failures))
 
-    # -- Picard coordinates -------------------------------------------------
+    # -- cone inverses and Picard coordinates ------------------------------
 
     @cached_property
-    def _pic(self) -> tuple[tuple[IntVec, ...], tuple[int, ...], tuple[int, ...]]:
-        """HNF rows of the principal-divisor lattice and its pivot columns.
-
-        The lattice is spanned by the rows g_i = (<e_i, v_rho>)_rho; the
-        fixed section of the quotient places class coordinates on the
-        non-pivot columns.
-        """
-        G = tuple(tuple(r[i] for r in self.rays) for i in range(self.dim))
-        H, _ = hermite_normal_form(G)
-        rows = tuple(row for row in H if any(row))
-        pivots = []
-        for row in rows:
-            p = next(j for j, x in enumerate(row) if x)
-            if row[p] != 1:
-                raise InvalidFanError("Picard group has torsion; fan is not smooth+complete")
-            pivots.append(p)
-        nonpivots = tuple(j for j in range(self.n_rays) if j not in pivots)
-        return rows, tuple(pivots), nonpivots
+    def _adjugates(self) -> dict[tuple[int, ...], tuple[int, Optional[IntMat]]]:
+        """(det, adj) of the ray matrix of each maximal cone with dim rays."""
+        return {c: adjugate(self.cone_matrix(c)) for c in self.max_cones if len(c) == self.dim}
 
     @cached_property
     def _cone_inverses(self) -> tuple[IntMat, ...]:
-        """Per maximal cone, the inverse of its ray matrix A.
-
-        The Hermite form of a unimodular A is H = I, so U = A^-1.
-        """
+        """Per maximal cone, the inverse det.adj of its unimodular ray matrix."""
         out = []
         for cone in self.max_cones:
-            H, U = hermite_normal_form(self.cone_matrix(cone))
-            if H != identity_matrix(self.dim):
+            det, adj = self._adjugates.get(cone, (0, None))
+            if det not in (1, -1):
                 raise InvalidFanError(f"cone {cone} is not smooth: no integral Cartier data")
-            out.append(U)
+            out.append(tuple(tuple(det * x for x in row) for row in adj))
         return tuple(out)
+
+    @cached_property
+    def _pic(self) -> tuple[tuple[int, ...], tuple[int, ...], IntMat]:
+        """The basis rays B, the other rays N, and each N ray's coordinates in B.
+
+        B is the lexicographically first set of dim rays that is a Z-basis,
+        found depth first over the rays in index order, dropping every
+        dependent prefix.  The class of D is a_N - P.a_B, with P the rows of
+        coordinates: D plus the principal divisor of m = B^-1(-a_B), which
+        vanishes on B.
+        """
+        n, rays = self.dim, self.rays
+
+        def extend(chosen):
+            if len(chosen) == n:
+                det, adj = adjugate([rays[i] for i in chosen])
+                return (chosen, det, adj) if det in (1, -1) else None
+            for i in range(chosen[-1] + 1 if chosen else 0, len(rays)):
+                nxt = chosen + (i,)
+                found = integer_rank([rays[j] for j in nxt]) == len(nxt) and extend(nxt)
+                if found:
+                    return found
+            return None
+
+        found = extend(())
+        if found is None:
+            raise InvalidFanError("no dim rays form a lattice basis; fan is not smooth+complete")
+        basis, det, adj = found
+        others = tuple(j for j in range(self.n_rays) if j not in basis)
+        return basis, others, tuple(tuple(det * dot(rays[j], col) for col in zip(*adj))
+                                    for j in others)
 
     @property
     def picard_rank(self) -> int:
-        return len(self._pic[2])
+        return len(self._pic[1])
 
     # mutable per-fan caches, filled lazily; a Fan is immutable otherwise
     @cached_property
@@ -160,7 +175,7 @@ class TorusDivisor:
 
 @dataclass(frozen=True, order=True)
 class DivisorClass:
-    """A point of Pic in the fixed HNF-normalized coordinates."""
+    """A point of Pic: the non-basis coefficients of its representative."""
 
     coords: IntVec = field(compare=True)
     fan: Fan = field(compare=False)
@@ -175,10 +190,10 @@ class DivisorClass:
         return DivisorClass(tuple(-a for a in self.coords), self.fan)
 
     def representative(self) -> TorusDivisor:
-        """The divisor with the class coordinates on non-pivot rays, 0 elsewhere."""
-        _, _, nonpivots = self.fan._pic
+        """The divisor with the class coordinates on non-basis rays, 0 elsewhere."""
+        _, others, _ = self.fan._pic
         coeffs = [0] * self.fan.n_rays
-        for j, v in zip(nonpivots, self.coords):
+        for j, v in zip(others, self.coords):
             coeffs[j] = v
         return TorusDivisor(self.fan, tuple(coeffs))
 
@@ -197,13 +212,10 @@ def _require_on_fan(fan: Fan, *items) -> None:
 def divisor_class(D: TorusDivisor) -> DivisorClass:
     """Reduce the coefficient vector modulo the principal-divisor lattice."""
     fan = D.fan
-    rows, pivots, nonpivots = fan._pic
-    v = list(D.coeffs)
-    for row, p in zip(rows, pivots):
-        q = v[p] // row[p]
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    return DivisorClass(tuple(v[j] for j in nonpivots), fan)
+    basis, others, coords = fan._pic
+    a = D.coeffs
+    a_basis = [a[i] for i in basis]
+    return DivisorClass(tuple(a[j] - dot(p, a_basis) for j, p in zip(others, coords)), fan)
 
 
 def cartier_data(D: TorusDivisor) -> tuple[IntVec, ...]:
@@ -267,7 +279,7 @@ def validate(fan: Fan) -> ValidationReport:
             simplicial = False
             failures.append(f"cone {c} does not have {n} rays")
             continue
-        d = determinant(fan.cone_matrix(c))
+        d = fan._adjugates[c][0]
         if d == 0:
             simplicial = False
             failures.append(f"cone {c} is degenerate (determinant 0)")
@@ -289,16 +301,16 @@ def validate(fan: Fan) -> ValidationReport:
                     f"ridge {ridge} lies in {len(owners)} maximal cone(s), expected 2"
                 )
         # dual graph connectivity over shared ridges
+        neighbours: list[set[int]] = [set() for _ in fan.max_cones]
+        for owners in ridges.values():
+            for ci in owners:
+                neighbours[ci].update(owners)
         seen = {0}
         frontier = [0]
         while frontier:
-            ci = frontier.pop()
-            for owners in ridges.values():
-                if ci in owners:
-                    for cj in owners:
-                        if cj not in seen:
-                            seen.add(cj)
-                            frontier.append(cj)
+            for cj in neighbours[frontier.pop()] - seen:
+                seen.add(cj)
+                frontier.append(cj)
         if len(seen) != len(fan.max_cones):
             connected = False
             failures.append("dual graph of maximal cones is disconnected")
@@ -330,20 +342,25 @@ def _covers_once(fan: Fan, ridges: dict[tuple[int, ...], list[int]],
     Degree one: a point on no ridge hyperplane lies in exactly one cone.
     That point is the first (1, t, ..., t^(n-1)), t = 1, 2, ..., off every
     ridge hyperplane; each hyperplane meets this curve at most n - 1 times.
+    Both are Cramer signs in the ridge's first cone c1: det(c1).<y, adj
+    column of o1> has the sign of y's side of the ridge, o1 c1's other ray.
     """
+    normals = []  # per ridge, the adj column of o1 in c1
     for ridge, (c1, c2) in sorted(ridges.items()):
-        M = fan.cone_matrix(ridge)
         o1, o2 = (
             next(i for i in fan.max_cones[c] if i not in ridge) for c in (c1, c2)
         )
-        if determinant(M + (fan.rays[o1],)) * determinant(M + (fan.rays[o2],)) >= 0:
+        cone = fan.max_cones[c1]
+        det, adj = fan._adjugates[cone]
+        column = tuple(row[cone.index(o1)] for row in adj)
+        if det * dot(fan.rays[o2], column) >= 0:
             failures.append(f"rays {o1} and {o2} lie on the same side of ridge {ridge}")
             return False
-    mats = [fan.cone_matrix(ridge) for ridge in ridges]
+        normals.append(column)
     t = 1
     while True:
         x = tuple(t**k for k in range(fan.dim))
-        if all(determinant(M + (x,)) for M in mats):
+        if all(dot(x, column) for column in normals):
             break
         t += 1
     degree = sum(1 for c in fan.max_cones if _cone_contains(fan, c, x))
@@ -359,14 +376,11 @@ def _covers_once(fan: Fan, ridges: dict[tuple[int, ...], list[int]],
 def _cone_contains(fan: Fan, cone: tuple[int, ...], x: IntVec) -> bool:
     """x is a nonnegative combination of the cone's rays, decided by Cramer's rule.
 
-    The coefficient of ray k is det(M_k) / det(M), where M_k is the ray
-    matrix M with ray k replaced by x; so each must share det(M)'s sign.
+    The coefficient of ray k is (x.adj)_k / det, so each (x.adj)_k must
+    share det's sign.
     """
-    M = fan.cone_matrix(cone)
-    d = determinant(M)
-    return d != 0 and all(
-        determinant(M[:k] + (x,) + M[k + 1:]) * d >= 0 for k in range(len(M))
-    )
+    det, adj = fan._adjugates[cone]
+    return det != 0 and all(det * dot(x, column) >= 0 for column in zip(*adj))
 
 
 # ---------------------------------------------------------------------------

@@ -78,9 +78,9 @@ class FrobSet:
 def pushforward_summands(fan: Fan, D: TorusDivisor, ell: int) -> Counter:
     """Multiset of summand classes of the degree-ell pushforward of O(D).
 
-    divisor_class is linear, since every pivot of the Picard Hermite form
-    is 1, so each ray divisor D_rho is reduced once and a floor vector b
-    has the class sum_rho b_rho [D_rho].  For each prefix u[:n-1], with
+    divisor_class is linear, a_N - P.a_B in the Picard coordinates, so
+    each ray divisor D_rho is reduced once and a floor vector b has the
+    class sum_rho b_rho [D_rho].  For each prefix u[:n-1], with
     c_rho = a_rho + <u[:n-1], v_rho[:n-1]>, the class at x = 0 is
     sum_rho (c_rho // ell) [D_rho]; at each breakpoint of the last
     coordinate x, every ray whose floor steps there adds +-[D_rho], and

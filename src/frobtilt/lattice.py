@@ -66,53 +66,34 @@ def identity_matrix(n: int) -> IntMat:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def hermite_normal_form(A: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat]:
-    """Row-style Hermite normal form.
+def adjugate(A: Sequence[Sequence[int]]) -> tuple[int, Optional[IntMat]]:
+    """(det, adj) of a square integer A, with A.adj = det.I; adj is None when det = 0.
 
-    Returns (H, U) with H = U.A, U unimodular, H in row echelon form with
-    positive pivots and the entries above each pivot reduced into
-    [0, pivot).
+    Fraction-free Gauss-Jordan on [A | I], the exact-division update of
+    _bareiss applied above each pivot too: [A | I] ends at s.[det.I | adj],
+    s the sign of the row swaps.
     """
-    H = [list(map(operator.index, row)) for row in A]
-    if not H or not H[0]:
-        raise ValueError("matrix must be nonempty")
-    m, n = len(H), len(H[0])
-    U = [list(row) for row in identity_matrix(m)]
-    r = 0
+    n = len(A)
+    M = [list(map(operator.index, row)) + list(e) for row, e in zip(A, identity_matrix(n))]
+    if any(len(row) != 2 * n for row in M):
+        raise ValueError("matrix must be square")
+    sign, prev = 1, 1
     for c in range(n):
-        if r == m:
-            break
-        # Euclid on column c: swap the minimal entry up, reduce the others.
-        while True:
-            nz = [i for i in range(r, m) if H[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(H[i][c]))
-            if i0 != r:
-                H[r], H[i0] = H[i0], H[r]
-                U[r], U[i0] = U[i0], U[r]
-            if len(nz) == 1:
-                break
-            p = H[r][c]
-            for i in range(r + 1, m):
-                if H[i][c]:
-                    q = H[i][c] // p
-                    if q:
-                        H[i] = [x - q * y for x, y in zip(H[i], H[r])]
-                        U[i] = [x - q * y for x, y in zip(U[i], U[r])]
-        if H[r][c] == 0:
-            continue
-        if H[r][c] < 0:
-            H[r] = [-x for x in H[r]]
-            U[r] = [-x for x in U[r]]
-        p = H[r][c]
-        for i in range(r):
-            q = H[i][c] // p
-            if q:
-                H[i] = [x - q * y for x, y in zip(H[i], H[r])]
-                U[i] = [x - q * y for x, y in zip(U[i], U[r])]
-        r += 1
-    return tuple(map(tuple, H)), tuple(map(tuple, U))
+        if M[c][c] == 0:
+            piv = next((i for i in range(c + 1, n) if M[i][c] != 0), None)
+            if piv is None:
+                return 0, None
+            M[c], M[piv] = M[piv], M[c]
+            sign = -sign
+        prow = M[c]
+        p = prow[c]
+        for i in range(n):
+            if i != c:
+                row = M[i]
+                f = row[c]
+                M[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+        prev = p
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in M)
 
 
 def _bareiss(M: list[list[int]]) -> tuple[int, int]:

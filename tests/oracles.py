@@ -10,11 +10,13 @@ with one LP at every node for frob(X), the ell sweep from 1 for the
 stabilizing ell, the projection-formula identity between
 pushforwards and cohomology, wall-curve intersection numbers for nefness,
 and an integer solve per cone for the Cartier data behind a failing nef
-inequality.
+inequality, through the row Hermite normal form (the library inverts
+cones by adjugates instead).
 """
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,11 +26,12 @@ from frobtilt.cohomology import cohomology, weight_patterns
 from frobtilt.fan import DivisorClass, Fan, TorusDivisor, canonical_divisor, divisor_class
 from frobtilt.frobenius import frob_set, pushforward_summands
 from frobtilt.lattice import (
+    IntMat,
     IntVec,
     LinearSystem,
     dot,
     feasible_point,
-    hermite_normal_form,
+    identity_matrix,
     integer_rank,
     lp_maximize,
 )
@@ -240,6 +243,55 @@ def projection_chain_check(fan: Fan, ell: int) -> ChainCheck:
             if lhs[q] != rhs.dims[q]:
                 return ChainCheck(False, (L, ell, q))
     return ChainCheck(True, None)
+
+
+def hermite_normal_form(A: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat]:
+    """Row-style Hermite normal form.
+
+    Returns (H, U) with H = U.A, U unimodular, H in row echelon form with
+    positive pivots and the entries above each pivot reduced into
+    [0, pivot).
+    """
+    H = [list(map(operator.index, row)) for row in A]
+    if not H or not H[0]:
+        raise ValueError("matrix must be nonempty")
+    m, n = len(H), len(H[0])
+    U = [list(row) for row in identity_matrix(m)]
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        # Euclid on column c: swap the minimal entry up, reduce the others.
+        while True:
+            nz = [i for i in range(r, m) if H[i][c] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(H[i][c]))
+            if i0 != r:
+                H[r], H[i0] = H[i0], H[r]
+                U[r], U[i0] = U[i0], U[r]
+            if len(nz) == 1:
+                break
+            p = H[r][c]
+            for i in range(r + 1, m):
+                if H[i][c]:
+                    q = H[i][c] // p
+                    if q:
+                        H[i] = [x - q * y for x, y in zip(H[i], H[r])]
+                        U[i] = [x - q * y for x, y in zip(U[i], U[r])]
+        if H[r][c] == 0:
+            continue
+        if H[r][c] < 0:
+            H[r] = [-x for x in H[r]]
+            U[r] = [-x for x in U[r]]
+        p = H[r][c]
+        for i in range(r):
+            q = H[i][c] // p
+            if q:
+                H[i] = [x - q * y for x, y in zip(H[i], H[r])]
+                U[i] = [x - q * y for x, y in zip(U[i], U[r])]
+        r += 1
+    return tuple(map(tuple, H)), tuple(map(tuple, U))
 
 
 def solve_integer(A: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[IntVec]:

@@ -207,6 +207,21 @@ def test_ell_sweep_allows_p6(tmp_path, capsys):
     assert code == 0 and json.loads(out)["minimal_stabilizing_ell"] == 7
 
 
+def test_fan_whose_first_independent_rays_are_no_basis_verifies(tmp_path, capsys):
+    # rays 0 and 1 span a sublattice of index 2; the Picard basis is rays 0 and 2
+    fan = Fan(2, ((1, 0), (1, 2), (1, 1), (0, 1), (-1, -1)),
+              ((0, 2), (2, 1), (1, 3), (3, 4), (4, 0)))
+    path = tmp_path / "fan5.json"
+    save(CatalogEntry("fan5", fan, "smooth complete surface"), path)
+    code, out, _ = run(capsys, "describe", str(path))
+    assert code == 0 and json.loads(out)["picard_rank"] == 3
+    code, out, _ = run(capsys, "orlov", str(path))
+    assert code == 0
+    data = json.loads(out)
+    assert data["status"] == "VERIFIED_MODULO_FULLNESS"
+    assert (data["n_bu"], data["m0"]) == (5, 0)
+
+
 def _p2_chain_file(tmp_path, n_rays):
     """A fan file of a chain of star subdivisions of P2 with n_rays rays."""
     fan = builtin("P2").fan

