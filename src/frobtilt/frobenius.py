@@ -3,12 +3,14 @@
 The degree-ell endomorphism F_ell acts as the ell-th power map on the
 torus; the pushforward of O(D) splits into the ell^n line bundles indexed
 by the residues u in {0..ell-1}^n, with coefficients
-b_rho(u) = floor((a_rho + <u, v_rho>) / ell).  Along the last coordinate
-the floors are constant on runs between at most sum_rho |v_rho[n-1]|
-breakpoints, and the class map is linear, so the split is counted run by
-run on Picard coordinates: one class reduction per ray, then ell^(n-1)
-prefixes, each an integer class sum plus one +-[D_rho] step per
-breakpoint.
+b_rho(u) = floor((a_rho + <u, v_rho>) / ell).  The class map is linear,
+so the split is counted on Picard coordinates after one class reduction
+per ray.  The residues are walked one coordinate at a time, and residue
+prefixes merge when the rays still to be walked have equal remainders
+mod ell and the floors settled so far have equal classes: P^n and product
+fans take about ell^2 steps, and at most ell^(n-1) states reach the last
+coordinate, whose floors are constant on runs between at most
+sum_rho |v_rho[n-1]| breakpoints.
 
 The full summand set over every ell is computed exactly from the chambers
 of the arrangement {<t, v_rho> = k} inside the half-open unit cube, one
@@ -21,9 +23,7 @@ ell holds an integer point.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -32,10 +32,11 @@ from typing import Optional
 from .fan import DivisorClass, Fan, TorusDivisor, _require_on_fan, divisor_class
 from .lattice import IntVec, LinearSystem, _count_box, dot, feasible_point, identity_matrix
 
-# A walk at ell visits ell^(dim-1) residue prefixes, each an integer class
-# sum over the rays plus one class step per floor breakpoint, at 6-15 us a
-# prefix on a 2-vCPU host: a million residues of P4 (ell = 31) take
-# 0.2-0.5 s end to end, as the host's load varies.  pushforward_summands,
+# A walk at ell keeps at most ell^(dim-1) merged residue prefixes, 5-10 us
+# each when none merge: on a 2-vCPU host the 13-ray 4-fold at ell = 31
+# (923,521 residues, 29,791 prefixes) takes 0.3 s in process, while P4
+# and P2xP2 at ell = 31 merge down to 1-2 ms, and frob --ell 31 on them
+# takes 0.15 s end to end, mostly interpreter start-up.  pushforward_summands,
 # and with it frob --ell, refuses an ell with more residues; the bound
 # stays until the cost no longer grows with ell.
 MAX_FROB_RESIDUES = 1_000_000
@@ -80,15 +81,27 @@ def pushforward_summands(fan: Fan, D: TorusDivisor, ell: int) -> Counter:
 
     divisor_class is linear, a_N - P.a_B in the Picard coordinates, so
     each ray divisor D_rho is reduced once and a floor vector b has the
-    class sum_rho b_rho [D_rho].  For each prefix u[:n-1], with
-    c_rho = a_rho + <u[:n-1], v_rho[:n-1]>, the class at x = 0 is
-    sum_rho (c_rho // ell) [D_rho]; at each breakpoint of the last
-    coordinate x, every ray whose floor steps there adds +-[D_rho], and
-    each run adds its length to its class.  Cost: n_rays class
-    reductions, then ell^(n-1) prefixes with at most
-    sum_rho |v_rho[n-1]| breakpoints each, in integer arithmetic on
-    Picard coordinates.  Raises ValueError, before any walk, when ell has
-    more than MAX_FROB_RESIDUES residues.
+    class sum_rho b_rho [D_rho].  The residues are walked one coordinate
+    at a time, with c_rho = a_rho + <u[:j], v_rho[:j]> split by
+    floor((c + t) / ell) = c // ell + floor((c % ell + t) / ell): a state
+    holds the remainders c_rho % ell of the rays still live (nonzero at
+    some later coordinate) and the base class sum_rho (c_rho // ell)
+    [D_rho] of the quotients so far.  Prefixes whose states agree have the
+    same summands from there on, so they merge into one state with the
+    sum of their multiplicities.  Each coordinate before the last steps
+    u_j over [0, ell) once per distinct remainder key; along the last one
+    the floors are constant on runs between at most sum_rho |v_rho[n-1]|
+    breakpoints, walked once per key and added to each state's base.
+
+    On P^n the keys differ only in the remainder of the ray that mixes
+    every coordinate, and on a product fan one factor's remainders stay
+    fixed while the other's coordinates are walked, so both cost about
+    ell^2 steps; with every ray mixing every coordinate, the states are
+    the ell^(n-1) prefixes.  Classes are packed into integers,
+    sum_i coords[i] * width^i with width above twice any coordinate a
+    partial floor sum can reach, so each step is one integer addition.
+    Raises ValueError, before any walk, when ell has more than
+    MAX_FROB_RESIDUES residues.
     """
     fan.require_valid()
     if ell < 1:
@@ -100,31 +113,98 @@ def pushforward_summands(fan: Fan, D: TorusDivisor, ell: int) -> Counter:
             f"ell = {ell} walks ell^dim = {ell}^{fan.dim} = {residues} residues; "
             f"at most {MAX_FROB_RESIDUES} are supported"
         )
-    rays = []
-    for a, ray, e in zip(D.coeffs, fan.rays, identity_matrix(fan.n_rays)):
-        unit = divisor_class(TorusDivisor(fan, e)).coords
-        step = unit if ray[-1] >= 0 else tuple(-x for x in unit)
-        rays.append((a, ray[:-1], ray[-1], unit, step))
-    origin = (0,) * fan.picard_rank
-    counts: dict[IntVec, int] = {}
-    for prefix in itertools.product(range(ell), repeat=fan.dim - 1):
-        cls = origin
-        steps: dict[int, IntVec] = {}
-        for a, head, g, unit, step in rays:
-            c = a + sum(map(operator.mul, prefix, head))
-            q = c // ell
-            if q:
-                cls = tuple(x + q * y for x, y in zip(cls, unit))
-            if g:
-                for x in _breakpoints(c, g, ell):
-                    steps[x] = tuple(map(operator.add, steps[x], step)) if x in steps else step
-        start = 0
-        for x in sorted(steps):
-            counts[cls] = counts.get(cls, 0) + x - start
-            cls = tuple(map(operator.add, cls, steps[x]))
+    units = [divisor_class(TorusDivisor(fan, e)).coords for e in identity_matrix(fan.n_rays)]
+    # |c_rho // ell| <= |a_rho| // ell + |v_rho|_1 + 1 for every partial sum c_rho
+    bound = sum(
+        (abs(a) // ell + sum(map(abs, ray)) + 1) * max(map(abs, unit), default=0)
+        for a, ray, unit in zip(D.coeffs, fan.rays, units)
+    )
+    width = 1 << (2 * bound + 1).bit_length()
+    packed = [sum(x * width**i for i, x in enumerate(unit)) for unit in units]
+    last = [max(i for i, x in enumerate(ray) if x) for ray in fan.rays]
+    live = list(range(fan.n_rays))
+    base = sum(a // ell * unit for a, unit in zip(D.coeffs, packed))
+    # states and counts keep the order of first residues: states are visited
+    # in the order of their least prefix p, and p*ell + y lies below every
+    # later state's successors, so each state, and then each class, is
+    # first inserted at its least residue, as in the residue-by-residue walk.
+    states = {(tuple(a % ell for a in D.coeffs), base): 1}
+    for j in range(fan.dim - 1):
+        moving = [(pos, fan.rays[i][j], packed[i]) for pos, i in enumerate(live) if fan.rays[i][j]]
+        kept = [pos for pos, i in enumerate(live) if last[i] > j]
+        live = [live[pos] for pos in kept]
+        successors: dict[IntVec, tuple[list, list]] = {}
+        merged: dict[tuple[IntVec, int], int] = {}
+        for (key, base), m in states.items():
+            succ = successors.get(key)
+            if succ is None:
+                succ = successors[key] = _level_steps(key, moving, kept, ell)
+            for succ_key, off in zip(*succ):
+                state = (succ_key, base + off)
+                merged[state] = merged.get(state, 0) + m
+        states = merged
+    walk = [
+        (pos, fan.rays[i][-1], packed[i] if fan.rays[i][-1] > 0 else -packed[i])
+        for pos, i in enumerate(live)
+    ]
+    runs: dict[IntVec, tuple[list, list]] = {}
+    counts: dict[int, int] = {}
+    for (key, base), m in states.items():
+        run = runs.get(key)
+        if run is None:
+            run = runs[key] = _last_runs(key, walk, ell)
+        for off, length in zip(*run):
+            cls = base + off
+            counts[cls] = counts.get(cls, 0) + m * length
+    rank = fan.picard_rank
+    return Counter({DivisorClass(_unpack(z, width, rank), fan): m for z, m in counts.items()})
+
+
+def _level_steps(key: IntVec, moving: list, kept: list, ell: int) -> tuple[list, list]:
+    """For u_j = y in [0, ell): the kept rays' remainders and the quotients' packed class.
+
+    moving holds (position in key, v_rho[j], packed [D_rho]) for the rays
+    with v_rho[j] != 0; kept holds the positions of the rays live after j.
+    """
+    ys = range(ell)
+    cols = {pos: [key[pos]] * ell for pos in kept}
+    offsets = [0] * ell
+    for pos, g, unit in moving:
+        r = key[pos]
+        offsets = [off + (r + g * y) // ell * unit for off, y in zip(offsets, ys)]
+        if pos in cols:
+            cols[pos] = [(r + g * y) % ell for y in ys]
+    return list(zip(*cols.values())), offsets
+
+
+def _last_runs(key: IntVec, walk: list, ell: int) -> tuple[list, list]:
+    """The runs of constant floors along the last coordinate: packed class offsets and lengths.
+
+    walk holds (position in key, v_rho[n-1], +-packed [D_rho]), the sign
+    of v_rho[n-1]: the step of the ray's floor at each of its breakpoints.
+    Breakpoints of several rays at one x make one step.
+    """
+    events = sorted([(x, step) for pos, g, step in walk for x in _breakpoints(key[pos], g, ell)])
+    offsets, lengths, start = [0], [], 0
+    for x, step in events:
+        if x == start:
+            offsets[-1] += step
+        else:
+            offsets.append(offsets[-1] + step)
+            lengths.append(x - start)
             start = x
-        counts[cls] = counts.get(cls, 0) + ell - start
-    return Counter({DivisorClass(coords, fan): m for coords, m in counts.items()})
+    lengths.append(ell - start)
+    return offsets, lengths
+
+
+def _unpack(z: int, width: int, rank: int) -> IntVec:
+    """The coordinates c with sum_i c_i * width^i = z and every |c_i| < width / 2."""
+    coords = []
+    for _ in range(rank):
+        c = (z + width // 2) % width - width // 2
+        coords.append(c)
+        z = (z - c) // width
+    return tuple(coords)
 
 
 def _breakpoints(c: int, g: int, ell: int) -> list[int]:

@@ -12,18 +12,25 @@ pushforwards and cohomology, wall-curve intersection numbers for nefness,
 and an integer solve per cone for the Cartier data behind a failing nef
 inequality, through the row Hermite normal form (the library inverts
 cones by adjugates instead).
+
+It also builds the seeded chains of star subdivisions that the cohomology
+and Frobenius tests share.
 """
 
 import itertools
 import math
 import operator
+import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from frobtilt.catalog import builtin
 from frobtilt.cohomology import cohomology, weight_patterns
-from frobtilt.fan import DivisorClass, Fan, TorusDivisor, canonical_divisor, divisor_class
+from frobtilt.fan import (
+    DivisorClass, Fan, TorusDivisor, canonical_divisor, divisor_class, star_subdivision,
+)
 from frobtilt.frobenius import frob_set, pushforward_summands
 from frobtilt.lattice import (
     IntMat,
@@ -120,6 +127,16 @@ def summand_divisor(fan: Fan, D: TorusDivisor, ell: int, u: IntVec) -> TorusDivi
         (D.coeffs[i] + dot(u, ray)) // ell for i, ray in enumerate(fan.rays)
     )
     return TorusDivisor(fan, coeffs)
+
+
+def subdivision_chain(base: str, steps: int, seed: int) -> Fan:
+    """The fan after steps star subdivisions of faces drawn by random.Random(seed)."""
+    rng = random.Random(seed)
+    fan = builtin(base).fan
+    for _ in range(steps):
+        cone = rng.choice(fan.max_cones)
+        fan = star_subdivision(fan, tuple(rng.sample(cone, rng.randint(2, fan.dim))))
+    return fan
 
 
 def residue_walk(fan: Fan, D: TorusDivisor, ell: int) -> Counter:

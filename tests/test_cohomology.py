@@ -30,12 +30,13 @@ from frobtilt.fan import (
     principal_divisor,
     product,
     projective_space,
-    star_subdivision,
 )
 from frobtilt.cones import is_nef
 from frobtilt.lattice import LinearSystem, count_points, dot, feasible
 from frobtilt.tilting import orlov_check
-from oracles import counted_cohomology, recession_cone_is_zero, subcomplex_ranks, weight_cohomology
+from oracles import (
+    counted_cohomology, recession_cone_is_zero, subcomplex_ranks, subdivision_chain, weight_cohomology,
+)
 
 P1 = builtin("P1").fan
 P2 = builtin("P2").fan
@@ -201,16 +202,6 @@ def test_euler_invariant_under_principal_twist():
 
 
 # --- per-fan pattern table against the rank oracle ------------------------------------
-
-
-def subdivision_chain(base, steps, seed):
-    """The fan after steps star subdivisions of faces drawn by random.Random(seed)."""
-    rng = random.Random(seed)
-    fan = builtin(base).fan
-    for _ in range(steps):
-        cone = rng.choice(fan.max_cones)
-        fan = star_subdivision(fan, tuple(rng.sample(cone, rng.randint(2, fan.dim))))
-    return fan
 
 
 # The 13-ray 4-fold is not Fano; P1xP4 and dP6xP3 rank degree 1 (n >= 5) by coboundaries.

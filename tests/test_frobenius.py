@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import math
 import random
 import time
 from collections import Counter
@@ -12,7 +13,9 @@ from frobtilt.fan import (
 )
 from frobtilt.frobenius import FrobSet, frob_set, minimal_stabilizing_ell, pushforward_summands
 from frobtilt.lattice import dot
-from oracles import chamber_walk, residue_walk, stabilizing_ell_from_one, summand_divisor
+from oracles import (
+    chamber_walk, residue_walk, stabilizing_ell_from_one, subdivision_chain, summand_divisor,
+)
 
 P1 = builtin("P1").fan
 P2 = builtin("P2").fan
@@ -122,6 +125,82 @@ def test_run_walk_matches_residue_walk_at_coinciding_breakpoints(name, ell, coef
     walk = residue_walk(fan, D, ell)
     assert dict(counts) == dict(walk)
     assert list(counts) == list(walk)
+
+
+# Products and P^n, where prefixes with equal live-ray remainders merge, and
+# the subdivision chains, where nearly every prefix keeps a state of its own.
+@pytest.mark.parametrize(
+    "fan, ell",
+    [
+        (P1xP1, 97),
+        (builtin("P1xP2").fan, 21),
+        (builtin("P1xP1xP1").fan, 21),
+        (builtin("P2xP2").fan, 10),
+        (product(builtin("dP6").fan, P1), 21),
+        (builtin("P3").fan, 21),
+        (builtin("P4").fan, 10),
+        (subdivision_chain("P4", 8, 5), 10),
+        (subdivision_chain("P3", 6, 2), 21),
+    ],
+    ids=["P1xP1", "P1xP2", "P1xP1xP1", "P2xP2", "dP6xP1", "P3", "P4", "P4-chain13", "P3-chain10"],
+)
+def test_level_walk_matches_residue_walk_where_states_merge_or_not(fan, ell):
+    rng = random.Random(f"level walk {fan.rays}")
+    D = TorusDivisor(fan, tuple(rng.randint(-3 * ell, 3 * ell) for _ in fan.rays))
+    assert ell ** fan.dim <= 10_000 and max(map(abs, D.coeffs)) > ell
+    counts = pushforward_summands(fan, D, ell)
+    walk = residue_walk(fan, D, ell)
+    assert dict(counts) == dict(walk)
+    assert list(counts) == list(walk)
+
+
+def projective_closed_form(n, ell):
+    """{k: multiplicity of O(-k)} in the pushforward of O on P^n.
+
+    The residue u has floors 0 on e_1..e_n and -ceil(s / ell) on the last
+    ray, s = sum(u); N(s) residues in [0, ell)^n have sum s, by inclusion
+    and exclusion over the coordinates that reach ell.
+    """
+    out = Counter()
+    for s in range(n * (ell - 1) + 1):
+        out[-(-s // ell)] += sum(
+            (-1) ** i * math.comb(n, i) * math.comb(s - i * ell + n - 1, n - 1)
+            for i in range(s // ell + 1)
+        )
+    return out
+
+
+@pytest.mark.parametrize("n, ell", [(2, 3), (3, 7), (4, 5), (3, 100), (4, 31)])
+def test_projective_space_pushforward_has_a_closed_form(n, ell):
+    # the residue walk checks the closed form where it can; ell = 100 on P3
+    # and ell = 31 on P4 are 10^6 and 923,521 residues, beyond its reach
+    fan = projective_space(n)
+    expected = {
+        divisor_class(TorusDivisor(fan, (0,) * n + (-k,))): m
+        for k, m in projective_closed_form(n, ell).items()
+    }
+    if ell ** n <= 10_000:
+        assert dict(residue_walk(fan, zero(fan), ell)) == expected
+    assert dict(pushforward_summands(fan, zero(fan), ell)) == expected
+
+
+@pytest.mark.parametrize("left, right", [("dP6", "P2"), ("BlptP3", "P1"), ("P2", "P2")])
+def test_pushforward_on_a_product_convolves_its_factors(left, right):
+    # residues and floors split by factor, so F_ell*(O(D_X) x O(D_Y)) is the
+    # sum over pairs of factor summands, each pair's representatives joined
+    X, Y = builtin(left).fan, builtin(right).fan
+    fan, ell = product(X, Y), 31
+    rng = random.Random(f"convolution {left} {right}")
+    DX = TorusDivisor(X, tuple(rng.randint(-2 * ell, 2 * ell) for _ in X.rays))
+    DY = TorusDivisor(Y, tuple(rng.randint(-2 * ell, 2 * ell) for _ in Y.rays))
+    expected = Counter()
+    for cx, mx in residue_walk(X, DX, ell).items():
+        for cy, my in residue_walk(Y, DY, ell).items():
+            joined = cx.representative().coeffs + cy.representative().coeffs
+            expected[divisor_class(TorusDivisor(fan, joined))] += mx * my
+    counts = pushforward_summands(fan, TorusDivisor(fan, DX.coeffs + DY.coeffs), ell)
+    assert dict(counts) == dict(expected)
+    assert sum(counts.values()) == ell ** fan.dim
 
 
 @pytest.mark.parametrize("coeffs", [(0, 0, 0), (-7, 3, 5)])
@@ -395,6 +474,19 @@ def test_pushforward_refuses_an_ell_beyond_the_residue_bound_before_walking(monk
     assert sum(pushforward_summands(P4, zero(P4), 2).values()) == 16
     with pytest.raises(ValueError, match="^ell = 3 walks "):
         pushforward_summands(P4, zero(P4), 3)
+
+
+@pytest.mark.parametrize("name", ["P4", "P2xP2"])
+def test_pushforward_walks_the_last_coordinate_once_per_remainder_key(monkeypatch, name):
+    # one ray mixes P4's coordinates, and P2xP2's second factor is walked with
+    # the first factor settled, so the last level holds at most ell keys of
+    # two stepping rays: 2*ell breakpoint walks, where each prefix took two
+    breakpoints = recorded_calls(monkeypatch, "_breakpoints")
+    fan, ell = builtin(name).fan, 31
+    D = TorusDivisor(fan, tuple(range(-2, fan.n_rays - 2)))
+    counts = pushforward_summands(fan, D, ell)
+    assert sum(counts.values()) == ell ** fan.dim
+    assert len(breakpoints) <= 2 * ell
 
 
 def test_frob_classes_sorted():
