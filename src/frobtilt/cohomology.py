@@ -30,12 +30,17 @@ of D plus the divisors of the region's negative rays), proves it nonempty
 with no LP when it meets the other rows; the LP runs only when no cone's
 vertex does.  The regions whose ranks are nonzero in one degree q* alone,
 q* the degree with the most of them, are not counted: h^{q*} is what chi
-leaves of the other degrees.  The regions that are counted use the
-optimal LP bases kept per constraint block, so most coordinate bounds
-need no simplex.  Every row +-v_rho of a product fan's region lies in
-one factor's coordinates, so a product region is counted per factor, as
-the product of the factors' counts, and the factor blocks share their
-bases across patterns.
+leaves of the other degrees, and chi is evaluated only when such a region
+survives.  The regions that are counted use the optimal LP bases kept per
+constraint block, so most coordinate bounds need no simplex.
+
+A product fan (Fan._factors) answers a class by Kunneth,
+H^*(X x Y, L x M) = H^*(X, L) (x) H^*(Y, M): the factors' h-vectors, each
+from that factor's per-class cache, are convolved, so cohomology, ext_dims
+and with them the Ext table and m0 never build the product's patterns.
+weight_patterns keeps the product's own pattern route.  Every row +-v_rho
+of a product region lies in one factor's coordinates, so there a region is
+counted per factor block, and the blocks share their bases across patterns.
 """
 
 from __future__ import annotations
@@ -59,9 +64,10 @@ from .lattice import (
 # _active_patterns visits all 2^r ray subsets, and its time about doubles
 # with each ray: 0.19 s at 14 rays and 0.9 s at 16 in dimension 3, 1.3 s at
 # 16 rays in dimension 4 (star subdivision chains).  From dimension 5 on the
-# per-subset Bareiss ranks cost more: at 11 rays 0.65 s on dP6xP2xP1 (n = 5),
-# 0.77 s on dP6xP4 (n = 6) and 3.5 s on F1xP1xP4 (n = 7).  Medians of 3;
-# 2-vCPU host, CPython 3.11.
+# per-subset Bareiss ranks cost more: at 11 rays 0.45 s in dimension 5 and
+# 0.65 s in dimension 6 (star subdivision chains of P5 and P6).  Medians of
+# 3; 2-vCPU host, CPython 3.11.  A product fan builds its own patterns only
+# for weight_patterns; cohomology and the Ext table read its factors'.
 MAX_PATTERN_RAYS = 16
 
 Circuit = tuple[IntVec, int, int]  # lambda and the positive-part sums of +-lambda
@@ -349,7 +355,7 @@ def _emptied(circuits: tuple[Circuit, ...], coeffs: IntVec) -> int:
 def _survivors(fan: Fan, coeffs: IntVec) -> list[Pattern]:
     """The active patterns of D that no certificate empties, for the last D asked.
 
-    _class_cohomology tallies them before weight_patterns scans them for the
+    _counted tallies them before weight_patterns scans them for the
     same representative, so the certificate mask is computed once per class.
     """
     last = fan._rank_cache.get("survivors")
@@ -422,30 +428,57 @@ def weight_patterns(fan: Fan, D: TorusDivisor, skip: Optional[int] = None
     return tuple(out)
 
 
-def _class_cohomology(fan: Fan, cls: DivisorClass) -> CohomologyVector:
-    """The cohomology of a class, cached per fan under its coordinates.
+def _class_cohomology(fan: Fan, coords: IntVec) -> tuple[int, ...]:
+    """The h-vector of the class with these coordinates, cached per fan under them.
 
-    Only a cache miss builds the class's representative divisor.  The
-    degree q* with the most surviving single-degree regions is not
-    counted: h^{q*} is what chi leaves of the other degrees.
+    A product fan's miss is answered by Kunneth from its factors' caches.
+    Any other miss builds the class's representative divisor; the degree
+    q* with the most surviving single-degree regions is not counted, and
+    h^{q*} is what chi leaves of the other degrees.
     """
     cache = fan._cohomology_cache
-    dims = cache.get(cls.coords)
+    dims = cache.get(coords)
     if dims is None:
-        rep = cls.representative()
-        tally = [0] * (fan.dim + 2)  # the last slot collects the multi-degree patterns
-        for _, _, _, single, _ in _survivors(fan, rep.coeffs):
-            tally[single] += 1
-        skip = tally.index(max(tally[:-1]))
-        total = [0] * (fan.dim + 1)
-        for p in weight_patterns(fan, rep, skip=skip):
-            for q, r in enumerate(p.reduced_ranks):
-                total[q] += p.point_count * r
+        dims = cache[coords] = _kunneth(fan, coords) if fan._factors else _counted(fan, coords)
+    return dims
+
+
+def _kunneth(fan: Fan, coords: IntVec) -> tuple[int, ...]:
+    """H^*(X x Y, L x M) = H^*(X, L) (x) H^*(Y, M): the factors' h-vectors convolved.
+
+    Each factor's class is its own coordinates picked out of the product's,
+    answered from that factor's cache; a zero factor makes the product zero.
+    """
+    dims = [1]
+    for _, factor, positions in fan._factors:
+        h = _class_cohomology(factor, tuple([coords[p] for p in positions]))
+        if not any(h):
+            return (0,) * (fan.dim + 1)
+        joined = [0] * (len(dims) + factor.dim)
+        for i, x in enumerate(dims):
+            if x:
+                for j, y in enumerate(h, i):
+                    joined[j] += x * y
+        dims = joined
+    return tuple(dims)
+
+
+def _counted(fan: Fan, coords: IntVec) -> tuple[int, ...]:
+    """The class's surviving regions counted, h^{q*} left to chi when a region is skipped."""
+    rep = DivisorClass(coords, fan).representative()
+    tally = [0] * (fan.dim + 2)  # the last slot collects the multi-degree patterns
+    for _, _, _, single, _ in _survivors(fan, rep.coeffs):
+        tally[single] += 1
+    skip = tally.index(max(tally[:-1]))
+    total = [0] * (fan.dim + 1)
+    for p in weight_patterns(fan, rep, skip=skip):
+        for q, r in enumerate(p.reduced_ranks):
+            total[q] += p.point_count * r
+    if tally[skip]:
         total[skip] = 0
         rest = sum((-1) ** q * h for q, h in enumerate(total))
         total[skip] = (-1) ** skip * (_euler_characteristic(fan, rep.coeffs) - rest)
-        dims = cache[cls.coords] = tuple(total)
-    return CohomologyVector(dims)
+    return tuple(total)
 
 
 def cohomology(fan: Fan, D: TorusDivisor) -> CohomologyVector:
@@ -457,7 +490,7 @@ def cohomology(fan: Fan, D: TorusDivisor) -> CohomologyVector:
     """
     fan.require_valid()
     _require_on_fan(fan, D)
-    return _class_cohomology(fan, divisor_class(D))
+    return CohomologyVector(_class_cohomology(fan, divisor_class(D).coords))
 
 
 def ext_dims(fan: Fan, L: DivisorClass, M: DivisorClass) -> CohomologyVector:
@@ -468,4 +501,4 @@ def ext_dims(fan: Fan, L: DivisorClass, M: DivisorClass) -> CohomologyVector:
     """
     fan.require_valid()
     _require_on_fan(fan, L, M)
-    return _class_cohomology(fan, M - L)
+    return CohomologyVector(_class_cohomology(fan, tuple(map(operator.sub, M.coords, L.coords))))

@@ -9,6 +9,12 @@ Cone and basis questions are answered by integer adjugates of ray matrices.
 Divisor classes live in Pic = Z^{#rays} / M, coordinatized once and for all
 by the one representative that vanishes on a fixed lattice basis of rays, so
 class equality is plain integer-vector equality.
+
+A fan whose rays split into coordinate blocks, two coordinates joined when
+a ray is nonzero on both, is a product: its cones are the products of the
+blocks' cones, and its basis is the union of the factors' bases, so a
+factor's class is the factor's coordinates picked out of the product's.
+Cohomology and the frob set of a product are answered from its factors.
 """
 
 from __future__ import annotations
@@ -17,10 +23,10 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 from typing import Optional
 
-from .lattice import IntMat, IntVec, adjugate, dot, integer_rank
+from .lattice import IntMat, IntVec, adjugate, coordinate_blocks, dot, integer_rank
 
 
 class InvalidFanError(ValueError):
@@ -137,6 +143,41 @@ class Fan:
     @property
     def picard_rank(self) -> int:
         return len(self._pic[1])
+
+    @cached_property
+    def _factors(self) -> tuple[tuple[tuple[int, ...], "Fan", tuple[int, ...]], ...]:
+        """Per factor of a product fan: its rays, its Fan, and its Picard positions.
+
+        The blocks are the components of the coordinates, two joined when a
+        ray is nonzero on both; each factor keeps its rays in the product's
+        order, and the positions are where its class coordinates sit among
+        the product's.  Equal factors are one Fan object, so they share one
+        cohomology cache.  A fan of one block, or with a factor that is not
+        a valid fan (so the product was never complete), gives ().
+        """
+        masks = [sum(1 << k for k, x in enumerate(ray) if x) for ray in self.rays]
+        blocks = coordinate_blocks(masks)
+        if len(blocks) < 2:
+            return ()
+        basis, others, _ = self._pic
+        factors, shared = [], {}
+        for block in sorted(blocks, key=lambda m: m & -m):
+            coords = [k for k in range(self.dim) if block >> k & 1]
+            rays = tuple(i for i, mask in enumerate(masks) if mask & block)
+            local = {i: j for j, i in enumerate(rays)}
+            factor = Fan(len(coords), tuple(tuple(self.rays[i][k] for k in coords) for i in rays),
+                         tuple(tuple(local[i] for i in c if i in local) for c in self.max_cones))
+            factor = shared.setdefault(factor, factor)
+            if not factor.validation.ok:
+                return ()
+            factors.append((rays, factor, tuple(others.index(rays[j]) for j in factor._pic[1])))
+        # a complete fan whose rays split into blocks has every product of block cones,
+        # and the first lattice basis of a product is the union of the factors' first
+        if len(self.max_cones) != prod(len(f.max_cones) for _, f, _ in factors):
+            raise AssertionError("a complete fan's cones are not the product of its blocks' cones")
+        if sorted(basis) != sorted(idx[j] for idx, f, _ in factors for j in f._pic[0]):
+            raise AssertionError("a product's Picard basis is not the union of its factors'")
+        return tuple(factors)
 
     # mutable per-fan caches, filled lazily; a Fan is immutable otherwise
     @cached_property

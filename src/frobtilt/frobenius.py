@@ -16,13 +16,16 @@ The full summand set over every ell is computed exactly from the chambers
 of the arrangement {<t, v_rho> = k} inside the half-open unit cube, one
 LP per chamber node except the child that holds its parent's point.  A
 leaf's point t realizes its class at the chamber ell that clears t's
-denominators.  The least ell at which a class, or every class, appears is
-found with no pushforward, by asking whether a leaf's chamber scaled by
-ell holds an integer point.
+denominators.  A product fan's chambers are products of its factors'
+chambers, so only the distinct factors are walked, and the product's
+leaves are the tuples of theirs.  The least ell at which a class, or
+every class, appears is found with no pushforward, by asking whether a
+leaf's chamber scaled by ell holds an integer point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -224,15 +227,45 @@ def _breakpoints(c: int, g: int, ell: int) -> list[int]:
 def frob_set(fan: Fan) -> FrobSet:
     """The exact set of classes appearing in some pushforward of O.
 
-    Chamber enumeration over the floor vector b: ray by ray, each partial
-    assignment keeps only values whose chamber is still nonempty.  Since
-    t < 1 in every coordinate, <t, v_rho> < hi whenever hi > 0, so b = hi
-    occurs only when hi = 0.  A node's feasible point t lies in the child
-    b = floor(<t, v_k>), which inherits t instead of solving an LP; every
-    other child solves one.
+    The leaves of the chamber walk, each a floor vector b and its chamber
+    ell, reduced to classes on the fan.  A product fan's chambers are the
+    products of its factors' chambers, so its leaves are the tuples of
+    factor leaves: b is the factor b's placed at the factors' rays, and the
+    chamber ell is the lcm of theirs, the denominator of the point
+    (t_X, t_Y).  Each distinct factor is walked once.
     """
     fan.require_valid()
+    if fan._factors:
+        walks: dict[Fan, list[tuple[IntVec, int]]] = {}
+        for _, factor, _ in fan._factors:
+            if factor not in walks:
+                walks[factor] = _chamber_leaves(factor)
+        leaves = []
+        for combo in itertools.product(*(walks[factor] for _, factor, _ in fan._factors)):
+            b = [0] * fan.n_rays
+            for (rays, _, _), (fb, _) in zip(fan._factors, combo):
+                for i, x in zip(rays, fb):
+                    b[i] = x
+            leaves.append((tuple(b), math.lcm(*(ell for _, ell in combo))))
+    else:
+        leaves = _chamber_leaves(fan)
     cells: dict[DivisorClass, list[tuple[IntVec, int]]] = {}
+    for b, ell in leaves:
+        cells.setdefault(divisor_class(TorusDivisor(fan, b)), []).append((b, ell))
+    classes = tuple(sorted(cells))
+    return FrobSet(fan, classes, tuple(tuple(cells[cls]) for cls in classes))
+
+
+def _chamber_leaves(fan: Fan) -> list[tuple[IntVec, int]]:
+    """The floor vectors b of the nonempty chambers, each with its chamber ell.
+
+    Chamber enumeration over b: ray by ray, each partial assignment keeps
+    only values whose chamber is still nonempty.  Since t < 1 in every
+    coordinate, <t, v_rho> < hi whenever hi > 0, so b = hi occurs only when
+    hi = 0.  A node's feasible point t lies in the child b = floor(<t, v_k>),
+    which inherits t instead of solving an LP; every other child solves one.
+    """
+    leaves = []
     normals = identity_matrix(fan.dim) + fan.rays
     ranges = []
     for ray in fan.rays:
@@ -249,17 +282,14 @@ def frob_set(fan: Fan) -> FrobSet:
         if k == fan.n_rays:
             # u = ell*t is a residue at ell = the lcm of t's denominators,
             # and its summand has floor vector prefix.
-            cls = divisor_class(TorusDivisor(fan, prefix))
-            cells.setdefault(cls, []).append((prefix, den // math.gcd(den, *num)))
+            leaves.append((prefix, den // math.gcd(den, *num)))
             return
         inside = dot(num, fan.rays[k]) // den
         for b in ranges[k]:
             descend(k + 1, prefix + (b,), point if b == inside else None)
 
     descend(0, (), None)
-
-    classes = tuple(sorted(cells))
-    return FrobSet(fan, classes, tuple(tuple(cells[cls]) for cls in classes))
+    return leaves
 
 
 def _cell(vectors: tuple[IntVec, ...], bs: tuple[int, ...], ell: int = 1) -> tuple:

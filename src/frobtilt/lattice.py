@@ -400,6 +400,21 @@ def _optimal_basis(tab: _Tableau, dim: int, m: int, k: int, sgn: int) -> Optiona
     return B, P, tab.den, checks
 
 
+def coordinate_blocks(masks: Iterable[int]) -> list[int]:
+    """The coordinates that the masks join, as disjoint bitmasks.
+
+    Each mask is the set of coordinates a vector is nonzero on, and two
+    coordinates are joined when some mask holds both; coordinates in no
+    mask are left out.
+    """
+    blocks: list[int] = []
+    for mask in masks:
+        if mask:
+            joined = [m for m in blocks if m & mask]
+            blocks = [m for m in blocks if not m & mask] + [mask | sum(joined)]
+    return blocks
+
+
 def count_points(S: LinearSystem, bases: Optional[dict] = None) -> int:
     """The number of integer points satisfying S.
 
@@ -416,15 +431,10 @@ def count_points(S: LinearSystem, bases: Optional[dict] = None) -> int:
     step.  bases is passed to coordinate_bounds, so it is keyed by block
     matrices.
     """
-    row_masks, blocks = [], []  # blocks: disjoint bitmasks of joined coordinates
-    for a, b, strict in S.rows:
-        mask = sum(1 << k for k, x in enumerate(a) if x)
-        if not mask and b < strict:
-            return 0
-        row_masks.append(mask)
-        if mask:
-            joined = [m for m in blocks if m & mask]
-            blocks = [m for m in blocks if not m & mask] + [mask | sum(joined)]
+    row_masks = [sum(1 << k for k, x in enumerate(a) if x) for a, _, _ in S.rows]
+    if any(not mask and b < strict for mask, (_, b, strict) in zip(row_masks, S.rows)):
+        return 0
+    blocks = coordinate_blocks(row_masks)
     blocks += [1 << k for k in range(S.dim) if not any(m >> k & 1 for m in blocks)]
     boxed, unbounded = [], None
     for block_mask in blocks:

@@ -15,6 +15,7 @@ from frobtilt.cohomology import (
     _emptied,
     _euler_characteristic,
     _pattern_region,
+    _survivors,
     cohomology,
     ext_dims,
     weight_patterns,
@@ -282,8 +283,8 @@ def test_circuits_of_product_are_those_of_the_factors(x, y):
 @pytest.mark.parametrize("x, y", [("dP6", "P1"), ("dP6", "P2")])
 def test_product_regions_are_counted_per_factor(x, y):
     # every row +-v_rho of a product's pattern region lies in one factor,
-    # so the cached bases are those of factor blocks, never of the product,
-    # and the counts obey Kunneth
+    # so the bases cached by the product's own pattern route are those of
+    # factor blocks, never of the product, and the counts obey Kunneth
     fx, fy = builtin(x).fan, builtin(y).fan
     fan = product(fx, fy)
     rng = random.Random(31)
@@ -295,7 +296,9 @@ def test_product_regions_are_counted_per_factor(x, y):
         expected = [0] * (fan.dim + 1)
         for i, j in itertools.product(range(fx.dim + 1), range(fy.dim + 1)):
             expected[i + j] += hx[i] * hy[j]
-        assert cohomology(fan, TorusDivisor(fan, ax + ay)).dims == tuple(expected)
+        D = TorusDivisor(fan, ax + ay)
+        assert counted_cohomology(fan, D) == tuple(expected)
+        assert cohomology(fan, D).dims == tuple(expected)
     widths = {len(row) for A in fan._rank_cache["bases"] for row in A}
     assert widths == {fx.dim, fy.dim}
 
@@ -337,6 +340,29 @@ def test_localized_chi_and_dims_match_the_all_count_route(name, fan, draws, boun
         assert _euler_characteristic(fan, D.coeffs) == chi, D.coeffs
         assert cohomology(fan, D).dims == counted, D.coeffs
         assert _euler_characteristic(fan, (K - D).coeffs) == (-1) ** fan.dim * chi, D.coeffs
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_localized_chi_holds_where_cohomology_skips_no_region(name, monkeypatch):
+    # with no surviving single-degree region every region is counted and chi
+    # is not called, so the localization is checked against those counts here
+    # (a product's classes go to its factors, which may skip and call chi)
+    base = builtin(name).fan
+    fan = Fan(base.dim, base.rays, base.max_cones)  # a fresh Fan: an empty cache
+    real = _euler_characteristic
+    called = []
+    monkeypatch.setattr(cohomology_module, "_euler_characteristic",
+                        lambda *args: called.append(args) or real(*args))
+    rng = random.Random(fan.n_rays * 13 + fan.dim)
+    checked = 0
+    for _ in range(40):
+        D = TorusDivisor(fan, tuple(rng.randint(-1, 1) for _ in fan.rays))
+        if all(single == -1 for *_, single, _ in _survivors(fan, D.coeffs)):
+            dims = cohomology(fan, D)
+            assert real(fan, D.coeffs) == dims.euler(), D.coeffs
+            checked += 1
+    assert checked
+    assert called == [] or fan._factors
 
 
 @pytest.mark.parametrize("n", range(1, 7))
