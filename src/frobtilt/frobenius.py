@@ -13,12 +13,13 @@ coordinate, whose floors are constant on runs between at most
 sum_rho |v_rho[n-1]| breakpoints.
 
 The full summand set over every ell is computed exactly from the chambers
-of the arrangement {<t, v_rho> = k} inside the half-open unit cube, one
-LP per chamber node except the child that holds its parent's point.  A
-leaf's point t realizes its class at the chamber ell that clears t's
-denominators.  A product fan's chambers are products of its factors'
-chambers, so only the distinct factors are walked, and the product's
-leaves are the tuples of theirs.  The least ell at which a class, or
+of the arrangement {<t, v_rho> = k} inside the half-open unit cube.  Each
+chamber node hands its simplex tableau on to its children, which add
+their two rows and re-optimize it by dual simplex.  A leaf's point t
+realizes its class at the chamber ell that clears t's denominators.  A
+product fan's chambers are products of its factors' chambers, so only
+the distinct factors are walked, and the product's leaves are the tuples
+of theirs.  The least ell at which a class, or
 every class, appears is found with no pushforward, by asking whether a
 leaf's chamber scaled by ell holds an integer point.
 """
@@ -30,10 +31,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 from .fan import DivisorClass, Fan, TorusDivisor, _require_on_fan, divisor_class
-from .lattice import IntVec, LinearSystem, _count_box, dot, feasible_point, identity_matrix
+from .lattice import IntVec, _count_box, _strict_tableau, _Tableau, identity_matrix
 
 # A walk at ell keeps at most ell^(dim-1) merged residue prefixes, 5-10 us
 # each when none merge: on a 2-vCPU host the 13-ray 4-fold at ell = 31
@@ -262,43 +262,48 @@ def _chamber_leaves(fan: Fan) -> list[tuple[IntVec, int]]:
     Chamber enumeration over b: ray by ray, each partial assignment keeps
     only values whose chamber is still nonempty.  Since t < 1 in every
     coordinate, <t, v_rho> < hi whenever hi > 0, so b = hi occurs only when
-    hi = 0.  A node's feasible point t lies in the child b = floor(<t, v_k>),
-    which inherits t instead of solving an LP; every other child solves one.
+    hi = 0.  The root's tableau holds t in [0, 1)^n, the rows of the unit
+    vectors, and each child adds b <= <t, v_k> < b + 1 to a copy of its
+    parent's tableau and re-optimizes it by dual simplex; no child solves
+    an LP from scratch, and a unit vector's one child keeps its parent's
+    tableau.  A leaf's chamber ell clears the denominators of its
+    tableau's vertex t.
     """
     leaves = []
-    normals = identity_matrix(fan.dim) + fan.rays
+    units = identity_matrix(fan.dim)
     ranges = []
     for ray in fan.rays:
         lo = sum(min(x, 0) for x in ray)
         hi = sum(max(x, 0) for x in ray)
         ranges.append(range(lo, max(hi, 1)))
 
-    def descend(k: int, prefix: tuple[int, ...], point: Optional[tuple[IntVec, int]]) -> None:
-        if point is None:
-            point = feasible_point(LinearSystem(fan.dim, _cell(normals, (0,) * fan.dim + prefix)))
-            if point is None:
-                return
-        num, den = point
+    def descend(k: int, prefix: tuple[int, ...], tab: _Tableau) -> None:
         if k == fan.n_rays:
             # u = ell*t is a residue at ell = the lcm of t's denominators,
             # and its summand has floor vector prefix.
-            leaves.append((prefix, den // math.gcd(den, *num)))
+            num = [row[-1] for row, col in zip(tab.rows, tab.basis) if col < fan.dim]
+            leaves.append((prefix, tab.den // math.gcd(tab.den, *num)))
             return
-        inside = dot(num, fan.rays[k]) // den
+        ray = fan.rays[k]
+        if ray in units:  # its rows 0 <= t_i < 1 are the cube's
+            descend(k + 1, prefix + (0,), tab)
+            return
+        down = tuple(-x for x in ray)
         for b in ranges[k]:
-            descend(k + 1, prefix + (b,), point if b == inside else None)
+            child = _strict_tableau(fan.dim, ((down, -b, False), (ray, b + 1, True)), tab)
+            if child is not None:
+                descend(k + 1, prefix + (b,), child)
 
-    descend(0, (), None)
+    descend(0, (), _strict_tableau(fan.dim, [(e, 1, True) for e in units]))
     return leaves
 
 
-def _cell(vectors: tuple[IntVec, ...], bs: tuple[int, ...], ell: int = 1) -> tuple:
+def _cell(vectors: tuple[IntVec, ...], bs: tuple[int, ...], ell: int) -> tuple:
     """The rows ell*b_i <= <u, vectors[i]> < ell*(b_i + 1) for i < len(bs).
 
-    A chamber of the walk is the cell of the unit vectors, each with b = 0,
-    then the rays.  Scaled by ell, a leaf's chamber holds the residues u
-    whose floor vector is the leaf's; they lie in [0, ell-1]^n, a box that
-    replaces the unit vectors' rows.
+    Scaled by ell, a leaf's chamber holds the residues u whose floor vector
+    is the leaf's; they lie in [0, ell-1]^n, a box that replaces the unit
+    cube's rows.
     """
     rows = []
     for v, b in zip(vectors, bs):

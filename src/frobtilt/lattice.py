@@ -6,12 +6,15 @@ a.x <= b, strict (a.x < b) where flagged.  Rational values stay integer
 numerators over one shared denominator (an LP optimum or point is read
 off the simplex tableau), and coordinate bounds are the integer box.  No
 floating point is used anywhere; strict rows are decided exactly (via an
-auxiliary slack maximization, never a numeric tolerance).  The integer
-points of a bounded system are counted, not listed, per independent
-coordinate block (the coordinates that rows link), and the block counts
-are multiplied.  A block whose relaxation is empty makes the count 0 even
-beside an unbounded block; otherwise an unbounded block raises
-UnboundedSystemError.
+auxiliary slack maximization, never a numeric tolerance).  A system over
+nonnegative variables can also grow row by row: each step writes its new
+rows into a copy of the last optimal tableau, in its basis, and dual
+simplex re-optimizes it, so no step solves its LP from scratch.  The
+integer points of a bounded system are counted, not listed, per
+independent coordinate block (the coordinates that rows link), and the
+block counts are multiplied.  A block whose relaxation is empty makes the
+count 0 even beside an unbounded block; otherwise an unbounded block
+raises UnboundedSystemError.
 """
 
 from __future__ import annotations
@@ -157,11 +160,11 @@ class _Tableau:
     stay integral (the standard integer-pivoting rule of exact LP codes).
     """
 
-    def __init__(self, rows: list[list[int]], basis: list[int], ncols: int):
+    def __init__(self, rows: list[list[int]], basis: list[int], ncols: int, den: int = 1):
         self.rows = rows
         self.basis = basis
         self.ncols = ncols  # structural columns; column ncols is the rhs
-        self.den = 1
+        self.den = den
 
     def pivot(self, r: int, c: int) -> None:
         rows = self.rows
@@ -213,6 +216,77 @@ class _Tableau:
             if r is None:
                 return _UNBOUNDED
             self.pivot(r, enter)
+
+    def dual_simplex(self) -> str:
+        """Run dual simplex from an objective row >= 0 until every rhs is >= 0.
+
+        Bland's rule on both sides: the leaving row is the one of negative
+        rhs with the smallest basic column; the entering column, among
+        those with a negative entry there, is the one of least
+        objective/-entry, ties to the smallest.  The row is negated so the
+        pivot is positive.  _INFEASIBLE when the row has no negative entry.
+        """
+        rows, basis, rhs = self.rows, self.basis, self.ncols
+        while True:
+            r = min((i for i in range(len(basis)) if rows[i][rhs] < 0),
+                    key=basis.__getitem__, default=None)
+            if r is None:
+                return _OPTIMAL
+            row, obj = rows[r], rows[-1]
+            enter = None
+            for j in range(rhs):
+                a = row[j]
+                if a < 0 and (enter is None or obj[j] * ea > obj[enter] * a):
+                    enter, ea = j, a
+            if enter is None:
+                return _INFEASIBLE
+            rows[r] = [-x for x in row]
+            self.pivot(r, enter)
+
+
+def _strict_tableau(dim: int, rows: Sequence[tuple[Sequence[int], int, bool]],
+                    parent: Optional[_Tableau] = None) -> Optional[_Tableau]:
+    """Whether the rows (a, b, strict) over x >= 0 have a point, warm-started from parent.
+
+    The columns are x (dim), the strictness slack s, then one slack per
+    row; every variable is >= 0.  The LP maximizes s subject to
+    a.x + strict*s <= b per row, as in feasible_point, and the rows meet
+    at some x, strict ones strictly, iff the optimum s* is positive.
+    Without parent the rows must have b >= 0 and bound s (as s <= 1 does,
+    the row a = 0, b = 1, strict): the slacks start basic and primal
+    simplex solves it.  parent is the optimal tableau of the rows before,
+    left unchanged: a copy gains one slack column and one row per new row,
+    each row written in the current basis over the shared denominator
+    (minus a_c times the row of each basic x_c or s), and dual simplex
+    restores feasibility.  Returns the optimal tableau, or None when the
+    rows meet nowhere (infeasible, or s* = 0).  x_c is the rhs of the row
+    with c basic, over den, and 0 when c is not basic.
+    """
+    warm = parent is not None
+    if not warm:
+        parent = _Tableau([[0] * dim + [-1, 0]], [], dim + 1)
+    m, n, den = len(rows), parent.ncols, parent.den
+    pad = [0] * m
+    body = [row[:-1] + pad + row[-1:] for row in parent.rows]
+    obj = body.pop()
+    basic = [(row, col) for row, col in zip(body, parent.basis) if col <= dim]
+    for j, (a, b, strict) in enumerate(rows):
+        coeffs = (*map(operator.index, a), int(strict))
+        new = [den * x for x in coeffs] + [0] * (n - dim - 1) + pad + [den * operator.index(b)]
+        new[n + j] = den
+        for row, col in basic:
+            f = coeffs[col]
+            if f:
+                new = [x - f * y for x, y in zip(new, row)]
+        body.append(new)
+    body.append(obj)
+    tab = _Tableau(body, parent.basis + list(range(n, n + m)), n + m, den)
+    status = tab.dual_simplex() if warm else tab.maximize(range(n + m))
+    if status == _UNBOUNDED:
+        raise ValueError("the rows leave the strictness slack unbounded")
+    if status != _OPTIMAL or tab.rows[-1][-1] == 0:
+        return None
+    return tab
 
 
 def lp_maximize(dim: int, rows: Sequence[tuple[Sequence[int], int]], objective: Sequence[int]

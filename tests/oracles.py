@@ -168,52 +168,56 @@ def chamber_system(fan: Fan, bs: tuple[int, ...]) -> LinearSystem:
     return LinearSystem(n, tuple(rows))
 
 
-def chamber_leaves(fan: Fan) -> tuple[dict[DivisorClass, int], int]:
-    """frob(X) by the chamber walk with one LP at every node.
+def chamber_leaves(fan: Fan) -> dict[IntVec, int]:
+    """The chamber walk with one LP at every node.
 
-    Returns each class with the chamber ell of its first leaf's point, and
-    the number of chamber nodes visited.
+    Returns each leaf's floor vector with the chamber ell of its LP point,
+    in walk order.
     """
     fan.require_valid()
-    chamber_ells: dict[DivisorClass, int] = {}
+    leaves: dict[IntVec, int] = {}
     ranges = []
     for ray in fan.rays:
         lo = sum(min(x, 0) for x in ray)
         hi = sum(max(x, 0) for x in ray)
         ranges.append(range(lo, max(hi, 1)))
-    nodes = 0
 
     def descend(k: int, prefix: tuple[int, ...]) -> None:
-        nonlocal nodes
-        nodes += 1
         point = feasible_point(chamber_system(fan, prefix))
         if point is None:
             return
         if k == fan.n_rays:
-            cls = divisor_class(TorusDivisor(fan, prefix))
-            chamber_ells.setdefault(cls, point[1] // math.gcd(point[1], *point[0]))
+            leaves[prefix] = point[1] // math.gcd(point[1], *point[0])
             return
         for b in ranges[k]:
             descend(k + 1, prefix + (b,))
 
     descend(0, ())
-    return chamber_ells, nodes
+    return leaves
 
 
-def chamber_walk(fan: Fan) -> tuple[dict[DivisorClass, int], int]:
+def chamber_classes(fan: Fan) -> dict[DivisorClass, int]:
+    """frob(X) from chamber_leaves: each class with the chamber ell of its first leaf."""
+    out: dict[DivisorClass, int] = {}
+    for b, ell in chamber_leaves(fan).items():
+        out.setdefault(divisor_class(TorusDivisor(fan, b)), ell)
+    return out
+
+
+def chamber_walk(fan: Fan) -> dict[DivisorClass, int]:
     """frob(X) with minimal witness ells, by chamber_leaves and a residue-walk sweep.
 
     Returns each class's minimal witness ell, from a sweep of ell = 1 up to
-    the largest chamber ell, and the number of chamber nodes visited.
+    the largest chamber ell.
     """
-    chamber_ells, nodes = chamber_leaves(fan)
+    chamber_ells = chamber_classes(fan)
     zero = TorusDivisor(fan, (0,) * fan.n_rays)
     found: dict[DivisorClass, int] = {}
     for ell in range(1, max(chamber_ells.values()) + 1):
         for cls in residue_walk(fan, zero, ell):
             if cls in chamber_ells:
                 found.setdefault(cls, ell)
-    return found, nodes
+    return found
 
 
 def stabilizing_ell_from_one(fan: Fan) -> int:
@@ -222,7 +226,7 @@ def stabilizing_ell_from_one(fan: Fan) -> int:
     The classes come from chamber_leaves and each ell from residue_walk, so
     no library routine of frob(X) or of the pushforward takes part.
     """
-    classes = set(chamber_leaves(fan)[0])
+    classes = set(chamber_classes(fan))
     zero = TorusDivisor(fan, (0,) * fan.n_rays)
     ell = 1
     while not classes <= set(residue_walk(fan, zero, ell)):

@@ -8,7 +8,7 @@ import pytest
 from frobtilt import cli
 from frobtilt.catalog import CatalogEntry, builtin, save
 from frobtilt.cli import main
-from frobtilt.fan import Fan, projective_space, star_subdivision
+from frobtilt.fan import Fan, product, projective_space, star_subdivision
 
 
 def run(capsys, *argv):
@@ -267,6 +267,19 @@ def test_ray_bound_is_inclusive(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(importlib.import_module("frobtilt.cohomology"), "MAX_PATTERN_RAYS", 4)
     assert run(capsys, "cohom", _p2_chain_file(tmp_path, 4), "--divisor", "0,0,0,0")[0] == 0
     assert run(capsys, "cohom", _p2_chain_file(tmp_path, 5), "--divisor", "0,0,0,0,0")[0] == 2
+
+
+@pytest.mark.parametrize("command", ["tilting", "orlov"])
+def test_ray_bound_applies_to_each_factor_of_a_product(tmp_path, capsys, monkeypatch, command):
+    # dP6 x P2 has 9 rays but factors of 6 and 3, whose ray subsets alone are walked
+    monkeypatch.setattr(importlib.import_module("frobtilt.cohomology"), "MAX_PATTERN_RAYS", 6)
+    path = tmp_path / "dP6xP2.json"
+    save(CatalogEntry("dP6xP2", product(builtin("dP6").fan, builtin("P2").fan), "product"), path)
+    code, out, _ = run(capsys, command, str(path))
+    assert code == 0 and out
+    code, out, err = run(capsys, command, _p2_chain_file(tmp_path, 7))
+    assert code == 2 and out == ""
+    assert "7 rays" in err and "at most 6" in err
 
 
 def test_malformed_fan_file_exits_two(tmp_path, capsys):

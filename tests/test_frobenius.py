@@ -11,10 +11,13 @@ from frobtilt.catalog import builtin, catalog_names
 from frobtilt.fan import (
     DivisorClass, TorusDivisor, divisor_class, principal_divisor, product, projective_space,
 )
-from frobtilt.frobenius import FrobSet, frob_set, minimal_stabilizing_ell, pushforward_summands
+from frobtilt.frobenius import (
+    FrobSet, _chamber_leaves, _realizes, frob_set, minimal_stabilizing_ell, pushforward_summands,
+)
 from frobtilt.lattice import dot
 from oracles import (
-    chamber_walk, residue_walk, stabilizing_ell_from_one, subdivision_chain, summand_divisor,
+    chamber_leaves, chamber_walk, residue_walk, stabilizing_ell_from_one, subdivision_chain,
+    summand_divisor,
 )
 
 P1 = builtin("P1").fan
@@ -315,25 +318,39 @@ def test_chamber_and_sweep_agree(name):
 
 
 def test_chamber_walk_reuses_the_parent_point(monkeypatch):
-    # frob_set against the walk with one LP at every node: the same classes,
-    # the same minimal witness ells, and fewer LPs.
-    frobenius = importlib.import_module("frobtilt.frobenius")
-    real = frobenius.feasible_point
+    # every chamber child warm-starts from its parent's tableau, so frob_set
+    # solves no LP from scratch, and its minimal witness ells are the walk's
+    # with one LP at every node.
+    lattice = importlib.import_module("frobtilt.lattice")
     calls = []
 
-    def counted(S):
-        calls.append(S)
-        return real(S)
+    def counted(real):
+        def wrapper(*args):
+            calls.append(real.__name__)
+            return real(*args)
+        return wrapper
 
-    monkeypatch.setattr(frobenius, "feasible_point", counted)
-    nodes = 0
+    monkeypatch.setattr(lattice, "lp_maximize", counted(lattice.lp_maximize))
+    monkeypatch.setattr(lattice, "feasible_point", counted(lattice.feasible_point))
     fans = [builtin(name).fan for name in catalog_names()]
     for fan in fans + [product(builtin("dP6").fan, P1), projective_space(5), projective_space(6)]:
-        expected, visited = chamber_walk(fan)
-        nodes += visited
+        expected = chamber_walk(fan)
+        calls.clear()
         fs = frob_set(fan)
         assert {w.cls: w.min_ell for w in fs.witnesses} == expected
-    assert len(calls) < nodes
+        assert calls == []
+
+
+@pytest.mark.parametrize("base,steps,seed", [
+    ("P2", 3, 1), ("P2", 5, 2), ("P2", 7, 3), ("P3", 2, 4), ("P3", 4, 5), ("P3", 6, 6),
+])
+def test_warm_walk_finds_the_oracle_leaves(base, steps, seed):
+    # chains of up to 10 rays: the same floor vectors as the walk with an LP
+    # at every node, and each leaf's cell has a point at its chamber ell
+    fan = subdivision_chain(base, steps, seed)
+    leaves = _chamber_leaves(fan)
+    assert sorted(b for b, _ in leaves) == sorted(chamber_leaves(fan))
+    assert all(_realizes(fan, b, ell) for b, ell in leaves)
 
 
 def test_frob_contains_trivial_class_with_witness_one():

@@ -341,6 +341,36 @@ def test_feasible_agrees_with_fourier_motzkin(seed):
         assert den // math.gcd(den, *num) == math.lcm(*(Fraction(x, den).denominator for x in num))
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_warm_tableau_grows_like_feasible_point(seed):
+    # rows over x >= 0 added one at a time, each tableau warm-started from
+    # the last: the verdict is feasible_point's, and the basic x meets every
+    # row so far, strict ones strictly
+    rng = random.Random(9000 + seed)
+    n = rng.randint(1, 3)
+    nonneg = tuple((tuple(-int(i == j) for j in range(n)), 0, False) for i in range(n))
+    rows, tab = [], lattice._strict_tableau(n, [((0,) * n, 1, True)])  # s <= 1
+    for _ in range(rng.randint(1, 8)):
+        row = (tuple(rng.randint(-3, 3) for _ in range(n)), rng.randint(-3, 4), rng.random() < 0.5)
+        rows.append(row)
+        tab = lattice._strict_tableau(n, [row], tab)
+        S = LinearSystem(n, nonneg + tuple(rows))
+        assert (tab is not None) == (feasible_point(S) is not None)
+        if tab is None:
+            break
+        num = [0] * n
+        for r, col in zip(tab.rows, tab.basis):
+            if col < n:
+                num[col] = r[-1]
+        assert tab.den > 0 and satisfies(S, num, tab.den)
+
+
+def test_warm_tableau_root_must_bound_the_slack():
+    # s <= x with x >= 0 free above: s* is unbounded, not a verdict
+    with pytest.raises(ValueError, match="unbounded"):
+        lattice._strict_tableau(1, [((-1,), 0, True)])
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_feasible_grid_hits_imply_feasible(seed):
     rng = random.Random(8000 + seed)
