@@ -6,15 +6,17 @@ a.x <= b, strict (a.x < b) where flagged.  Rational values stay integer
 numerators over one shared denominator (an LP optimum or point is read
 off the simplex tableau), and coordinate bounds are the integer box.  No
 floating point is used anywhere; strict rows are decided exactly (via an
-auxiliary slack maximization, never a numeric tolerance).  A system over
-nonnegative variables can also grow row by row: each step writes its new
-rows into a copy of the last optimal tableau, in its basis, and dual
-simplex re-optimizes it, so no step solves its LP from scratch.  The
-integer points of a bounded system are counted, not listed, per
-independent coordinate block (the coordinates that rows link), and the
-block counts are multiplied.  A block whose relaxation is empty makes the
-count 0 even beside an unbounded block; otherwise an unbounded block
-raises UnboundedSystemError.
+auxiliary slack maximization, never a numeric tolerance).  Every LP
+starts from a dual-feasible basis, so one dual simplex is its phase 1
+and no artificial columns are used.  A system over nonnegative variables
+can also grow row by row: each step writes its new rows into a copy of
+the last optimal tableau, in its basis, and dual simplex re-optimizes
+it, so no step solves its LP from scratch.  The integer points of a
+bounded system are counted, not listed, per independent coordinate block
+(the coordinates that rows link), and the block counts are multiplied.
+A block whose relaxation is empty makes the count 0 even beside an
+unbounded block; otherwise an unbounded block raises
+UnboundedSystemError.
 """
 
 from __future__ import annotations
@@ -205,11 +207,11 @@ class _Tableau:
                         best, br, ba = i, row[rhs], a
         return best
 
-    def maximize(self, allowed: Sequence[int]) -> str:
+    def maximize(self) -> str:
         """Run simplex on the objective row, the last row."""
         while True:
             obj = self.rows[-1]
-            enter = next((j for j in allowed if obj[j] < 0), None)
+            enter = next((j for j in range(self.ncols) if obj[j] < 0), None)
             if enter is None:
                 return _OPTIMAL
             r = self.leaving_row(enter)
@@ -249,22 +251,20 @@ def _strict_tableau(dim: int, rows: Sequence[tuple[Sequence[int], int, bool]],
     """Whether the rows (a, b, strict) over x >= 0 have a point, warm-started from parent.
 
     The columns are x (dim), the strictness slack s, then one slack per
-    row; every variable is >= 0.  The LP maximizes s subject to
-    a.x + strict*s <= b per row, as in feasible_point, and the rows meet
-    at some x, strict ones strictly, iff the optimum s* is positive.
-    Without parent the rows must have b >= 0 and bound s (as s <= 1 does,
-    the row a = 0, b = 1, strict): the slacks start basic and primal
-    simplex solves it.  parent is the optimal tableau of the rows before,
-    left unchanged: a copy gains one slack column and one row per new row,
-    each row written in the current basis over the shared denominator
-    (minus a_c times the row of each basic x_c or s), and dual simplex
-    restores feasibility.  Returns the optimal tableau, or None when the
-    rows meet nowhere (infeasible, or s* = 0).  x_c is the rhs of the row
-    with c basic, over den, and 0 when c is not basic.
+    row; every variable is >= 0.  The LP maximizes s subject to s <= 1 and
+    a.x + strict*s <= b per row, and the rows meet at some x, strict ones
+    strictly, iff the optimum s* is positive.  parent is the optimal
+    tableau of the rows before, left unchanged; without one it is that of
+    s <= 1 alone, with s basic.  A copy gains one slack column and one row
+    per new row, each row written in the current basis over the shared
+    denominator (minus a_c times the row of each basic x_c or s).  The
+    objective row stays >= 0, so dual simplex restores feasibility, and
+    it is the only phase 1 of every LP here.  Returns the optimal tableau,
+    or None when the rows meet nowhere (infeasible, or s* = 0).  x_c is
+    the rhs of the row with c basic, over den, and 0 when c is not basic.
     """
-    warm = parent is not None
-    if not warm:
-        parent = _Tableau([[0] * dim + [-1, 0]], [], dim + 1)
+    if parent is None:
+        parent = _Tableau([[0] * dim + [1, 1, 1], [0] * dim + [0, 1, 1]], [dim], dim + 2)
     m, n, den = len(rows), parent.ncols, parent.den
     pad = [0] * m
     body = [row[:-1] + pad + row[-1:] for row in parent.rows]
@@ -281,10 +281,7 @@ def _strict_tableau(dim: int, rows: Sequence[tuple[Sequence[int], int, bool]],
         body.append(new)
     body.append(obj)
     tab = _Tableau(body, parent.basis + list(range(n, n + m)), n + m, den)
-    status = tab.dual_simplex() if warm else tab.maximize(range(n + m))
-    if status == _UNBOUNDED:
-        raise ValueError("the rows leave the strictness slack unbounded")
-    if status != _OPTIMAL or tab.rows[-1][-1] == 0:
+    if tab.dual_simplex() != _OPTIMAL or tab.rows[-1][-1] == 0:
         return None
     return tab
 
@@ -293,67 +290,37 @@ def lp_maximize(dim: int, rows: Sequence[tuple[Sequence[int], int]], objective: 
                 ) -> tuple[str, Optional[int], Optional[_Tableau]]:
     """Maximize objective.x over {x : a.x <= b for each row (a, b)}, x free.
 
-    Rows and objective are integer; returns (status, value, tableau).  At
-    an optimum the maximum is value / tableau.den, and in the final
-    tableau column 2*dim + i is row i's slack, tableau.basis holds the
-    basic column of each row and x_k is the rhs of a row with x+_k basic
-    (column k) less that of a row with x-_k basic (column dim + k), over
+    Rows and objective are integer; returns (status, value, tableau).  The
+    columns are x+ (dim), x- (dim) and one slack per row, the slacks basic
+    and the objective row zero: that start is dual feasible, so dual
+    simplex is phase 1 (no artificial columns), and the objective, priced
+    in its feasible basis, is then maximized by primal simplex.  At an
+    optimum the maximum is value / tableau.den, and in the final tableau
+    column 2*dim + i is row i's slack, tableau.basis holds the basic
+    column of each row and x_k is the rhs of a row with x+_k basic (column
+    k) less that of a row with x-_k basic (column dim + k), over
     tableau.den.  Otherwise value and tableau are None.
     """
     if dim <= 0:
         raise ValueError("dimension must be positive")
-    # Columns: x+ (dim), x- (dim), one slack per row, then one artificial
-    # per row with negative rhs (such a row is negated, so its slack
-    # cannot start basic).
     m = len(rows)
-    nstruct = 2 * dim + m
-    ncols = nstruct + sum(1 for _, b in rows if b < 0)
-    body: list[list[int]] = []
-    basis: list[int] = []
-    art_rows: list[int] = []
+    ncols = 2 * dim + m
+    body = []
     for i, (coeffs, rhs) in enumerate(rows):
-        sign = -1 if rhs < 0 else 1
-        ic = [sign * v for v in coeffs]
-        row = ic + [-v for v in ic] + [0] * (ncols - 2 * dim) + [sign * rhs]
-        row[2 * dim + i] = sign
-        if sign > 0:
-            basis.append(2 * dim + i)
-        else:
-            row[nstruct + len(art_rows)] = 1
-            basis.append(nstruct + len(art_rows))
-            art_rows.append(i)
+        row = list(coeffs) + [-v for v in coeffs] + [0] * m + [rhs]
+        row[2 * dim + i] = 1
         body.append(row)
-    body.append([-v for v in objective] + list(objective) + [0] * (ncols - 2 * dim) + [0])
-    tab = _Tableau(body, basis, ncols)
-
-    if art_rows:
-        # Phase 1 maximizes minus the sum of the artificials, as a second
-        # objective row below the phase-2 one, which its pivots carry along.
-        obj1 = [0] * (ncols + 1)
-        for i in art_rows:
-            obj1 = [a - b for a, b in zip(obj1, body[i])]
-        for col in range(nstruct, ncols):
-            obj1[col] = 0
-        tab.rows.append(obj1)
-        if tab.maximize(range(ncols)) != _OPTIMAL:
-            raise AssertionError("phase 1 of the simplex cannot be unbounded")
-        if tab.rows.pop()[ncols] != 0:
-            return _INFEASIBLE, None, None
-        # Drive leftover basic artificials out (degenerate pivots at rhs 0)
-        # so that phase 2 cannot raise an artificial above zero.  Every row
-        # has a slack, so the structural columns have full row rank and
-        # each such row has a nonzero structural entry.
-        for i, col in enumerate(tab.basis):
-            if col >= nstruct:
-                c = next(j for j in range(nstruct) if tab.rows[i][j] != 0)
-                if tab.rows[i][c] < 0:
-                    tab.rows[i] = [-x for x in tab.rows[i]]
-                tab.pivot(i, c)
-        allowed = range(nstruct)  # artificials may not re-enter
-    else:
-        allowed = range(ncols)
-
-    if tab.maximize(allowed) == _UNBOUNDED:
+    body.append([0] * (ncols + 1))
+    tab = _Tableau(body, list(range(2 * dim, ncols)), ncols)
+    if tab.dual_simplex() == _INFEASIBLE:
+        return _INFEASIBLE, None, None
+    cost = list(objective) + [-v for v in objective]
+    obj = [-tab.den * v for v in cost] + [0] * (m + 1)
+    for row, col in zip(tab.rows, tab.basis):
+        if col < 2 * dim and cost[col]:
+            obj = [x + cost[col] * y for x, y in zip(obj, row)]
+    tab.rows[-1] = obj
+    if tab.maximize() == _UNBOUNDED:
         return _UNBOUNDED, None, None
     return _OPTIMAL, tab.rows[-1][ncols], tab
 
@@ -362,22 +329,22 @@ def feasible_point(S: LinearSystem) -> Optional[tuple[IntVec, int]]:
     """An exact rational point satisfying S (strictness included), or None.
 
     The point is returned as (numerators, denominator), the denominator
-    positive.  Strict rows are handled by maximizing a shared slack t in
-    a.x + t <= b with t <= 1: the system has a solution iff the optimum
-    is positive.
+    positive.  It is x = x+ - x- at the optimal tableau of _strict_tableau
+    over the nonnegative x+ and x-: the strictness slack s shared by the
+    strict rows is maximized, and S has a point iff its optimum is positive.
+    The one dual simplex from the tableau of s <= 1 is the whole solve,
+    with no artificial columns and no second phase.
     """
     n = S.dim
-    rows = [(a + (int(strict),), b) for a, b, strict in S.rows]
-    rows.append(((0,) * n + (1,), 1))
-    status, value, tab = lp_maximize(n + 1, rows, (0,) * n + (1,))
-    if status != _OPTIMAL or value <= 0:
+    tab = _strict_tableau(2 * n, [(a + tuple(-x for x in a), b, strict) for a, b, strict in S.rows])
+    if tab is None:
         return None
     num = [0] * n
     for row, col in zip(tab.rows, tab.basis):
         if col < n:
             num[col] += row[-1]
-        elif n + 1 <= col < 2 * n + 1:
-            num[col - n - 1] -= row[-1]
+        elif col < 2 * n:
+            num[col - n] -= row[-1]
     return tuple(num), tab.den
 
 

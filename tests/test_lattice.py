@@ -344,18 +344,19 @@ def test_feasible_agrees_with_fourier_motzkin(seed):
 @pytest.mark.parametrize("seed", range(40))
 def test_warm_tableau_grows_like_feasible_point(seed):
     # rows over x >= 0 added one at a time, each tableau warm-started from
-    # the last: the verdict is feasible_point's, and the basic x meets every
-    # row so far, strict ones strictly
+    # the last: the verdict is Fourier-Motzkin's (and feasible_point's, which
+    # runs the same kernel), and the basic x meets every row so far, strict
+    # ones strictly
     rng = random.Random(9000 + seed)
     n = rng.randint(1, 3)
     nonneg = tuple((tuple(-int(i == j) for j in range(n)), 0, False) for i in range(n))
-    rows, tab = [], lattice._strict_tableau(n, [((0,) * n, 1, True)])  # s <= 1
+    rows, tab = [], lattice._strict_tableau(n, [])  # s <= 1 alone
     for _ in range(rng.randint(1, 8)):
         row = (tuple(rng.randint(-3, 3) for _ in range(n)), rng.randint(-3, 4), rng.random() < 0.5)
         rows.append(row)
         tab = lattice._strict_tableau(n, [row], tab)
         S = LinearSystem(n, nonneg + tuple(rows))
-        assert (tab is not None) == (feasible_point(S) is not None)
+        assert (tab is not None) == fm_feasible(S) == (feasible_point(S) is not None)
         if tab is None:
             break
         num = [0] * n
@@ -363,12 +364,6 @@ def test_warm_tableau_grows_like_feasible_point(seed):
             if col < n:
                 num[col] = r[-1]
         assert tab.den > 0 and satisfies(S, num, tab.den)
-
-
-def test_warm_tableau_root_must_bound_the_slack():
-    # s <= x with x >= 0 free above: s* is unbounded, not a verdict
-    with pytest.raises(ValueError, match="unbounded"):
-        lattice._strict_tableau(1, [((-1,), 0, True)])
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -389,6 +384,73 @@ def test_feasible_grid_hits_imply_feasible(seed):
         assert feasible(S)
 
 
+# --- lp_maximize: dual simplex from the slack basis is phase 1 ---------------
+
+
+def lp_point(tab, dim):
+    """The optimal x of an lp_maximize tableau, as numerators over tab.den."""
+    num = [0] * dim
+    for row, col in zip(tab.rows, tab.basis):
+        if col < 2 * dim:
+            num[col % dim] += row[-1] if col < dim else -row[-1]
+    return num
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_lp_maximize_from_negative_rhs_agrees_with_fourier_motzkin(seed):
+    # a box (often empty) and cuts, the first rhs negative, so the slack
+    # basis starts primal infeasible; every eighth seed makes every rhs
+    # negative, which empties the box.  Fourier-Motzkin reads the maximum
+    # of c.x as that of y, a last coordinate with y = c.x.
+    rng = random.Random(15000 + seed)
+    dim = rng.randint(1, 3)
+    rows = [(tuple(s * int(i == j) for j in range(dim)), rng.randint(-2, 5))
+            for i in range(dim) for s in (1, -1)]
+    rows += [(tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(-2, 6))
+             for _ in range(rng.randint(0, 4))]
+    rows[0] = (rows[0][0], rng.randint(-2, -1))
+    if seed % 8 == 0:
+        rows = [(a, -abs(b) - 1) for a, b in rows]
+    c = tuple(rng.randint(-2, 2) for _ in range(dim))
+    status, value, tab = lattice.lp_maximize(dim, rows, c)
+    y = LinearSystem(dim + 1, tuple((a + (0,), b, False) for a, b in rows) + (
+        (c + (-1,), 0, False), (tuple(-x for x in c) + (1,), 0, False)))
+    interval = fm_interval(y, dim)
+    assert (status == lattice._INFEASIBLE) == (interval is None)
+    if interval is not None:
+        assert status == lattice._OPTIMAL and tab.den > 0
+        assert Fraction(value, tab.den) == interval[1]
+        num = lp_point(tab, dim)
+        assert satisfies(LinearSystem(dim, tuple((a, b, False) for a, b in rows)), num, tab.den)
+        assert dot(c, num) == value
+
+
+def test_lp_maximize_on_a_half_line_is_unbounded():
+    # x >= 2 and y >= 1 + x: no slack starts feasible, and x grows freely
+    rows = [((-1, 0), -2), ((1, -1), -1)]
+    assert lattice.lp_maximize(2, rows, (1, 0))[0] == lattice._UNBOUNDED
+    status, value, tab = lattice.lp_maximize(2, rows, (-1, -1))
+    assert status == lattice._OPTIMAL and Fraction(value, tab.den) == -5
+    assert lattice.lp_maximize(1, [((1,), -1), ((-1,), -1)], (1,))[0] == lattice._INFEASIBLE
+
+
+def test_lp_maximize_ends_on_a_degenerate_vertex():
+    # all 26 rows a.x <= a.v, a in {-1, 0, 1}^3 \ 0, are tight at the one
+    # point v = (1/2, -1, 2), and half of them start infeasible: the
+    # zero-objective dual simplex must end there under Bland's rule
+    v2 = (1, -2, 4)  # 2v
+    rows = [(tuple(2 * x for x in a), dot(a, v2)) for a in itertools.product((-1, 0, 1), repeat=3)
+            if any(a)]
+    assert sum(b < 0 for _, b in rows) >= 10
+    for k in range(3):
+        for sgn in (1, -1):
+            obj = tuple(sgn * int(j == k) for j in range(3))
+            status, value, tab = lattice.lp_maximize(3, rows, obj)
+            assert status == lattice._OPTIMAL
+            assert Fraction(value, tab.den) == Fraction(sgn * v2[k], 2)
+            assert [Fraction(x, tab.den) for x in lp_point(tab, 3)] == [Fraction(x, 2) for x in v2]
+
+
 # --- feasible with integer candidates ----------------------------------------
 
 
@@ -400,8 +462,22 @@ def random_rows(rng, n):
     return system(n, rows)
 
 
+@pytest.fixture
+def point_counter(monkeypatch):
+    """Counts the feasible_point calls, the LP behind feasible."""
+    calls = []
+    original = lattice.feasible_point
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lattice, "feasible_point", counted)
+    return calls
+
+
 @pytest.mark.parametrize("seed", range(60))
-def test_candidates_never_change_feasibility(seed, lp_counter):
+def test_candidates_never_change_feasibility(seed, point_counter):
     rng = random.Random(12000 + seed)
     n = rng.randint(1, 3)
     S = random_rows(rng, n)
@@ -409,36 +485,36 @@ def test_candidates_never_change_feasibility(seed, lp_counter):
     fits = [m for m in candidates if satisfies(S, m)]
     assert feasible(S, candidates) == fm_feasible(S)
     # an LP runs exactly when no candidate fits
-    assert len(lp_counter) == (not fits)
+    assert len(point_counter) == (not fits)
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_no_candidates_is_the_plain_lp(seed, lp_counter):
+def test_no_candidates_is_the_plain_lp(seed, point_counter):
     rng = random.Random(13000 + seed)
     S = random_rows(rng, rng.randint(1, 3))
     assert feasible(S, []) == feasible(S) == fm_feasible(S)
     assert feasible(S, iter(())) == fm_feasible(S)
-    assert len(lp_counter) == 3
+    assert len(point_counter) == 3
 
 
-def test_candidate_on_a_strict_boundary_does_not_count(lp_counter):
+def test_candidate_on_a_strict_boundary_does_not_count(point_counter):
     # x < 1 holds at no point with x = 1, even though 1 <= 1
     assert feasible(system(1, [((1,), "<", 1), ((1,), ">=", 0)]), [(1,)])
-    assert len(lp_counter) == 1
+    assert len(point_counter) == 1
     assert not feasible(system(1, [((1,), "<", 1), ((1,), ">=", 1)]), [(1,)])
     assert feasible(system(1, [((1,), "<=", 1), ((1,), ">=", 1)]), [(1,)])
-    assert len(lp_counter) == 2
+    assert len(point_counter) == 2
 
 
-def test_candidate_breaking_one_row_falls_through_to_the_lp(lp_counter):
+def test_candidate_breaking_one_row_falls_through_to_the_lp(point_counter):
     S = system(2, [((1, 0), "<=", 2), ((0, 1), "<=", 2), ((1, 1), ">=", 1)])
     assert feasible(S, [(3, 0)])
-    assert len(lp_counter) == 1
+    assert len(point_counter) == 1
     assert feasible(S, [(3, 0), (2, -1)])
-    assert len(lp_counter) == 1
+    assert len(point_counter) == 1
     assert not feasible(system(2, [((1, 1), ">=", 5), ((1, 0), "<=", 2), ((0, 1), "<=", 2)]),
                         [(3, 2), (2, 3)])
-    assert len(lp_counter) == 2
+    assert len(point_counter) == 2
 
 
 def test_candidate_of_the_wrong_dimension_raises():
