@@ -31,8 +31,9 @@ with no LP when it meets the other rows; the LP runs only when no cone's
 vertex does.  The regions whose ranks are nonzero in one degree q* alone,
 q* the degree with the most of them, are not counted: h^{q*} is what chi
 leaves of the other degrees, and chi is evaluated only when such a region
-survives.  The regions that are counted use the optimal LP bases kept per
-constraint block, so most coordinate bounds need no simplex.
+survives.  The regions that are counted keep one optimal LP tableau per
+constraint block and direction, so once a direction is solved its bound
+on a new divisor is a warm dual simplex, not an LP from scratch.
 
 A product fan (Fan._factors) answers a class by Kunneth,
 H^*(X x Y, L x M) = H^*(X, L) (x) H^*(Y, M): the factors' h-vectors, each
@@ -40,7 +41,7 @@ from that factor's per-class cache, are convolved, so cohomology, ext_dims
 and with them the Ext table and m0 never build the product's patterns.
 weight_patterns keeps the product's own pattern route.  Every row +-v_rho
 of a product region lies in one factor's coordinates, so there a region is
-counted per factor block, and the blocks share their bases across patterns.
+counted per factor block, and the blocks share their tableaus across patterns.
 """
 
 from __future__ import annotations

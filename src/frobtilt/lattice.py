@@ -7,14 +7,17 @@ numerators over one shared denominator (an LP optimum or point is read
 off the simplex tableau), and coordinate bounds are the integer box.  No
 floating point is used anywhere; strict rows are decided exactly (via an
 auxiliary slack maximization, never a numeric tolerance).  Every LP
-starts from a dual-feasible basis, so one dual simplex is its phase 1
-and no artificial columns are used.  A system over nonnegative variables
-can also grow row by row: each step writes its new rows into a copy of
-the last optimal tableau, in its basis, and dual simplex re-optimizes
-it, so no step solves its LP from scratch.  The integer points of a
-bounded system are counted, not listed, per independent coordinate block
-(the coordinates that rows link), and the block counts are multiplied.
-A block whose relaxation is empty makes the count 0 even beside an
+tableau is built by one routine from a dual-feasible basis, so one dual
+simplex is its phase 1 and no artificial columns are used.  A system
+over nonnegative variables can also grow row by row: each step writes
+its new rows into a copy of the last optimal tableau, in its basis, and
+dual simplex re-optimizes it, so no step solves its LP from scratch.
+Coordinate bounds keep one optimal tableau per constraint matrix and
+direction: a new right-hand side is written into its rhs column, and
+dual simplex re-optimizes it.  The integer points of a bounded system
+are counted, not listed, per independent coordinate block (the
+coordinates that rows link), and the block counts are multiplied.  A
+block whose relaxation is empty makes the count 0 even beside an
 unbounded block; otherwise an unbounded block raises
 UnboundedSystemError.
 """
@@ -290,39 +293,32 @@ def lp_maximize(dim: int, rows: Sequence[tuple[Sequence[int], int]], objective: 
                 ) -> tuple[str, Optional[int], Optional[_Tableau]]:
     """Maximize objective.x over {x : a.x <= b for each row (a, b)}, x free.
 
-    Rows and objective are integer; returns (status, value, tableau).  The
-    columns are x+ (dim), x- (dim) and one slack per row, the slacks basic
-    and the objective row zero: that start is dual feasible, so dual
-    simplex is phase 1 (no artificial columns), and the objective, priced
-    in its feasible basis, is then maximized by primal simplex.  At an
-    optimum the maximum is value / tableau.den, and in the final tableau
-    column 2*dim + i is row i's slack, tableau.basis holds the basic
-    column of each row and x_k is the rhs of a row with x+_k basic (column
-    k) less that of a row with x-_k basic (column dim + k), over
-    tableau.den.  Otherwise value and tableau are None.
+    Rows and objective are integer; returns (status, value, tableau).
+    Phase 1 is _strict_tableau over x+ and x- with no strict row, so the
+    columns are x+ (dim), x- (dim), the strictness slack s, the slack of
+    s <= 1, then one slack per row; s stays basic at 1 and plays no part.
+    The objective, priced in that feasible basis, is then maximized by
+    primal simplex.  At an optimum the maximum is value / tableau.den,
+    tableau.basis holds the basic column of each row, and x_k is the rhs
+    of a row with x+_k basic (column k) less that of a row with x-_k basic
+    (column dim + k), over tableau.den.  Every row, the objective row
+    included, has as rhs its slack block (columns 2*dim + 1 on) times
+    (1, b).  Otherwise value and tableau are None.
     """
     if dim <= 0:
         raise ValueError("dimension must be positive")
-    m = len(rows)
-    ncols = 2 * dim + m
-    body = []
-    for i, (coeffs, rhs) in enumerate(rows):
-        row = list(coeffs) + [-v for v in coeffs] + [0] * m + [rhs]
-        row[2 * dim + i] = 1
-        body.append(row)
-    body.append([0] * (ncols + 1))
-    tab = _Tableau(body, list(range(2 * dim, ncols)), ncols)
-    if tab.dual_simplex() == _INFEASIBLE:
+    tab = _strict_tableau(2 * dim, [((*a, *(-v for v in a)), b, False) for a, b in rows])
+    if tab is None:
         return _INFEASIBLE, None, None
     cost = list(objective) + [-v for v in objective]
-    obj = [-tab.den * v for v in cost] + [0] * (m + 1)
+    obj = [-tab.den * v for v in cost] + [0] * (tab.ncols - 2 * dim + 1)
     for row, col in zip(tab.rows, tab.basis):
         if col < 2 * dim and cost[col]:
             obj = [x + cost[col] * y for x, y in zip(obj, row)]
     tab.rows[-1] = obj
     if tab.maximize() == _UNBOUNDED:
         return _UNBOUNDED, None, None
-    return _OPTIMAL, tab.rows[-1][ncols], tab
+    return _OPTIMAL, tab.rows[-1][-1], tab
 
 
 def feasible_point(S: LinearSystem) -> Optional[tuple[IntVec, int]]:
@@ -371,74 +367,38 @@ def coordinate_bounds(S: LinearSystem, bases: Optional[dict] = None
 
     Returns None when the relaxation is empty; raises UnboundedSystemError
     when some coordinate is unbounded.  bases, a dict the caller keeps
-    across systems, collects optimal bases per constraint matrix and
-    direction.  Dual feasibility does not depend on the right-hand sides,
-    so a basis whose vertex meets every row gives the bound with no LP.
+    across systems, holds the optimal lp_maximize tableau of each
+    constraint matrix and direction.  Its objective row does not depend on
+    the right-hand sides, so a cached direction overwrites each row's rhs,
+    in place, with its slack block times (1, b) and re-optimizes by dual
+    simplex; only a direction with no tableau yet calls lp_maximize.
     """
     A = tuple(a for a, _, _ in S.rows)
-    rhs = [b for _, b, _ in S.rows]
+    rhs = (1, *(b for _, b, _ in S.rows))  # the leading 1 is the rhs of s <= 1
     known = ({} if bases is None else bases).setdefault(A, {})
     out = []
     for k in range(S.dim):
         pair = []
         for sgn in (-1, 1):
-            # the maximum of sgn * x_k is value / d
-            cached = known.setdefault((k, sgn), [])
-            for pos, (B, P, d, checks) in enumerate(cached):
-                bB = [rhs[i] for i in B]
-                if all(sum(map(operator.mul, row, bB)) <= d * rhs[i] for i, row in checks):
-                    cached.insert(0, cached.pop(pos))
-                    value = sgn * sum(map(operator.mul, P[k], bB))
-                    break
+            # the maximum of sgn * x_k is the objective row's rhs over den
+            tab = known.get((k, sgn))
+            if tab is not None:
+                for row in tab.rows:
+                    row[-1] = sum(map(operator.mul, row[2 * S.dim + 1:-1], rhs))
+                if tab.dual_simplex() == _INFEASIBLE:
+                    return None
             else:
                 obj = [0] * S.dim
                 obj[k] = sgn
-                status, value, tab = lp_maximize(S.dim, list(zip(A, rhs)), obj)
+                status, _, tab = lp_maximize(S.dim, list(zip(A, rhs[1:])), obj)
                 if status == _INFEASIBLE:
                     return None
                 if status == _UNBOUNDED:
                     raise UnboundedSystemError("coordinate %d unbounded" % k)
-                d = tab.den
-                basis = _optimal_basis(tab, S.dim, len(A), k, sgn)
-                if basis is not None:
-                    cached.append(basis)
-            pair.append(sgn * (value // d))
+                known[k, sgn] = tab
+            pair.append(sgn * (tab.rows[-1][-1] // tab.den))
         out.append((pair[0], pair[1]))
     return out
-
-
-def _optimal_basis(tab: _Tableau, dim: int, m: int, k: int, sgn: int) -> Optional[tuple]:
-    """The optimal basis of a final tableau as (rows B, P, d, checks), or None.
-
-    The optimum may lie inside a face: a coordinate with neither x+ nor x-
-    basic has zero reduced cost, so pivoting one of them in by the ratio
-    test keeps the optimum and reaches a vertex (none can enter when the
-    region contains a line).  Then B is the rows with non-basic slacks,
-    and the tableau holds d * A_B^-1 in their columns: x = P b_B / d, and a
-    basic slack b_j - A_j.x stays >= 0 iff checks_j . b_B <= d * b_j.  The
-    dual sgn * P[k] / d must be >= 0; it does not depend on b.
-    """
-    for c in range(dim):
-        if c in tab.basis or dim + c in tab.basis:
-            continue
-        for col in (c, dim + c):
-            r = tab.leaving_row(col)
-            if r is not None:
-                tab.pivot(r, col)
-                break
-        else:
-            return None
-    B = [i for i in range(m) if 2 * dim + i not in tab.basis]
-    P, checks = [None] * dim, []
-    for row, col in zip(tab.rows, tab.basis):
-        t = [row[2 * dim + i] for i in B]
-        if col < 2 * dim:
-            P[col % dim] = t if col < dim else [-v for v in t]
-        else:
-            checks.append((col - 2 * dim, [-v for v in t]))
-    if any(sgn * y < 0 for y in P[k]):
-        return None
-    return B, P, tab.den, checks
 
 
 def coordinate_blocks(masks: Iterable[int]) -> list[int]:

@@ -384,7 +384,7 @@ def test_feasible_grid_hits_imply_feasible(seed):
         assert feasible(S)
 
 
-# --- lp_maximize: dual simplex from the slack basis is phase 1 ---------------
+# --- lp_maximize: dual simplex from the tableau of s <= 1 is phase 1 ---------
 
 
 def lp_point(tab, dim):
@@ -742,7 +742,7 @@ def test_any_walk_stops_at_the_first_point(monkeypatch):
     assert calls == [0, 1, 2]
 
 
-# --- coordinate bounds from cached optimal bases -----------------------------
+# --- coordinate bounds from cached optimal tableaus --------------------------
 
 
 def rows_with(A, rhs):
@@ -751,13 +751,14 @@ def rows_with(A, rhs):
 
 @pytest.fixture
 def lp_counter(monkeypatch):
-    """Counts the lp_maximize calls."""
+    """The statuses of the lp_maximize calls, in order."""
     calls = []
     original = lattice.lp_maximize
 
     def counted(*args):
-        calls.append(args)
-        return original(*args)
+        result = original(*args)
+        calls.append(result[0])
+        return result
 
     monkeypatch.setattr(lattice, "lp_maximize", counted)
     return calls
@@ -773,7 +774,7 @@ def test_cached_bases_give_the_bounds_of_fresh_lps(seed, lp_counter):
     # count_points keys its own dict by block matrices, so bases holds
     # only what coordinate_bounds put there
     bases, block_bases = {}, {}
-    cold = warm = empty = 0
+    cold = warm = warm_optimal = empty = 0
     for _ in range(40):
         rhs = [rng.randint(-1, 8) for _ in A]
         S = rows_with(A, rhs)
@@ -783,11 +784,14 @@ def test_cached_bases_give_the_bounds_of_fresh_lps(seed, lp_counter):
         before = len(lp_counter)
         assert coordinate_bounds(S, bases) == expected
         warm += len(lp_counter) - before
+        warm_optimal += lp_counter[before:].count(lattice._OPTIMAL)
         assert count_points(S, block_bases) == count_points(S)
         empty += expected is None
     assert list(bases) == [tuple(A)]
     assert 0 < empty < 40
     assert warm < cold
+    # a direction solved once is re-solved from its tableau ever after
+    assert warm_optimal <= 2 * dim
 
 
 def test_warm_cache_still_sees_empty_and_unbounded_regions():
@@ -795,7 +799,7 @@ def test_warm_cache_still_sees_empty_and_unbounded_regions():
     box = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1))
     assert coordinate_bounds(rows_with(box, (3, 0, 3, 0, 4)), bases) == [(0, 3), (0, 3)]
     assert coordinate_bounds(rows_with(box, (2, -1, 2, -1, 5)), bases) == [(1, 2), (1, 2)]
-    # x >= 2, y >= 2 and x + y <= 3: empty, so no cached vertex passes its checks
+    # x >= 2, y >= 2 and x + y <= 3: empty, so the warm dual simplex is infeasible
     assert coordinate_bounds(rows_with(box, (3, -2, 3, -2, 3)), bases) is None
     assert count_points(rows_with(box, (3, -2, 3, -2, 3)), bases) == 0
     # y has no lower bound: the x bounds are cached before y raises, and a
@@ -804,9 +808,63 @@ def test_warm_cache_still_sees_empty_and_unbounded_regions():
     for rhs in ((2, 0, 5), (4, -1, 0)):
         with pytest.raises(UnboundedSystemError, match="coordinate 1"):
             coordinate_bounds(rows_with(strip, rhs), bases)
-    assert [len(bases[strip][0, sgn]) for sgn in (-1, 1)] == [1, 1]
+    assert set(bases[strip]) == {(0, -1), (0, 1)}
     assert coordinate_bounds(rows_with(strip, (-1, 0, 5)), bases) is None
     assert set(bases) == {box, strip}
+
+
+def assert_rhs_is_slack_block_times(tab, dim, rhs):
+    """Every row's rhs, the objective row's included, is its slack block times (1, rhs)."""
+    full = (1, *rhs)
+    for row in tab.rows:
+        assert len(row) == 2 * dim + 1 + len(full) + 1
+        assert row[-1] == dot(row[2 * dim + 1:-1], full)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_lp_maximize_rhs_is_the_slack_block_times_the_full_rhs(seed):
+    # the invariant a cached coordinate bound re-solves from: the slack
+    # block is den * A_B^-1, the first column that of s <= 1
+    rng = random.Random(16000 + seed)
+    dim = rng.randint(1, 3)
+    rows = [(tuple(s * int(i == j) for j in range(dim)), rng.randint(-1, 6))
+            for i in range(dim) for s in (1, -1)]
+    rows += [(tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(-2, 6))
+             for _ in range(rng.randint(0, 4))]
+    c = tuple(rng.randint(-2, 2) for _ in range(dim))
+    status, _, tab = lattice.lp_maximize(dim, rows, c)
+    if status == lattice._OPTIMAL:
+        assert_rhs_is_slack_block_times(tab, dim, [b for _, b in rows])
+
+
+def test_warm_bound_pivots_when_the_cached_vertex_breaks_a_row(lp_counter, monkeypatch):
+    # max x over the box 0 <= x, y <= 3 with x + y <= 4 ends at x = 3; with
+    # x + y <= 5/2 (2x + 2y <= 5) that vertex breaks the cut, so dual
+    # simplex must pivot to find max x = 5/2
+    box = ((1, 0), (-1, 0), (0, 1), (0, -1), (2, 2))
+    bases = {}
+    assert coordinate_bounds(rows_with(box, (3, 0, 3, 0, 8)), bases) == [(0, 3), (0, 3)]
+    tab = bases[box][0, 1]
+    assert Fraction(tab.rows[-1][-1], tab.den) == 3
+    pivots = []
+    original = lattice._Tableau.pivot
+
+    def counted(self, r, c):
+        pivots.append(c)
+        original(self, r, c)
+
+    monkeypatch.setattr(lattice._Tableau, "pivot", counted)
+    lp_counter.clear()
+    rhs = (3, 0, 3, 0, 5)
+    S = rows_with(box, rhs)
+    intervals = [fm_interval(S, k) for k in range(2)]
+    assert intervals[0][1] == Fraction(5, 2)
+    assert coordinate_bounds(S, bases) == [(math.ceil(lo), math.floor(hi)) for lo, hi in intervals]
+    assert lp_counter == [] and pivots
+    assert bases[box][0, 1] is tab and Fraction(tab.rows[-1][-1], tab.den) == Fraction(5, 2)
+    # the re-solved tableau keeps the invariant, s <= 1 row included
+    for t in bases[box].values():
+        assert_rhs_is_slack_block_times(t, 2, rhs)
 
 
 @pytest.mark.parametrize("seed", range(20))
