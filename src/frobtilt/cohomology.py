@@ -32,20 +32,20 @@ vertex does.  The regions whose ranks are nonzero in one degree q* alone,
 q* the degree with the most of them, are not counted: h^{q*} is what chi
 leaves of the other degrees, and chi is evaluated only when such a region
 survives.  The regions that are counted keep one optimal LP tableau per
-constraint block and direction, so once a direction is solved its bound
+constraint matrix and direction, so once a direction is solved its bound
 on a new divisor is a warm dual simplex, not an LP from scratch.
 
-A product fan (Fan._factors) answers a class by Kunneth,
-H^*(X x Y, L x M) = H^*(X, L) (x) H^*(Y, M): the factors' h-vectors, each
-from that factor's per-class cache, are convolved, so cohomology, ext_dims
-and with them the Ext table and m0 never build the product's patterns.
-weight_patterns keeps the product's own pattern route.  Every row +-v_rho
-of a product region lies in one factor's coordinates, so there a region is
-counted per factor block, and the blocks share their tableaus across patterns.
+A product fan (Fan._factors) never builds its own patterns.  A class goes
+by Kunneth, H^*(X x Y, L x M) = H^*(X, L) (x) H^*(Y, M): the factors'
+h-vectors, each from that factor's per-class cache, are convolved, and so
+are cohomology, ext_dims, the Ext table and m0.  weight_patterns joins the
+factors' patterns: the full subcomplex on S_X + S_Y is the join of theirs,
+whose ranks are the factors' convolved, and its region is R_X x R_Y.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -67,8 +67,8 @@ from .lattice import (
 # 16 rays in dimension 4 (star subdivision chains).  From dimension 5 on the
 # per-subset Bareiss ranks cost more: at 11 rays 0.45 s in dimension 5 and
 # 0.65 s in dimension 6 (star subdivision chains of P5 and P6).  Medians of
-# 3; 2-vCPU host, CPython 3.11.  A product fan builds its own patterns only
-# for weight_patterns; cohomology and the Ext table read its factors'.
+# 3; 2-vCPU host, CPython 3.11.  A product fan never builds its own
+# patterns, so the bound applies to each of its factors.
 MAX_PATTERN_RAYS = 16
 
 Circuit = tuple[IntVec, int, int]  # lambda and the positive-part sums of +-lambda
@@ -176,7 +176,7 @@ def _nerve_ranks(fan: Fan, nerve: list[tuple[int, tuple[int, ...]]]) -> list[tup
         b = [low[i][s] if i < nlow else low[n - 2 - i][full ^ s] if n - 2 - i < nlow else 0
              for i in range(n - 1)]
         if mid is not None:
-            b[mid] = (-1) ** mid * euler[s] - sum((-1) ** (i - mid) * x for i, x in enumerate(b))
+            b[mid] = (-1) ** mid * euler[s] - sum((-1) ** (i + mid) * x for i, x in enumerate(b))
         out[s] = (0, *b, 0)
     return out
 
@@ -407,6 +407,8 @@ def weight_patterns(fan: Fan, D: TorusDivisor, skip: Optional[int] = None
     """
     fan.require_valid()
     _require_on_fan(fan, D)
+    if fan._factors:
+        return _joined_patterns(fan, D, skip)
     bases = fan._rank_cache.setdefault("bases", {})
     out = []
     for verts, ranks, _, single, bounded in _survivors(fan, D.coeffs):
@@ -426,6 +428,25 @@ def weight_patterns(fan: Fan, D: TorusDivisor, skip: Optional[int] = None
         count = count_points(region, bases)
         if count:
             out.append(WeightPattern(tuple(sorted(verts)), ranks, count))
+    return tuple(out)
+
+
+def _joined_patterns(fan: Fan, D: TorusDivisor, skip: Optional[int]) -> tuple[WeightPattern, ...]:
+    """A product's patterns of D: per join of one pattern per factor, the
+    factors' ranks convolved (index q = q_X + q_Y) and their counts multiplied.
+    """
+    per_factor = [
+        [(tuple(rays[i] for i in p.neg_rays), p.reduced_ranks, p.point_count)
+         for p in weight_patterns(factor, TorusDivisor(factor, tuple(D.coeffs[i] for i in rays)))]
+        for rays, factor, _ in fan._factors
+    ]
+    out = []
+    for combo in itertools.product(*per_factor):
+        ranks = functools.reduce(_convolve, (r for _, r, _ in combo))
+        if [q for q, x in enumerate(ranks) if x] != [skip]:
+            neg = tuple(sorted(i for verts, _, _ in combo for i in verts))
+            out.append(WeightPattern(neg, ranks, math.prod(c for _, _, c in combo)))
+    out.sort(key=lambda p: (len(p.neg_rays), p.neg_rays))
     return tuple(out)
 
 
@@ -450,18 +471,23 @@ def _kunneth(fan: Fan, coords: IntVec) -> tuple[int, ...]:
     Each factor's class is its own coordinates picked out of the product's,
     answered from that factor's cache; a zero factor makes the product zero.
     """
-    dims = [1]
+    dims = (1,)
     for _, factor, positions in fan._factors:
         h = _class_cohomology(factor, tuple([coords[p] for p in positions]))
         if not any(h):
             return (0,) * (fan.dim + 1)
-        joined = [0] * (len(dims) + factor.dim)
-        for i, x in enumerate(dims):
-            if x:
-                for j, y in enumerate(h, i):
-                    joined[j] += x * y
-        dims = joined
-    return tuple(dims)
+        dims = _convolve(dims, h)
+    return dims
+
+
+def _convolve(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """The coefficients of the product of the polynomials with coefficients u and v."""
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        if x:
+            for j, y in enumerate(v, i):
+                out[j] += x * y
+    return tuple(out)
 
 
 def _counted(fan: Fan, coords: IntVec) -> tuple[int, ...]:

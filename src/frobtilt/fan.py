@@ -24,9 +24,9 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, prod
-from typing import Optional
+from typing import Iterable, Optional
 
-from .lattice import IntMat, IntVec, adjugate, coordinate_blocks, dot, integer_rank
+from .lattice import IntMat, IntVec, adjugate, dot, integer_rank
 
 
 class InvalidFanError(ValueError):
@@ -156,7 +156,7 @@ class Fan:
         a valid fan (so the product was never complete), gives ().
         """
         masks = [sum(1 << k for k, x in enumerate(ray) if x) for ray in self.rays]
-        blocks = coordinate_blocks(masks)
+        blocks = _coordinate_blocks(masks)
         if len(blocks) < 2:
             return ()
         basis, others, _ = self._pic
@@ -187,6 +187,16 @@ class Fan:
     @cached_property
     def _cohomology_cache(self) -> dict:
         return {}
+
+
+def _coordinate_blocks(masks: Iterable[int]) -> list[int]:
+    """The components of the coordinates, two joined when some mask holds both, as bitmasks."""
+    blocks: list[int] = []
+    for mask in masks:
+        if mask:
+            joined = [m for m in blocks if m & mask]
+            blocks = [m for m in blocks if not m & mask] + [mask | sum(joined)]
+    return blocks
 
 
 @dataclass(frozen=True)

@@ -15,16 +15,12 @@ dual simplex re-optimizes it, so no step solves its LP from scratch.
 Coordinate bounds keep one optimal tableau per constraint matrix and
 direction: a new right-hand side is written into its rhs column, and
 dual simplex re-optimizes it.  The integer points of a bounded system
-are counted, not listed, per independent coordinate block (the
-coordinates that rows link), and the block counts are multiplied.  A
-block whose relaxation is empty makes the count 0 even beside an
-unbounded block; otherwise an unbounded block raises
-UnboundedSystemError.
+are counted in its coordinate box, not listed; an empty relaxation counts
+0, and otherwise an unbounded coordinate raises UnboundedSystemError.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -302,7 +298,7 @@ def lp_maximize(dim: int, rows: Sequence[tuple[Sequence[int], int]], objective: 
     tableau.basis holds the basic column of each row, and x_k is the rhs
     of a row with x+_k basic (column k) less that of a row with x-_k basic
     (column dim + k), over tableau.den.  Every row, the objective row
-    included, has as rhs its slack block (columns 2*dim + 1 on) times
+    included, has as rhs its slack columns (2*dim + 1 on) times
     (1, b).  Otherwise value and tableau are None.
     """
     if dim <= 0:
@@ -366,12 +362,14 @@ def coordinate_bounds(S: LinearSystem, bases: Optional[dict] = None
     non-strict relaxation.
 
     Returns None when the relaxation is empty; raises UnboundedSystemError
-    when some coordinate is unbounded.  bases, a dict the caller keeps
-    across systems, holds the optimal lp_maximize tableau of each
-    constraint matrix and direction.  Its objective row does not depend on
-    the right-hand sides, so a cached direction overwrites each row's rhs,
-    in place, with its slack block times (1, b) and re-optimizes by dual
-    simplex; only a direction with no tableau yet calls lp_maximize.
+    when some coordinate is unbounded.  The first direction's solve sees
+    every row, so an empty relaxation is found before any direction can be
+    unbounded.  bases, a dict the caller keeps across systems, holds the
+    optimal lp_maximize tableau of each constraint matrix and direction.
+    Its objective row does not depend on the right-hand sides, so a cached
+    direction overwrites each row's rhs, in place, with its slack columns
+    times (1, b) and re-optimizes by dual simplex; only a direction with no
+    tableau yet calls lp_maximize.
     """
     A = tuple(a for a, _, _ in S.rows)
     rhs = (1, *(b for _, b, _ in S.rows))  # the leading 1 is the rhs of s <= 1
@@ -401,62 +399,21 @@ def coordinate_bounds(S: LinearSystem, bases: Optional[dict] = None
     return out
 
 
-def coordinate_blocks(masks: Iterable[int]) -> list[int]:
-    """The coordinates that the masks join, as disjoint bitmasks.
-
-    Each mask is the set of coordinates a vector is nonzero on, and two
-    coordinates are joined when some mask holds both; coordinates in no
-    mask are left out.
-    """
-    blocks: list[int] = []
-    for mask in masks:
-        if mask:
-            joined = [m for m in blocks if m & mask]
-            blocks = [m for m in blocks if not m & mask] + [mask | sum(joined)]
-    return blocks
-
-
 def count_points(S: LinearSystem, bases: Optional[dict] = None) -> int:
     """The number of integer points satisfying S.
 
-    S splits into independent coordinate blocks: the connected components
-    of the coordinates, two joined when some row is nonzero on both.  Each
-    block keeps the rows that touch it, in their order, and its count is
-    independent of the others', so the count is their product.  An
-    all-zero row is decided alone (0 <= b, or 0 < b when strict).  The
-    non-strict relaxation of any block being empty gives 0, even beside an
-    unbounded block; otherwise an unbounded block raises
-    UnboundedSystemError, and otherwise a block with no integer point in
-    its box gives 0.  Each block's box is walked with per-coordinate
-    interval tightening, counting the last coordinate's interval in one
-    step.  bases is passed to coordinate_bounds, so it is keyed by block
-    matrices.
+    The box of S is coordinate_bounds(S, bases): an empty non-strict
+    relaxation gives 0 (phase 1 finds it before any coordinate can be
+    unbounded), an unbounded coordinate raises UnboundedSystemError, and a
+    box with no integer point gives 0.  Otherwise the box is walked with
+    per-coordinate interval tightening, counting the last coordinate's
+    interval in one step; a strict row is a.x <= b - 1 on integer points,
+    so a strict 0 < 0 row leaves no point.
     """
-    row_masks = [sum(1 << k for k, x in enumerate(a) if x) for a, _, _ in S.rows]
-    if any(not mask and b < strict for mask, (_, b, strict) in zip(row_masks, S.rows)):
+    boxes = coordinate_bounds(S, bases)
+    if boxes is None or any(lo > hi for lo, hi in boxes):
         return 0
-    blocks = coordinate_blocks(row_masks)
-    blocks += [1 << k for k in range(S.dim) if not any(m >> k & 1 for m in blocks)]
-    boxed, unbounded = [], None
-    for block_mask in blocks:
-        coords = [k for k in range(S.dim) if block_mask >> k & 1]
-        block = LinearSystem(len(coords), tuple(
-            (tuple(a[k] for k in coords), b, strict)
-            for (a, b, strict), mask in zip(S.rows, row_masks) if mask & block_mask
-        ))
-        try:
-            boxes = coordinate_bounds(block, bases)
-        except UnboundedSystemError:
-            unbounded = unbounded or coords
-            continue
-        if boxes is None:
-            return 0
-        boxed.append((block, boxes))
-    if unbounded:
-        raise UnboundedSystemError("coordinates %s unbounded" % unbounded)
-    if any(lo > hi for _, boxes in boxed for lo, hi in boxes):
-        return 0
-    return math.prod(_count_box(block.rows, boxes) for block, boxes in boxed)
+    return _count_box(S.rows, boxes)
 
 
 def _count_box(rows: Sequence[tuple[IntVec, int, bool]], boxes: list[tuple[int, int]],

@@ -13,12 +13,14 @@ so each pair costs one lookup in the fan's per-class cohomology cache and
 builds a representative divisor only on a miss.
 
 Fullness of the candidate is never decided here; a clean run is reported
-as VERIFIED_MODULO_FULLNESS.
+as VERIFIED_MODULO_FULLNESS.  K_0 has rank the number of maximal cones,
+so a candidate with another number of summands cannot be full and fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Optional
 
 from .cohomology import CohomologyVector, ext_dims, require_pattern_rays
@@ -39,7 +41,7 @@ class TiltingCandidate:
     ext_table: tuple[tuple[CohomologyVector, ...], ...]
     gram: tuple[tuple[int, ...], ...]  # gram[a][b] = chi(L_a, L_b)
 
-    @property
+    @cached_property
     def gram_det(self) -> int:
         return determinant(self.gram)
 
@@ -172,6 +174,9 @@ def orlov_check(fan: Fan, name: str = "") -> OrlovReport:
         status, reason = HYPOTHESIS_FAILED, "ext vanishing fails"
     elif m0_val != 0:
         status, reason = HYPOTHESIS_FAILED, f"m0 = {m0_val} > 0"
+    elif not k_rank:
+        status = HYPOTHESIS_FAILED
+        reason = f"K_0 rank: {len(candidate.summands)} summands for {len(fan.max_cones)} maximal cones"
     else:
         status, reason = VERIFIED, None
     return OrlovReport(

@@ -54,7 +54,12 @@ def weight_cohomology(fan: Fan, D: TorusDivisor, m: IntVec) -> tuple[int, ...]:
 
 
 def counted_cohomology(fan: Fan, D: TorusDivisor) -> tuple[int, ...]:
-    """(h^0, ..., h^n) with the weights of every active region counted."""
+    """(h^0, ..., h^n) with the weights of every active region counted.
+
+    On a product fan the regions are joins of its factors' regions; the
+    independent route there is a unimodularly mixed copy, which has no
+    factors and counts the regions of its whole pattern table.
+    """
     total = [0] * (fan.dim + 1)
     for p in weight_patterns(fan, D):
         for q, r in enumerate(p.reduced_ranks):

@@ -1,5 +1,6 @@
 import argparse
 import importlib
+import itertools
 import json
 import time
 
@@ -127,6 +128,24 @@ def test_orlov_f3_exits_one_but_reports(capsys):
     assert data["status"] == "NOT_APPLICABLE"
     assert data["reason"] == "-K not nef"
     assert data["gen_time_upper"] == data["dim"] + data["m0"]
+
+
+def test_orlov_fails_when_bu_cannot_have_the_k0_rank(tmp_path, capsys):
+    # a P2-bundle over P2 with 9 maximal cones but 8 anti-nef frob classes:
+    # every other hypothesis holds, yet 8 line bundles cannot generate K_0
+    rays = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, 0, 0), (1, 1, -1, -1))
+    cones = [a + b for a in itertools.combinations((0, 1, 4), 2)
+             for b in itertools.combinations((2, 3, 5), 2)]
+    path = tmp_path / "bundle.json"
+    save(CatalogEntry("P2-bundle", Fan(4, rays, cones), "P2-bundle over P2"), path)
+    code, out, _ = run(capsys, "orlov", str(path))
+    assert code == 1
+    data = json.loads(out)
+    assert data["status"] == "HYPOTHESIS_FAILED"
+    assert data["reason"] == "K_0 rank: 8 summands for 9 maximal cones"
+    assert (data["nef_fano_status"], data["ext_vanishing"], data["m0"]) == ("fano", True, 0)
+    assert (data["n_frob"], data["n_bu"], data["gram_unimodular"]) == (10, 8, True)
+    assert not data["k_rank_match"]
 
 
 def test_unknown_target_exits_two(capsys):
@@ -280,6 +299,20 @@ def test_ray_bound_applies_to_each_factor_of_a_product(tmp_path, capsys, monkeyp
     code, out, err = run(capsys, command, _p2_chain_file(tmp_path, 7))
     assert code == 2 and out == ""
     assert "7 rays" in err and "at most 6" in err
+
+
+def test_cohom_patterns_on_a_product_beyond_the_ray_bound(tmp_path, capsys):
+    # dP6^3 has 18 rays; its patterns are joins of its factors' 6-ray patterns
+    dP6 = builtin("dP6").fan
+    path = tmp_path / "dP6cubed.json"
+    save(CatalogEntry("dP6^3", product(product(dP6, dP6), dP6), "product"), path)
+    code, out, _ = run(capsys, "cohom", str(path), "--divisor", ",".join(["-1"] * 18),
+                       "--patterns")
+    assert code == 0
+    data = json.loads(out)
+    assert data["h"] == [0] * 6 + [1]
+    assert [sum(p["point_count"] * p["reduced_ranks"][q] for p in data["patterns"])
+            for q in range(7)] == data["h"]
 
 
 def test_malformed_fan_file_exits_two(tmp_path, capsys):

@@ -282,9 +282,9 @@ def test_circuits_of_product_are_those_of_the_factors(x, y):
 
 @pytest.mark.parametrize("x, y", [("dP6", "P1"), ("dP6", "P2")])
 def test_product_regions_are_counted_per_factor(x, y):
-    # every row +-v_rho of a product's pattern region lies in one factor,
-    # so the bases cached by the product's own pattern route are those of
-    # factor blocks, never of the product, and the counts obey Kunneth
+    # a product's pattern region is the product of its factors' regions, so
+    # its weight patterns are counted by the factors and obey Kunneth; the
+    # product builds no pattern table and caches no tableau of its own
     fx, fy = builtin(x).fan, builtin(y).fan
     fan = product(fx, fy)
     rng = random.Random(31)
@@ -299,8 +299,7 @@ def test_product_regions_are_counted_per_factor(x, y):
         D = TorusDivisor(fan, ax + ay)
         assert counted_cohomology(fan, D) == tuple(expected)
         assert cohomology(fan, D).dims == tuple(expected)
-    widths = {len(row) for A in fan._rank_cache["bases"] for row in A}
-    assert widths == {fx.dim, fy.dim}
+    assert "patterns" not in fan._rank_cache and "bases" not in fan._rank_cache
 
 
 def test_circuit_counts():
@@ -340,6 +339,16 @@ def test_localized_chi_and_dims_match_the_all_count_route(name, fan, draws, boun
         assert _euler_characteristic(fan, D.coeffs) == chi, D.coeffs
         assert cohomology(fan, D).dims == counted, D.coeffs
         assert _euler_characteristic(fan, (K - D).coeffs) == (-1) ** fan.dim * chi, D.coeffs
+
+
+def test_middle_degree_ranks_and_dims_stay_integers():
+    # the middle rank of an even-dimensional nerve is what the Euler
+    # characteristic leaves; every rank and every h^q is an int
+    _, patterns, _ = _active_patterns(P4_CHAIN)
+    assert all(type(r) is int for _, ranks, *_ in patterns for r in ranks)
+    D = TorusDivisor(P4_CHAIN, (3, 2, 2, -1, -3, 0, 2, 1, -3, 3, -2, 1, 3))
+    dims = cohomology(P4_CHAIN, D).dims
+    assert dims == (3, 284, 25, 0, 0) and all(type(h) is int for h in dims)
 
 
 @pytest.mark.parametrize("name", catalog_names())

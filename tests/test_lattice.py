@@ -620,7 +620,7 @@ def test_lattice_point_count_unimodular_invariance():
     assert count_points(S) == count_points(T)
 
 
-# --- count_points block by block ------------------------------------------
+# --- count_points on independent coordinate blocks -------------------------
 
 
 def brute_count(S, radius=3):
@@ -771,9 +771,9 @@ def test_cached_bases_give_the_bounds_of_fresh_lps(seed, lp_counter):
     dim = rng.randint(1, 4)
     A = [tuple(s * int(i == j) for j in range(dim)) for i in range(dim) for s in (1, -1)]
     A += [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(1, 5))]
-    # count_points keys its own dict by block matrices, so bases holds
-    # only what coordinate_bounds put there
-    bases, block_bases = {}, {}
+    # count_points fills a dict of its own, so bases holds only what
+    # coordinate_bounds put there
+    bases, count_bases = {}, {}
     cold = warm = warm_optimal = empty = 0
     for _ in range(40):
         rhs = [rng.randint(-1, 8) for _ in A]
@@ -785,7 +785,7 @@ def test_cached_bases_give_the_bounds_of_fresh_lps(seed, lp_counter):
         assert coordinate_bounds(S, bases) == expected
         warm += len(lp_counter) - before
         warm_optimal += lp_counter[before:].count(lattice._OPTIMAL)
-        assert count_points(S, block_bases) == count_points(S)
+        assert count_points(S, count_bases) == count_points(S)
         empty += expected is None
     assert list(bases) == [tuple(A)]
     assert 0 < empty < 40

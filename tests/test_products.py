@@ -1,11 +1,12 @@
 """Product fans answered from their factors, against routes that do not use them.
 
 A fan whose rays split into coordinate blocks takes Kunneth for its
-cohomology and the factors' chamber walks for its frob set.  The checks
-here are the product's own pattern route (oracles.counted_cohomology), the
+cohomology, joins of its factors' patterns for its weight patterns, and
+the factors' chamber walks for its frob set.  The checks here are the
 chamber walk with an LP at every node, and unimodularly mixed copies: the
-same fan under some g in GL(n, Z) that links every block, which takes
-neither product route.
+same fan under some g in GL(n, Z) that links every block.  A mixed copy
+takes no product route: its weight patterns, and so
+oracles.counted_cohomology, walk the whole table of ray subsets.
 """
 
 import importlib
@@ -53,16 +54,46 @@ def interleaved(fan: Fan, seed: int) -> Fan:
 
 @pytest.mark.parametrize("name", PRODUCTS)
 def test_product_cohomology_matches_its_own_pattern_route(name):
+    # the mixed copy keeps the ray indices and walks the whole 2^r pattern table
     fan = PRODUCTS[name]()
-    assert len(fan._factors) >= 2
+    copy = mixed(fan)
+    assert len(fan._factors) >= 2 and copy._factors == ()
     rng = random.Random(fan.n_rays * 31 + fan.dim)
     nonzero = 0
     for _ in range(10):
-        D = TorusDivisor(fan, tuple(rng.randint(-3, 3) for _ in fan.rays))
+        coeffs = tuple(rng.randint(-3, 3) for _ in fan.rays)
+        D, C = TorusDivisor(fan, coeffs), TorusDivisor(copy, coeffs)
+        assert weight_patterns(fan, D) == weight_patterns(copy, C), coeffs
         dims = cohomology(fan, D).dims
-        assert dims == counted_cohomology(fan, D), D.coeffs
+        assert dims == counted_cohomology(copy, C) == counted_cohomology(fan, D), coeffs
         nonzero += any(dims)
     assert nonzero
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_product_questions_build_no_product_patterns(name):
+    fan = PRODUCTS[name]()
+    D = TorusDivisor(fan, tuple(range(-2, fan.n_rays - 2)))
+    weight_patterns(fan, D)
+    cohomology(fan, D)
+    orlov_check(fan, name)
+    assert not {"patterns", "bases"} & set(fan._rank_cache)
+
+
+@pytest.mark.parametrize("name", ["P1^4", "dP6xP2", "P2xP2"])
+def test_skipped_degree_drops_exactly_the_single_degree_patterns(name):
+    fan = PRODUCTS[name]()
+    rng = random.Random(fan.n_rays * 17)
+    dropped = 0
+    for _ in range(6):
+        D = TorusDivisor(fan, tuple(rng.randint(-4, 4) for _ in fan.rays))
+        every = weight_patterns(fan, D)
+        for q in range(fan.dim + 1):
+            single = [p for p in every if [d for d, r in enumerate(p.reduced_ranks) if r] == [q]]
+            kept = weight_patterns(fan, D, skip=q)
+            assert kept == tuple(p for p in every if p not in single), (D.coeffs, q)
+            dropped += len(single)
+    assert dropped
 
 
 @pytest.mark.parametrize("name", PRODUCTS)
@@ -153,9 +184,11 @@ def test_warm_product_class_reaches_no_factor(monkeypatch):
 
 
 def test_product_beyond_the_pattern_bound_answers_from_its_factors():
-    # dP6^3 has 18 rays: its own pattern walk is refused, its factors have 6 each
+    # dP6^3 has 18 rays, beyond the pattern bound; its factors have 6 each
     fan = product(product(dP6, dP6), dP6)
     K = TorusDivisor(fan, (-1,) * fan.n_rays)
-    assert cohomology(fan, K).dims == (0,) * 6 + (1,)
-    with pytest.raises(ValueError, match="the fan has 18 rays"):
-        weight_patterns(fan, K)
+    h = cohomology(fan, K).dims
+    assert h == (0,) * 6 + (1,)
+    patterns = weight_patterns(fan, K)
+    assert [sum(p.point_count * p.reduced_ranks[q] for p in patterns) for q in range(7)] == list(h)
+    assert "patterns" not in fan._rank_cache
