@@ -14,7 +14,8 @@ A fan whose rays split into coordinate blocks, two coordinates joined when
 a ray is nonzero on both, is a product: its cones are the products of the
 blocks' cones, and its basis is the union of the factors' bases, so a
 factor's class is the factor's coordinates picked out of the product's.
-Cohomology and the frob set of a product are answered from its factors.
+Cohomology, the frob set, the anti-nef set, the -K status and m0 of a
+product are answered from its factors.
 """
 
 from __future__ import annotations

@@ -10,7 +10,12 @@ cones, unimodular Euler pairing), and the resulting bounds
 
 Every Ext group goes through cohomology.ext_dims on the summands' classes,
 so each pair costs one lookup in the fan's per-class cohomology cache and
-builds a representative divisor only on a miss.
+builds a representative divisor only on a miss.  On a product fan, m0 is
+read from its factors: Ext^*(L_a + K, L_b) is the convolution of the
+factors' nonnegative h-vectors, so it is zero when a factor's is, and
+otherwise its top degree is the sum of the factors' tops.  Each factor
+tabulates those tops once per distinct pair of projected summands, so
+m0(X x Y) = m0(X) + m0(Y) when the summands are a product set.
 
 Fullness of the candidate is never decided here; a clean run is reported
 as VERIFIED_MODULO_FULLNESS.  K_0 has rank the number of maximal cones,
@@ -143,9 +148,12 @@ def m0(candidate: TiltingCandidate) -> int:
     Evaluates Ext^*(L_a + K, L_b) = H^*(L_b - L_a - K) over all summand
     pairs, with K reduced to its class once; the degree-0 part
     is never empty (for a = b it contains H^0(-K), and -K is effective on
-    any toric variety), so the maximum is well defined and >= 0.
+    any toric variety), so the maximum is well defined and >= 0.  A
+    product fan sums its factors' tops per pair (see the module docstring).
     """
     fan = candidate.fan
+    if fan._factors:
+        return _product_m0(fan, candidate.summands)
     K = divisor_class(canonical_divisor(fan))
     top = 0
     for a in candidate.summands:
@@ -154,6 +162,37 @@ def m0(candidate: TiltingCandidate) -> int:
             nz = ext_dims(fan, aK, b).top_nonzero()
             if nz is not None and nz > top:
                 top = nz
+    return top
+
+
+def _product_m0(fan: Fan, summands: tuple[DivisorClass, ...]) -> int:
+    """m0 on a product: per summand pair, the sum of the factors' top degrees.
+
+    Each factor projects the summands to its classes and tabulates
+    ext_dims(factor, a_f + K_f, b_f).top_nonzero() over the distinct
+    projections; a pair with a factor's Ext zero has zero Ext and is skipped.
+    """
+    parts = []
+    for _, factor, positions in fan._factors:
+        index: dict[tuple[int, ...], int] = {}
+        slots = [index.setdefault(tuple([s.coords[p] for p in positions]), len(index))
+                 for s in summands]
+        distinct = [DivisorClass(coords, factor) for coords in index]
+        K = divisor_class(canonical_divisor(factor))
+        tops = [[ext_dims(factor, a + K, b).top_nonzero() for b in distinct] for a in distinct]
+        parts.append((slots, tops))
+    top = 0
+    for i in range(len(summands)):
+        for j in range(len(summands)):
+            total = 0
+            for slots, tops in parts:
+                t = tops[slots[i]][slots[j]]
+                if t is None:
+                    break
+                total += t
+            else:
+                if total > top:
+                    top = total
     return top
 
 

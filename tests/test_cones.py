@@ -145,6 +145,15 @@ def test_bu_subset_of_frob_contains_trivial():
         assert len(bu) <= len(fs)
 
 
+def test_bu_set_refuses_a_frob_set_of_another_fan():
+    # a product would read the other fan's classes at its own Picard positions
+    for fan, other in [(F3, P2), (product(F3, F3), product(F3, P1))]:
+        with pytest.raises(ValueError):
+            bu_set(fan, frob_set(other))
+    equal = product(F3, F3)
+    assert bu_set(product(F3, F3), frob_set(equal)) == bu_set(equal)
+
+
 def test_bu_sorted_lexicographically():
     for name in ("F2", "dP6", "P2xP2"):
         coords = [c.coords for c in bu_set(builtin(name).fan)]
@@ -152,6 +161,14 @@ def test_bu_sorted_lexicographically():
 
 
 # --- nef_fano_status ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("left, right", [("F2", "F3"), ("F3", "F2"), ("F2", "P1"), ("F1", "P2"),
+                                         ("F3", "F3"), ("P1", "P1")])
+def test_product_status_matches_the_wall_oracle_on_the_product(left, right):
+    fan = product(builtin(left).fan, builtin(right).fan)
+    nef, ample = nef_by_walls(-canonical_divisor(fan))
+    assert nef_fano_status(fan) == (FANO if ample else NEF_FANO if nef else NEITHER)
 
 
 def test_status_examples():

@@ -1,12 +1,14 @@
 """Product fans answered from their factors, against routes that do not use them.
 
 A fan whose rays split into coordinate blocks takes Kunneth for its
-cohomology, joins of its factors' patterns for its weight patterns, and
-the factors' chamber walks for its frob set.  The checks here are the
-chamber walk with an LP at every node, and unimodularly mixed copies: the
-same fan under some g in GL(n, Z) that links every block.  A mixed copy
-takes no product route: its weight patterns, and so
-oracles.counted_cohomology, walk the whole table of ray subsets.
+cohomology, joins of its factors' patterns for its weight patterns, the
+factors' chamber walks for its frob set, its factors' nef verdicts for
+its anti-nef set and -K status, and sums of its factors' Ext tops for
+m0.  The checks here are the chamber walk with an LP at every node, and
+unimodularly mixed copies: the same fan under some g in GL(n, Z) that
+links every block.  A mixed copy takes no product route: its weight
+patterns, and so oracles.counted_cohomology, walk the whole table of ray
+subsets.
 """
 
 import importlib
@@ -18,14 +20,15 @@ import pytest
 from frobtilt.catalog import CatalogEntry, builtin, catalog_names, load, save
 from frobtilt.cli import main
 from frobtilt.cohomology import cohomology, weight_patterns
-from frobtilt.fan import Fan, TorusDivisor, product
-from frobtilt.frobenius import frob_set, minimal_stabilizing_ell
-from frobtilt.tilting import build_candidate, orlov_check
+from frobtilt.cones import bu_set
+from frobtilt.fan import DivisorClass, Fan, TorusDivisor, product
+from frobtilt.frobenius import FrobSet, frob_set, minimal_stabilizing_ell
+from frobtilt.tilting import build_candidate, m0, orlov_check
 from oracles import chamber_walk, counted_cohomology, subdivision_chain
 
 cohomology_module = importlib.import_module("frobtilt.cohomology")
 
-P1, P2, dP6 = (builtin(n).fan for n in ("P1", "P2", "dP6"))
+P1, P2, F2, F3, dP6 = (builtin(n).fan for n in ("P1", "P2", "F2", "F3", "dP6"))
 # fresh Fans, so every per-fan cache starts empty
 PRODUCTS = {
     "P1^4": lambda: product(product(P1, P1), product(P1, P1)),
@@ -80,6 +83,14 @@ def test_product_questions_build_no_product_patterns(name):
     assert not {"patterns", "bases"} & set(fan._rank_cache)
 
 
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_product_orlov_builds_no_product_cartier_data(name):
+    # bu_set and nef_fano_status decide nefness on the factors alone
+    fan = PRODUCTS[name]()
+    orlov_check(fan, name)
+    assert "_cone_inverses" not in vars(fan)
+
+
 @pytest.mark.parametrize("name", ["P1^4", "dP6xP2", "P2xP2"])
 def test_skipped_degree_drops_exactly_the_single_degree_patterns(name):
     fan = PRODUCTS[name]()
@@ -117,6 +128,55 @@ def test_product_orlov_matches_a_mixed_copy(name):
     witnesses = [{w.cls.coords: w.min_ell for w in frob_set(f).witnesses} for f in (fan, copy)]
     assert witnesses[0] == witnesses[1]
     assert minimal_stabilizing_ell(fan) == minimal_stabilizing_ell(copy)
+
+
+BUNDLE = Fan(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, 0, 0),
+                 (1, 1, -1, -1)),
+             ((0, 1, 2, 3), (0, 1, 2, 5), (0, 1, 3, 5), (0, 4, 2, 3), (0, 4, 2, 5),
+              (0, 4, 3, 5), (1, 4, 2, 3), (1, 4, 2, 5), (1, 4, 3, 5)))  # a P2-bundle over P2
+UNVERIFIED = {
+    "F3xP1": (lambda: product(F3, P1), "neither", 1, "NOT_APPLICABLE", "-K not nef"),
+    "F2xP2": (lambda: product(F2, P2), "nef_fano", 0, "VERIFIED_MODULO_FULLNESS", None),
+    "F3xF3": (lambda: product(F3, F3), "neither", 2, "NOT_APPLICABLE", "-K not nef"),
+    "BundlexP1": (lambda: product(BUNDLE, P1), "fano", 0, "HYPOTHESIS_FAILED",
+                  "K_0 rank: 16 summands for 18 maximal cones"),
+}
+
+
+@pytest.mark.parametrize("name", UNVERIFIED)
+def test_product_orlov_off_the_verified_branch_matches_a_mixed_copy(name):
+    make, status_k, top, status, reason = UNVERIFIED[name]
+    fan = make()
+    got, want = orlov_check(fan, name), orlov_check(mixed(fan), name)
+    assert got == want
+    assert (got.nef_fano, got.m0, got.status, got.reason) == (status_k, top, status, reason)
+
+
+@pytest.mark.parametrize("name, step", [("F3xF3", 2), ("F3xF3", 4), ("F3xP1", 2), ("dP6xP2", 2)])
+def test_product_m0_of_a_summand_list_that_is_no_product_set(name, step):
+    fan = UNVERIFIED[name][0]() if name in UNVERIFIED else PRODUCTS[name]()
+    copy = mixed(fan)
+    summands = bu_set(fan)[::step]
+    moved = tuple(DivisorClass(cls.coords, copy) for cls in summands)
+    assert m0(build_candidate(fan, summands)) == m0(build_candidate(copy, moved))
+
+
+def test_product_m0_skips_a_pair_whose_factor_ext_vanishes():
+    # from (4, 3) to (0, 0) the first factor has H^1(O(-2)) but the second H^*(O(-1)) = 0,
+    # so that pair has no Ext and m0 = 0, below the first factor's top alone
+    fan = product(P1, P1)
+    copy = mixed(fan)
+    summands = (DivisorClass((0, 0), fan), DivisorClass((4, 3), fan))
+    moved = tuple(DivisorClass(cls.coords, copy) for cls in summands)
+    assert m0(build_candidate(fan, summands)) == m0(build_candidate(copy, moved)) == 0
+
+
+def test_bu_set_keeps_only_the_classes_of_the_frob_set_passed():
+    fan = product(F3, F3)
+    full = frob_set(fan)
+    half = FrobSet(fan, full.classes[1::2], full.cells[1::2])
+    assert bu_set(fan, half) == tuple(cls for cls in bu_set(fan) if cls in half.classes)
+    assert bu_set(fan, half) != bu_set(fan)
 
 
 def orlov_stdout(capsys, path) -> str:
