@@ -16,7 +16,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from .catalog import FanFileError, read_json, resolve
@@ -230,12 +229,102 @@ def _batch_worker(target: str) -> dict:
 
 
 def _worker_count(jobs: int, n_targets: int) -> int:
-    """Processes to start for batch: --jobs, but no more than targets or CPUs.
+    """Processes to run batch entries in, the parent included: --jobs, but
+    no more than the entries or the CPUs this process may run on; 1 where
+    os.fork is missing.
 
-    The pool starts all its workers at once, so an oversized --jobs would
-    fork that many processes before any work is handed out.
+    Every process but the parent is forked before any entry is run, so an
+    oversized --jobs would fork that many processes for nothing.
     """
-    return min(jobs, n_targets, os.cpu_count() or 1)
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(jobs, n_targets, cpus)
+
+
+def _claim_and_run(targets: list[str], token_r: int, token_w: int) -> dict:
+    """index -> report, or the exception it raised, for each index claimed.
+
+    The next unclaimed index circulates through a pipe as the only token:
+    reading it claims the index and locks out every other process until
+    index + 1 is written back.  A process killed between that read and
+    write would leave the others waiting; nothing in this program exits
+    there.
+    """
+    outcomes = {}
+    while True:
+        i = int.from_bytes(os.read(token_r, 8), "little")
+        os.write(token_w, (i + 1).to_bytes(8, "little"))
+        if i >= len(targets):
+            return outcomes
+        try:
+            outcomes[i] = _batch_worker(targets[i])
+        except Exception as exc:  # raised by the parent in manifest order
+            outcomes[i] = exc
+
+
+def _batch_parallel(targets: list[str], workers: int) -> list[dict]:
+    """The reports of _batch_worker over targets, from the parent and
+    workers - 1 forked children that claim entries from one counter.
+
+    Each child pickles its outcomes into a pipe of its own once the
+    entries run out, and leaves only through os._exit, never returning into
+    the caller.  An entry that a child claimed but never reported (the
+    child died) is run by the parent.  The first exception in manifest
+    order is raised, as a serial run raises it.
+    """
+    import pickle
+    import signal
+
+    token_r, token_w = os.pipe()
+    os.write(token_w, (0).to_bytes(8, "little"))
+    children = []  # (pid, read end of its report pipe)
+    try:
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # run on the processes there are
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                try:
+                    report = pickle.dumps(_claim_and_run(targets, token_r, token_w))
+                    with open(w, "wb") as fh:
+                        fh.write(report)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, r))
+        outcomes = _claim_and_run(targets, token_r, token_w)
+        for _, r in children:
+            with open(r, "rb", closefd=False) as fh:
+                report = fh.read()
+            try:
+                outcomes.update(pickle.loads(report))
+            except (EOFError, pickle.UnpicklingError):  # died before or while reporting
+                pass
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, r in children:
+            os.close(r)
+            os.waitpid(pid, 0)
+        os.close(token_r)
+        os.close(token_w)
+    reports = []
+    for i, target in enumerate(targets):
+        outcome = outcomes[i] if i in outcomes else _batch_worker(target)
+        if isinstance(outcome, Exception):
+            raise outcome
+        reports.append(outcome)
+    return reports
 
 
 def _cmd_batch(args):
@@ -244,8 +333,7 @@ def _cmd_batch(args):
         raise FanFileError(f"{args.manifest}: manifest must be a JSON array of strings")
     workers = _worker_count(args.jobs, len(targets))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_batch_worker, targets))
+        reports = _batch_parallel(targets, workers)
     else:
         reports = [_batch_worker(t) for t in targets]
     statuses = [r["status"] for r in reports]

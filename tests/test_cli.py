@@ -2,12 +2,16 @@ import argparse
 import importlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from frobtilt import cli
-from frobtilt.catalog import CatalogEntry, builtin, save
+from frobtilt.catalog import CatalogEntry, builtin, catalog_names, save
 from frobtilt.cli import main
 from frobtilt.fan import Fan, product, projective_space, star_subdivision
 
@@ -479,15 +483,107 @@ def test_batch_parallel_matches_serial(tmp_path, capsys):
     assert (code1, out1) == (code2, out2)
 
 
+@pytest.fixture
+def forking(monkeypatch):
+    """Batch forks min(--jobs, entries) processes, whatever the CPU count."""
+    monkeypatch.setattr(cli, "_worker_count", lambda jobs, n_targets: min(jobs, n_targets))
+
+
+def _half_p2(tmp_path):
+    """A fan file holding two of the three cones of P2: not complete."""
+    path = tmp_path / "half-P2.json"
+    path.write_text(json.dumps({"name": "half-P2", "dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                                "max_cones": [[0, 1], [1, 2]]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("entries", [
+    ["P1", "P2", "NOPE", "F2", "P1xP1"],
+    ["P1", "P2", "HALF", "F2", "P1xP1"],
+    ["P1", "HALF", "P2", "F2", "NOPE"],
+    ["P1xP1xP1", "P1", "NOPE", "P2", "HALF"],
+], ids=["unknown-name", "invalid-fan", "invalid-fan-first", "unknown-name-first"])
+def test_batch_parallel_errors_match_serial(tmp_path, capsys, forking, entries):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([_half_p2(tmp_path) if e == "HALF" else e for e in entries]))
+    serial = run(capsys, "batch", "--manifest", str(manifest))
+    assert serial[0] == 2 and serial[1] == "" and serial[2].startswith("error: ")
+    assert run(capsys, "batch", "--manifest", str(manifest), "--jobs", "2") == serial
+
+
+def test_batch_runs_each_entry_once(tmp_path, capsys, forking, monkeypatch):
+    # more processes than CPUs: an index claimed twice or skipped shows in the log
+    names = list(catalog_names())
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(names))
+    serial = run(capsys, "batch", "--manifest", str(manifest))
+    log = tmp_path / "log"
+    worker = cli._batch_worker
+
+    def logged(target):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{target}\n".encode())
+        finally:
+            os.close(fd)
+        return worker(target)
+
+    monkeypatch.setattr(cli, "_batch_worker", logged)
+    assert run(capsys, "batch", "--manifest", str(manifest), "--jobs", "4") == serial
+    assert sorted(log.read_text().split()) == sorted(names)
+
+
+def test_batch_reruns_the_entry_of_a_child_that_dies(tmp_path, capsys, forking, monkeypatch):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(["P1", "P2", "F3", "P1xP1"]))
+    serial = run(capsys, "batch", "--manifest", str(manifest))
+    parent = os.getpid()
+    died = tmp_path / "died"
+    worker = cli._batch_worker
+
+    def dying(target):
+        if os.getpid() != parent:
+            died.write_text(target)
+            os._exit(3)
+        # the parent holds its first entry until the child has taken one
+        deadline = time.monotonic() + 30
+        while not died.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return worker(target)
+
+    monkeypatch.setattr(cli, "_batch_worker", dying)
+    assert run(capsys, "batch", "--manifest", str(manifest), "--jobs", "2") == serial
+    assert serial[0] == 1  # F3 is not verified
+    assert died.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_import_leaves_out_the_process_machinery():
+    src = str(Path(cli.__file__).parents[1])
+    code = ("import sys, frobtilt.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
+
+
 def test_batch_worker_count_clamped(monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)  # CPUs this process may not use
     assert cli._worker_count(1, 16) == 1
     assert cli._worker_count(2, 16) == 2
     assert cli._worker_count(10_000, 16) == 2
     assert cli._worker_count(10_000, 1) == 1
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert cli._worker_count(10_000, 16) == 16
+    monkeypatch.delattr(cli.os, "sched_getaffinity")  # the fallback, as on macOS
     assert cli._worker_count(10_000, 16) == 16
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._worker_count(4, 16) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.delattr(cli.os, "fork")
     assert cli._worker_count(4, 16) == 1
 
 
