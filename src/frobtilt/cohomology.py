@@ -50,7 +50,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .fan import DivisorClass, Fan, TorusDivisor, _require_on_fan, divisor_class
 from .lattice import (
@@ -105,7 +105,7 @@ class CohomologyVector:
         return self.dims[q]
 
     def euler(self) -> int:
-        return sum((-1) ** q * h for q, h in enumerate(self.dims))
+        return sum(self.dims[::2]) - sum(self.dims[1::2])
 
     def top_nonzero(self) -> Optional[int]:
         nz = [q for q, h in enumerate(self.dims) if h]
@@ -469,13 +469,18 @@ def _kunneth(fan: Fan, coords: IntVec) -> tuple[int, ...]:
     """H^*(X x Y, L x M) = H^*(X, L) (x) H^*(Y, M): the factors' h-vectors convolved.
 
     Each factor's class is its own coordinates picked out of the product's,
-    answered from that factor's cache; a zero factor makes the product zero.
+    answered from that factor's cache.
     """
+    return _convolved((_class_cohomology(factor, tuple([coords[p] for p in positions]))
+                       for _, factor, positions in fan._factors), fan.dim)
+
+
+def _convolved(vectors: Iterable[tuple[int, ...]], dim: int) -> tuple[int, ...]:
+    """The factors' h-vectors convolved into one of length dim + 1; zero as soon as one is."""
     dims = (1,)
-    for _, factor, positions in fan._factors:
-        h = _class_cohomology(factor, tuple([coords[p] for p in positions]))
+    for h in vectors:
         if not any(h):
-            return (0,) * (fan.dim + 1)
+            return (0,) * (dim + 1)
         dims = _convolve(dims, h)
     return dims
 

@@ -95,7 +95,10 @@ def adjugate(A: Sequence[Sequence[int]]) -> tuple[int, Optional[IntMat]]:
             if i != c:
                 row = M[i]
                 f = row[c]
-                M[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+                if f:
+                    M[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+                elif p != prev:
+                    M[i] = [(p * a) // prev for a in row]
         prev = p
     return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in M)
 

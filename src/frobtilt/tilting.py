@@ -8,14 +8,15 @@ cones, unimodular Euler pairing), and the resulting bounds
 
     dim X  <=  rouquier dim  <=  generation time  <=  dim X + m0.
 
-Every Ext group goes through cohomology.ext_dims on the summands' classes,
-so each pair costs one lookup in the fan's per-class cohomology cache and
-builds a representative divisor only on a miss.  On a product fan, m0 is
-read from its factors: Ext^*(L_a + K, L_b) is the convolution of the
-factors' nonnegative h-vectors, so it is zero when a factor's is, and
-otherwise its top degree is the sum of the factors' tops.  Each factor
-tabulates those tops once per distinct pair of projected summands, so
-m0(X x Y) = m0(X) + m0(Y) when the summands are a product set.
+On an irreducible fan every Ext group goes through cohomology.ext_dims on
+the summands' classes, so each pair costs one lookup in the fan's
+per-class cohomology cache and builds a representative divisor only on a
+miss.  A product fan's Ext table and m0 come from factor tables: each
+factor asks ext_dims once per distinct pair of projected summands, and a
+pair's Ext is the convolution of its factors' nonnegative h-vectors
+(Kunneth), zero when a factor's is and otherwise topped by the sum of the
+factors' tops, so m0(X x Y) = m0(X) + m0(Y) when the summands are a
+product set.
 
 Fullness of the candidate is never decided here; a clean run is reported
 as VERIFIED_MODULO_FULLNESS.  K_0 has rank the number of maximal cones,
@@ -24,13 +25,14 @@ so a candidate with another number of summands cannot be full and fails.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional
 
-from .cohomology import CohomologyVector, ext_dims, require_pattern_rays
+from .cohomology import CohomologyVector, _convolved, ext_dims, require_pattern_rays
 from .cones import NEITHER, bu_set, nef_fano_status
-from .fan import DivisorClass, Fan, canonical_divisor, divisor_class
+from .fan import DivisorClass, Fan, _require_on_fan, canonical_divisor, divisor_class
 from .frobenius import frob_set
 from .lattice import determinant
 
@@ -126,7 +128,14 @@ def build_candidate(fan: Fan, summands: Optional[tuple[DivisorClass, ...]] = Non
     _require_factor_rays(fan)  # before bu_set's chamber walk
     if summands is None:
         summands = bu_set(fan)
-    table = tuple(tuple(ext_dims(fan, a, b) for b in summands) for a in summands)
+    if fan._factors:
+        _require_on_fan(fan, *summands)
+        pairs = _factor_pairs(fan, summands, twist=False)
+        ext = {key: CohomologyVector(_convolved(key, fan.dim))
+               for key in set(itertools.chain.from_iterable(pairs))}
+        table = tuple(tuple(map(ext.__getitem__, row)) for row in pairs)
+    else:
+        table = tuple(tuple(ext_dims(fan, a, b) for b in summands) for a in summands)
     gram = tuple(tuple(v.euler() for v in row) for row in table)
     return TiltingCandidate(fan, tuple(summands), table, gram)
 
@@ -151,26 +160,32 @@ def m0(candidate: TiltingCandidate) -> int:
     any toric variety), so the maximum is well defined and >= 0.  A
     product fan sums its factors' tops per pair (see the module docstring).
     """
-    fan = candidate.fan
+    fan, summands = candidate.fan, candidate.summands
     if fan._factors:
-        return _product_m0(fan, candidate.summands)
+        keys = set(itertools.chain.from_iterable(_factor_pairs(fan, summands, twist=True)))
+        tops = {h: CohomologyVector(h).top_nonzero() for h in set(itertools.chain(*keys))}
+        per_pair = (tuple(map(tops.__getitem__, key)) for key in keys)
+        return max((sum(factor_tops) for factor_tops in per_pair if None not in factor_tops),
+                   default=0)
     K = divisor_class(canonical_divisor(fan))
     top = 0
-    for a in candidate.summands:
+    for a in summands:
         aK = a + K
-        for b in candidate.summands:
+        for b in summands:
             nz = ext_dims(fan, aK, b).top_nonzero()
             if nz is not None and nz > top:
                 top = nz
     return top
 
 
-def _product_m0(fan: Fan, summands: tuple[DivisorClass, ...]) -> int:
-    """m0 on a product: per summand pair, the sum of the factors' top degrees.
+def _factor_pairs(fan: Fan, summands: tuple[DivisorClass, ...], twist: bool
+                  ) -> list[list[tuple[tuple[int, ...], ...]]]:
+    """Per summand pair of a product, the tuple of its factors' Ext h-vectors.
 
-    Each factor projects the summands to its classes and tabulates
-    ext_dims(factor, a_f + K_f, b_f).top_nonzero() over the distinct
-    projections; a pair with a factor's Ext zero has zero Ext and is skipped.
+    They are of Ext^*(a_f + K_f, b_f) if twist, else of Ext^*(a_f, b_f),
+    and the pair's Ext is their convolution (Kunneth).  Each factor
+    projects the summands to its classes and asks ext_dims once per
+    distinct pair of projections.
     """
     parts = []
     for _, factor, positions in fan._factors:
@@ -178,22 +193,13 @@ def _product_m0(fan: Fan, summands: tuple[DivisorClass, ...]) -> int:
         slots = [index.setdefault(tuple([s.coords[p] for p in positions]), len(index))
                  for s in summands]
         distinct = [DivisorClass(coords, factor) for coords in index]
-        K = divisor_class(canonical_divisor(factor))
-        tops = [[ext_dims(factor, a + K, b).top_nonzero() for b in distinct] for a in distinct]
-        parts.append((slots, tops))
-    top = 0
-    for i in range(len(summands)):
-        for j in range(len(summands)):
-            total = 0
-            for slots, tops in parts:
-                t = tops[slots[i]][slots[j]]
-                if t is None:
-                    break
-                total += t
-            else:
-                if total > top:
-                    top = total
-    return top
+        sources = distinct
+        if twist:
+            K = divisor_class(canonical_divisor(factor))
+            sources = [a + K for a in distinct]
+        rows = [[ext_dims(factor, a, b).dims for b in distinct] for a in sources]
+        parts.append((slots, [[row[x] for x in slots] for row in rows]))
+    return [list(zip(*[wide[s[i]] for s, wide in parts])) for i in range(len(summands))]
 
 
 def orlov_check(fan: Fan, name: str = "") -> OrlovReport:

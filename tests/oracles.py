@@ -11,7 +11,9 @@ stabilizing ell, the projection-formula identity between
 pushforwards and cohomology, wall-curve intersection numbers for nefness,
 and an integer solve per cone for the Cartier data behind a failing nef
 inequality, through the row Hermite normal form (the library inverts
-cones by adjugates instead).
+cones by adjugates instead), and the first lattice basis of rays by trying
+every set of dim rays in order (the library walks prefixes, and a product
+joins its factors' bases).
 
 It also builds the seeded chains of star subdivisions that the cohomology
 and Frobenius tests share.
@@ -318,6 +320,14 @@ def hermite_normal_form(A: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat]:
                 U[i] = [x - q * y for x, y in zip(U[i], U[r])]
         r += 1
     return tuple(map(tuple, H)), tuple(map(tuple, U))
+
+
+def first_lattice_basis(fan: Fan) -> tuple[int, ...]:
+    """The lexicographically first dim rays that form a Z-basis: the first whose
+    Hermite normal form is the identity."""
+    unit = identity_matrix(fan.dim)
+    return next(c for c in itertools.combinations(range(fan.n_rays), fan.dim)
+                if hermite_normal_form([fan.rays[i] for i in c])[0] == unit)
 
 
 def solve_integer(A: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[IntVec]:

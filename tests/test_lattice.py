@@ -256,6 +256,25 @@ def test_adjugate_inverts_up_to_the_determinant(seed):
         assert matmul(A, adj) == tuple(tuple(det * (i == j) for j in range(n)) for i in range(n))
 
 
+def test_adjugate_on_sparse_matrices():
+    # ray matrices are mostly 0 and +-1; zero pivot-column entries skip their row update
+    rng = random.Random(29)
+    singular = 0
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        A = [[rng.choice((0, 0, 0, 1, -1, rng.randint(-3, 3))) for _ in range(n)]
+             for _ in range(n)]
+        det, adj = adjugate(A)
+        assert det == determinant(A), A
+        if det == 0:
+            singular += 1
+            assert adj is None, A
+        else:
+            assert matmul(A, adj) == tuple(tuple(det * (i == j) for j in range(n))
+                                           for i in range(n)), A
+    assert 200 < singular < 1800
+
+
 def test_adjugate_singular_examples():
     assert adjugate([[0]]) == (0, None)
     assert adjugate([[1, 2], [2, 4]]) == (0, None)

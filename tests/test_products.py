@@ -1,32 +1,38 @@
 """Product fans answered from their factors, against routes that do not use them.
 
-A fan whose rays split into coordinate blocks takes Kunneth for its
-cohomology, joins of its factors' patterns for its weight patterns, the
-factors' chamber walks for its frob set, its factors' nef verdicts for
-its anti-nef set and -K status, and sums of its factors' Ext tops for
-m0.  The checks here are the chamber walk with an LP at every node, and
-unimodularly mixed copies: the same fan under some g in GL(n, Z) that
-links every block.  A mixed copy takes no product route: its weight
-patterns, and so oracles.counted_cohomology, walk the whole table of ray
-subsets.
+A fan whose rays split into coordinate blocks takes its factors'
+certificates plus the cone count for its validation, its factors' first
+bases for its Picard basis, Kunneth for its cohomology and Ext table,
+joins of its factors' patterns for its weight patterns, the factors'
+chamber walks for its frob set, its factors' nef verdicts for its
+anti-nef set and -K status, and sums of its factors' Ext tops for m0.
+The checks here are the full validate, a brute-force first lattice
+basis, the chamber walk with an LP at every node, and unimodularly mixed
+copies: the same fan under some g in GL(n, Z) that links every block.  A
+mixed copy takes no product route: its weight patterns, and so
+oracles.counted_cohomology, walk the whole table of ray subsets.
 """
 
 import importlib
 import json
+import math
 import random
 
 import pytest
 
 from frobtilt.catalog import CatalogEntry, builtin, catalog_names, load, save
 from frobtilt.cli import main
-from frobtilt.cohomology import cohomology, weight_patterns
-from frobtilt.cones import bu_set
-from frobtilt.fan import DivisorClass, Fan, TorusDivisor, product
+from frobtilt.cohomology import cohomology, ext_dims, weight_patterns
+from frobtilt.cones import bu_set, is_antinef
+from frobtilt.fan import (
+    DivisorClass, Fan, TorusDivisor, canonical_divisor, divisor_class, product, validate,
+)
 from frobtilt.frobenius import FrobSet, frob_set, minimal_stabilizing_ell
 from frobtilt.tilting import build_candidate, m0, orlov_check
-from oracles import chamber_walk, counted_cohomology, subdivision_chain
+from oracles import chamber_walk, counted_cohomology, first_lattice_basis, subdivision_chain
 
 cohomology_module = importlib.import_module("frobtilt.cohomology")
+fan_module = importlib.import_module("frobtilt.fan")
 
 P1, P2, F2, F3, dP6 = (builtin(n).fan for n in ("P1", "P2", "F2", "F3", "dP6"))
 # fresh Fans, so every per-fan cache starts empty
@@ -252,3 +258,107 @@ def test_product_beyond_the_pattern_bound_answers_from_its_factors():
     patterns = weight_patterns(fan, K)
     assert [sum(p.point_count * p.reduced_ranks[q] for p in patterns) for q in range(7)] == list(h)
     assert "patterns" not in fan._rank_cache
+
+
+# --- validation and the Picard basis from the factors ------------------------------------------
+
+
+def product_cases() -> dict:
+    """Every catalog product, every PRODUCTS entry (the orlov-products fans among
+    them), dP6xP2 with its rays shuffled, and dP6^3, each a fresh Fan."""
+    cases = {n: (lambda f=builtin(n).fan: Fan(f.dim, f.rays, f.max_cones))
+             for n in catalog_names() if "x" in n}
+    return {**cases, **PRODUCTS, "dP6xP2-shuffled": lambda: interleaved(product(dP6, P2), 5),
+            "dP6^3": lambda: product(product(dP6, dP6), dP6)}
+
+
+PRODUCT_CASES = product_cases()
+
+
+@pytest.mark.parametrize("name", PRODUCT_CASES)
+def test_product_validation_by_factors_matches_the_full_route(name):
+    fan = PRODUCT_CASES[name]()
+    report = fan.validation
+    assert fan._split and "_adjugates" not in vars(fan)  # no product cone was inverted
+    assert report == validate(fan) and report.ok
+
+
+@pytest.mark.parametrize("name", PRODUCT_CASES)
+def test_product_picard_basis_is_the_first_lattice_basis(name):
+    fan = PRODUCT_CASES[name]()
+    assert fan._pic[0] == first_lattice_basis(fan)
+    rng = random.Random(name)
+    for _ in range(2):
+        shuffled = interleaved(fan, rng.randrange(1000))
+        assert shuffled._split and shuffled._pic[0] == first_lattice_basis(shuffled)
+
+
+def dropped_cone():
+    fan = product(dP6, P2)
+    return Fan(fan.dim, fan.rays, fan.max_cones[1:])
+
+
+def zero_ray_in_a_cone():
+    # each cone still projects onto a factor cone, and the count still matches
+    fan = product(P2, P1)
+    cones = ((*fan.max_cones[0], fan.n_rays), *fan.max_cones[1:])
+    return Fan(fan.dim, (*fan.rays, (0, 0, 0)), cones)
+
+
+WP112 = Fan(2, ((1, 0), (0, 1), (-1, -2)), ((0, 1), (1, 2), (2, 0)))  # cone (2, 0) has det 2
+P1_TWICE = Fan(1, ((1,), (-1,), (1,)), ((0,), (1,), (2,)))  # the ray (1,) listed twice
+BROKEN = {
+    "dropped-cone": dropped_cone,
+    "zero-ray": zero_ray_in_a_cone,
+    "non-smooth-factor": lambda: product(WP112, P1),
+    "duplicated-factor-ray": lambda: product(P2, P1_TWICE),
+}
+
+
+def cli_outcomes(capsys, path) -> list:
+    out = []
+    for command in ("describe", "orlov"):
+        code = main([command, str(path)])
+        out.append((code, *capsys.readouterr()))
+    return out
+
+
+@pytest.mark.parametrize("name", BROKEN)
+def test_broken_product_reports_as_the_full_route(name, tmp_path, capsys, monkeypatch):
+    fan = BROKEN[name]()
+    assert not fan.validation.ok and fan.validation == validate(fan)
+    save(CatalogEntry(name, fan, "broken product"), tmp_path / "broken.json")
+    got = cli_outcomes(capsys, tmp_path / "broken.json")
+    (describe_code, describe_out, _), (orlov_code, orlov_out, orlov_err) = got
+    assert describe_code == 0 and json.loads(describe_out)["valid"] is False
+    assert orlov_code == 2 and orlov_out == "" and orlov_err.count("\n") == 1
+    assert orlov_err.startswith("error: ")
+    monkeypatch.setattr(Fan, "validation", property(fan_module.validate))
+    assert cli_outcomes(capsys, tmp_path / "broken.json") == got
+
+
+def test_the_cone_count_rejects_a_product_missing_a_cone():
+    # the factors are whole and valid; only the count tells the cone is missing
+    fan = dropped_cone()
+    assert [factor for _, factor in fan._split] == [dP6, P2]
+    assert sum(len(rays) for rays, _ in fan._split) == fan.n_rays
+    assert len(fan.max_cones) == math.prod(len(f.max_cones) for _, f in fan._split) - 1
+    assert not fan.validation.ok and fan._factors
+
+
+# --- the Ext table of summands that are no product set ------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["dP6xP1", "P1^4"])
+def test_product_ext_table_of_a_summand_list_that_is_no_product_set(name):
+    fan = PRODUCTS[name]()
+    copy = mixed(fan)
+    bu = bu_set(fan)
+    ample = divisor_class(-canonical_divisor(fan))
+    assert not is_antinef(ample.representative())
+    for summands in (bu[:3] + bu[4:], bu + (ample,)):
+        table = build_candidate(fan, summands).ext_table
+        assert table == tuple(tuple(ext_dims(fan, a, b) for b in summands) for a in summands)
+        # the mixed copy shares the class coordinates and walks its whole pattern table
+        on_copy = [DivisorClass(s.coords, copy) for s in summands]
+        assert table == tuple(tuple(ext_dims(copy, a, b) for b in on_copy) for a in on_copy)
