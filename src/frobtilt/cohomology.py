@@ -199,24 +199,26 @@ def _circuits(fan: Fan) -> tuple[IntVec, ...]:
     unique relation on the set and that ray; it is a circuit when it uses
     all of them, and is stored primitive with its first entry positive.
     """
-    out = []
-
-    def grow(support: list[int], echelon: list[tuple[int, list[int], list[int]]]) -> None:
-        for j in range(support[-1] + 1 if support else 0, fan.n_rays):
-            vec, lam = list(fan.rays[j]), [int(i == j) for i in range(fan.n_rays)]
-            for c, row, comb in echelon:
-                p, q = row[c], vec[c]
-                if q:
-                    vec = [p * a - q * b for a, b in zip(vec, row)]
-                    lam = [p * a - q * b for a, b in zip(lam, comb)]
-            if any(vec):
-                grow(support + [j], echelon + [(next(c for c, x in enumerate(vec) if x), vec, lam)])
-            elif all(lam[i] for i in support):
-                g = math.gcd(*lam) * (1 if lam[support[0]] > 0 else -1)
-                out.append(tuple(x // g for x in lam))
-
-    grow([], [])
+    out: list[IntVec] = []
+    _grow_circuits(fan.rays, [], [], out)
     return tuple(out)
+
+
+def _grow_circuits(rays: tuple[IntVec, ...], support: list[int], echelon: list, out: list) -> None:
+    """Extend the independent set support by each later ray; append the circuits found to out."""
+    for j in range(support[-1] + 1 if support else 0, len(rays)):
+        vec, lam = list(rays[j]), [int(i == j) for i in range(len(rays))]
+        for c, row, comb in echelon:
+            p, q = row[c], vec[c]
+            if q:
+                vec = [p * a - q * b for a, b in zip(vec, row)]
+                lam = [p * a - q * b for a, b in zip(lam, comb)]
+        if any(vec):
+            nxt = echelon + [(next(c for c, x in enumerate(vec) if x), vec, lam)]
+            _grow_circuits(rays, support + [j], nxt, out)
+        elif all(lam[i] for i in support):
+            g = math.gcd(*lam) * (1 if lam[support[0]] > 0 else -1)
+            out.append(tuple(x // g for x in lam))
 
 
 def _localization(fan: Fan) -> Localization:

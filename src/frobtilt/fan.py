@@ -139,24 +139,12 @@ class Fan:
         and the least element of the symmetric difference of two sets
         decides their order, so a product takes its factors' first bases.
         """
-        n, rays, split = self.dim, self.rays, self._split
-
-        def extend(chosen):
-            if len(chosen) == n:
-                det, adj = adjugate([rays[i] for i in chosen])
-                return (chosen, det, adj) if det in (1, -1) else None
-            for i in range(chosen[-1] + 1 if chosen else 0, len(rays)):
-                nxt = chosen + (i,)
-                found = integer_rank([rays[j] for j in nxt]) == len(nxt) and extend(nxt)
-                if found:
-                    return found
-            return None
-
+        rays, split = self.rays, self._split
         if split:
             basis = tuple(sorted(idx[j] for idx, factor in split for j in factor._pic[0]))
             det, adj = adjugate([rays[i] for i in basis])
         else:
-            found = extend(())
+            found = _first_basis(rays, self.dim, ())
             if found is None:
                 raise InvalidFanError("no dim rays form a lattice basis; fan is not smooth+complete")
             basis, det, adj = found
@@ -224,6 +212,19 @@ def _coordinate_blocks(masks: Iterable[int]) -> list[int]:
             joined = [m for m in blocks if m & mask]
             blocks = [m for m in blocks if not m & mask] + [mask | sum(joined)]
     return blocks
+
+
+def _first_basis(rays: tuple[IntVec, ...], n: int, chosen: tuple[int, ...]):
+    """(basis, det, adj) for the first n rays after chosen that extend it to a Z-basis, or None."""
+    if len(chosen) == n:
+        det, adj = adjugate([rays[i] for i in chosen])
+        return (chosen, det, adj) if det in (1, -1) else None
+    for i in range(chosen[-1] + 1 if chosen else 0, len(rays)):
+        nxt = chosen + (i,)
+        found = integer_rank([rays[j] for j in nxt]) == len(nxt) and _first_basis(rays, n, nxt)
+        if found:
+            return found
+    return None
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,17 @@ torus; the pushforward of O(D) splits into the ell^n line bundles indexed
 by the residues u in {0..ell-1}^n, with coefficients
 b_rho(u) = floor((a_rho + <u, v_rho>) / ell).  The class map is linear,
 so the split is counted on Picard coordinates after one class reduction
-per ray.  The residues are walked one coordinate at a time, and residue
-prefixes merge when the rays still to be walked have equal remainders
-mod ell and the floors settled so far have equal classes: P^n and product
-fans take about ell^2 steps, and at most ell^(n-1) states reach the last
-coordinate, whose floors are constant on runs between at most
-sum_rho |v_rho[n-1]| breakpoints.
+per ray.  On a surface, u = (y, x), the floors are constant on runs of x
+between at most sum_rho |v_rho[1]| breakpoints, and along each residue
+class of y mod lcm |v_rho[1]| the breakpoints move by fixed integer
+steps, so y is summed in pieces on which every run keeps its class and
+its length is affine in y: a number of pieces that does not grow with
+ell (P1 is one piece).  From dimension 3 on, the residues are walked one
+coordinate at a time, and residue prefixes merge when the rays still to
+be walked have equal remainders mod ell and the floors settled so far
+have equal classes: P^n and product fans take about ell^2 steps, and at
+most ell^(n-1) states reach the last coordinate, which is counted run by
+run.
 
 The full summand set over every ell is computed exactly from the chambers
 of the arrangement {<t, v_rho> = k} inside the half-open unit cube.  Each
@@ -35,13 +40,16 @@ from functools import cached_property
 from .fan import DivisorClass, Fan, TorusDivisor, _require_on_fan, divisor_class
 from .lattice import IntVec, _count_box, _strict_tableau, _Tableau, identity_matrix
 
-# A walk at ell keeps at most ell^(dim-1) merged residue prefixes, 5-10 us
-# each when none merge: on a 2-vCPU host the 13-ray 4-fold at ell = 31
-# (923,521 residues, 29,791 prefixes) takes 0.3 s in process, while P4
-# and P2xP2 at ell = 31 merge down to 1-2 ms, and frob --ell 31 on them
-# takes 0.15 s end to end, mostly interpreter start-up.  pushforward_summands,
-# and with it frob --ell, refuses an ell with more residues; the bound
-# stays until the cost no longer grows with ell.
+# From dimension 3 on, a walk at ell keeps at most ell^(dim-1) merged
+# residue prefixes, 5-10 us each when none merge: on a 2-vCPU host the
+# 13-ray 4-fold at ell = 31 (923,521 residues, 29,791 prefixes) takes
+# 0.3 s in process, while P4 and P2xP2 at ell = 31 merge down to 1-2 ms,
+# and frob --ell 31 on them takes 0.15 s end to end, mostly interpreter
+# start-up.  pushforward_summands, and with it frob --ell, refuses an ell
+# with more residues; the bound stays until the cost no longer grows with
+# ell.  On fans of dimension <= 2
+# that now holds (P2, dP6 and F3 take 0.04-0.08 ms in process at every ell
+# up to 1000), yet the bound is kept for every dimension alike.
 MAX_FROB_RESIDUES = 1_000_000
 
 
@@ -84,17 +92,19 @@ def pushforward_summands(fan: Fan, D: TorusDivisor, ell: int) -> Counter:
 
     divisor_class is linear, a_N - P.a_B in the Picard coordinates, so
     each ray divisor D_rho is reduced once and a floor vector b has the
-    class sum_rho b_rho [D_rho].  The residues are walked one coordinate
-    at a time, with c_rho = a_rho + <u[:j], v_rho[:j]> split by
-    floor((c + t) / ell) = c // ell + floor((c % ell + t) / ell): a state
-    holds the remainders c_rho % ell of the rays still live (nonzero at
-    some later coordinate) and the base class sum_rho (c_rho // ell)
-    [D_rho] of the quotients so far.  Prefixes whose states agree have the
-    same summands from there on, so they merge into one state with the
-    sum of their multiplicities.  Each coordinate before the last steps
-    u_j over [0, ell) once per distinct remainder key; along the last one
-    the floors are constant on runs between at most sum_rho |v_rho[n-1]|
-    breakpoints, walked once per key and added to each state's base.
+    class sum_rho b_rho [D_rho].  On a fan of dimension <= 2 the classes
+    are summed over pieces of y (_piece_counts).  Otherwise the residues
+    are walked one coordinate at a time, with c_rho = a_rho +
+    <u[:j], v_rho[:j]> split by floor((c + t) / ell) = c // ell +
+    floor((c % ell + t) / ell): a state holds the remainders c_rho % ell
+    of the rays still live (nonzero at some later coordinate) and the base
+    class sum_rho (c_rho // ell) [D_rho] of the quotients so far.
+    Prefixes whose states agree have the same summands from there on, so
+    they merge into one state with the sum of their multiplicities.  Each
+    coordinate before the last steps u_j over [0, ell) once per distinct
+    remainder key; along the last one the floors are constant on runs
+    between at most sum_rho |v_rho[n-1]| breakpoints, walked once per key
+    and added to each state's base.
 
     On P^n the keys differ only in the remainder of the ray that mixes
     every coordinate, and on a product fan one factor's remainders stay
@@ -103,8 +113,9 @@ def pushforward_summands(fan: Fan, D: TorusDivisor, ell: int) -> Counter:
     the ell^(n-1) prefixes.  Classes are packed into integers,
     sum_i coords[i] * width^i with width above twice any coordinate a
     partial floor sum can reach, so each step is one integer addition.
-    Raises ValueError, before any walk, when ell has more than
-    MAX_FROB_RESIDUES residues.
+    Both routes insert each class at its least residue u, as the walk
+    over u in lexicographic order would.  Raises ValueError, before any
+    walk, when ell has more than MAX_FROB_RESIDUES residues.
     """
     fan.require_valid()
     if ell < 1:
@@ -124,14 +135,24 @@ def pushforward_summands(fan: Fan, D: TorusDivisor, ell: int) -> Counter:
     )
     width = 1 << (2 * bound + 1).bit_length()
     packed = [sum(x * width**i for i, x in enumerate(unit)) for unit in units]
+    if fan.dim <= 2:
+        counts = _piece_counts(D.coeffs, fan.rays, packed, ell)
+    else:
+        counts = _merged_counts(fan, D.coeffs, packed, ell)
+    rank = fan.picard_rank
+    return Counter({DivisorClass(_unpack(z, width, rank), fan): m for z, m in counts.items()})
+
+
+def _merged_counts(fan: Fan, coeffs: IntVec, packed: list[int], ell: int) -> dict[int, int]:
+    """Packed class -> multiplicity by the merged walk, in the order of first residues."""
     last = [max(i for i, x in enumerate(ray) if x) for ray in fan.rays]
     live = list(range(fan.n_rays))
-    base = sum(a // ell * unit for a, unit in zip(D.coeffs, packed))
+    base = sum(a // ell * unit for a, unit in zip(coeffs, packed))
     # states and counts keep the order of first residues: states are visited
     # in the order of their least prefix p, and p*ell + y lies below every
     # later state's successors, so each state, and then each class, is
     # first inserted at its least residue, as in the residue-by-residue walk.
-    states = {(tuple(a % ell for a in D.coeffs), base): 1}
+    states = {(tuple(a % ell for a in coeffs), base): 1}
     for j in range(fan.dim - 1):
         moving = [(pos, fan.rays[i][j], packed[i]) for pos, i in enumerate(live) if fan.rays[i][j]]
         kept = [pos for pos, i in enumerate(live) if last[i] > j]
@@ -159,8 +180,83 @@ def pushforward_summands(fan: Fan, D: TorusDivisor, ell: int) -> Counter:
         for off, length in zip(*run):
             cls = base + off
             counts[cls] = counts.get(cls, 0) + m * length
-    rank = fan.picard_rank
-    return Counter({DivisorClass(_unpack(z, width, rank), fan): m for z, m in counts.items()})
+    return counts
+
+
+def _piece_counts(coeffs: IntVec, rays: tuple[IntVec, ...], packed: list[int], ell: int) -> dict:
+    """Packed class -> multiplicity on a fan of dimension <= 2, in the order of first residues.
+
+    The residues are u = (y, x), or u = (x) with the single y = 0 on P1.
+    The y are walked one residue class mod step = lcm |v_rho[1]| at a
+    time, in pieces y, y + step, ... given by _piece, on which every x-run
+    keeps its class and has a length affine in the piece index t; the
+    lengths are summed in closed form.  A class's first residue is the
+    least (y, x) where one of its runs is nonempty: at t = 0, or at t = 1
+    when the run opens there, since a length >= 0 that is 0 at t = 0 and
+    grows is positive at t = 1.
+    """
+    if len(rays[0]) == 1:
+        walk, ys, step = [(a, 0, g, unit) for a, (g,), unit in zip(coeffs, rays, packed)], 1, 1
+    else:
+        walk = [(a, h, g, unit) for a, (h, g), unit in zip(coeffs, rays, packed)]
+        ys, step = ell, math.lcm(*(abs(g) for _, g in rays if g))
+    counts: dict[int, int] = {}
+    first: dict[int, tuple[int, int]] = {}
+    for y in range(min(step, ys)):
+        while y < ys:
+            size, base, runs = _piece(walk, ell, y, step, (ys - 1 - y) // step + 1)
+            for off, x, dx, length, grow in runs:
+                total = size * length + grow * size * (size - 1) // 2
+                if total:
+                    cls, t = base + off, 0 if length else 1
+                    counts[cls] = counts.get(cls, 0) + total
+                    at = (y + t * step, x + t * dx)
+                    if first.get(cls, at) >= at:
+                        first[cls] = at
+            y += size * step
+    return {cls: counts[cls] for cls in sorted(counts, key=first.__getitem__)}
+
+
+def _piece(walk: list, ell: int, y: int, step: int, left: int) -> tuple[int, int, list]:
+    """The x-runs at u_0 = y, and how many of the left values y + t*step keep their classes.
+
+    walk holds (a_rho, h = v_rho[0], g = v_rho[1], packed [D_rho]).  With
+    c = a + h*y, the breakpoint ceil((k*ell - c)/g) (its mirror for g < 0)
+    moves by exactly -h*step/g per t, since g divides step, as long as its
+    k stays, that is, as long as the ray's floors at x = 0 and at
+    x = ell - 1 stay; they also set the base class and keep every
+    breakpoint in [1, ell - 1].  The piece ends at the first t where one
+    of those floors changes, or where two neighbours in (x, slope) order
+    cross, x = 0 and x = ell bounding the first and last run.  Returns
+    (size, packed class at x = 0, runs), each run (packed offset from that
+    class, start x, its slope, length at t = 0, the length's slope).
+    """
+    size, base, events = left, 0, []
+    for a, h, g, unit in walk:
+        c = a + h * y
+        base += c // ell * unit
+        size = min(size, _steady(c, h * step, ell))
+        if g:
+            size = min(size, _steady(c + g * (ell - 1), h * step, ell))
+            slope, jump = -h * step // g, unit if g > 0 else -unit
+            events += [(x, slope, jump) for x in _breakpoints(c, g, ell)]
+    events.sort()
+    runs, off, x, dx = [], 0, 0, 0
+    for nx, ndx, jump in events + [(ell, 0, 0)]:
+        if dx > ndx:
+            size = min(size, (nx - x) // (dx - ndx) + 1)
+        runs.append((off, x, dx, nx - x, ndx - dx))
+        off, x, dx = off + jump, nx, ndx
+    return size, base, runs
+
+
+def _steady(c: int, d: int, ell: int) -> int | float:
+    """The least t >= 1 with (c + d*t) // ell != c // ell; infinite when d = 0."""
+    if d > 0:
+        return (ell - 1 - c % ell) // d + 1
+    if d < 0:
+        return c % ell // -d + 1
+    return math.inf
 
 
 def _level_steps(key: IntVec, moving: list, kept: list, ell: int) -> tuple[list, list]:
@@ -269,33 +365,36 @@ def _chamber_leaves(fan: Fan) -> list[tuple[IntVec, int]]:
     tableau.  A leaf's chamber ell clears the denominators of its
     tableau's vertex t.
     """
-    leaves = []
     units = identity_matrix(fan.dim)
     ranges = []
     for ray in fan.rays:
         lo = sum(min(x, 0) for x in ray)
         hi = sum(max(x, 0) for x in ray)
-        ranges.append(range(lo, max(hi, 1)))
-
-    def descend(k: int, prefix: tuple[int, ...], tab: _Tableau) -> None:
-        if k == fan.n_rays:
-            # u = ell*t is a residue at ell = the lcm of t's denominators,
-            # and its summand has floor vector prefix.
-            num = [row[-1] for row, col in zip(tab.rows, tab.basis) if col < fan.dim]
-            leaves.append((prefix, tab.den // math.gcd(tab.den, *num)))
-            return
-        ray = fan.rays[k]
-        if ray in units:  # its rows 0 <= t_i < 1 are the cube's
-            descend(k + 1, prefix + (0,), tab)
-            return
-        down = tuple(-x for x in ray)
-        for b in ranges[k]:
-            child = _strict_tableau(fan.dim, ((down, -b, False), (ray, b + 1, True)), tab)
-            if child is not None:
-                descend(k + 1, prefix + (b,), child)
-
-    descend(0, (), _strict_tableau(fan.dim, [(e, 1, True) for e in units]))
+        ranges.append(None if ray in units else range(lo, max(hi, 1)))
+    leaves: list[tuple[IntVec, int]] = []
+    root = _strict_tableau(fan.dim, [(e, 1, True) for e in units])
+    _descend(fan, ranges, (), root, leaves)
     return leaves
+
+
+def _descend(fan: Fan, ranges: list, prefix: IntVec, tab: _Tableau, leaves: list) -> None:
+    """Try each floor of the ray after prefix; append the leaves below tab to leaves."""
+    k = len(prefix)
+    if k == fan.n_rays:
+        # u = ell*t is a residue at ell = the lcm of t's denominators,
+        # and its summand has floor vector prefix.
+        num = [row[-1] for row, col in zip(tab.rows, tab.basis) if col < fan.dim]
+        leaves.append((prefix, tab.den // math.gcd(tab.den, *num)))
+        return
+    if ranges[k] is None:  # a unit vector: its rows 0 <= t_i < 1 are the cube's
+        _descend(fan, ranges, prefix + (0,), tab, leaves)
+        return
+    ray = fan.rays[k]
+    down = tuple(-x for x in ray)
+    for b in ranges[k]:
+        child = _strict_tableau(fan.dim, ((down, -b, False), (ray, b + 1, True)), tab)
+        if child is not None:
+            _descend(fan, ranges, prefix + (b,), child, leaves)
 
 
 def _cell(vectors: tuple[IntVec, ...], bs: tuple[int, ...], ell: int) -> tuple:

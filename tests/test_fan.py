@@ -1,10 +1,13 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from frobtilt.catalog import builtin, catalog_names
+from frobtilt.cohomology import cohomology
 from frobtilt.fan import (
     DivisorClass,
     Fan,
@@ -21,6 +24,7 @@ from frobtilt.fan import (
     validate,
     _cone_contains,
 )
+from frobtilt.frobenius import frob_set, pushforward_summands
 from frobtilt.lattice import dot
 from frobtilt.tilting import orlov_check
 from oracles import hermite_normal_form
@@ -358,3 +362,35 @@ def test_hirzebruch_rays():
     assert hirzebruch(2).rays == ((1, 0), (0, 1), (-1, 2), (0, -1))
     assert validate(hirzebruch(2)).ok
     assert validate(hirzebruch(3)).ok
+
+
+def fresh_dP6():
+    dP6 = builtin("dP6").fan
+    return Fan(dP6.dim, dP6.rays, dP6.max_cones)
+
+
+@pytest.mark.parametrize(
+    "make, run",
+    [
+        (fresh_dP6, frob_set),
+        (fresh_dP6, lambda fan: cohomology(fan, TorusDivisor(fan, (-3, 3, 1, -2, -1, -1)))),
+        (fresh_dP6, orlov_check),
+        (lambda: product(fresh_dP6(), projective_space(2)), orlov_check),
+        (fresh_dP6, lambda fan: pushforward_summands(fan, TorusDivisor(fan, (0,) * 6), 97)),
+    ],
+    ids=["frob_set", "cohomology", "orlov_check", "orlov_check-dP6xP2", "pushforward_summands"],
+)
+def test_a_cold_fan_is_freed_without_the_cycle_collector(make, run):
+    # every cache lives on the Fan, so a walk that closed over the fan in a
+    # reference cycle would keep the fan and its caches until gc runs
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fan = make()
+        run(fan)
+        refs = [weakref.ref(fan)] + [weakref.ref(factor) for _, factor in fan._split]
+        del fan
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        if enabled:
+            gc.enable()

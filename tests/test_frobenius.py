@@ -91,7 +91,9 @@ def test_run_walk_matches_residue_walk_on_catalog(name):
         seeded = TorusDivisor(fan, tuple(rng.randint(-7, 7) for _ in fan.rays))
         for D in (zero(fan), seeded):
             counts = pushforward_summands(fan, D, ell)
-            assert dict(counts) == dict(residue_walk(fan, D, ell)), (ell, D.coeffs)
+            walk = residue_walk(fan, D, ell)
+            assert dict(counts) == dict(walk), (ell, D.coeffs)
+            assert list(counts) == list(walk), (ell, D.coeffs)
 
 
 def steps_coincide(fan, D, ell):
@@ -131,21 +133,34 @@ def test_run_walk_matches_residue_walk_at_coinciding_breakpoints(name, ell, coef
 
 
 # Products and P^n, where prefixes with equal live-ray remainders merge, and
-# the subdivision chains, where nearly every prefix keeps a state of its own.
+# the subdivision chains, where nearly every prefix keeps a state of its own;
+# then the fans of dimension <= 2, summed piece by piece over y: every
+# catalog surface, P1, and two chains from F3, one with lcm |v_rho[1]| = 60
+# below every ell here and one with 420 above them, one piece per y.
+SURFACES = [(name, builtin(name).fan) for name in catalog_names() if builtin(name).fan.dim == 2]
+SURFACES += [("F3-chain-L60", subdivision_chain("F3", 4, 0)), ("F3-chain-L420", subdivision_chain("F3", 4, 5))]
+
+
 @pytest.mark.parametrize(
     "fan, ell",
     [
-        (P1xP1, 97),
-        (builtin("P1xP2").fan, 21),
-        (builtin("P1xP1xP1").fan, 21),
-        (builtin("P2xP2").fan, 10),
-        (product(builtin("dP6").fan, P1), 21),
-        (builtin("P3").fan, 21),
-        (builtin("P4").fan, 10),
-        (subdivision_chain("P4", 8, 5), 10),
-        (subdivision_chain("P3", 6, 2), 21),
+        pytest.param(P1xP1, 97, id="P1xP1"),
+        pytest.param(builtin("P1xP2").fan, 21, id="P1xP2"),
+        pytest.param(builtin("P1xP1xP1").fan, 21, id="P1xP1xP1"),
+        pytest.param(builtin("P2xP2").fan, 10, id="P2xP2"),
+        pytest.param(product(builtin("dP6").fan, P1), 21, id="dP6xP1"),
+        pytest.param(builtin("P3").fan, 21, id="P3"),
+        pytest.param(builtin("P4").fan, 10, id="P4"),
+        pytest.param(subdivision_chain("P4", 8, 5), 10, id="P4-chain13"),
+        pytest.param(subdivision_chain("P3", 6, 2), 21, id="P3-chain10"),
+        pytest.param(P1, 97, id="P1-97"),
+        *(
+            pytest.param(fan, ell, id=f"{name}-{ell}")
+            for name, fan in SURFACES
+            for ell in (61, 97, 100)
+            if (name, ell) != ("P1xP1", 97)
+        ),
     ],
-    ids=["P1xP1", "P1xP2", "P1xP1xP1", "P2xP2", "dP6xP1", "P3", "P4", "P4-chain13", "P3-chain10"],
 )
 def test_level_walk_matches_residue_walk_where_states_merge_or_not(fan, ell):
     rng = random.Random(f"level walk {fan.rays}")
@@ -221,6 +236,28 @@ def test_run_walk_reduces_each_ray_once(monkeypatch, coeffs):
     counts = pushforward_summands(P2, TorusDivisor(P2, coeffs), ell)
     assert len(calls) <= P2.n_rays
     assert sum(counts.values()) == ell ** P2.dim
+
+
+@pytest.mark.parametrize("name", ["dP6", "F3"])
+def test_piece_walk_does_not_grow_with_ell(monkeypatch, name):
+    # Along one residue class of y mod step, a piece ends where a floor at
+    # x = 0 or x = ell - 1 moves, at most |v_rho[0]| times each, or where
+    # two breakpoints cross.  A ray's breakpoint for one k is affine in y on
+    # the whole class and it has at most |v_rho[0]| + |v_rho[1]| of them, so
+    # each pair crosses at most once: a bound with no ell in it.
+    pieces = recorded_calls(monkeypatch, "_piece")
+    fan = builtin(name).fan
+    step = math.lcm(*(abs(g) for _, g in fan.rays if g))
+    moves = sum(2 * abs(h) for h, _ in fan.rays)
+    lines = sum(abs(h) + abs(g) for h, g in fan.rays if g)
+    bound = step * (1 + moves + lines * (lines - 1) // 2)
+    rng = random.Random(f"pieces {name}")
+    for ell in (97, 997):
+        for D in (zero(fan), TorusDivisor(fan, tuple(rng.randint(-3000, 3000) for _ in fan.rays))):
+            pieces.clear()
+            counts = pushforward_summands(fan, D, ell)
+            assert sum(counts.values()) == ell**2
+            assert 1 <= len(pieces) <= bound, (ell, D.coeffs)
 
 
 # F1 and P1xP1 both have 4 rays; P2 has fewer coefficients than F1 has rays.
