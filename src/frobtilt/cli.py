@@ -82,6 +82,7 @@ def _parse_divisor(text: Optional[str], fan) -> TorusDivisor:
 
 
 # --- command handlers; each returns (payload, headers, rows, exit_code) ----
+# rows is a generator: only md and csv output iterate it, json never builds it.
 
 
 def _cmd_describe(entry, args):
@@ -102,7 +103,7 @@ def _cmd_describe(entry, args):
         "nef_fano_status": nef_fano_status(fan) if rep.ok else None,
         "provenance": entry.provenance,
     }
-    rows = [[i, json.dumps(list(r))] for i, r in enumerate(fan.rays)]
+    rows = ([i, json.dumps(list(r))] for i, r in enumerate(fan.rays))
     return payload, ["ray", "coords"], rows, 0
 
 
@@ -121,7 +122,7 @@ def _cmd_frob(entry, args):
         "count": sum(counts.values()),
         "summands": summands,
     }
-    rows = [[json.dumps(s["coords"]), s["multiplicity"]] for s in summands]
+    rows = ([json.dumps(s["coords"]), s["multiplicity"]] for s in summands)
     return payload, ["class", "multiplicity"], rows, 0
 
 
@@ -132,7 +133,7 @@ def _cmd_frob_set(entry, args):
         for w in fs.witnesses
     ]
     payload = {"name": entry.name, "size": len(fs), "classes": classes}
-    rows = [[json.dumps(c["coords"]), c["min_witness_ell"]] for c in classes]
+    rows = ([json.dumps(c["coords"]), c["min_witness_ell"]] for c in classes)
     return payload, ["class", "min_witness_ell"], rows, 0
 
 
@@ -179,7 +180,7 @@ def _cmd_cohom(entry, args):
             }
             for p in weight_patterns(fan, D)
         ]
-    rows = [[q, h] for q, h in enumerate(vec.dims)]
+    rows = ([q, h] for q, h in enumerate(vec.dims))
     return payload, ["degree", "dim"], rows, 0
 
 
@@ -190,7 +191,7 @@ def _cmd_bu(entry, args):
         "size": len(classes),
         "classes": [list(c.coords) for c in classes],
     }
-    rows = [[json.dumps(list(c.coords))] for c in classes]
+    rows = ([json.dumps(list(c.coords))] for c in classes)
     return payload, ["class"], rows, 0
 
 
@@ -208,19 +209,17 @@ def _cmd_tilting(entry, args):
         "gram_unimodular": abs(cand.gram_det) == 1,
         "triangular_order": list(order) if order is not None else None,
     }
-    rows = [
+    rows = (
         [json.dumps(list(c.coords))] + [cand.gram[a][b] for b in range(len(cand.summands))]
         for a, c in enumerate(cand.summands)
-    ]
+    )
     headers = ["summand"] + [f"chi->{b}" for b in range(len(cand.summands))]
     return payload, headers, rows, 0 if ev.ok else 1
 
 
 def _cmd_orlov(entry, args):
     report = orlov_check(entry.fan, entry.name)
-    payload = report.to_dict()
-    rows = [[k, json.dumps(v)] for k, v in payload.items()]
-    return payload, ["field", "value"], rows, 0 if report.status == VERIFIED else 1
+    return report.to_dict(), None, None, 0 if report.status == VERIFIED else 1
 
 
 def _batch_worker(target: str) -> dict:
@@ -346,7 +345,7 @@ def _cmd_batch(args):
     }
     payload = {"entries": reports, "summary": summary}
     headers = ["name", "dim", "n_bu", "m0", "status"]
-    rows = [[r["name"], r["dim"], r["n_bu"], r["m0"], r["status"]] for r in reports]
+    rows = ([r["name"], r["dim"], r["n_bu"], r["m0"], r["status"]] for r in reports)
     code = 0 if summary["verified"] == summary["total"] else 1
     return payload, headers, rows, code
 

@@ -5,7 +5,9 @@ in Z^n plus the maximal cones as ray index sets.  Completeness is proven
 exactly: ridge pairing, dual-graph connectivity, local injectivity at every
 ridge, and degree one at a generic point; see validate().
 
-Cone and basis questions are answered by integer adjugates of ray matrices.
+One walk over the ridges from a single adjugate gives every cone's
+determinant and inverse, each ridge's side test, and each wall relation;
+a cone no neighbour reaches gets an adjugate of its own (Fan._ridge_walk).
 Divisor classes live in Pic = Z^{#rays} / M, coordinatized once and for all
 by the one representative that vanishes on a fixed lattice basis of rays, so
 class equality is plain integer-vector equality.
@@ -26,7 +28,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, prod
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .lattice import IntMat, IntVec, adjugate, dot, integer_rank
 
@@ -109,23 +111,84 @@ class Fan:
         if not rep.ok:
             raise InvalidFanError("; ".join(rep.failures))
 
-    # -- cone inverses and Picard coordinates ------------------------------
+    # -- the ridge walk, cone inverses and Picard coordinates ---------------
 
     @cached_property
-    def _adjugates(self) -> dict[tuple[int, ...], tuple[int, Optional[IntMat]]]:
-        """(det, adj) of the ray matrix of each maximal cone with dim rays."""
-        return {c: adjugate(self.cone_matrix(c)) for c in self.max_cones if len(c) == self.dim}
+    def _ridge_walk(self) -> tuple[dict, list, dict, int]:
+        """The ridges with their owners, per cone (det, adjugate columns), the flips, the seeds.
+
+        From each cone not yet reached (one adjugate there) the walk crosses
+        every shared ridge tau = sigma - {o1} = sigma' - {o2}.  With x_i =
+        <adj_i, v_o2> over sigma's adjugate columns, sigma' has determinant
+        +-c, c = x[o1], and columns +-(c.adj_i - x_i.adj_o1) / det sigma with
+        adj_o1 for o2, the sign that of moving o2 to its sorted place; a cone
+        of determinant 0 is not crossed from.  A paired ridge's flip is
+        (sigma, k, o2, y), k o1's place, y = det sigma . x: v_o2 is on o1's
+        side iff y[k] > 0, and on a unimodular sigma v_o2 = sum_i y_i v_i.
+        """
+        n, rays, cones = self.dim, self.rays, self.max_cones
+        ridges: dict[tuple[int, ...], list[int]] = {}
+        for ci, cone in enumerate(cones):
+            if len(cone) == n:
+                for k in range(n):
+                    ridges.setdefault(cone[:k] + cone[k + 1:], []).append(ci)
+        adjugates: list = [None] * len(cones)
+        flips: dict[tuple[int, ...], tuple] = {}
+        seeds = 0
+        for seed, cone in enumerate(cones):
+            if len(cone) != n or adjugates[seed]:
+                continue
+            det, adj = adjugate(self.cone_matrix(cone))
+            adjugates[seed], stack, seeds = (det, adj and tuple(zip(*adj))), [seed], seeds + 1
+            while stack:
+                ci = stack.pop()
+                cone, (det, cols) = cones[ci], adjugates[ci]
+                for k in range(n if det else 0):
+                    ridge = cone[:k] + cone[k + 1:]
+                    owners = ridges[ridge]
+                    paired = len(owners) == 2 and ridge not in flips
+                    for cj in owners:
+                        if cj == ci or not (paired or adjugates[cj] is None):
+                            continue
+                        o2 = next(i for i in cones[cj] if i not in ridge)
+                        x = [dot(col, rays[o2]) for col in cols]
+                        if paired:
+                            flips[ridge] = (ci, k, o2, tuple(det * xi for xi in x))
+                        if adjugates[cj] is None:
+                            c, p = x[k], cones[cj].index(o2)
+                            new = [tuple((c * u - xi * v) // det for u, v in zip(col, cols[k]))
+                                   for j, (col, xi) in enumerate(zip(cols, x)) if j != k]
+                            new.insert(p, cols[k])
+                            s = -1 if (k - p) % 2 else 1
+                            adjugates[cj] = (s * c, tuple(tuple(s * v for v in col) for col in new)
+                                             if c else None)
+                            stack.append(cj)
+        return ridges, adjugates, flips, seeds
 
     @cached_property
     def _cone_inverses(self) -> tuple[IntMat, ...]:
         """Per maximal cone, the inverse det.adj of its unimodular ray matrix."""
         out = []
-        for cone in self.max_cones:
-            det, adj = self._adjugates.get(cone, (0, None))
+        for cone, (det, cols) in zip(self.max_cones, (a or (0, None) for a in self._ridge_walk[1])):
             if det not in (1, -1):
                 raise InvalidFanError(f"cone {cone} is not smooth: no integral Cartier data")
-            out.append(tuple(tuple(det * x for x in row) for row in adj))
+            out.append(tuple(tuple(det * v for v in row) for row in zip(*cols)))
         return tuple(out)
+
+    @cached_property
+    def _walls(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per wall tau of a valid fan, D.V(tau) as (ray, coefficient) pairs.
+
+        The wall relation v_o1 + v_o2 - sum_{i in tau} y_i v_i = 0 (y_o1 = -1)
+        gives D.V(tau) = a_o1 + a_o2 - sum y_i a_i (Cox-Little-Schenck,
+        Toric Varieties, Prop. 6.4.4).
+        """
+        walls = []
+        for ci, k, o2, y in self._ridge_walk[2].values():
+            cone = self.max_cones[ci]
+            walls.append(((cone[k], 1), (o2, 1),
+                          *((i, -yi) for j, (i, yi) in enumerate(zip(cone, y)) if yi and j != k)))
+        return tuple(walls)
 
     @cached_property
     def _pic(self) -> tuple[tuple[int, ...], tuple[int, ...], IntMat]:
@@ -328,87 +391,44 @@ def principal_divisor(fan: Fan, w: IntVec) -> TorusDivisor:
 
 
 def validate(fan: Fan) -> ValidationReport:
+    """Every check of the certificate, with determinants and sides from Fan._ridge_walk."""
     failures: list[str] = []
     n = fan.dim
-
     primitive = True
     for i, r in enumerate(fan.rays):
-        if all(x == 0 for x in r):
+        g = gcd(*r)
+        if g != 1:
             primitive = False
-            failures.append(f"ray {i} is zero")
-        else:
-            g = 0
-            for x in r:
-                g = gcd(g, x)
-            if g != 1:
-                primitive = False
-                failures.append(f"ray {i} = {r} is not primitive (gcd {g})")
+            failures.append(f"ray {i} = {r} is not primitive (gcd {g})" if g
+                            else f"ray {i} is zero")
     if len(set(fan.rays)) != fan.n_rays:
         primitive = False
         failures.append("rays are not pairwise distinct")
-
-    used = set(itertools.chain.from_iterable(fan.max_cones))
-    if used != set(range(fan.n_rays)):
+    if set(itertools.chain.from_iterable(fan.max_cones)) != set(range(fan.n_rays)):
         failures.append("some ray lies in no maximal cone")
 
-    simplicial = True
-    smooth = True
-    for c in fan.max_cones:
-        if len(c) != n:
-            simplicial = False
+    ridges, adjugates, _, seeds = fan._ridge_walk
+    for c, entry in zip(fan.max_cones, adjugates):
+        if entry is None:
             failures.append(f"cone {c} does not have {n} rays")
-            continue
-        d = fan._adjugates[c][0]
-        if d == 0:
-            simplicial = False
+        elif entry[0] == 0:
             failures.append(f"cone {c} is degenerate (determinant 0)")
-        elif abs(d) != 1:
-            smooth = False
-            failures.append(f"cone {c} is not smooth (determinant {d})")
-
-    ridge_paired = True
-    connected = True
+        elif abs(entry[0]) != 1:
+            failures.append(f"cone {c} is not smooth (determinant {entry[0]})")
+    simplicial = all(entry and entry[0] for entry in adjugates)
+    smooth = all(abs(entry[0]) <= 1 for entry in adjugates if entry)
+    ridge_paired = connected = simplicial
     if simplicial:
-        ridges: dict[tuple[int, ...], list[int]] = {}
-        for ci, c in enumerate(fan.max_cones):
-            for ridge in itertools.combinations(c, n - 1):
-                ridges.setdefault(ridge, []).append(ci)
         for ridge, owners in sorted(ridges.items()):
             if len(owners) != 2:
                 ridge_paired = False
-                failures.append(
-                    f"ridge {ridge} lies in {len(owners)} maximal cone(s), expected 2"
-                )
-        # dual graph connectivity over shared ridges
-        neighbours: list[set[int]] = [set() for _ in fan.max_cones]
-        for owners in ridges.values():
-            for ci in owners:
-                neighbours[ci].update(owners)
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            for cj in neighbours[frontier.pop()] - seen:
-                seen.add(cj)
-                frontier.append(cj)
-        if len(seen) != len(fan.max_cones):
-            connected = False
+                failures.append(f"ridge {ridge} lies in {len(owners)} maximal cone(s), expected 2")
+        connected = seeds == 1  # the walk crosses every shared ridge from a nonzero determinant
+        if not connected:
             failures.append("dual graph of maximal cones is disconnected")
-    else:
-        ridge_paired = connected = False
-
-    covers_once = simplicial and ridge_paired and connected and _covers_once(
-        fan, ridges, failures
-    )
-
-    return ValidationReport(
-        primitive=primitive,
-        simplicial=simplicial,
-        smooth=smooth,
-        ridge_paired=ridge_paired,
-        connected=connected,
-        covers_once=covers_once,
-        failures=tuple(failures),
-    )
+    covers_once = ridge_paired and connected and _covers_once(fan, ridges, failures)
+    return ValidationReport(primitive, simplicial, smooth, ridge_paired, connected, covers_once,
+                            tuple(failures))
 
 
 def _covers_once(fan: Fan, ridges: dict[tuple[int, ...], list[int]],
@@ -421,28 +441,26 @@ def _covers_once(fan: Fan, ridges: dict[tuple[int, ...], list[int]],
     Degree one: a point on no ridge hyperplane lies in exactly one cone.
     That point is the first (1, t, ..., t^(n-1)), t = 1, 2, ..., off every
     ridge hyperplane; each hyperplane meets this curve at most n - 1 times.
-    Both are Cramer signs in the ridge's first cone c1: det(c1).<y, adj
-    column of o1> has the sign of y's side of the ridge, o1 c1's other ray.
+    Both are Cramer signs read off the ridge walk (Fan._ridge_walk): the flip
+    coefficient y[k] has the sign of v_o2's side of the ridge, o1's side
+    positive, and x lies in a cone iff det.<x, adj column> >= 0 for each
+    of its columns.
     """
-    normals = []  # per ridge, the adj column of o1 in c1
+    _, adjugates, flips, _ = fan._ridge_walk
     for ridge, (c1, c2) in sorted(ridges.items()):
-        o1, o2 = (
-            next(i for i in fan.max_cones[c] if i not in ridge) for c in (c1, c2)
-        )
-        cone = fan.max_cones[c1]
-        det, adj = fan._adjugates[cone]
-        column = tuple(row[cone.index(o1)] for row in adj)
-        if det * dot(fan.rays[o2], column) >= 0:
+        _, k, _, y = flips[ridge]
+        if y[k] >= 0:
+            o1, o2 = (next(i for i in fan.max_cones[c] if i not in ridge) for c in (c1, c2))
             failures.append(f"rays {o1} and {o2} lie on the same side of ridge {ridge}")
             return False
-        normals.append(column)
+    normals = [adjugates[ci][1][k] for ci, k, _, _ in flips.values()]
     t = 1
     while True:
         x = tuple(t**k for k in range(fan.dim))
         if all(dot(x, column) for column in normals):
             break
         t += 1
-    degree = sum(1 for c in fan.max_cones if _cone_contains(fan, c, x))
+    degree = sum(all(det * dot(x, column) >= 0 for column in cols) for det, cols in adjugates)
     if degree != 1:
         failures.append(
             f"the cones cover R^{fan.dim} with degree {degree}, not 1: "
@@ -450,16 +468,6 @@ def _covers_once(fan: Fan, ridges: dict[tuple[int, ...], list[int]],
         )
         return False
     return True
-
-
-def _cone_contains(fan: Fan, cone: tuple[int, ...], x: IntVec) -> bool:
-    """x is a nonnegative combination of the cone's rays, decided by Cramer's rule.
-
-    The coefficient of ray k is (x.adj)_k / det, so each (x.adj)_k must
-    share det's sign.
-    """
-    det, adj = fan._adjugates[cone]
-    return det != 0 and all(det * dot(x, column) >= 0 for column in zip(*adj))
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,17 @@ built from the maximal cones alone (the reference for the per-fan pattern
 table), the residue-by-residue walk for pushforwards, the chamber walk
 with one LP at every node for frob(X), the ell sweep from 1 for the
 stabilizing ell, the projection-formula identity between
-pushforwards and cohomology, wall-curve intersection numbers for nefness,
-and an integer solve per cone for the Cartier data behind a failing nef
-inequality, through the row Hermite normal form (the library inverts
-cones by adjugates instead), and the first lattice basis of rays by trying
-every set of dim rays in order (the library walks prefixes, and a product
-joins its factors' bases).
+pushforwards and cohomology, wall-curve intersection numbers by a rational
+solve per wall and the support-function scan for nefness, an integer solve
+per cone for Cartier data, through the row Hermite normal form, the fan
+certificate and the cone inverses with an adjugate per cone (the library
+walks the ridges from one adjugate instead), and the first lattice basis of
+rays by trying every set of dim rays in order (the library walks prefixes,
+and a product joins its factors' bases).
 
 It also builds the seeded chains of star subdivisions that the cohomology
-and Frobenius tests share.
+and Frobenius tests share, and GL(n, Z) images of fans with their rays
+reordered.
 """
 
 import itertools
@@ -31,13 +33,15 @@ from typing import Optional, Sequence
 from frobtilt.catalog import builtin
 from frobtilt.cohomology import cohomology, weight_patterns
 from frobtilt.fan import (
-    DivisorClass, Fan, TorusDivisor, canonical_divisor, divisor_class, star_subdivision,
+    DivisorClass, Fan, TorusDivisor, ValidationReport, canonical_divisor, divisor_class,
+    star_subdivision,
 )
 from frobtilt.frobenius import frob_set, pushforward_summands
 from frobtilt.lattice import (
     IntMat,
     IntVec,
     LinearSystem,
+    adjugate,
     dot,
     feasible_point,
     identity_matrix,
@@ -144,6 +148,27 @@ def subdivision_chain(base: str, steps: int, seed: int) -> Fan:
         cone = rng.choice(fan.max_cones)
         fan = star_subdivision(fan, tuple(rng.sample(cone, rng.randint(2, fan.dim))))
     return fan
+
+
+def scrambled(fan: Fan, seed: int) -> Fan:
+    """The fan under a seeded g in GL(n, Z), with its rays in a seeded order.
+
+    g is a product of 3n elementary steps (add or subtract one coordinate to
+    another) and a coordinate negation, so it mixes every block of a product.
+    """
+    rng = random.Random(seed)
+    n = fan.dim
+    g = [list(row) for row in identity_matrix(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        (i, j), sign = rng.sample(range(n), 2), rng.choice((-1, 1))
+        g[i] = [a + sign * b for a, b in zip(g[i], g[j])]
+    k = rng.randrange(n)
+    g[k] = [-a for a in g[k]]
+    order = list(range(fan.n_rays))
+    rng.shuffle(order)
+    at = {old: new for new, old in enumerate(order)}
+    rays = tuple(tuple(dot(row, fan.rays[i]) for row in g) for i in order)
+    return Fan(n, rays, tuple(tuple(at[i] for i in cone) for cone in fan.max_cones))
 
 
 def residue_walk(fan: Fan, D: TorusDivisor, ell: int) -> Counter:
@@ -405,3 +430,161 @@ def _fraction_solve(vectors: Sequence[IntVec], target: IntVec) -> list[Fraction]
             if r != c and M[r][c] != 0:
                 M[r] = [x - M[r][c] * y for x, y in zip(M[r], M[c])]
     return [M[r][n] for r in range(n)]
+
+
+def validate_by_adjugates(fan: Fan) -> ValidationReport:
+    """The fan certificate with the adjugate of every cone's ray matrix.
+
+    The library crosses ridges from one adjugate instead (Fan._ridge_walk); the
+    reports, failure strings included, must be equal.
+    """
+    failures: list[str] = []
+    n = fan.dim
+
+    primitive = True
+    for i, r in enumerate(fan.rays):
+        if all(x == 0 for x in r):
+            primitive = False
+            failures.append(f"ray {i} is zero")
+        else:
+            g = math.gcd(*r)
+            if g != 1:
+                primitive = False
+                failures.append(f"ray {i} = {r} is not primitive (gcd {g})")
+    if len(set(fan.rays)) != fan.n_rays:
+        primitive = False
+        failures.append("rays are not pairwise distinct")
+
+    used = set(itertools.chain.from_iterable(fan.max_cones))
+    if used != set(range(fan.n_rays)):
+        failures.append("some ray lies in no maximal cone")
+
+    adjugates = {c: adjugate(fan.cone_matrix(c)) for c in fan.max_cones if len(c) == n}
+    simplicial = True
+    smooth = True
+    for c in fan.max_cones:
+        if len(c) != n:
+            simplicial = False
+            failures.append(f"cone {c} does not have {n} rays")
+            continue
+        d = adjugates[c][0]
+        if d == 0:
+            simplicial = False
+            failures.append(f"cone {c} is degenerate (determinant 0)")
+        elif abs(d) != 1:
+            smooth = False
+            failures.append(f"cone {c} is not smooth (determinant {d})")
+
+    ridge_paired = True
+    connected = True
+    if simplicial:
+        ridges: dict[tuple[int, ...], list[int]] = {}
+        for ci, c in enumerate(fan.max_cones):
+            for ridge in itertools.combinations(c, n - 1):
+                ridges.setdefault(ridge, []).append(ci)
+        for ridge, owners in sorted(ridges.items()):
+            if len(owners) != 2:
+                ridge_paired = False
+                failures.append(
+                    f"ridge {ridge} lies in {len(owners)} maximal cone(s), expected 2"
+                )
+        neighbours: list[set[int]] = [set() for _ in fan.max_cones]
+        for owners in ridges.values():
+            for ci in owners:
+                neighbours[ci].update(owners)
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            for cj in neighbours[frontier.pop()] - seen:
+                seen.add(cj)
+                frontier.append(cj)
+        if len(seen) != len(fan.max_cones):
+            connected = False
+            failures.append("dual graph of maximal cones is disconnected")
+    else:
+        ridge_paired = connected = False
+
+    covers_once = simplicial and ridge_paired and connected and _covers_once_by_adjugates(
+        fan, adjugates, ridges, failures
+    )
+    return ValidationReport(primitive, simplicial, smooth, ridge_paired, connected, covers_once,
+                            tuple(failures))
+
+
+def _covers_once_by_adjugates(fan: Fan, adjugates: dict, ridges: dict[tuple[int, ...], list[int]],
+                              failures: list[str]) -> bool:
+    """Local injectivity at every ridge, by the Cramer sign in the ridge's
+    first cone, and degree one at the first (1, t, ..., t^(n-1)) off every
+    ridge hyperplane."""
+    normals = []  # per ridge, the adj column of o1 in c1
+    for ridge, (c1, c2) in sorted(ridges.items()):
+        o1, o2 = (next(i for i in fan.max_cones[c] if i not in ridge) for c in (c1, c2))
+        cone = fan.max_cones[c1]
+        det, adj = adjugates[cone]
+        column = tuple(row[cone.index(o1)] for row in adj)
+        if det * dot(fan.rays[o2], column) >= 0:
+            failures.append(f"rays {o1} and {o2} lie on the same side of ridge {ridge}")
+            return False
+        normals.append(column)
+    t = 1
+    while True:
+        x = tuple(t**k for k in range(fan.dim))
+        if all(dot(x, column) for column in normals):
+            break
+        t += 1
+    degree = sum(1 for c in fan.max_cones if cone_contains(fan, c, x))
+    if degree != 1:
+        failures.append(
+            f"the cones cover R^{fan.dim} with degree {degree}, not 1: "
+            f"direction {x} lies in {degree} maximal cones"
+        )
+        return False
+    return True
+
+
+def cone_contains(fan: Fan, cone: tuple[int, ...], x: IntVec) -> bool:
+    """x is a nonnegative combination of the cone's rays, decided by Cramer's rule.
+
+    The coefficient of ray k is (x.adj)_k / det, so each (x.adj)_k must
+    share det's sign.
+    """
+    det, adj = adjugate(fan.cone_matrix(cone))
+    return det != 0 and all(det * dot(x, column) >= 0 for column in zip(*adj))
+
+
+def cone_inverses(fan: Fan) -> tuple[IntMat, ...]:
+    """Per maximal cone, det.adj of its ray matrix, the inverse when det = +-1."""
+    out = []
+    for cone in fan.max_cones:
+        det, adj = adjugate(fan.cone_matrix(cone))
+        assert det in (1, -1), cone
+        out.append(tuple(tuple(det * v for v in row) for row in adj))
+    return tuple(out)
+
+
+def nef_by_support_function(D: TorusDivisor) -> tuple[bool, bool, Optional[tuple[int, int]]]:
+    """(nef, ample, failing) by convexity of the support function.
+
+    With Cartier data m_sigma (an integer solve per cone), D is nef iff
+    <m_sigma, v_rho> >= -a_rho for every maximal cone sigma and every ray
+    rho outside it, and ample iff all those inequalities are strict.
+    failing is the first (cone index, ray) pair that is violated, or when D
+    is nef the first that is tight, or None when D is ample.
+    """
+    fan = D.fan
+    fan.require_valid()
+    first_violation = None
+    first_equality = None
+    for ci, cone in enumerate(fan.max_cones):
+        m = solve_integer(fan.cone_matrix(cone), [-D.coeffs[i] for i in cone])
+        for ri, ray in enumerate(fan.rays):
+            if ri in cone:
+                continue
+            val = dot(m, ray)
+            if val < -D.coeffs[ri] and first_violation is None:
+                first_violation = (ci, ri)
+            elif val == -D.coeffs[ri] and first_equality is None:
+                first_equality = (ci, ri)
+    nef = first_violation is None
+    ample = nef and first_equality is None
+    return nef, ample, first_violation if not nef else first_equality

@@ -152,6 +152,23 @@ def test_orlov_fails_when_bu_cannot_have_the_k0_rank(tmp_path, capsys):
     assert not data["k_rank_match"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["describe", "dP6"], ["frob", "dP6", "--ell", "3"], ["frob-set", "dP6"],
+    ["cohom", "P2", "--divisor", "-3,0,0"], ["bu", "F2"], ["tilting", "dP6"], ["orlov", "dP6"],
+])
+def test_json_output_serializes_only_the_payload(argv, capsys, monkeypatch):
+    # the md/csv table rows, one json.dumps per cell, are built only for md and csv
+    calls = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+    main(argv)
+    assert len(calls) == 1
+    calls.clear()
+    main([*argv, "--format", "md"])
+    assert len(calls) > 1 or argv[0] == "cohom"
+    capsys.readouterr()
+
+
 def test_unknown_target_exits_two(capsys):
     code, out, err = run(capsys, "describe", "NotAFan")
     assert code == 2

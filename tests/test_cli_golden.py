@@ -5,8 +5,9 @@ and the SHA-256 of its stdout with ``cli_golden.json``.  The table covers
 every subcommand except ``batch`` on every catalog fan in json (``frob``
 with ``--ell 2``; ``nef`` and ``cohom`` with ``--divisor`` set to the
 canonical divisor K = -1 on every ray, ``nef`` also with -K = 1 on every
-ray, ``cohom`` also with ``--patterns``),
-plus ``orlov`` in md and csv, and ``batch`` over ``batch_manifest.json`` in
+ray, ``cohom`` also with ``--patterns``), plus ``orlov``, ``describe``,
+``frob``, ``frob-set``, ``bu``, ``tilting`` and ``cohom`` (without
+``--patterns``) in md and csv, and ``batch`` over ``batch_manifest.json`` in
 json, md and csv.  A case is keyed by its argv with the manifest's path
 shortened to its file name, so the key does not depend on the checkout.
 
@@ -51,6 +52,10 @@ def cases() -> dict[str, list[str]]:
             ["orlov", name, "--format", "md"],
             ["orlov", name, "--format", "csv"],
         ]
+        for fmt in ("md", "csv"):
+            out += [[*argv, "--format", fmt] for argv in (
+                ["describe", name], ["frob", name, "--ell", "2"], ["frob-set", name], ["bu", name],
+                ["tilting", name], ["cohom", name, "--divisor", K])]
     out += [["batch", "--manifest", str(MANIFEST), "--format", fmt] for fmt in ("json", "md", "csv")]
     return {" ".join(MANIFEST.name if a == str(MANIFEST) else a for a in argv): argv for argv in out}
 

@@ -8,7 +8,7 @@ from frobtilt.cones import FANO, NEF_FANO, NEITHER, bu_set, is_antinef, is_nef, 
 from frobtilt.fan import TorusDivisor, canonical_divisor, divisor_class, principal_divisor, product
 from frobtilt.frobenius import frob_set
 from frobtilt.lattice import dot
-from oracles import nef_by_walls, solve_integer
+from oracles import nef_by_support_function, nef_by_walls, scrambled, solve_integer, subdivision_chain
 
 P1 = builtin("P1").fan
 P2 = builtin("P2").fan
@@ -22,7 +22,10 @@ WALL_FANS.update({
     "dP6xP1": product(builtin("dP6").fan, P1),
     "dP6xP2": product(builtin("dP6").fan, P2),
     "BlptP3xP1": product(builtin("BlptP3").fan, P1),
+    "chain4": subdivision_chain("P4", 8, 5),
 })
+# GL(n, Z) images with their rays reordered: no product, other wall relations
+WALL_FANS.update({f"{name}-scrambled": scrambled(builtin(name).fan, 7) for name in catalog_names()})
 
 
 # --- is_nef / is_antinef ------------------------------------------------------
@@ -34,9 +37,13 @@ def test_is_nef_matches_wall_curve_oracle(name):
     rng = random.Random(f"walls-{name}")
     divisors = [TorusDivisor(fan, tuple(rng.randint(-3, 3) for _ in fan.rays)) for _ in range(40)]
     divisors += [-canonical_divisor(fan), TorusDivisor(fan, (0,) * fan.n_rays)]
+    nef, ample = nef_by_walls(-canonical_divisor(fan))
+    assert nef_fano_status(fan) == (FANO if ample else NEF_FANO if nef else NEITHER)
     for D in divisors:
         v = is_nef(D)
         assert (v.is_nef, v.is_ample) == nef_by_walls(D)
+        assert (v.is_nef, v.is_ample, v.failing) == nef_by_support_function(D)
+        assert is_antinef(D) == nef_by_walls(-D)[0]
         if v.is_ample:
             assert v.failing is None
             continue

@@ -1,4 +1,5 @@
 import gc
+import importlib
 import itertools
 import random
 import weakref
@@ -22,14 +23,17 @@ from frobtilt.fan import (
     projective_space,
     star_subdivision,
     validate,
-    _cone_contains,
 )
 from frobtilt.frobenius import frob_set, pushforward_summands
 from frobtilt.lattice import dot
 from frobtilt.tilting import orlov_check
-from oracles import hermite_normal_form
+from oracles import (
+    cone_contains, cone_inverses, hermite_normal_form, scrambled, subdivision_chain,
+    validate_by_adjugates,
+)
 
 
+fan_module = importlib.import_module("frobtilt.fan")
 P1 = projective_space(1)
 P2 = projective_space(2)
 F1 = hirzebruch(1)
@@ -105,7 +109,7 @@ def test_folded_fan_flagged_by_local_injectivity():
     assert rep.smooth and rep.ridge_paired and rep.connected
     assert not rep.complete
     assert rep.failures == ("rays 1 and 5 lie on the same side of ridge (0,)",)
-    assert sum(_cone_contains(f, c, (3, -1)) for c in f.max_cones) == 3
+    assert sum(cone_contains(f, c, (3, -1)) for c in f.max_cones) == 3
 
 
 def test_nonprimitive_ray_flagged():
@@ -159,9 +163,43 @@ def test_cone_contains_matches_rational_solve():
                     lam = [rng.choice((0, 0, 1, 2, -1)) for _ in M]
                     x = tuple(sum(l * r[i] for l, r in zip(lam, M)) for i in range(fan.dim))
                 expected = all(v >= 0 for v in _solve_fraction(M, x))
-                assert _cone_contains(fan, cone, x) == expected, (fan.rays, cone, x)
+                assert cone_contains(fan, cone, x) == expected, (fan.rays, cone, x)
                 inside += expected
     assert inside > 0
+
+
+WALK_FANS = {name: lambda name=name: builtin(name).fan for name in catalog_names()}
+WALK_FANS.update({f"{name}-scrambled-{seed}": lambda name=name, seed=seed: scrambled(builtin(name).fan, seed)
+                  for name in catalog_names() for seed in (1, 2)})
+WALK_FANS["dP6xP2-scrambled"] = lambda: scrambled(product(builtin("dP6").fan, P2), 3)
+WALK_FANS["chain4"] = lambda: subdivision_chain("P4", 8, 5)
+
+
+@pytest.mark.parametrize("name", WALK_FANS)
+def test_ridge_walk_inverts_every_cone_as_the_adjugates_do(name):
+    fan = WALK_FANS[name]()
+    fresh = Fan(fan.dim, fan.rays, fan.max_cones)
+    assert validate(fresh) == validate_by_adjugates(fresh) and fresh.validation.ok
+    assert fresh._cone_inverses == cone_inverses(fresh)
+    ridges, _, flips, seeds = fresh._ridge_walk
+    assert seeds == 1 and len(flips) == len(ridges) == len(fresh._walls)
+    # one wall relation per ridge: v_o1 + v_o2 - sum y_i v_i = 0
+    for wall in fresh._walls:
+        assert all(sum(c * fresh.rays[i][k] for i, c in wall) == 0 for k in range(fan.dim))
+
+
+def test_the_walk_computes_one_adjugate_on_a_connected_fan(monkeypatch):
+    calls = []
+    real = fan_module.adjugate
+    monkeypatch.setattr(fan_module, "adjugate", lambda A: calls.append(A) or real(A))
+    fan = subdivision_chain("P4", 8, 5)
+    validate(Fan(fan.dim, fan.rays, fan.max_cones))
+    assert len(calls) == 1
+    # cones of determinant 3 and 2 are crossed too: one adjugate, the oracle's report
+    calls.clear()
+    wedge = Fan(2, ((1, 0), (1, 3), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
+    assert validate(wedge) == validate_by_adjugates(wedge)
+    assert len(calls) == 1 and [det for det, _ in wedge._ridge_walk[1]] == [3, -1, 2]
 
 
 # --- divisor_class ----------------------------------------------------------

@@ -24,7 +24,7 @@ from frobtilt.fan import (
     validate,
 )
 from frobtilt.frobenius import frob_set, pushforward_summands
-from oracles import residue_walk
+from oracles import residue_walk, validate_by_adjugates
 
 MAX_RAYS = 10
 EXACT_RAYS = 8
@@ -94,6 +94,39 @@ def test_certificate_rejects_winding_fans(k, data):
     assert rep.smooth and rep.ridge_paired and rep.connected
     assert not rep.complete and not rep.ok
     assert any(f"degree {k}," in msg for msg in rep.failures)
+
+
+@st.composite
+def perturbed_fans(draw) -> Fan:
+    """A generated fan after one to three random edits of its rays or cones.
+
+    An edit bumps one coordinate of a ray by 1, doubles or negates a ray,
+    drops a cone, or puts another ray into a cone, in place of one of its
+    rays or as a new cone; most results are invalid in one way or several.
+    """
+    fan = draw(smooth_fans())
+    rays, cones = [list(r) for r in fan.rays], [list(c) for c in fan.max_cones]
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(("bump", "double", "negate", "drop", "swap", "add")))
+        i = draw(st.integers(0, len(rays) - 1))
+        if edit == "bump":
+            rays[i][draw(st.integers(0, fan.dim - 1))] += draw(st.sampled_from((-1, 1)))
+        elif edit in ("double", "negate"):
+            rays[i] = [(2 if edit == "double" else -1) * x for x in rays[i]]
+        elif edit == "drop" and len(cones) > 1:
+            cones.pop(draw(st.integers(0, len(cones) - 1)))
+        elif edit in ("swap", "add"):
+            at = draw(st.integers(0, len(cones) - 1))
+            cone = list(cones[at])
+            cone[draw(st.integers(0, len(cone) - 1))] = i
+            cones[at:at + (edit == "swap")] = [cone]
+    return Fan(fan.dim, tuple(map(tuple, rays)), tuple(map(tuple, cones)))
+
+
+@PROPERTY
+@given(perturbed_fans())
+def test_ridge_walk_reports_as_the_adjugate_oracle_on_perturbed_fans(fan):
+    assert validate(fan) == validate_by_adjugates(fan)
 
 
 @st.composite
