@@ -182,12 +182,17 @@ def _nerve_ranks(fan: Fan, nerve: list[tuple[int, tuple[int, ...]]]) -> list[tup
 
 
 def require_pattern_rays(fan: Fan) -> None:
-    """Raise ValueError when the fan has more than MAX_PATTERN_RAYS rays."""
-    if fan.n_rays > MAX_PATTERN_RAYS:
-        raise ValueError(
-            f"cohomology walks all 2^r subsets of the rays; the fan has {fan.n_rays} rays "
-            f"and at most {MAX_PATTERN_RAYS} are supported"
-        )
+    """Raise ValueError when the fan, or a factor of a product, has more than MAX_PATTERN_RAYS rays.
+
+    A product's cohomology and frob set are read from its factors, so only
+    their ray subsets are walked.
+    """
+    for part in [factor for _, factor, _ in fan._factors] or [fan]:
+        if part.n_rays > MAX_PATTERN_RAYS:
+            raise ValueError(
+                f"cohomology walks all 2^r subsets of the rays; the fan has {part.n_rays} rays "
+                f"and at most {MAX_PATTERN_RAYS} are supported"
+            )
 
 
 def _circuits(fan: Fan) -> tuple[IntVec, ...]:

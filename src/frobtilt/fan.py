@@ -12,13 +12,16 @@ Divisor classes live in Pic = Z^{#rays} / M, coordinatized once and for all
 by the one representative that vanishes on a fixed lattice basis of rays, so
 class equality is plain integer-vector equality.
 
+The walls' degree functions D.V(tau) are rows on these class coordinates,
+each distinct function once (Fan._walls).
+
 A fan whose rays split into coordinate blocks, two coordinates joined when
-a ray is nonzero on both, is a product: its cones are the products of the
-blocks' cones, and its basis is the union of the factors' bases, so a
-factor's class is the factor's coordinates picked out of the product's.
-A product is certified by its factors' certificates plus the cone count
-(Fan.validation); its basis, cohomology, frob set, anti-nef set, -K
-status, Ext table and m0 are answered from its factors.
+a ray is nonzero on both, is a product (Fan._factors): its cones are the
+products of the blocks' cones, and its basis is the union of the factors'
+bases, so a factor's class is the factor's coordinates picked out of the
+product's.  A product is certified by its factors' certificates plus the
+cone count (Fan.validation); its basis and wall rows are its factors',
+and its cohomology, frob set, Ext table and m0 are answered from them.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ class Fan:
     def validation(self) -> "ValidationReport":
         """validate(self), or for a product its factors' reports and the cone count.
 
-        A fan with valid factors (_split) and every ray in a block is valid
+        A fan with valid factors (_factors) and every ray in a block is valid
         when it has as many cones as the product of its factors' counts.
         Projection maps its cones one to one to tuples of factor cones (a
         cone is the union of its projections), and the factor cones are
@@ -100,9 +103,9 @@ class Fan:
         cone's determinant is +-the product of its factors', and the support
         is the product of theirs.  Any other fan gets the full validate.
         """
-        split = self._split
-        if (split and sum(len(rays) for rays, _ in split) == self.n_rays
-                and len(self.max_cones) == prod(len(factor.max_cones) for _, factor in split)):
+        factors = self._factors
+        if (factors and sum(len(rays) for rays, _, _ in factors) == self.n_rays
+                and len(self.max_cones) == prod(len(factor.max_cones) for _, factor, _ in factors)):
             return ValidationReport(True, True, True, True, True, True, ())
         return validate(self)
 
@@ -177,18 +180,29 @@ class Fan:
 
     @cached_property
     def _walls(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per wall tau of a valid fan, D.V(tau) as (ray, coefficient) pairs.
+        """The distinct functions D.V(tau) over the walls tau of a valid fan, on class coordinates.
 
-        The wall relation v_o1 + v_o2 - sum_{i in tau} y_i v_i = 0 (y_o1 = -1)
-        gives D.V(tau) = a_o1 + a_o2 - sum y_i a_i (Cox-Little-Schenck,
-        Toric Varieties, Prop. 6.4.4).
+        A flip's v_o2 = sum_{i in sigma} y_i v_i, y_o1 = -1, is the wall
+        relation, and D.V(tau) = a_o2 - sum y_i a_i = a_o1 + a_o2 - sum_{i in
+        tau} y_i a_i (Cox-Little-Schenck, Toric Varieties, Prop. 6.4.4).  A
+        class's representative is 0 on the basis rays, so a row keeps the
+        other rays, as (class coordinate, coefficient) pairs sorted by
+        coordinate; equal functions are one row.  A wall of a product is a
+        factor's wall times a cone of the others, where D.V(tau) is the
+        factor class's degree, so a product's rows are its factors', moved
+        to their Picard positions.
         """
-        walls = []
-        for ci, k, o2, y in self._ridge_walk[2].values():
-            cone = self.max_cones[ci]
-            walls.append(((cone[k], 1), (o2, 1),
-                          *((i, -yi) for j, (i, yi) in enumerate(zip(cone, y)) if yi and j != k)))
-        return tuple(walls)
+        if self._factors:
+            return tuple(tuple((positions[p], c) for p, c in row)
+                         for _, factor, positions in self._factors for row in factor._walls)
+        place = {j: p for p, j in enumerate(self._pic[1])}
+        rows = set()
+        for ci, _, o2, y in self._ridge_walk[2].values():
+            row = [(place[i], -yi) for i, yi in zip(self.max_cones[ci], y) if yi and i in place]
+            if o2 in place:
+                row.append((place[o2], 1))
+            rows.add(tuple(sorted(row)))
+        return tuple(sorted(rows))
 
     @cached_property
     def _pic(self) -> tuple[tuple[int, ...], tuple[int, ...], IntMat]:
@@ -202,9 +216,9 @@ class Fan:
         and the least element of the symmetric difference of two sets
         decides their order, so a product takes its factors' first bases.
         """
-        rays, split = self.rays, self._split
-        if split:
-            basis = tuple(sorted(idx[j] for idx, factor in split for j in factor._pic[0]))
+        rays, factors = self.rays, self._factors
+        if factors:
+            basis = tuple(sorted(idx[j] for idx, factor, _ in factors for j in factor._pic[0]))
             det, adj = adjugate([rays[i] for i in basis])
         else:
             found = _first_basis(rays, self.dim, ())
@@ -220,14 +234,16 @@ class Fan:
         return len(self._pic[1])
 
     @cached_property
-    def _split(self) -> tuple[tuple[tuple[int, ...], "Fan"], ...]:
-        """Per coordinate block of a fan of two or more: its rays and its factor Fan.
+    def _factors(self) -> tuple[tuple[tuple[int, ...], "Fan", tuple[int, ...]], ...]:
+        """Per coordinate block of a fan of two or more: its rays, its Fan, its Picard positions.
 
         The blocks are the components of the coordinates, two joined when a
         ray is nonzero on both; each factor keeps its rays in the product's
         order, and its cones are the projections of the product's.  Equal
-        factors are one Fan object, so they share one cohomology cache.  A
-        fan of one block, or with a factor that is not a valid fan, gives ().
+        factors are one Fan object, so they share one cohomology cache.  The
+        positions are where the factor's class coordinates sit among the
+        product's, whose basis is the union of the factors' bases.  A fan of
+        one block, or with a factor that is not a valid fan, gives ().
         """
         masks = [sum(1 << k for k, x in enumerate(ray) if x) for ray in self.rays]
         blocks = _coordinate_blocks(masks)
@@ -244,18 +260,10 @@ class Fan:
             if not factor.validation.ok:
                 return ()
             split.append((rays, factor))
-        return tuple(split)
-
-    @cached_property
-    def _factors(self) -> tuple[tuple[tuple[int, ...], "Fan", tuple[int, ...]], ...]:
-        """Per factor of a product fan: its rays, its Fan, and its Picard positions.
-
-        The positions are where the factor's class coordinates sit among the
-        product's, whose basis is the union of the factors'.  () when _split is.
-        """
-        others = self._pic[1] if self._split else ()
-        return tuple((rays, factor, tuple(others.index(rays[j]) for j in factor._pic[1]))
-                     for rays, factor in self._split)
+        basis = {rays[j] for rays, factor in split for j in factor._pic[0]}
+        place = {i: p for p, i in enumerate(i for i in range(self.n_rays) if i not in basis)}
+        return tuple((rays, factor, tuple(place[rays[j]] for j in factor._pic[1]))
+                     for rays, factor in split)
 
     # mutable per-fan caches, filled lazily; a Fan is immutable otherwise
     @cached_property

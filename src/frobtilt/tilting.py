@@ -112,20 +112,10 @@ class OrlovReport:
         }
 
 
-def _require_factor_rays(fan: Fan) -> None:
-    """The pattern ray bound on each factor of a product, or on the fan itself.
-
-    A product's cohomology and frob set are read from its factors, so only
-    their ray subsets are walked.
-    """
-    for factor in [factor for _, factor, _ in fan._factors] or [fan]:
-        require_pattern_rays(factor)
-
-
 def build_candidate(fan: Fan, summands: Optional[tuple[DivisorClass, ...]] = None) -> TiltingCandidate:
     """Assemble the candidate: summands (bu set by default), Ext table, Gram."""
     fan.require_valid()
-    _require_factor_rays(fan)  # before bu_set's chamber walk
+    require_pattern_rays(fan)  # before bu_set's chamber walk
     if summands is None:
         summands = bu_set(fan)
     if fan._factors:
@@ -205,7 +195,7 @@ def _factor_pairs(fan: Fan, summands: tuple[DivisorClass, ...], twist: bool
 def orlov_check(fan: Fan, name: str = "") -> OrlovReport:
     """Evaluate every computable hypothesis and assemble the report."""
     fan.require_valid()
-    _require_factor_rays(fan)  # before frob_set's chamber walk
+    require_pattern_rays(fan)  # before frob_set's chamber walk
     fs = frob_set(fan)
     candidate = build_candidate(fan, bu_set(fan, fs))
     ev = ext_vanishing(candidate)

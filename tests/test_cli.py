@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from frobtilt import cli
-from frobtilt.catalog import CatalogEntry, builtin, catalog_names, save
+from frobtilt.catalog import CatalogEntry, builtin, catalog_names, load, save
 from frobtilt.cli import main
 from frobtilt.fan import Fan, product, projective_space, star_subdivision
 
@@ -309,17 +309,29 @@ def test_ray_bound_is_inclusive(tmp_path, capsys, monkeypatch):
     assert run(capsys, "cohom", _p2_chain_file(tmp_path, 5), "--divisor", "0,0,0,0,0")[0] == 2
 
 
-@pytest.mark.parametrize("command", ["tilting", "orlov"])
+@pytest.mark.parametrize("command", ["tilting", "orlov", "cohom"])
 def test_ray_bound_applies_to_each_factor_of_a_product(tmp_path, capsys, monkeypatch, command):
-    # dP6 x P2 has 9 rays but factors of 6 and 3, whose ray subsets alone are walked
+    # dP6 x P2 has 9 rays but factors of 6 and 3, whose ray subsets alone are walked;
+    # the 7-ray P2 chain x P1 has 9 rays too, but a factor of 7
     monkeypatch.setattr(importlib.import_module("frobtilt.cohomology"), "MAX_PATTERN_RAYS", 6)
+
+    def argv(path, n_rays):
+        return [command, str(path)] + (["--divisor", ",".join(["0"] * n_rays)]
+                                       if command == "cohom" else [])
+
     path = tmp_path / "dP6xP2.json"
     save(CatalogEntry("dP6xP2", product(builtin("dP6").fan, builtin("P2").fan), "product"), path)
-    code, out, _ = run(capsys, command, str(path))
+    code, out, _ = run(capsys, *argv(path, 9))
     assert code == 0 and out
-    code, out, err = run(capsys, command, _p2_chain_file(tmp_path, 7))
-    assert code == 2 and out == ""
-    assert "7 rays" in err and "at most 6" in err
+    chain = _p2_chain_file(tmp_path, 7)
+    chain_x_p1 = tmp_path / "chain7xP1.json"
+    save(CatalogEntry("chain7xP1", product(load(chain).fan, builtin("P1").fan), "product"),
+         chain_x_p1)
+    for path, n_rays in ((chain, 7), (chain_x_p1, 9)):
+        code, out, err = run(capsys, *argv(path, n_rays))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "7 rays" in err and "at most 6" in err
 
 
 def test_cohom_patterns_on_a_product_beyond_the_ray_bound(tmp_path, capsys):

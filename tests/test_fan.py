@@ -182,10 +182,13 @@ def test_ridge_walk_inverts_every_cone_as_the_adjugates_do(name):
     assert validate(fresh) == validate_by_adjugates(fresh) and fresh.validation.ok
     assert fresh._cone_inverses == cone_inverses(fresh)
     ridges, _, flips, seeds = fresh._ridge_walk
-    assert seeds == 1 and len(flips) == len(ridges) == len(fresh._walls)
-    # one wall relation per ridge: v_o1 + v_o2 - sum y_i v_i = 0
-    for wall in fresh._walls:
-        assert all(sum(c * fresh.rays[i][k] for i, c in wall) == 0 for k in range(fan.dim))
+    assert seeds == 1 and len(flips) == len(ridges)
+    # one wall relation per ridge: v_o1 + v_o2 - sum_{i != o1} y_i v_i = 0
+    for ci, k, o2, y in flips.values():
+        cone = fresh.max_cones[ci]
+        wall = [(cone[k], 1), (o2, 1),
+                *((i, -yi) for j, (i, yi) in enumerate(zip(cone, y)) if j != k)]
+        assert all(sum(c * fresh.rays[i][d] for i, c in wall) == 0 for d in range(fan.dim))
 
 
 def test_the_walk_computes_one_adjugate_on_a_connected_fan(monkeypatch):
@@ -426,7 +429,7 @@ def test_a_cold_fan_is_freed_without_the_cycle_collector(make, run):
     try:
         fan = make()
         run(fan)
-        refs = [weakref.ref(fan)] + [weakref.ref(factor) for _, factor in fan._split]
+        refs = [weakref.ref(fan)] + [weakref.ref(factor) for _, factor, _ in fan._factors]
         del fan
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:

@@ -4,7 +4,7 @@ A fan whose rays split into coordinate blocks takes its factors'
 certificates plus the cone count for its validation, its factors' first
 bases for its Picard basis, Kunneth for its cohomology and Ext table,
 joins of its factors' patterns for its weight patterns, the factors'
-chamber walks for its frob set, its factors' nef verdicts for its
+chamber walks for its frob set, its factors' wall rows for its
 anti-nef set and -K status, and sums of its factors' Ext tops for m0.
 The checks here are the full validate, a brute-force first lattice
 basis, the chamber walk with an LP at every node, and unimodularly mixed
@@ -23,13 +23,15 @@ import pytest
 from frobtilt.catalog import CatalogEntry, builtin, catalog_names, load, save
 from frobtilt.cli import main
 from frobtilt.cohomology import cohomology, ext_dims, weight_patterns
-from frobtilt.cones import bu_set, is_antinef
+from frobtilt.cones import FANO, NEF_FANO, NEITHER, bu_set, is_antinef, is_nef, nef_fano_status
 from frobtilt.fan import (
     DivisorClass, Fan, TorusDivisor, canonical_divisor, divisor_class, product, validate,
 )
 from frobtilt.frobenius import FrobSet, frob_set, minimal_stabilizing_ell
 from frobtilt.tilting import build_candidate, m0, orlov_check
-from oracles import chamber_walk, counted_cohomology, first_lattice_basis, subdivision_chain
+from oracles import (
+    chamber_walk, counted_cohomology, first_lattice_basis, nef_by_walls, subdivision_chain,
+)
 
 cohomology_module = importlib.import_module("frobtilt.cohomology")
 fan_module = importlib.import_module("frobtilt.fan")
@@ -91,10 +93,37 @@ def test_product_questions_build_no_product_patterns(name):
 
 @pytest.mark.parametrize("name", PRODUCTS)
 def test_product_orlov_builds_no_product_cartier_data(name):
-    # bu_set and nef_fano_status decide nefness on the factors alone
+    # bu_set and nef_fano_status read wall rows built from the factors' walks alone
     fan = PRODUCTS[name]()
     orlov_check(fan, name)
-    assert not {"_cone_inverses", "_walls", "_ridge_walk"} & set(vars(fan))
+    assert not {"_cone_inverses", "_ridge_walk"} & set(vars(fan))
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_product_wall_rows_and_nef_verdicts_match_a_mixed_copy(name):
+    # the mixed copy shares the class coordinates and reads its rows off its own ridge walk
+    fan = PRODUCTS[name]()
+    copy = mixed(fan)
+    assert set(fan._walls) == set(copy._walls)
+    rng = random.Random(f"nef-{name}")
+    seen = set()
+    for _ in range(10):
+        k = rng.choice((-2, -1, 0, 1, 2))
+        coeffs = tuple(k + rng.randint(-1, 1) for _ in fan.rays)
+        D, C = TorusDivisor(fan, coeffs), TorusDivisor(copy, coeffs)
+        got = is_nef(D)
+        assert got == is_nef(C), coeffs
+        assert (got.is_nef, got.is_ample) == nef_by_walls(D), coeffs
+        assert is_antinef(D) == is_antinef(C) == nef_by_walls(-D)[0], coeffs
+        seen.add((got.is_nef, is_antinef(D)))
+    assert {(True, False), (False, True)} <= seen
+    nef, ample = nef_by_walls(-canonical_divisor(fan))
+    status = FANO if ample else NEF_FANO if nef else NEITHER
+    assert nef_fano_status(fan) == nef_fano_status(copy) == status
+    frob = frob_set(fan)
+    expected = [cls.coords for cls in frob.classes if nef_by_walls(-cls.representative())[0]]
+    assert [cls.coords for cls in bu_set(fan, frob)] == sorted(expected)
+    assert [cls.coords for cls in bu_set(copy)] == sorted(expected)
 
 
 @pytest.mark.parametrize("name", ["P1^4", "dP6xP2", "P2xP2"])
@@ -279,7 +308,7 @@ PRODUCT_CASES = product_cases()
 def test_product_validation_by_factors_matches_the_full_route(name):
     fan = PRODUCT_CASES[name]()
     report = fan.validation
-    assert fan._split and "_ridge_walk" not in vars(fan)  # no product cone was inverted
+    assert fan._factors and "_ridge_walk" not in vars(fan)  # no product cone was inverted
     assert report == validate(fan) and report.ok
 
 
@@ -290,7 +319,7 @@ def test_product_picard_basis_is_the_first_lattice_basis(name):
     rng = random.Random(name)
     for _ in range(2):
         shuffled = interleaved(fan, rng.randrange(1000))
-        assert shuffled._split and shuffled._pic[0] == first_lattice_basis(shuffled)
+        assert shuffled._factors and shuffled._pic[0] == first_lattice_basis(shuffled)
 
 
 def dropped_cone():
@@ -340,9 +369,9 @@ def test_broken_product_reports_as_the_full_route(name, tmp_path, capsys, monkey
 def test_the_cone_count_rejects_a_product_missing_a_cone():
     # the factors are whole and valid; only the count tells the cone is missing
     fan = dropped_cone()
-    assert [factor for _, factor in fan._split] == [dP6, P2]
-    assert sum(len(rays) for rays, _ in fan._split) == fan.n_rays
-    assert len(fan.max_cones) == math.prod(len(f.max_cones) for _, f in fan._split) - 1
+    assert [factor for _, factor, _ in fan._factors] == [dP6, P2]
+    assert sum(len(rays) for rays, _, _ in fan._factors) == fan.n_rays
+    assert len(fan.max_cones) == math.prod(len(f.max_cones) for _, f, _ in fan._factors) - 1
     assert not fan.validation.ok and fan._factors
 
 

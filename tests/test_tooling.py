@@ -109,3 +109,15 @@ def test_oracles_import_no_private_library_name():
         if alias.name.startswith("_")
     ]
     assert found == []
+
+
+def test_only_the_product_routes_read_factors():
+    # the nef layer reads wall rows on class coordinates and never a product's factors
+    readers = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "_factors"
+    }
+    assert "fan.py" in readers
+    assert readers <= {"fan.py", "cohomology.py", "frobenius.py", "tilting.py"}
