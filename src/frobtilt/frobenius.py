@@ -366,35 +366,34 @@ def _chamber_leaves(fan: Fan) -> list[tuple[IntVec, int]]:
     tableau's vertex t.
     """
     units = identity_matrix(fan.dim)
-    ranges = []
+    steps = []  # per ray: None for a unit vector, else each floor b with its two rows
     for ray in fan.rays:
-        lo = sum(min(x, 0) for x in ray)
-        hi = sum(max(x, 0) for x in ray)
-        ranges.append(None if ray in units else range(lo, max(hi, 1)))
+        down = tuple(-x for x in ray)
+        floors = range(-sum(max(x, 0) for x in down), max(sum(max(x, 0) for x in ray), 1))
+        steps.append(None if ray in units else
+                     [(b, ((down, -b, False), (ray, b + 1, True))) for b in floors])
     leaves: list[tuple[IntVec, int]] = []
     root = _strict_tableau(fan.dim, [(e, 1, True) for e in units])
-    _descend(fan, ranges, (), root, leaves)
+    _descend(fan.dim, steps, (), root, leaves)
     return leaves
 
 
-def _descend(fan: Fan, ranges: list, prefix: IntVec, tab: _Tableau, leaves: list) -> None:
+def _descend(dim: int, steps: list, prefix: IntVec, tab: _Tableau, leaves: list) -> None:
     """Try each floor of the ray after prefix; append the leaves below tab to leaves."""
     k = len(prefix)
-    if k == fan.n_rays:
+    if k == len(steps):
         # u = ell*t is a residue at ell = the lcm of t's denominators,
         # and its summand has floor vector prefix.
-        num = [row[-1] for row, col in zip(tab.rows, tab.basis) if col < fan.dim]
+        num = [row[-1] for row, col in zip(tab.rows, tab.basis) if col < dim]
         leaves.append((prefix, tab.den // math.gcd(tab.den, *num)))
         return
-    if ranges[k] is None:  # a unit vector: its rows 0 <= t_i < 1 are the cube's
-        _descend(fan, ranges, prefix + (0,), tab, leaves)
+    if steps[k] is None:  # a unit vector: its rows 0 <= t_i < 1 are the cube's
+        _descend(dim, steps, prefix + (0,), tab, leaves)
         return
-    ray = fan.rays[k]
-    down = tuple(-x for x in ray)
-    for b in ranges[k]:
-        child = _strict_tableau(fan.dim, ((down, -b, False), (ray, b + 1, True)), tab)
+    for b, rows in steps[k]:
+        child = _strict_tableau(dim, rows, tab)
         if child is not None:
-            _descend(fan, ranges, prefix + (b,), child, leaves)
+            _descend(dim, steps, prefix + (b,), child, leaves)
 
 
 def _cell(vectors: tuple[IntVec, ...], bs: tuple[int, ...], ell: int) -> tuple:

@@ -6,17 +6,18 @@ a.x <= b, strict (a.x < b) where flagged.  Rational values stay integer
 numerators over one shared denominator (an LP optimum or point is read
 off the simplex tableau), and coordinate bounds are the integer box.  No
 floating point is used anywhere; strict rows are decided exactly (via an
-auxiliary slack maximization, never a numeric tolerance).  Every LP
-tableau is built by one routine from a dual-feasible basis, so one dual
-simplex is its phase 1 and no artificial columns are used.  A system
-over nonnegative variables can also grow row by row: each step writes
-its new rows into a copy of the last optimal tableau, in its basis, and
-dual simplex re-optimizes it, so no step solves its LP from scratch.
-Coordinate bounds keep one optimal tableau per constraint matrix and
-direction: a new right-hand side is written into its rhs column, and
-dual simplex re-optimizes it.  The integer points of a bounded system
-are counted in its coordinate box, not listed; an empty relaxation counts
-0, and otherwise an unbounded coordinate raises UnboundedSystemError.
+auxiliary slack maximization, never a numeric tolerance).  A tableau
+stores only its nonbasic columns and the rhs; every LP tableau is built
+by one routine from a dual-feasible basis, so one dual simplex is its
+phase 1 and no artificial columns are used.  A system over nonnegative
+variables can also grow row by row: each step appends its new rows, in
+the current basis, to a copy of the last optimal tableau, whose rows
+keep their width, and dual simplex re-optimizes it.  Coordinate bounds
+keep one optimal tableau per constraint matrix and direction: a new
+right-hand side is written into its rhs column, and dual simplex
+re-optimizes it.  The integer points of a bounded system are counted in
+its coordinate box, not listed; an empty relaxation counts 0, and
+otherwise an unbounded coordinate raises UnboundedSystemError.
 """
 
 from __future__ import annotations
@@ -156,67 +157,66 @@ _UNBOUNDED = "unbounded"
 
 
 class _Tableau:
-    """Dense integer simplex tableau sharing one positive denominator.
+    """Integer simplex tableau over one positive denominator, nonbasic columns only.
 
-    rows holds one row per constraint, then the objective row last, which
-    pivots like any other row.  Pivoting uses the exact-division update
-    T'[i][j] = (T[r][c]*T[i][j] - T[i][c]*T[r][j]) / den, so all entries
-    stay integral (the standard integer-pivoting rule of exact LP codes).
+    basis[i] is the basic variable of row i and nonbasic[j] that of column
+    j.  rows holds one row per constraint, then the objective row, which
+    pivots like any other; a row keeps its nonbasic columns, then the rhs,
+    as a basic variable's column is den times a unit vector.  Pivoting on
+    (r, c) uses the exact-division update T'[i][j] = (T[r][c]*T[i][j] -
+    T[i][c]*T[r][j]) / den on the rows i != r, so all entries stay integral
+    (the integer-pivoting rule of exact LP codes), and the leaving variable
+    takes column c.  A copied tableau shares rows, so a pivot writes new lists.
     """
 
-    def __init__(self, rows: list[list[int]], basis: list[int], ncols: int, den: int = 1):
+    def __init__(self, rows: list[list[int]], basis: list[int], nonbasic: list[int], den: int = 1):
         self.rows = rows
         self.basis = basis
-        self.ncols = ncols  # structural columns; column ncols is the rhs
+        self.nonbasic = nonbasic
         self.den = den
 
     def pivot(self, r: int, c: int) -> None:
+        """Pivot on (r, c), negating row r first on a negative entry (dual simplex):
+        the leaving variable's column reads den in row r and -T[i][c] in each
+        other row i, or their negatives after a negation.
+        """
         rows = self.rows
         prow = rows[r]
         p = prow[c]
-        if p <= 0:
-            raise AssertionError("simplex pivot must be positive")
         den = self.den
-        for i in range(len(rows)):
-            if i == r:
-                continue
-            row = rows[i]
-            f = row[c]
-            if f:
-                rows[i] = [(p * a - f * b) // den for a, b in zip(row, prow)]
-            elif p != den:
-                rows[i] = [(p * a) // den for a in row]
+        if p == 0:
+            raise AssertionError("simplex pivot must be nonzero")
+        sign = 1 if p > 0 else -1
+        prow, p = [sign * x for x in prow], sign * p
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                if f:
+                    row = rows[i] = [(p * a - f * b) // den for a, b in zip(row, prow)]
+                    row[c] = -sign * f
+                elif p != den:
+                    rows[i] = [(p * a) // den for a in row]
+        prow[c] = sign * den
+        rows[r] = prow
         self.den = p
-        self.basis[r] = c
-
-    def leaving_row(self, col: int) -> Optional[int]:
-        """Bland's ratio test: the row that leaves when col enters, or None.
-
-        Among the constraint rows with a positive entry in col, the one of
-        least rhs/entry, ties to the smallest basic column.
-        """
-        rhs, basis = self.ncols, self.basis
-        best = None
-        for i in range(len(basis)):
-            row = self.rows[i]
-            a = row[col]
-            if a > 0:
-                if best is None:
-                    best, br, ba = i, row[rhs], a
-                else:
-                    cmp = row[rhs] * ba - br * a
-                    if cmp < 0 or (cmp == 0 and basis[i] < basis[best]):
-                        best, br, ba = i, row[rhs], a
-        return best
+        self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
 
     def maximize(self) -> str:
-        """Run simplex on the objective row, the last row."""
+        """Run simplex on the objective row by Bland's rule: the smallest variable
+        with a negative objective entry enters, and the least rhs/entry over the
+        rows with a positive entry there leaves, ties to the smallest basic one.
+        """
+        rows, basis = self.rows, self.basis
         while True:
-            obj = self.rows[-1]
-            enter = next((j for j in range(self.ncols) if obj[j] < 0), None)
+            enter = min(((v, j) for j, (o, v) in enumerate(zip(rows[-1], self.nonbasic))
+                         if o < 0), default=(None, None))[1]
             if enter is None:
                 return _OPTIMAL
-            r = self.leaving_row(enter)
+            r = None
+            for i, (row, v) in enumerate(zip(rows, basis)):
+                a = row[enter]
+                if a > 0 and (r is None or (cmp := row[-1] * ra - rb * a) < 0 or cmp == 0 and v < rv):
+                    r, rb, ra, rv = i, row[-1], a, v
             if r is None:
                 return _UNBOUNDED
             self.pivot(r, enter)
@@ -224,27 +224,23 @@ class _Tableau:
     def dual_simplex(self) -> str:
         """Run dual simplex from an objective row >= 0 until every rhs is >= 0.
 
-        Bland's rule on both sides: the leaving row is the one of negative
-        rhs with the smallest basic column; the entering column, among
-        those with a negative entry there, is the one of least
-        objective/-entry, ties to the smallest.  The row is negated so the
-        pivot is positive.  _INFEASIBLE when the row has no negative entry.
+        Bland's rule on both sides: the row of negative rhs with the smallest
+        basic variable leaves; of the columns with a negative entry there,
+        the least objective/-entry enters, ties to the smallest variable.
+        _INFEASIBLE when the row has no negative entry.
         """
-        rows, basis, rhs = self.rows, self.basis, self.ncols
+        rows, basis, nonbasic = self.rows, self.basis, self.nonbasic
         while True:
-            r = min((i for i in range(len(basis)) if rows[i][rhs] < 0),
+            r = min((i for i in range(len(basis)) if rows[i][-1] < 0),
                     key=basis.__getitem__, default=None)
             if r is None:
                 return _OPTIMAL
-            row, obj = rows[r], rows[-1]
             enter = None
-            for j in range(rhs):
-                a = row[j]
-                if a < 0 and (enter is None or obj[j] * ea > obj[enter] * a):
-                    enter, ea = j, a
+            for j, (a, o, v) in enumerate(zip(rows[r], rows[-1], nonbasic)):
+                if a < 0 and (enter is None or (cmp := o * ea - eo * a) > 0 or cmp == 0 and v < ev):
+                    enter, ea, eo, ev = j, a, o, v
             if enter is None:
                 return _INFEASIBLE
-            rows[r] = [-x for x in row]
             self.pivot(r, enter)
 
 
@@ -252,37 +248,36 @@ def _strict_tableau(dim: int, rows: Sequence[tuple[Sequence[int], int, bool]],
                     parent: Optional[_Tableau] = None) -> Optional[_Tableau]:
     """Whether the rows (a, b, strict) over x >= 0 have a point, warm-started from parent.
 
-    The columns are x (dim), the strictness slack s, then one slack per
-    row; every variable is >= 0.  The LP maximizes s subject to s <= 1 and
-    a.x + strict*s <= b per row, and the rows meet at some x, strict ones
-    strictly, iff the optimum s* is positive.  parent is the optimal
-    tableau of the rows before, left unchanged; without one it is that of
-    s <= 1 alone, with s basic.  A copy gains one slack column and one row
-    per new row, each row written in the current basis over the shared
-    denominator (minus a_c times the row of each basic x_c or s).  The
-    objective row stays >= 0, so dual simplex restores feasibility, and
-    it is the only phase 1 of every LP here.  Returns the optimal tableau,
-    or None when the rows meet nowhere (infeasible, or s* = 0).  x_c is
-    the rhs of the row with c basic, over den, and 0 when c is not basic.
+    The variables are x (0 to dim - 1), the strictness slack s (dim), the
+    slack of s <= 1 (dim + 1), then one slack per row, all >= 0.  The LP
+    maximizes s subject to s <= 1 and a.x + strict*s <= b per row, and the
+    rows meet at some x, strict ones strictly, iff the optimum s* is
+    positive.  parent, left unchanged, is the optimal tableau of the rows
+    before; without one it is that of s <= 1 alone, with s basic.  A copy
+    shares its parent's rows and appends one per new row, with its new
+    slack basic, written in the current basis over the shared denominator
+    (minus a_c times the row of each basic x_c or s).  The objective row
+    stays >= 0, so dual simplex restores feasibility, and it is the only
+    phase 1 of every LP here.  Returns the optimal tableau, or None when
+    the rows meet nowhere (infeasible, or s* = 0).  x_c is the rhs of the
+    row with c basic, over den, and 0 when c is not basic.
     """
     if parent is None:
-        parent = _Tableau([[0] * dim + [1, 1, 1], [0] * dim + [0, 1, 1]], [dim], dim + 2)
-    m, n, den = len(rows), parent.ncols, parent.den
-    pad = [0] * m
-    body = [row[:-1] + pad + row[-1:] for row in parent.rows]
-    obj = body.pop()
+        parent = _Tableau([[0] * dim + [1, 1], [0] * dim + [1, 1]], [dim], [*range(dim), dim + 1])
+    den, nonbasic = parent.den, parent.nonbasic
+    n = len(parent.basis) + len(nonbasic)  # the variables so far; the new slacks follow
+    body = parent.rows[:-1]
     basic = [(row, col) for row, col in zip(body, parent.basis) if col <= dim]
-    for j, (a, b, strict) in enumerate(rows):
+    for a, b, strict in rows:
         coeffs = (*map(operator.index, a), int(strict))
-        new = [den * x for x in coeffs] + [0] * (n - dim - 1) + pad + [den * operator.index(b)]
-        new[n + j] = den
+        new = [den * coeffs[v] if v <= dim else 0 for v in nonbasic] + [den * operator.index(b)]
         for row, col in basic:
             f = coeffs[col]
             if f:
                 new = [x - f * y for x, y in zip(new, row)]
         body.append(new)
-    body.append(obj)
-    tab = _Tableau(body, parent.basis + list(range(n, n + m)), n + m, den)
+    body.append(parent.rows[-1])
+    tab = _Tableau(body, parent.basis + list(range(n, n + len(rows))), nonbasic.copy(), den)
     if tab.dual_simplex() != _OPTIMAL or tab.rows[-1][-1] == 0:
         return None
     return tab
@@ -294,23 +289,23 @@ def lp_maximize(dim: int, rows: Sequence[tuple[Sequence[int], int]], objective: 
 
     Rows and objective are integer; returns (status, value, tableau).
     Phase 1 is _strict_tableau over x+ and x- with no strict row, so the
-    columns are x+ (dim), x- (dim), the strictness slack s, the slack of
+    variables are x+ (dim), x- (dim), the strictness slack s, the slack of
     s <= 1, then one slack per row; s stays basic at 1 and plays no part.
     The objective, priced in that feasible basis, is then maximized by
-    primal simplex.  At an optimum the maximum is value / tableau.den,
-    tableau.basis holds the basic column of each row, and x_k is the rhs
-    of a row with x+_k basic (column k) less that of a row with x-_k basic
-    (column dim + k), over tableau.den.  Every row, the objective row
-    included, has as rhs its slack columns (2*dim + 1 on) times
-    (1, b).  Otherwise value and tableau are None.
+    primal simplex.  At an optimum the maximum is value / tableau.den, and
+    x_k is the rhs of a row with x+_k basic (tableau.basis holds k) less
+    that of a row with x-_k basic (dim + k), over tableau.den.  Every row,
+    the objective row included, has as rhs its stored slack columns times
+    (1, b), plus den times b_j when its basic variable is the slack of b_j
+    (b_0 = 1).  Otherwise value and tableau are None.
     """
     if dim <= 0:
         raise ValueError("dimension must be positive")
     tab = _strict_tableau(2 * dim, [((*a, *(-v for v in a)), b, False) for a, b in rows])
     if tab is None:
         return _INFEASIBLE, None, None
-    cost = list(objective) + [-v for v in objective]
-    obj = [-tab.den * v for v in cost] + [0] * (tab.ncols - 2 * dim + 1)
+    cost = [*objective, *(-v for v in objective)]
+    obj = [-tab.den * cost[v] if v < 2 * dim else 0 for v in tab.nonbasic] + [0]
     for row, col in zip(tab.rows, tab.basis):
         if col < 2 * dim and cost[col]:
             obj = [x + cost[col] * y for x, y in zip(obj, row)]
@@ -370,12 +365,14 @@ def coordinate_bounds(S: LinearSystem, bases: Optional[dict] = None
     unbounded.  bases, a dict the caller keeps across systems, holds the
     optimal lp_maximize tableau of each constraint matrix and direction.
     Its objective row does not depend on the right-hand sides, so a cached
-    direction overwrites each row's rhs, in place, with its slack columns
-    times (1, b) and re-optimizes by dual simplex; only a direction with no
-    tableau yet calls lp_maximize.
+    direction overwrites each row's rhs, in place, with its stored slack
+    columns times (1, b), plus den times b_j when the row's basic variable
+    is the slack of row j, and re-optimizes by dual simplex; only a
+    direction with no tableau yet calls lp_maximize.
     """
     A = tuple(a for a, _, _ in S.rows)
     rhs = (1, *(b for _, b, _ in S.rows))  # the leading 1 is the rhs of s <= 1
+    first = 2 * S.dim + 1  # the variable of the slack of s <= 1; the row slacks follow
     known = ({} if bases is None else bases).setdefault(A, {})
     out = []
     for k in range(S.dim):
@@ -384,8 +381,10 @@ def coordinate_bounds(S: LinearSystem, bases: Optional[dict] = None
             # the maximum of sgn * x_k is the objective row's rhs over den
             tab = known.get((k, sgn))
             if tab is not None:
-                for row in tab.rows:
-                    row[-1] = sum(map(operator.mul, row[2 * S.dim + 1:-1], rhs))
+                slacks = [(c, rhs[v - first]) for c, v in enumerate(tab.nonbasic) if v >= first]
+                for row, v in zip(tab.rows, [*tab.basis, 0]):  # the objective row's 0 is no slack
+                    own = tab.den * rhs[v - first] if v >= first else 0
+                    row[-1] = own + sum(row[c] * b for c, b in slacks)
                 if tab.dual_simplex() == _INFEASIBLE:
                     return None
             else:

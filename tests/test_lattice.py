@@ -1,12 +1,16 @@
 import gc
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from frobtilt import lattice
+from frobtilt.catalog import builtin, catalog_names
+from frobtilt.frobenius import _chamber_leaves
 from frobtilt.lattice import (
     LinearSystem,
     UnboundedSystemError,
@@ -19,7 +23,7 @@ from frobtilt.lattice import (
     feasible_point,
     integer_rank,
 )
-from oracles import hermite_normal_form, solve_integer
+from oracles import hermite_normal_form, solve_integer, subdivision_chain
 
 
 def system(dim, rows):
@@ -337,8 +341,8 @@ def test_feasible_no_constraints():
     assert feasible(system(3, []))
 
 
-@pytest.mark.parametrize("seed", range(60))
-def test_feasible_agrees_with_fourier_motzkin(seed):
+def seeded_feasibility_system(seed):
+    """A small seeded system over 2 or 3 variables, strict and equality rows mixed in."""
     rng = random.Random(4000 + seed)
     n = rng.randint(2, 3)
     cons = []
@@ -350,7 +354,12 @@ def test_feasible_agrees_with_fourier_motzkin(seed):
         num = rng.randint(-4, 4)
         den = rng.choice([1, 1, 2])
         cons.append(([den * c for c in coeffs], rel, num))
-    S = system(n, cons)
+    return system(n, cons)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_feasible_agrees_with_fourier_motzkin(seed):
+    S = seeded_feasibility_system(seed)
     got = feasible(S)
     assert got == fm_feasible(S)
     if got:
@@ -415,12 +424,12 @@ def lp_point(tab, dim):
     return num
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_lp_maximize_from_negative_rhs_agrees_with_fourier_motzkin(seed):
-    # a box (often empty) and cuts, the first rhs negative, so the slack
-    # basis starts primal infeasible; every eighth seed makes every rhs
-    # negative, which empties the box.  Fourier-Motzkin reads the maximum
-    # of c.x as that of y, a last coordinate with y = c.x.
+def negative_rhs_lp(seed):
+    """(dim, rows, objective): a box (often empty) and cuts, the first rhs negative.
+
+    The slack basis starts primal infeasible; every eighth seed makes every
+    rhs negative, which empties the box.
+    """
     rng = random.Random(15000 + seed)
     dim = rng.randint(1, 3)
     rows = [(tuple(s * int(i == j) for j in range(dim)), rng.randint(-2, 5))
@@ -430,7 +439,14 @@ def test_lp_maximize_from_negative_rhs_agrees_with_fourier_motzkin(seed):
     rows[0] = (rows[0][0], rng.randint(-2, -1))
     if seed % 8 == 0:
         rows = [(a, -abs(b) - 1) for a, b in rows]
-    c = tuple(rng.randint(-2, 2) for _ in range(dim))
+    return dim, rows, tuple(rng.randint(-2, 2) for _ in range(dim))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_lp_maximize_from_negative_rhs_agrees_with_fourier_motzkin(seed):
+    # Fourier-Motzkin reads the maximum of c.x as that of y, a last
+    # coordinate with y = c.x
+    dim, rows, c = negative_rhs_lp(seed)
     status, value, tab = lattice.lp_maximize(dim, rows, c)
     y = LinearSystem(dim + 1, tuple((a + (0,), b, False) for a, b in rows) + (
         (c + (-1,), 0, False), (tuple(-x for x in c) + (1,), 0, False)))
@@ -453,21 +469,26 @@ def test_lp_maximize_on_a_half_line_is_unbounded():
     assert lattice.lp_maximize(1, [((1,), -1), ((-1,), -1)], (1,))[0] == lattice._INFEASIBLE
 
 
+# all 26 rows a.x <= a.v, a in {-1, 0, 1}^3 \ 0, are tight at the one point
+# v = (1/2, -1, 2), and half of them start infeasible
+V2 = (1, -2, 4)  # 2v
+DEGENERATE_ROWS = [(tuple(2 * x for x in a), dot(a, V2))
+                   for a in itertools.product((-1, 0, 1), repeat=3) if any(a)]
+UNIT_DIRECTIONS = [(k, sgn) for k in range(3) for sgn in (1, -1)]
+
+
+def unit(k, sgn):
+    return tuple(sgn * int(j == k) for j in range(3))
+
+
 def test_lp_maximize_ends_on_a_degenerate_vertex():
-    # all 26 rows a.x <= a.v, a in {-1, 0, 1}^3 \ 0, are tight at the one
-    # point v = (1/2, -1, 2), and half of them start infeasible: the
-    # zero-objective dual simplex must end there under Bland's rule
-    v2 = (1, -2, 4)  # 2v
-    rows = [(tuple(2 * x for x in a), dot(a, v2)) for a in itertools.product((-1, 0, 1), repeat=3)
-            if any(a)]
-    assert sum(b < 0 for _, b in rows) >= 10
-    for k in range(3):
-        for sgn in (1, -1):
-            obj = tuple(sgn * int(j == k) for j in range(3))
-            status, value, tab = lattice.lp_maximize(3, rows, obj)
-            assert status == lattice._OPTIMAL
-            assert Fraction(value, tab.den) == Fraction(sgn * v2[k], 2)
-            assert [Fraction(x, tab.den) for x in lp_point(tab, 3)] == [Fraction(x, 2) for x in v2]
+    # the zero-objective dual simplex must end at v under Bland's rule
+    assert sum(b < 0 for _, b in DEGENERATE_ROWS) >= 10
+    for k, sgn in UNIT_DIRECTIONS:
+        status, value, tab = lattice.lp_maximize(3, DEGENERATE_ROWS, unit(k, sgn))
+        assert status == lattice._OPTIMAL
+        assert Fraction(value, tab.den) == Fraction(sgn * V2[k], 2)
+        assert [Fraction(x, tab.den) for x in lp_point(tab, 3)] == [Fraction(x, 2) for x in V2]
 
 
 # --- feasible with integer candidates ----------------------------------------
@@ -833,24 +854,41 @@ def test_warm_cache_still_sees_empty_and_unbounded_regions():
 
 
 def assert_rhs_is_slack_block_times(tab, dim, rhs):
-    """Every row's rhs, the objective row's included, is its slack block times (1, rhs)."""
+    """Every row's rhs, the objective row's included, is its slack block times (1, rhs).
+
+    The variables are x+, x-, s, then the slacks (of s <= 1, then of each
+    row); a row stores the nonbasic columns and the rhs.  A slack's entry
+    in a row's block is its stored column there when it is nonbasic, and
+    den or 0 (its implicit unit column) when it is basic.
+    """
     full = (1, *rhs)
-    for row in tab.rows:
-        assert len(row) == 2 * dim + 1 + len(full) + 1
-        assert row[-1] == dot(row[2 * dim + 1:-1], full)
+    first = 2 * dim + 1
+    assert sorted(tab.basis + tab.nonbasic) == list(range(first + len(full)))
+    assert len(tab.nonbasic) == first and len(tab.rows) == len(tab.basis) + 1
+    for i, row in enumerate(tab.rows):
+        assert len(row) == first + 1
+        stored = dict(zip(tab.nonbasic, row))
+        block = [stored[v] if v in stored else tab.den * (i < len(tab.basis) and tab.basis[i] == v)
+                 for v in range(first, first + len(full))]
+        assert row[-1] == dot(block, full)
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_lp_maximize_rhs_is_the_slack_block_times_the_full_rhs(seed):
-    # the invariant a cached coordinate bound re-solves from: the slack
-    # block is den * A_B^-1, the first column that of s <= 1
+def boxed_lp(seed):
+    """(dim, rows, objective): a box, nonempty when every bound is >= 0, and cuts."""
     rng = random.Random(16000 + seed)
     dim = rng.randint(1, 3)
     rows = [(tuple(s * int(i == j) for j in range(dim)), rng.randint(-1, 6))
             for i in range(dim) for s in (1, -1)]
     rows += [(tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(-2, 6))
              for _ in range(rng.randint(0, 4))]
-    c = tuple(rng.randint(-2, 2) for _ in range(dim))
+    return dim, rows, tuple(rng.randint(-2, 2) for _ in range(dim))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_lp_maximize_rhs_is_the_slack_block_times_the_full_rhs(seed):
+    # the invariant a cached coordinate bound re-solves from: the slack
+    # block is den * A_B^-1, the first column that of s <= 1
+    dim, rows, c = boxed_lp(seed)
     status, _, tab = lattice.lp_maximize(dim, rows, c)
     if status == lattice._OPTIMAL:
         assert_rhs_is_slack_block_times(tab, dim, [b for _, b in rows])
@@ -909,3 +947,53 @@ def test_coordinate_bounds_are_the_integer_box_of_fourier_motzkin(seed):
         assert coordinate_bounds(S, bases) == expected
         fractional += sum(x < 0 and x.denominator > 1 for iv in intervals if iv for x in iv)
     assert fractional > 0
+
+
+# --- the pivot path, pinned --------------------------------------------------
+# pivot_pins.json was captured from the tableau that stored every column, a
+# basic variable's unit column included.  A row now stores only its nonbasic
+# columns, and Bland's rule picks by variable number rather than by column
+# position, so every LP must take the same pivots to the same vertex and
+# denominator: the same basis, den and value, and the same chamber ells.
+
+PINS = json.loads(Path(__file__).with_name("pivot_pins.json").read_text())
+CHAINS = {"subdivision_chain P3 8 3": ("P3", 8, 3), "subdivision_chain P4 8 5": ("P4", 8, 5)}
+
+
+def test_pins_cover_the_catalog_and_both_chains():
+    assert list(PINS["chamber_ells"]) == [*catalog_names(), *CHAINS]
+
+
+@pytest.mark.parametrize("name", list(PINS["chamber_ells"]))
+def test_chamber_walk_keeps_its_pinned_ells(name):
+    fan = subdivision_chain(*CHAINS[name]) if name in CHAINS else builtin(name).fan
+    assert [ell for _, ell in _chamber_leaves(fan)] == PINS["chamber_ells"][name]
+
+
+def lp_outcome(dim, rows, objective):
+    status, value, tab = lattice.lp_maximize(dim, rows, objective)
+    return [status, value, tab and tab.den, tab and tab.basis]
+
+
+def test_lp_maximize_keeps_its_pinned_pivot_path():
+    pins = PINS["lp_maximize"]
+    assert [lp_outcome(*negative_rhs_lp(seed)) for seed in range(40)] == pins["negative_rhs_lp"]
+    assert [lp_outcome(*boxed_lp(seed)) for seed in range(30)] == pins["boxed_lp"]
+    assert [lp_outcome(3, DEGENERATE_ROWS, unit(k, sgn))
+            for k, sgn in UNIT_DIRECTIONS] == pins["degenerate"]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_feasible_point_keeps_its_pinned_pivot_path(seed):
+    # [s* numerator, den, basis, x numerators] of the strict tableau that
+    # feasible_point reads its point from, or None when S is empty
+    S = seeded_feasibility_system(seed)
+    tab = lattice._strict_tableau(2 * S.dim, [(a + tuple(-x for x in a), b, strict)
+                                              for a, b, strict in S.rows])
+    point = feasible_point(S)
+    pin = PINS["feasible_point"][seed]
+    if pin is None:
+        assert tab is None and point is None
+    else:
+        assert [tab.rows[-1][-1], tab.den, tab.basis, list(point[0])] == pin
+        assert point[1] == tab.den
