@@ -124,22 +124,18 @@ def entry_from_dict(data: dict) -> CatalogEntry:
     _expect(_is_int(dim) and dim >= 1, "dim", "expected a positive integer")
     rays = data["rays"]
     _expect(isinstance(rays, list) and rays, "rays", "expected a nonempty list")
+    # a ray's or cone's field name and detail are formatted only when it fails
     for i, ray in enumerate(rays):
-        _expect(
-            isinstance(ray, list) and len(ray) == dim and all(_is_int(x) for x in ray),
-            f"rays[{i}]",
-            f"expected a list of {dim} integers",
-        )
+        if not (isinstance(ray, list) and len(ray) == dim and all(map(_is_int, ray))):
+            _expect(False, f"rays[{i}]", f"expected a list of {dim} integers")
     cones = data["max_cones"]
     _expect(isinstance(cones, list) and cones, "max_cones", "expected a nonempty list")
     for i, cone in enumerate(cones):
-        _expect(
-            isinstance(cone, list) and all(_is_int(x) for x in cone),
-            f"max_cones[{i}]",
-            "expected a list of integers",
-        )
+        if not (isinstance(cone, list) and all(map(_is_int, cone))):
+            _expect(False, f"max_cones[{i}]", "expected a list of integers")
         for x in cone:
-            _expect(0 <= x < len(rays), f"max_cones[{i}]", f"ray index {x} out of range")
+            if not 0 <= x < len(rays):
+                _expect(False, f"max_cones[{i}]", f"ray index {x} out of range")
     fan = Fan(dim, tuple(tuple(r) for r in rays), tuple(tuple(c) for c in cones))
     return CatalogEntry(name, fan, USER_FILE)
 

@@ -11,8 +11,9 @@ and the weights in each are counted exactly, never listed.
 Most of those regions are empty.  A region's constraint matrix depends only
 on the fan and the pattern, so emptiness is decided by Farkas certificates
 computed once per fan: the sign-consistent circuits of the rays.  Per
-divisor each circuit costs one dot product, and only the regions that no
-certificate empties reach the simplex and the lattice point count.
+class each circuit costs one dot product with its Picard coordinates, and
+only the regions that no certificate empties reach the simplex and the
+lattice point count; a class with none has h = 0 and builds no divisor.
 
 The per-fan set-up is one walk over the ray subsets.  The nerve is a
 triangulated sphere, so Alexander duality ranks every full subcomplex from
@@ -22,9 +23,9 @@ certificates in the same pass, and with them a boundedness flag: the
 certificates are the conformal circuits of the region's rows, and those
 rows positively span R^n iff the circuits cover every ray.  The same
 set-up writes chi(O(D)) by Brion's localization as one integer polynomial
-per maximal cone.
+per maximal cone, in an exponent read on the class coordinates too.
 
-Per divisor, every surviving region is proven nonempty and bounded.  A
+Per class, every surviving region is proven nonempty and bounded.  A
 maximal cone's vertex, where the cone's rows are tight (the Cartier point
 of D plus the divisors of the region's negative rays), proves it nonempty
 with no LP when it meets the other rows; the LP runs only when no cone's
@@ -71,11 +72,11 @@ from .lattice import (
 # patterns, so the bound applies to each of its factors.
 MAX_PATTERN_RAYS = 16
 
-Circuit = tuple[IntVec, int, int]  # lambda and the positive-part sums of +-lambda
+Circuit = tuple[IntVec, int, int]  # lambda on the class coordinates, positive-part sums of +-lambda
 # rays, ranks, certificate mask, the one degree with a nonzero rank (or -1), bounded
 Pattern = tuple[frozenset[int], tuple[int, ...], int, int, bool]
-# the denominator, and per maximal cone its rays, the beta_j and chi's numerators in alpha
-Localization = tuple[int, tuple[tuple[tuple[int, ...], IntVec, IntVec], ...]]
+# the denominator, and per maximal cone alpha on the class coordinates and chi's numerators
+Localization = tuple[int, tuple[tuple[IntVec, IntVec], ...]]
 
 
 class InfiniteCohomologyError(ArithmeticError):
@@ -226,8 +227,8 @@ def _grow_circuits(rays: tuple[IntVec, ...], support: list[int], echelon: list, 
             out.append(tuple(x // g for x in lam))
 
 
-def _localization(fan: Fan) -> Localization:
-    """Brion's localization of chi(O(D)) as one polynomial per maximal cone.
+def _localization(fan: Fan) -> tuple[int, tuple[tuple[tuple[int, ...], IntVec, IntVec], ...]]:
+    """Brion's localization of chi(O(D)): per maximal cone its rays, beta and polynomial.
 
     chi(O(D)) is the sum over the maximal cones sigma of the constant term at
     s = 0 of e^{s alpha} / prod_j (1 - e^{s beta_j}), where alpha = <m_sigma,
@@ -271,12 +272,12 @@ def _localization(fan: Fan) -> Localization:
                            for cone, beta, poly in zip(fan.max_cones, betas, polys))
 
 
-def _euler_characteristic(fan: Fan, coeffs: IntVec) -> int:
-    """chi(O(D)) from the fan's localization: one dot product and one Horner pass per cone."""
+def _euler_characteristic(fan: Fan, coords: IntVec) -> int:
+    """chi of the class from the localization: a dot product and a Horner pass per cone."""
     den, cones = _active_patterns(fan)[2]
     total = 0
-    for cone, beta, poly in cones:
-        alpha = -sum(b * coeffs[i] for i, b in zip(cone, beta))
+    for alpha_of, poly in cones:
+        alpha = sum(map(operator.mul, alpha_of, coords))
         acc = 0
         for c in poly:
             acc = acc * alpha + c
@@ -287,8 +288,9 @@ def _euler_characteristic(fan: Fan, coeffs: IntVec) -> int:
     return chi
 
 
-def _active_patterns(fan: Fan) -> tuple[tuple[Circuit, ...], tuple[Pattern, ...], Localization]:
-    """The circuits, the active patterns and the localization of chi, once per fan.
+def _active_patterns(fan: Fan) -> tuple[tuple[Circuit, ...], tuple[Pattern, ...], Localization,
+                                         tuple[IntVec, ...]]:
+    """The circuits, the active patterns, chi's localization and the negated rays, once per fan.
 
     A pattern is a ray subset S whose full subcomplex has nonzero reduced
     cohomology, with its ranks and the bitmask of the Farkas certificates
@@ -298,7 +300,10 @@ def _active_patterns(fan: Fan) -> tuple[tuple[Circuit, ...], tuple[Pattern, ...]
     lambda read in an orientation sigma with sigma*lambda_i > 0 only on S
     and sigma*lambda_i < 0 only off S.  Certificate 2c reads circuit c as
     lambda, 2c + 1 as -lambda; each circuit comes with the positive-part
-    sums of lambda and -lambda.  A nonempty region is bounded iff the rows
+    sums of lambda and -lambda.  Both lambda and chi's exponent alpha =
+    -sum beta_j a_j are kept on the class coordinates (the representative's
+    coefficients, 0 on the basis rays), as lambda.a is the same for every
+    divisor of a class.  A nonempty region is bounded iff the rows
     of A_S positively span R^n: the rays span R^n and the certificates'
     supports (the conformal circuits of the rows) cover every ray.  Each
     pattern also carries the degree q when its ranks are nonzero in q
@@ -318,7 +323,8 @@ def _active_patterns(fan: Fan) -> tuple[tuple[Circuit, ...], tuple[Pattern, ...]
             if x:
                 need_in[i] |= 1 << 2 * c + (x < 0)
                 need_out[i] |= 1 << 2 * c + (x > 0)
-        circuits.append((lam, sum(x for x in lam if x > 0), -sum(x for x in lam if x < 0)))
+        circuits.append((tuple([lam[j] for j in fan._pic[1]]), sum(x for x in lam if x > 0),
+                         -sum(x for x in lam if x < 0)))
         supports += [sum(1 << i for i, x in enumerate(lam) if x)] * 2
     every = (1 << 2 * len(circuits)) - 1
     full, spans = (1 << fan.n_rays) - 1, integer_rank(fan.rays) == fan.dim
@@ -340,19 +346,23 @@ def _active_patterns(fan: Fan) -> tuple[tuple[Circuit, ...], tuple[Pattern, ...]
             patterns.append((frozenset(i for i in range(fan.n_rays) if s >> i & 1), ranks, mask,
                              degrees[0] if len(degrees) == 1 else -1, spans and cover == full))
     patterns.sort(key=lambda p: (len(p[0]), sorted(p[0])))
-    result = fan._rank_cache["patterns"] = (tuple(circuits), tuple(patterns), _localization(fan))
+    den, cones = _localization(fan)
+    chi = den, tuple((tuple([-beta[cone.index(j)] if j in cone else 0 for j in fan._pic[1]]), poly)
+                     for cone, beta, poly in cones)
+    negated = tuple(tuple(-x for x in ray) for ray in fan.rays)
+    result = fan._rank_cache["patterns"] = (tuple(circuits), tuple(patterns), chi, negated)
     return result
 
 
-def _emptied(circuits: tuple[Circuit, ...], coeffs: IntVec) -> int:
-    """Bitmask of the certificates proving their patterns' regions empty for D.
+def _emptied(circuits: tuple[Circuit, ...], coords: IntVec) -> int:
+    """Bitmask of the certificates proving their patterns' regions empty for the class.
 
     With y = sigma*lambda, y^T b_S = -(<y, a> + sum of the positive y_i),
     so the certificate applies when <y, a> plus that sum is positive.
     """
     out = 0
     for c, (lam, pos_sum, neg_sum) in enumerate(circuits):
-        t = dot(lam, coeffs)
+        t = sum(map(operator.mul, lam, coords))
         if t + pos_sum > 0:
             out |= 1 << 2 * c
         if neg_sum - t > 0:
@@ -360,17 +370,17 @@ def _emptied(circuits: tuple[Circuit, ...], coeffs: IntVec) -> int:
     return out
 
 
-def _survivors(fan: Fan, coeffs: IntVec) -> list[Pattern]:
-    """The active patterns of D that no certificate empties, for the last D asked.
+def _survivors(fan: Fan, coords: IntVec) -> list[Pattern]:
+    """The active patterns of the class that no certificate empties, for the last class asked.
 
     _counted tallies them before weight_patterns scans them for the
-    same representative, so the certificate mask is computed once per class.
+    class's representative, so the certificate mask is computed once per class.
     """
     last = fan._rank_cache.get("survivors")
-    if last is None or last[0] != coeffs:
-        circuits, patterns, _ = _active_patterns(fan)
-        emptied = _emptied(circuits, coeffs)
-        last = fan._rank_cache["survivors"] = (coeffs, [p for p in patterns if not p[2] & emptied])
+    if last is None or last[0] != coords:
+        circuits, patterns, *_ = _active_patterns(fan)
+        emptied = _emptied(circuits, coords)
+        last = fan._rank_cache["survivors"] = (coords, [p for p in patterns if not p[2] & emptied])
     return last[1]
 
 
@@ -390,15 +400,12 @@ def _pattern_region(fan: Fan, coeffs: IntVec, neg: frozenset[int]) -> LinearSyst
     """Weights m with <m, v_rho> <= -a_rho - 1 on neg rays, >= -a_rho off them.
 
     The strict < of the negativity condition is integer-tight, so a neg row
-    is stored as <v_rho, m> <= -a_rho - 1, and any other as <-v_rho, m> <= a_rho.
+    is stored as <v_rho, m> <= -a_rho - 1, and any other as <-v_rho, m> <= a_rho,
+    with -v_rho from the fan's negated rays.
     """
-    rows = []
-    for i, ray in enumerate(fan.rays):
-        if i in neg:
-            rows.append((ray, -coeffs[i] - 1, False))
-        else:
-            rows.append((tuple(-x for x in ray), coeffs[i], False))
-    return LinearSystem(fan.dim, tuple(rows))
+    rows = zip(fan.rays, _active_patterns(fan)[3], coeffs)
+    return LinearSystem(fan.dim, tuple((ray, -a - 1, False) if i in neg else (down, a, False)
+                                       for i, (ray, down, a) in enumerate(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +425,7 @@ def weight_patterns(fan: Fan, D: TorusDivisor, skip: Optional[int] = None
         return _joined_patterns(fan, D, skip)
     bases = fan._rank_cache.setdefault("bases", {})
     out = []
-    for verts, ranks, _, single, bounded in _survivors(fan, D.coeffs):
+    for verts, ranks, _, single, bounded in _survivors(fan, divisor_class(D).coords):
         region = _pattern_region(fan, D.coeffs, verts)
         if not feasible(region, _cone_witnesses(fan, D.coeffs, verts)):
             raise AssertionError(
@@ -461,9 +468,9 @@ def _class_cohomology(fan: Fan, coords: IntVec) -> tuple[int, ...]:
     """The h-vector of the class with these coordinates, cached per fan under them.
 
     A product fan's miss is answered by Kunneth from its factors' caches.
-    Any other miss builds the class's representative divisor; the degree
-    q* with the most surviving single-degree regions is not counted, and
-    h^{q*} is what chi leaves of the other degrees.
+    Any other miss with a surviving region builds the class's representative
+    divisor; the degree q* with the most surviving single-degree regions is
+    not counted, and h^{q*} is what chi leaves of the other degrees.
     """
     cache = fan._cohomology_cache
     dims = cache.get(coords)
@@ -504,19 +511,21 @@ def _convolve(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
 
 def _counted(fan: Fan, coords: IntVec) -> tuple[int, ...]:
     """The class's surviving regions counted, h^{q*} left to chi when a region is skipped."""
-    rep = DivisorClass(coords, fan).representative()
+    survivors = _survivors(fan, coords)
+    if not survivors:
+        return (0,) * (fan.dim + 1)
     tally = [0] * (fan.dim + 2)  # the last slot collects the multi-degree patterns
-    for _, _, _, single, _ in _survivors(fan, rep.coeffs):
+    for _, _, _, single, _ in survivors:
         tally[single] += 1
     skip = tally.index(max(tally[:-1]))
     total = [0] * (fan.dim + 1)
-    for p in weight_patterns(fan, rep, skip=skip):
+    for p in weight_patterns(fan, DivisorClass(coords, fan).representative(), skip=skip):
         for q, r in enumerate(p.reduced_ranks):
             total[q] += p.point_count * r
     if tally[skip]:
         total[skip] = 0
         rest = sum((-1) ** q * h for q, h in enumerate(total))
-        total[skip] = (-1) ** skip * (_euler_characteristic(fan, rep.coeffs) - rest)
+        total[skip] = (-1) ** skip * (_euler_characteristic(fan, coords) - rest)
     return tuple(total)
 
 

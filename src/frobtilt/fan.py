@@ -365,7 +365,8 @@ def divisor_class(D: TorusDivisor) -> DivisorClass:
     basis, others, coords = fan._pic
     a = D.coeffs
     a_basis = [a[i] for i in basis]
-    return DivisorClass(tuple(a[j] - dot(p, a_basis) for j, p in zip(others, coords)), fan)
+    return DivisorClass(tuple([a[j] - sum(map(operator.mul, p, a_basis))
+                               for j, p in zip(others, coords)]), fan)
 
 
 def cartier_data(D: TorusDivisor) -> tuple[IntVec, ...]:

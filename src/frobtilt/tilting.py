@@ -8,12 +8,12 @@ cones, unimodular Euler pairing), and the resulting bounds
 
     dim X  <=  rouquier dim  <=  generation time  <=  dim X + m0.
 
-On an irreducible fan every Ext group goes through cohomology.ext_dims on
-the summands' classes, so each pair costs one lookup in the fan's
-per-class cohomology cache and builds a representative divisor only on a
-miss.  A product fan's Ext table and m0 come from factor tables: each
-factor asks ext_dims once per distinct pair of projected summands, and a
-pair's Ext is the convolution of its factors' nonnegative h-vectors
+On an irreducible fan each Ext group is read from the per-class cohomology
+cache on the difference of the summands' class coordinates: one lookup per
+pair, and a miss builds a divisor only when a weight region survives.  A
+product fan's Ext table and m0 come from factor tables: each factor reads
+its cache once per distinct pair of projected summands, and a pair's Ext
+is the convolution of its factors' nonnegative h-vectors
 (Kunneth), zero when a factor's is and otherwise topped by the sum of the
 factors' tops, so m0(X x Y) = m0(X) + m0(Y) when the summands are a
 product set.
@@ -26,11 +26,12 @@ so a candidate with another number of summands cannot be full and fails.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional
 
-from .cohomology import CohomologyVector, _convolved, ext_dims, require_pattern_rays
+from .cohomology import CohomologyVector, _class_cohomology, _convolved, require_pattern_rays
 from .cones import NEITHER, bu_set, nef_fano_status
 from .fan import DivisorClass, Fan, _require_on_fan, canonical_divisor, divisor_class
 from .frobenius import frob_set
@@ -118,15 +119,18 @@ def build_candidate(fan: Fan, summands: Optional[tuple[DivisorClass, ...]] = Non
     require_pattern_rays(fan)  # before bu_set's chamber walk
     if summands is None:
         summands = bu_set(fan)
+    _require_on_fan(fan, *summands)
     if fan._factors:
-        _require_on_fan(fan, *summands)
         pairs = _factor_pairs(fan, summands, twist=False)
         ext = {key: CohomologyVector(_convolved(key, fan.dim))
                for key in set(itertools.chain.from_iterable(pairs))}
+        chi = {key: vec.euler() for key, vec in ext.items()}
         table = tuple(tuple(map(ext.__getitem__, row)) for row in pairs)
+        gram = tuple(tuple(map(chi.__getitem__, row)) for row in pairs)
     else:
-        table = tuple(tuple(ext_dims(fan, a, b) for b in summands) for a in summands)
-    gram = tuple(tuple(v.euler() for v in row) for row in table)
+        table = tuple(tuple(CohomologyVector(_class_cohomology(
+            fan, tuple(map(operator.sub, b.coords, a.coords)))) for b in summands) for a in summands)
+        gram = tuple(tuple(v.euler() for v in row) for row in table)
     return TiltingCandidate(fan, tuple(summands), table, gram)
 
 
@@ -135,9 +139,8 @@ def ext_vanishing(candidate: TiltingCandidate) -> ExtVanishing:
     violations = []
     for a, row in enumerate(candidate.ext_table):
         for b, vec in enumerate(row):
-            for q in range(1, len(vec.dims)):
-                if vec.dims[q]:
-                    violations.append((a, b, q, vec.dims[q]))
+            if any(vec.dims[1:]):
+                violations += [(a, b, q, h) for q, h in enumerate(vec.dims) if q and h]
     return ExtVanishing(not violations, tuple(violations))
 
 
@@ -157,12 +160,13 @@ def m0(candidate: TiltingCandidate) -> int:
         per_pair = (tuple(map(tops.__getitem__, key)) for key in keys)
         return max((sum(factor_tops) for factor_tops in per_pair if None not in factor_tops),
                    default=0)
-    K = divisor_class(canonical_divisor(fan))
+    K = divisor_class(canonical_divisor(fan)).coords
     top = 0
     for a in summands:
-        aK = a + K
+        aK = tuple(map(operator.add, a.coords, K))
         for b in summands:
-            nz = ext_dims(fan, aK, b).top_nonzero()
+            h = _class_cohomology(fan, tuple(map(operator.sub, b.coords, aK)))
+            nz = CohomologyVector(h).top_nonzero()
             if nz is not None and nz > top:
                 top = nz
     return top
@@ -174,20 +178,20 @@ def _factor_pairs(fan: Fan, summands: tuple[DivisorClass, ...], twist: bool
 
     They are of Ext^*(a_f + K_f, b_f) if twist, else of Ext^*(a_f, b_f),
     and the pair's Ext is their convolution (Kunneth).  Each factor
-    projects the summands to its classes and asks ext_dims once per
-    distinct pair of projections.
+    projects the summands to its class coordinates and reads its per-class
+    cache once per distinct pair of projections.
     """
     parts = []
     for _, factor, positions in fan._factors:
         index: dict[tuple[int, ...], int] = {}
         slots = [index.setdefault(tuple([s.coords[p] for p in positions]), len(index))
                  for s in summands]
-        distinct = [DivisorClass(coords, factor) for coords in index]
-        sources = distinct
+        sources = distinct = list(index)
         if twist:
-            K = divisor_class(canonical_divisor(factor))
-            sources = [a + K for a in distinct]
-        rows = [[ext_dims(factor, a, b).dims for b in distinct] for a in sources]
+            K = divisor_class(canonical_divisor(factor)).coords
+            sources = [tuple(map(operator.add, a, K)) for a in distinct]
+        rows = [[_class_cohomology(factor, tuple(map(operator.sub, b, a))) for b in distinct]
+                for a in sources]
         parts.append((slots, [[row[x] for x in slots] for row in rows]))
     return [list(zip(*[wide[s[i]] for s, wide in parts])) for i in range(len(summands))]
 

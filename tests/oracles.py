@@ -2,7 +2,10 @@
 
 The tests compare the library's answers with these: the per-weight brute
 force for cohomology, the sum over every active region with each region
-counted (the library leaves one degree to the Euler characteristic), an
+counted (the library leaves one degree to the Euler characteristic), the
+emptiness certificates and the localized Euler characteristic read on all
+n_rays coefficients of a divisor (the library reads both on its class
+coordinates), an
 LP on the recession cone of a pattern region, the reduced-cohomology ranks of one ray subcomplex
 built from the maximal cones alone (the reference for the per-fan pattern
 table), the residue-by-residue walk for pushforwards, the chamber walk
@@ -71,6 +74,39 @@ def counted_cohomology(fan: Fan, D: TorusDivisor) -> tuple[int, ...]:
         for q, r in enumerate(p.reduced_ranks):
             total[q] += p.point_count * r
     return tuple(total)
+
+
+def certificates_on_coefficients(circuits: Sequence[IntVec], coeffs: IntVec) -> int:
+    """The bitmask of the Farkas certificates that empty their regions, read on all of D's a.
+
+    circuits are the full relations lambda among the rays; certificate 2c
+    reads circuit c as y = lambda and 2c + 1 as y = -lambda, and applies
+    when <y, a> plus the sum of y's positive entries is positive.
+    """
+    out = 0
+    for c, lam in enumerate(circuits):
+        t = dot(lam, coeffs)
+        if t + sum(x for x in lam if x > 0) > 0:
+            out |= 1 << 2 * c
+        if -t - sum(x for x in lam if x < 0) > 0:
+            out |= 1 << 2 * c + 1
+    return out
+
+
+def localized_chi_on_coefficients(localization, coeffs: IntVec) -> int:
+    """chi(O(D)) from Brion's localization (den, per cone its rays, beta_j and
+    polynomial), with each cone's exponent alpha = -sum beta_j a_j over its rays."""
+    den, cones = localization
+    total = 0
+    for cone, beta, poly in cones:
+        alpha = -sum(b * coeffs[i] for i, b in zip(cone, beta))
+        acc = 0
+        for c in poly:
+            acc = acc * alpha + c
+        total += acc
+    chi, rest = divmod(total, den)
+    assert rest == 0, (total, den)
+    return chi
 
 
 def recession_cone_is_zero(fan: Fan, verts: frozenset[int]) -> bool:

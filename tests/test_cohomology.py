@@ -11,9 +11,11 @@ from frobtilt.cohomology import (
     InfiniteCohomologyError,
     _active_patterns,
     _circuits,
+    _class_cohomology,
     _cone_witnesses,
     _emptied,
     _euler_characteristic,
+    _localization,
     _pattern_region,
     _survivors,
     cohomology,
@@ -36,7 +38,8 @@ from frobtilt.cones import is_nef
 from frobtilt.lattice import LinearSystem, count_points, dot, feasible
 from frobtilt.tilting import orlov_check
 from oracles import (
-    counted_cohomology, recession_cone_is_zero, subcomplex_ranks, subdivision_chain, weight_cohomology,
+    certificates_on_coefficients, counted_cohomology, localized_chi_on_coefficients,
+    recession_cone_is_zero, subcomplex_ranks, subdivision_chain, weight_cohomology,
 )
 
 P1 = builtin("P1").fan
@@ -220,7 +223,7 @@ def test_active_patterns_match_rank_oracle(fan):
         ranks = subcomplex_ranks(fan, verts)
         if any(ranks):
             expected[verts] = ranks
-    _, patterns, _ = _active_patterns(fan)
+    _, patterns, *_ = _active_patterns(fan)
     got = {verts: ranks for verts, ranks, *_ in patterns}
     assert len(got) == len(patterns)
     assert got == expected
@@ -244,7 +247,7 @@ def test_active_patterns_of_a_product_are_joins():
                 for j, y in enumerate(r2):
                     joined[i + j] += x * y
             expected[v1 | {dP6.n_rays + i for i in v2}] = tuple(joined)
-    _, patterns, _ = _active_patterns(product(dP6, dP6))
+    _, patterns, *_ = _active_patterns(product(dP6, dP6))
     assert len(expected) == 34 ** 2
     assert {verts: ranks for verts, ranks, *_ in patterns} == expected
 
@@ -257,12 +260,12 @@ def test_active_patterns_of_a_product_are_joins():
     ids=list(catalog_names()) + ["dP6xP1", "dP6xP2"],
 )
 def test_certificates_agree_with_feasibility_lp(fan):
-    circuits, patterns, _ = _active_patterns(fan)
+    circuits, patterns, *_ = _active_patterns(fan)
     rng = random.Random(fan.n_rays * 1000 + fan.dim)
     nonempty = 0
     for _ in range(30):
         coeffs = tuple(rng.randint(-3, 3) for _ in fan.rays)
-        emptied = _emptied(circuits, coeffs)
+        emptied = _emptied(circuits, divisor_class(TorusDivisor(fan, coeffs)).coords)
         for verts, _, mask, *_ in patterns:
             lp = feasible(_pattern_region(fan, coeffs, verts))
             assert lp == (not mask & emptied), (coeffs, sorted(verts))
@@ -336,15 +339,16 @@ def test_localized_chi_and_dims_match_the_all_count_route(name, fan, draws, boun
         D = TorusDivisor(fan, tuple(rng.randint(-bound, bound) for _ in fan.rays))
         counted = counted_cohomology(fan, D)
         chi = sum((-1) ** q * h for q, h in enumerate(counted))
-        assert _euler_characteristic(fan, D.coeffs) == chi, D.coeffs
+        assert _euler_characteristic(fan, divisor_class(D).coords) == chi, D.coeffs
         assert cohomology(fan, D).dims == counted, D.coeffs
-        assert _euler_characteristic(fan, (K - D).coeffs) == (-1) ** fan.dim * chi, D.coeffs
+        dual = divisor_class(K - D).coords
+        assert _euler_characteristic(fan, dual) == (-1) ** fan.dim * chi, D.coeffs
 
 
 def test_middle_degree_ranks_and_dims_stay_integers():
     # the middle rank of an even-dimensional nerve is what the Euler
     # characteristic leaves; every rank and every h^q is an int
-    _, patterns, _ = _active_patterns(P4_CHAIN)
+    _, patterns, *_ = _active_patterns(P4_CHAIN)
     assert all(type(r) is int for _, ranks, *_ in patterns for r in ranks)
     D = TorusDivisor(P4_CHAIN, (3, 2, 2, -1, -3, 0, 2, 1, -3, 3, -2, 1, 3))
     dims = cohomology(P4_CHAIN, D).dims
@@ -366,9 +370,10 @@ def test_localized_chi_holds_where_cohomology_skips_no_region(name, monkeypatch)
     checked = 0
     for _ in range(40):
         D = TorusDivisor(fan, tuple(rng.randint(-1, 1) for _ in fan.rays))
-        if all(single == -1 for *_, single, _ in _survivors(fan, D.coeffs)):
+        coords = divisor_class(D).coords
+        if all(single == -1 for *_, single, _ in _survivors(fan, coords)):
             dims = cohomology(fan, D)
-            assert real(fan, D.coeffs) == dims.euler(), D.coeffs
+            assert real(fan, coords) == dims.euler(), D.coeffs
             checked += 1
     assert checked
     assert called == [] or fan._factors
@@ -379,13 +384,14 @@ def test_localized_chi_on_projective_space(n):
     fan = projective_space(n)
     for k in range(-2 * n, 2 * n + 1):
         expected = math.prod(range(k + 1, k + n + 1)) // math.factorial(n)
-        assert _euler_characteristic(fan, (k,) + (0,) * n) == expected, (n, k)
+        coords = divisor_class(TorusDivisor(fan, (k,) + (0,) * n)).coords
+        assert _euler_characteristic(fan, coords) == expected, (n, k)
 
 
 @pytest.mark.parametrize("name, fan", [(c[0], c[1]) for c in LOCALIZED],
                          ids=[c[0] for c in LOCALIZED])
 def test_every_active_pattern_of_a_valid_fan_is_bounded(name, fan):
-    _, patterns, _ = _active_patterns(fan)
+    _, patterns, *_ = _active_patterns(fan)
     for verts, _, _, _, bounded in patterns:
         assert bounded and recession_cone_is_zero(fan, verts), sorted(verts)
 
@@ -393,7 +399,7 @@ def test_every_active_pattern_of_a_valid_fan_is_bounded(name, fan):
 @pytest.mark.parametrize("fan", [Fan(1, ((1,),), ((0,),)), Fan(2, ((1, 0), (0, 1)), ((0, 1),))],
                          ids=["half-line", "quadrant"])
 def test_incomplete_fans_have_unbounded_patterns(fan):
-    _, patterns, _ = _active_patterns(fake_validated(fan))
+    _, patterns, *_ = _active_patterns(fake_validated(fan))
     assert patterns
     for verts, _, _, _, bounded in patterns:
         assert not bounded and not recession_cone_is_zero(fan, verts), sorted(verts)
@@ -464,11 +470,55 @@ def test_orlov_classes_solve_no_survivor_lp(make, survivor_lps):
 def test_empty_survivor_still_reaches_the_lp_and_fails(monkeypatch, survivor_lps):
     # with every certificate withheld, P1xP1's region {x <= -1, x >= 1} survives;
     # no cone vertex lies in it, so the LP decides, and it is fatal
-    monkeypatch.setattr(cohomology_module, "_emptied", lambda circuits, coeffs: 0)
+    monkeypatch.setattr(cohomology_module, "_emptied", lambda circuits, coords: 0)
     fan = product(P1, P1)
     with pytest.raises(AssertionError, match="no circuit certifies"):
         cohomology(fan, TorusDivisor(fan, (0, 0, 0, 0)))
     assert survivor_lps
+
+
+# --- class coordinates against the coefficients of every representative -----------------------
+
+CLASS_FANS = [(n, builtin(n).fan) for n in catalog_names()] + [
+    (f"dP6xP1-factor{k}", factor) for k, (_, factor, _) in enumerate(dP6xP1._factors)]
+
+
+@pytest.mark.parametrize("name, fan", CLASS_FANS, ids=[c[0] for c in CLASS_FANS])
+def test_class_route_does_not_depend_on_the_representative(name, fan, monkeypatch):
+    # the certificate mask, the survivors and chi read on a class's coordinates
+    # are the oracle's on D and on D + div(chi^m); an irreducible fan answers a
+    # class with no survivor with no divisor and no weight_patterns call
+    circuits, patterns, *_ = _active_patterns(fan)
+    lams, localization = _circuits(fan), _localization(fan)
+    rng = random.Random(fan.n_rays * 31 + fan.dim)
+    empty = []
+    for _ in range(20):
+        D = TorusDivisor(fan, tuple(rng.randint(-2, 2) for _ in fan.rays))
+        m = tuple(rng.randint(-3, 3) for _ in range(fan.dim))
+        coords = divisor_class(D).coords
+        mask, survivors = _emptied(circuits, coords), _survivors(fan, coords)
+        chi = _euler_characteristic(fan, coords)
+        for E in (D, D + principal_divisor(fan, m)):
+            assert divisor_class(E).coords == coords
+            emptied = certificates_on_coefficients(lams, E.coeffs)
+            assert mask == emptied, E.coeffs
+            assert survivors == [p for p in patterns if not p[2] & emptied], E.coeffs
+            assert chi == localized_chi_on_coefficients(localization, E.coeffs), E.coeffs
+        if not survivors:
+            empty.append((coords, counted_cohomology(fan, D)))
+    assert empty
+    if fan._factors:
+        return  # a product's classes go by Kunneth to its factors
+    fresh = Fan(fan.dim, fan.rays, fan.max_cones)  # an empty class cache
+    built, scanned = [], []
+    real_init, real_scan = TorusDivisor.__post_init__, cohomology_module.weight_patterns
+    monkeypatch.setattr(TorusDivisor, "__post_init__",
+                        lambda self: built.append(self) or real_init(self))
+    monkeypatch.setattr(cohomology_module, "weight_patterns",
+                        lambda *args, **kw: scanned.append(args) or real_scan(*args, **kw))
+    for coords, counted in empty:
+        assert _class_cohomology(fresh, coords) == counted == (0,) * (fan.dim + 1), coords
+    assert built == [] and scanned == []
 
 
 # --- ext_dims and their Euler characteristic ----------------------------------------------------------
