@@ -10,10 +10,12 @@ and the weights in each are counted exactly, never listed.
 
 Most of those regions are empty.  A region's constraint matrix depends only
 on the fan and the pattern, so emptiness is decided by Farkas certificates
-computed once per fan: the sign-consistent circuits of the rays.  Per
-class each circuit costs one dot product with its Picard coordinates, and
-only the regions that no certificate empties reach the simplex and the
-lattice point count; a class with none has h = 0 and builds no divisor.
+computed once per fan: the sign-consistent circuits of the rays.  Per class
+each circuit costs one dot product with its Picard coordinates, and only the
+regions that no certificate empties reach the simplex and the lattice point
+count; a class with none has h = 0 and builds no divisor.  m0 asks a class
+only for its top degree above the best so far (_top_degree), and one with
+no survivor ranked higher builds none either.
 
 The per-fan set-up is one walk over the ray subsets.  The nerve is a
 triangulated sphere, so Alexander duality ranks every full subcomplex from
@@ -39,7 +41,7 @@ on a new divisor is a warm dual simplex, not an LP from scratch.
 A product fan (Fan._factors) never builds its own patterns.  A class goes
 by Kunneth, H^*(X x Y, L x M) = H^*(X, L) (x) H^*(Y, M): the factors'
 h-vectors, each from that factor's per-class cache, are convolved, and so
-are cohomology, ext_dims, the Ext table and m0.  weight_patterns joins the
+are cohomology, ext_dims and the Ext table.  weight_patterns joins the
 factors' patterns: the full subcomplex on S_X + S_Y is the join of theirs,
 whose ranks are the factors' convolved, and its region is R_X x R_Y.
 """
@@ -87,6 +89,11 @@ class InfiniteCohomologyError(ArithmeticError):
     """
 
 
+def _unbounded(verts: frozenset[int]) -> InfiniteCohomologyError:
+    return InfiniteCohomologyError(
+        f"weight region of sign pattern {sorted(verts)} is unbounded; the fan cannot be complete")
+
+
 @dataclass(frozen=True)
 class WeightPattern:
     """A sign pattern over rays with its reduced ranks and weight count."""
@@ -107,10 +114,6 @@ class CohomologyVector:
 
     def euler(self) -> int:
         return sum(self.dims[::2]) - sum(self.dims[1::2])
-
-    def top_nonzero(self) -> Optional[int]:
-        nz = [q for q, h in enumerate(self.dims) if h]
-        return nz[-1] if nz else None
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +436,7 @@ def weight_patterns(fan: Fan, D: TorusDivisor, skip: Optional[int] = None
                 "but no circuit certifies it"
             )
         if not bounded:
-            raise InfiniteCohomologyError(
-                f"weight region of sign pattern {sorted(verts)} is unbounded; "
-                "the fan cannot be complete"
-            )
+            raise _unbounded(verts)
         if single == skip:
             continue
         count = count_points(region, bases)
@@ -527,6 +527,27 @@ def _counted(fan: Fan, coords: IntVec) -> tuple[int, ...]:
         rest = sum((-1) ** q * h for q, h in enumerate(total))
         total[skip] = (-1) ** skip * (_euler_characteristic(fan, coords) - rest)
     return tuple(total)
+
+
+def _top_degree(fan: Fan, coords: IntVec, above: int) -> int:
+    """The largest q > above with h^q of the class nonzero, on an irreducible fan; else above.
+
+    h^q != 0 iff a survivor ranked in q has an integer point, so the survivors
+    go from their top degree down; with none ranked above `above` no divisor is built.
+    """
+    tops = sorted(((max(q for q, r in enumerate(ranks) if r), verts, bounded)
+                   for verts, ranks, _, _, bounded in _survivors(fan, coords)
+                   if any(ranks[above + 1:])), key=operator.itemgetter(0), reverse=True)
+    if not tops:
+        return above
+    coeffs = DivisorClass(coords, fan).representative().coeffs
+    bases = fan._rank_cache.setdefault("bases", {})
+    for q, verts, bounded in tops:
+        if not bounded:
+            raise _unbounded(verts)
+        if count_points(_pattern_region(fan, coeffs, verts), bases, any):
+            return q
+    return above
 
 
 def cohomology(fan: Fan, D: TorusDivisor) -> CohomologyVector:

@@ -401,8 +401,8 @@ def coordinate_bounds(S: LinearSystem, bases: Optional[dict] = None
     return out
 
 
-def count_points(S: LinearSystem, bases: Optional[dict] = None) -> int:
-    """The number of integer points satisfying S.
+def count_points(S: LinearSystem, bases: Optional[dict] = None, total=sum) -> int:
+    """The number of integer points satisfying S; with total=any, whether there is one.
 
     The box of S is coordinate_bounds(S, bases): an empty non-strict
     relaxation gives 0 (phase 1 finds it before any coordinate can be
@@ -415,7 +415,7 @@ def count_points(S: LinearSystem, bases: Optional[dict] = None) -> int:
     boxes = coordinate_bounds(S, bases)
     if boxes is None or any(lo > hi for lo, hi in boxes):
         return 0
-    return _count_box(S.rows, boxes)
+    return _count_box(S.rows, boxes, total)
 
 
 def _count_box(rows: Sequence[tuple[IntVec, int, bool]], boxes: list[tuple[int, int]],

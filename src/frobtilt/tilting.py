@@ -10,13 +10,13 @@ cones, unimodular Euler pairing), and the resulting bounds
 
 On an irreducible fan each Ext group is read from the per-class cohomology
 cache on the difference of the summands' class coordinates: one lookup per
-pair, and a miss builds a divisor only when a weight region survives.  A
-product fan's Ext table and m0 come from factor tables: each factor reads
-its cache once per distinct pair of projected summands, and a pair's Ext
-is the convolution of its factors' nonnegative h-vectors
-(Kunneth), zero when a factor's is and otherwise topped by the sum of the
-factors' tops, so m0(X x Y) = m0(X) + m0(Y) when the summands are a
-product set.
+pair, and a miss builds a divisor only when a weight region survives.  m0
+needs only each class's top degree above the best so far, which the
+certificate masks alone settle for most classes.  A product's Ext table
+comes from factor tables, one cache read per factor and distinct pair of
+projected summands; a pair's Ext is their convolution (Kunneth), zero when
+a factor's is and else topped by the sum of the factor tops t_f, so m0 is
+the largest such sum, and m0(X x Y) = m0(X) + m0(Y) for a product set.
 
 Fullness of the candidate is never decided here; a clean run is reported
 as VERIFIED_MODULO_FULLNESS.  K_0 has rank the number of maximal cones,
@@ -31,7 +31,9 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional
 
-from .cohomology import CohomologyVector, _class_cohomology, _convolved, require_pattern_rays
+from .cohomology import (
+    CohomologyVector, _class_cohomology, _convolved, _top_degree, require_pattern_rays,
+)
 from .cones import NEITHER, bu_set, nef_fano_status
 from .fan import DivisorClass, Fan, _require_on_fan, canonical_divisor, divisor_class
 from .frobenius import frob_set
@@ -121,7 +123,7 @@ def build_candidate(fan: Fan, summands: Optional[tuple[DivisorClass, ...]] = Non
         summands = bu_set(fan)
     _require_on_fan(fan, *summands)
     if fan._factors:
-        pairs = _factor_pairs(fan, summands, twist=False)
+        pairs = _factor_pairs(fan, summands)
         ext = {key: CohomologyVector(_convolved(key, fan.dim))
                for key in set(itertools.chain.from_iterable(pairs))}
         chi = {key: vec.euler() for key, vec in ext.items()}
@@ -147,51 +149,58 @@ def ext_vanishing(candidate: TiltingCandidate) -> ExtVanishing:
 def m0(candidate: TiltingCandidate) -> int:
     """Top degree with Hom(T, T x w^-1 [m]) nonzero, computed directly.
 
-    Evaluates Ext^*(L_a + K, L_b) = H^*(L_b - L_a - K) over all summand
-    pairs, with K reduced to its class once; the degree-0 part
-    is never empty (for a = b it contains H^0(-K), and -K is effective on
-    any toric variety), so the maximum is well defined and >= 0.  A
-    product fan sums its factors' tops per pair (see the module docstring).
+    The top degree of Ext^*(L_a + K, L_b) = H^*(L_b - L_a - K) over all
+    summand pairs, each class decided above the best so far up to dim X,
+    with K reduced to its class once.  For a = b it has H^0(-K) (-K is
+    effective), so m0 >= 0.  A product sums its factors' tops (module docstring).
     """
     fan, summands = candidate.fan, candidate.summands
     if fan._factors:
-        keys = set(itertools.chain.from_iterable(_factor_pairs(fan, summands, twist=True)))
-        tops = {h: CohomologyVector(h).top_nonzero() for h in set(itertools.chain(*keys))}
-        per_pair = (tuple(map(tops.__getitem__, key)) for key in keys)
-        return max((sum(factor_tops) for factor_tops in per_pair if None not in factor_tops),
-                   default=0)
+        factors = []  # per factor: the factor, each summand's slot, per slot pair the class and t_f
+        for _, factor, positions in fan._factors:
+            K = divisor_class(canonical_divisor(factor)).coords
+            index: dict[tuple[int, ...], int] = {}
+            slots = [index.setdefault(tuple([s.coords[p] for p in positions]), len(index))
+                     for s in summands]
+            twisted = [[tuple(map(operator.sub, b, map(operator.add, a, K))) for b in index]
+                       for a in index]
+            factors.append((factor, slots, twisted, [[_top_degree(factor, c, 0) for c in row]
+                                                     for row in twisted]))
+        if not any(t for *_, tops in factors for row in tops for t in row):
+            return 0  # every sum is 0, and the diagonal pair has h^0(-K) != 0
+        projected = set(zip(*[slots for _, slots, _, _ in factors]))  # a summand's slot per factor
+        keys = {tuple(zip(a, b)) for a in projected for b in projected}
+        ranked = sorted(((sum(tops[x][y] for (x, y), (*_, tops) in zip(key, factors)), key)
+                         for key in keys), reverse=True)
+        # a factor class with t_f = 0 is nonzero only when its h^0 is, as the diagonal pair's are
+        return next(total for total, key in ranked if not total or all(
+            tops[x][y] or _top_degree(factor, twisted[x][y], -1) == 0
+            for (x, y), (factor, _, twisted, tops) in zip(key, factors)))
     K = divisor_class(canonical_divisor(fan)).coords
     top = 0
     for a in summands:
         aK = tuple(map(operator.add, a.coords, K))
         for b in summands:
-            h = _class_cohomology(fan, tuple(map(operator.sub, b.coords, aK)))
-            nz = CohomologyVector(h).top_nonzero()
-            if nz is not None and nz > top:
-                top = nz
+            top = _top_degree(fan, tuple(map(operator.sub, b.coords, aK)), top)
+            if top == fan.dim:
+                return top
     return top
 
 
-def _factor_pairs(fan: Fan, summands: tuple[DivisorClass, ...], twist: bool
+def _factor_pairs(fan: Fan, summands: tuple[DivisorClass, ...]
                   ) -> list[list[tuple[tuple[int, ...], ...]]]:
-    """Per summand pair of a product, the tuple of its factors' Ext h-vectors.
+    """Per summand pair of a product, the tuple of its factors' Ext^*(a_f, b_f) h-vectors.
 
-    They are of Ext^*(a_f + K_f, b_f) if twist, else of Ext^*(a_f, b_f),
-    and the pair's Ext is their convolution (Kunneth).  Each factor
-    projects the summands to its class coordinates and reads its per-class
-    cache once per distinct pair of projections.
+    Their convolution is the pair's Ext (Kunneth).  Each factor projects the
+    summands to its class coordinates and reads its cache once per distinct pair.
     """
     parts = []
     for _, factor, positions in fan._factors:
         index: dict[tuple[int, ...], int] = {}
         slots = [index.setdefault(tuple([s.coords[p] for p in positions]), len(index))
                  for s in summands]
-        sources = distinct = list(index)
-        if twist:
-            K = divisor_class(canonical_divisor(factor)).coords
-            sources = [tuple(map(operator.add, a, K)) for a in distinct]
-        rows = [[_class_cohomology(factor, tuple(map(operator.sub, b, a))) for b in distinct]
-                for a in sources]
+        rows = [[_class_cohomology(factor, tuple(map(operator.sub, b, a))) for b in index]
+                for a in index]
         parts.append((slots, [[row[x] for x in slots] for row in rows]))
     return [list(zip(*[wide[s[i]] for s, wide in parts])) for i in range(len(summands))]
 

@@ -1,8 +1,10 @@
 """Second, independent routes to quantities the library computes one way.
 
 The tests compare the library's answers with these: the per-weight brute
-force for cohomology, the sum over every active region with each region
-counted (the library leaves one degree to the Euler characteristic), the
+force for cohomology, m0 as the largest top degree of whole h-vectors (the
+library decides only each class's top degree), the sum over every active
+region with each region counted (the library leaves one degree to the Euler
+characteristic), the
 emptiness certificates and the localized Euler characteristic read on all
 n_rays coefficients of a divisor (the library reads both on its class
 coordinates), an
@@ -20,8 +22,9 @@ rays by trying every set of dim rays in order (the library walks prefixes,
 and a product joins its factors' bases).
 
 It also builds the seeded chains of star subdivisions that the cohomology
-and Frobenius tests share, and GL(n, Z) images of fans with their rays
-reordered.
+and Frobenius tests share, GL(n, Z) images of fans with their rays
+reordered, and the mixed copy of a product, whose blocks one unimodular
+map links.
 """
 
 import itertools
@@ -34,7 +37,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from frobtilt.catalog import builtin
-from frobtilt.cohomology import cohomology, weight_patterns
+from frobtilt.cohomology import CohomologyVector, cohomology, weight_patterns
 from frobtilt.fan import (
     DivisorClass, Fan, TorusDivisor, ValidationReport, canonical_divisor, divisor_class,
     star_subdivision,
@@ -74,6 +77,24 @@ def counted_cohomology(fan: Fan, D: TorusDivisor) -> tuple[int, ...]:
         for q, r in enumerate(p.reduced_ranks):
             total[q] += p.point_count * r
     return tuple(total)
+
+
+def top_nonzero(vec: CohomologyVector) -> Optional[int]:
+    """The highest degree q with h^q != 0, or None for the zero vector."""
+    nz = [q for q, h in enumerate(vec.dims) if h]
+    return nz[-1] if nz else None
+
+
+def m0_from_h_vectors(fan: Fan, summands: Sequence[DivisorClass]) -> int:
+    """m0 as the largest top degree of the whole h-vector cohomology(b - a - K) over all pairs.
+
+    The summands' representatives are read onto fan, so it may be a fresh
+    copy of theirs whose caches the library route has not filled.
+    """
+    K = canonical_divisor(fan)
+    reps = [TorusDivisor(fan, L.representative().coeffs) for L in summands]
+    tops = (top_nonzero(cohomology(fan, b - a - K)) for a in reps for b in reps)
+    return max(top for top in tops if top is not None)
 
 
 def certificates_on_coefficients(circuits: Sequence[IntVec], coeffs: IntVec) -> int:
@@ -184,6 +205,12 @@ def subdivision_chain(base: str, steps: int, seed: int) -> Fan:
         cone = rng.choice(fan.max_cones)
         fan = star_subdivision(fan, tuple(rng.sample(cone, rng.randint(2, fan.dim))))
     return fan
+
+
+def mixed(fan: Fan) -> Fan:
+    """The fan under g: x_i -> x_0 + ... + x_i, which is unimodular and links the blocks."""
+    rays = tuple(tuple(sum(ray[: i + 1]) for i in range(fan.dim)) for ray in fan.rays)
+    return Fan(fan.dim, rays, fan.max_cones)
 
 
 def scrambled(fan: Fan, seed: int) -> Fan:

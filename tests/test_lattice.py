@@ -767,7 +767,7 @@ def test_any_walk_decides_what_counting_counts(S):
     assert bool(exists) == (brute_count(S) > 0)
     assert bool(exists) == (lattice._count_box(S.rows, [(-3, 3)] * S.dim) > 0)
     if S not in EMPTY_SYSTEMS:
-        assert bool(exists) == (count_points(S) > 0)
+        assert bool(exists) == (count_points(S) > 0) == bool(count_points(S, total=any))
 
 
 def test_any_walk_stops_at_the_first_point(monkeypatch):

@@ -30,7 +30,7 @@ from frobtilt.fan import (
 from frobtilt.frobenius import FrobSet, frob_set, minimal_stabilizing_ell
 from frobtilt.tilting import build_candidate, m0, orlov_check
 from oracles import (
-    chamber_walk, counted_cohomology, first_lattice_basis, nef_by_walls, subdivision_chain,
+    chamber_walk, counted_cohomology, first_lattice_basis, mixed, nef_by_walls, subdivision_chain,
 )
 
 cohomology_module = importlib.import_module("frobtilt.cohomology")
@@ -46,12 +46,6 @@ PRODUCTS = {
     "P2xP2": lambda: product(P2, P2),
     "P1xP2": lambda: product(P1, P2),
 }
-
-
-def mixed(fan: Fan) -> Fan:
-    """The fan under g: x_i -> x_0 + ... + x_i, which is unimodular and links the blocks."""
-    rays = tuple(tuple(sum(ray[: i + 1]) for i in range(fan.dim)) for ray in fan.rays)
-    return Fan(fan.dim, rays, fan.max_cones)
 
 
 def interleaved(fan: Fan, seed: int) -> Fan:

@@ -3,8 +3,9 @@
 Fans are random chains of star subdivisions and products starting from the
 catalog, kept to at most 10 rays.  Hypothesis runs derandomized, so every
 run draws the same examples.  Cohomology and frob sets are checked against
-Serre duality, Kuenneth and the product rule for frob on fewer and smaller
-fans, since each costs a cold per-fan set-up that doubles with every ray.
+Serre duality, Kuenneth and the product rule for frob, and m0 against the
+top degrees of whole h-vectors, on fewer and smaller fans, since each
+costs a cold per-fan set-up that doubles with every ray.
 """
 
 import itertools
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from frobtilt.catalog import builtin, catalog_names
 from frobtilt.cohomology import cohomology
+from frobtilt.cones import bu_set
 from frobtilt.fan import (
     Fan,
     TorusDivisor,
@@ -24,7 +26,8 @@ from frobtilt.fan import (
     validate,
 )
 from frobtilt.frobenius import frob_set, pushforward_summands
-from oracles import residue_walk, validate_by_adjugates
+from frobtilt.tilting import build_candidate, m0
+from oracles import m0_from_h_vectors, residue_walk, validate_by_adjugates
 
 MAX_RAYS = 10
 EXACT_RAYS = 8
@@ -181,3 +184,14 @@ def test_frob_of_product_is_product_of_frobs(pair):
         ))
     pairs = {(cx.coords, cy.coords) for cx in frob_set(x) for cy in frob_set(y)}
     assert split == pairs
+
+
+@EXACT
+@given(smooth_fans(EXACT_RAYS), st.data())
+def test_m0_is_the_top_of_whole_h_vectors(fan, data):
+    # on the bu set and on a drawn subset of frob(X), against a fresh copy's h-vectors
+    drawn = data.draw(st.lists(st.sampled_from(frob_set(fan).classes), min_size=1, max_size=5,
+                               unique=True))
+    for summands in (bu_set(fan), tuple(drawn)):
+        want = m0_from_h_vectors(Fan(fan.dim, fan.rays, fan.max_cones), summands)
+        assert m0(build_candidate(fan, summands)) == want

@@ -1,13 +1,18 @@
 import importlib
+import itertools
+import math
+import random
 import sys
 
 import pytest
 
 import frobtilt.frobenius
 from frobtilt.catalog import builtin, catalog_names
-from frobtilt.cohomology import cohomology
+from frobtilt.cohomology import InfiniteCohomologyError, _top_degree, cohomology
 from frobtilt.cones import NEITHER, bu_set, nef_fano_status
 from frobtilt.fan import DivisorClass, Fan, TorusDivisor, canonical_divisor, divisor_class, product
+from frobtilt.frobenius import frob_set
+from frobtilt.lattice import dot, feasible_point
 from frobtilt.tilting import (
     HYPOTHESIS_FAILED,
     NOT_APPLICABLE,
@@ -17,7 +22,9 @@ from frobtilt.tilting import (
     m0,
     orlov_check,
 )
-from oracles import projection_chain_check
+from oracles import m0_from_h_vectors, mixed, projection_chain_check, subdivision_chain, top_nonzero
+
+cohomology_module = importlib.import_module("frobtilt.cohomology")
 
 P1 = builtin("P1").fan
 P2 = builtin("P2").fan
@@ -125,8 +132,123 @@ def test_ext_table_and_m0_match_the_representative_route(name):
     K = canonical_divisor(other)
     reps = [TorusDivisor(other, L.representative().coeffs) for L in c.summands]
     assert c.ext_table == tuple(tuple(cohomology(other, b - a) for b in reps) for a in reps)
-    top = max(cohomology(other, b - a - K).top_nonzero() for a in reps for b in reps)
+    top = max(top_nonzero(cohomology(other, b - a - K)) for a in reps for b in reps)
     assert m0(c) == top
+
+
+# The route fans, the products whose m0 is positive, and two chains with m0 = 1.
+ORACLE_FANS = ROUTE_FANS | {"F3xF3": product(F3, F3), "F3xP1": product(F3, P1),
+                            "P3-chain": subdivision_chain("P3", 5, 11),
+                            "P4-chain": subdivision_chain("P4", 5, 12)}
+
+
+def seeded_subsets(fan, seed, count=3):
+    """count seeded subsets of frob(X), none of them a product set on a product fan."""
+    classes, rng, out = frob_set(fan).classes, random.Random(seed), []
+    while len(out) < count:
+        pick = tuple(rng.sample(classes, min(len(classes), rng.randint(2, 6))))
+        sizes = [len({tuple(cls.coords[p] for p in positions) for cls in pick})
+                 for _, _, positions in fan._factors]
+        if not sizes or math.prod(sizes) != len(pick):
+            out.append(pick)
+    return out
+
+
+@pytest.mark.parametrize("name", list(ORACLE_FANS))
+def test_m0_matches_the_top_of_whole_h_vectors(name):
+    # on the bu set and on seeded subsets of frob(X); a product's mixed copy
+    # has no factors, so it takes the irreducible route on the same classes
+    fan = fresh(ORACLE_FANS[name])
+    copies = [fan] + ([mixed(fan)] if fan._factors else [])
+    for summands in [bu_set(fan)] + seeded_subsets(fan, len(name)):
+        want = m0_from_h_vectors(fresh(fan), summands)
+        for copy in copies:
+            moved = tuple(DivisorClass(cls.coords, copy) for cls in summands)
+            assert m0(build_candidate(copy, moved)) == want, (copy._factors != (), summands)
+    if name.endswith("chain"):
+        assert m0(build_candidate(fan)) == 1
+
+
+@pytest.mark.parametrize("name", ["dP6", "dP6xP2", "BlptP3xP1"])
+def test_cold_m0_is_decided_by_the_certificate_masks_alone(name, monkeypatch):
+    # no m0 class of these fans has a surviving region above degree 0
+    c = build_candidate(fresh(ROUTE_FANS[name]))
+    assert bool(c.fan._factors) == ("x" in name)
+    calls = []
+    for attr in ("weight_patterns", "count_points", "_euler_characteristic"):
+        real = getattr(cohomology_module, attr)
+        monkeypatch.setattr(cohomology_module, attr, lambda *args, attr=attr, real=real, **kw:
+                            calls.append(attr) or real(*args, **kw))
+    real_rep = DivisorClass.representative
+    monkeypatch.setattr(DivisorClass, "representative",
+                        lambda cls: calls.append("representative") or real_rep(cls))
+    assert m0(c) == 0
+    assert calls == []
+
+
+TOP_FANS = [name for name, fan in ORACLE_FANS.items() if not fan._factors]
+
+
+@pytest.mark.parametrize("name", TOP_FANS)
+def test_top_degree_is_the_top_of_the_h_vector_above_a_degree(name):
+    fan = fresh(ORACLE_FANS[name])
+    other = fresh(fan)
+    rng = random.Random(fan.n_rays * 13 + fan.dim)
+    for _ in range(12):
+        D = TorusDivisor(fan, tuple(rng.randint(-3, 3) for _ in fan.rays))
+        dims = cohomology(other, TorusDivisor(other, D.coeffs)).dims
+        for above in range(-1, fan.dim + 1):
+            want = max((q for q, h in enumerate(dims) if h and q > above), default=above)
+            assert _top_degree(fan, divisor_class(D).coords, above) == want, (D.coeffs, above)
+
+
+@pytest.mark.parametrize("name", ["dP6", "P3-chain"])
+def test_top_degree_answers_by_integer_points_with_every_certificate_withheld(name, monkeypatch):
+    # every active pattern then survives, empty regions too, so no region's
+    # degree counts before its integer-point walk finds a point
+    fan = fresh(ORACLE_FANS[name])
+    other = fresh(fan)
+    rng = random.Random(fan.n_rays)
+    cases = []
+    for _ in range(8):
+        D = TorusDivisor(fan, tuple(rng.randint(-3, 3) for _ in fan.rays))
+        cases.append((divisor_class(D).coords, cohomology(other, TorusDivisor(other, D.coeffs)).dims))
+    monkeypatch.setattr(cohomology_module, "_emptied", lambda circuits, coords: 0)
+    for coords, dims in cases:
+        for above in range(-1, fan.dim + 1):
+            want = max((q for q, h in enumerate(dims) if h and q > above), default=above)
+            assert _top_degree(fan, coords, above) == want, (coords, above)
+
+
+def test_top_degree_passes_over_a_region_with_no_integer_point(monkeypatch):
+    # this degree-1 region of the class holds rational points but no weight;
+    # with it the only survivor, nothing lies above degree 0
+    fan = subdivision_chain("P3", 5, 2)
+    coords = (-2, 1, -1, 0, 1, -2)
+    survivor = next(p for p in cohomology_module._survivors(fan, coords)
+                    if sorted(p[0]) == [1, 3, 5, 8])
+    assert survivor[1] == (0, 1, 0, 0)
+    region = cohomology_module._pattern_region(
+        fan, DivisorClass(coords, fan).representative().coeffs, survivor[0])
+    assert feasible_point(region) is not None
+    # its rows give x, z >= 0, y = -1 and 2x + y + z <= 0, so it lies in [0, 1]^3 - (0, 1, 0)
+    assert not any(all(dot(a, m) <= b for a, b, _ in region.rows)
+                   for m in itertools.product(range(-2, 3), repeat=3))
+    monkeypatch.setattr(cohomology_module, "_survivors", lambda fan, coords: [survivor])
+    assert _top_degree(fan, coords, 0) == 0
+    assert _top_degree(fan, coords, -1) == -1
+
+
+def test_top_degree_raises_on_an_unbounded_surviving_region(monkeypatch):
+    # the fan winds twice around the origin; validation refuses it, so bypass it
+    monkeypatch.setattr(Fan, "require_valid", lambda self: None)
+    rays = ((1, 0), (0, 1), (-1, -2), (1, 1), (-1, 0), (-3, -1), (-2, -1))
+    fan = Fan(2, rays, tuple((i, (i + 1) % 7) for i in range(7)))
+    coords = divisor_class(TorusDivisor(fan, (0,) * 7)).coords
+    for above in (-1, 0):
+        with pytest.raises(InfiniteCohomologyError, match="unbounded"):
+            _top_degree(fan, coords, above)
+    assert _top_degree(fan, coords, 1) == 1  # no survivor is ranked above degree 1
 
 
 def test_warm_m0_builds_no_representative_and_reduces_only_k(monkeypatch):
