@@ -12,10 +12,9 @@ from .cohomology import (
     InfiniteCohomologyError,
     WeightPattern,
     cohomology,
-    ext_dims,
     weight_patterns,
 )
-from .cones import NefVerdict, bu_set, is_antinef, is_nef, nef_fano_status
+from .cones import NefVerdict, bu_set, is_nef, nef_fano_status
 from .fan import (
     DivisorClass,
     Fan,
@@ -26,7 +25,6 @@ from .fan import (
     cartier_data,
     divisor_class,
     hirzebruch,
-    principal_divisor,
     product,
     projective_space,
     star_subdivision,

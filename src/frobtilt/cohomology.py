@@ -27,11 +27,16 @@ rows positively span R^n iff the circuits cover every ray.  The same
 set-up writes chi(O(D)) by Brion's localization as one integer polynomial
 per maximal cone, in an exponent read on the class coordinates too.
 
-Per class, every surviving region is proven nonempty and bounded.  A
-maximal cone's vertex, where the cone's rows are tight (the Cartier point
-of D plus the divisors of the region's negative rays), proves it nonempty
-with no LP when it meets the other rows; the LP runs only when no cone's
-vertex does.  The regions whose ranks are nonzero in one degree q* alone,
+Per class, every surviving region is proven nonempty and bounded.  The
+integer point where the rows of a unimodular set of dim rays are tight
+proves it nonempty with no LP when it meets the other rows.  The sets are
+tried in this order: the one that last proved the same pattern on the fan,
+then the maximal cones (whose points are the Cartier points of D plus the
+divisors of the region's negative rays), then the other unimodular sets,
+found and inverted the first time no cone's point fits.  The LP runs only
+when no such vertex lies in the region.  The class's coordinates come
+with the representative that is scanned, so a class is reduced once.  The
+regions whose ranks are nonzero in one degree q* alone,
 q* the degree with the most of them, are not counted: h^{q*} is what chi
 leaves of the other degrees, and chi is evaluated only when such a region
 survives.  The regions that are counted keep one optimal LP tableau per
@@ -41,7 +46,7 @@ on a new divisor is a warm dual simplex, not an LP from scratch.
 A product fan (Fan._factors) never builds its own patterns.  A class goes
 by Kunneth, H^*(X x Y, L x M) = H^*(X, L) (x) H^*(Y, M): the factors'
 h-vectors, each from that factor's per-class cache, are convolved, and so
-are cohomology, ext_dims and the Ext table.  weight_patterns joins the
+are cohomology and the Ext table.  weight_patterns joins the
 factors' patterns: the full subcomplex on S_X + S_Y is the join of theirs,
 whose ranks are the factors' convolved, and its region is R_X x R_Y.
 """
@@ -57,8 +62,10 @@ from typing import Iterable, Iterator, Optional
 
 from .fan import DivisorClass, Fan, TorusDivisor, _require_on_fan, divisor_class
 from .lattice import (
+    IntMat,
     IntVec,
     LinearSystem,
+    adjugate,
     count_points,
     dot,
     feasible,
@@ -377,26 +384,66 @@ def _survivors(fan: Fan, coords: IntVec) -> list[Pattern]:
     """The active patterns of the class that no certificate empties, for the last class asked.
 
     _counted tallies them before weight_patterns scans them for the
-    class's representative, so the certificate mask is computed once per class.
+    class's representative, so the certificate mask is computed once per
+    class.  The entry's last slot holds the coefficients of the representative
+    that _counted builds, so weight_patterns, handed a divisor with that very
+    coefficient tuple, takes the class from it without reducing it again.
     """
     last = fan._rank_cache.get("survivors")
     if last is None or last[0] != coords:
         circuits, patterns, *_ = _active_patterns(fan)
         emptied = _emptied(circuits, coords)
-        last = fan._rank_cache["survivors"] = (coords, [p for p in patterns if not p[2] & emptied])
+        last = fan._rank_cache["survivors"] = (
+            coords, [p for p in patterns if not p[2] & emptied], None)
     return last[1]
 
 
-def _cone_witnesses(fan: Fan, coeffs: IntVec, neg: frozenset[int]) -> Iterator[IntVec]:
-    """Per maximal cone sigma, the m with <m, v_j> = -a_j - [j in neg] on sigma's rays.
+def _basis_vertices(fan: Fan, coeffs: IntVec, neg: frozenset[int], proved: dict
+                    ) -> Iterator[IntVec]:
+    """Per unimodular ray basis B, the m with <m, v_j> = -a_j - [j in neg] on B's rays.
 
-    It is the Cartier point of D + sum_{j in neg} D_j on sigma, integral
-    because sigma is unimodular, and a vertex of neg's region whenever it
-    meets the region's other rows.
+    m is integral because B is unimodular, and a vertex of neg's region
+    whenever it meets the region's other rows.  The basis that last proved
+    neg's region on this fan comes first, then the maximal cones (where m
+    is the Cartier point of D + sum_{j in neg} D_j), then the other
+    unimodular sets of dim rays.  proved[neg] holds each basis, with its
+    inverse, while its vertex is tried, so it names the accepted one once
+    the caller stops; it is dropped when every basis has been tried.
     """
-    for cone, U in zip(fan.max_cones, fan._cone_inverses):
-        t = [-coeffs[j] - (j in neg) for j in cone]
-        yield tuple(sum(map(operator.mul, row, t)) for row in U)
+    hint = proved.get(neg)
+    if hint:
+        yield _vertex(*hint, coeffs, neg)
+    skip = hint[0] if hint else None  # the hint is not tried again in its own place
+    for basis, U in itertools.chain(zip(fan.max_cones, fan._cone_inverses), _other_bases(fan)):
+        if basis is not skip:
+            proved[neg] = basis, U
+            yield _vertex(basis, U, coeffs, neg)
+    del proved[neg]
+
+
+def _vertex(basis: tuple[int, ...], U: IntMat, coeffs: IntVec, neg: frozenset[int]) -> IntVec:
+    """U.t, t_j = -a_j - [j in neg] on the basis rays, U the inverse of their matrix."""
+    t = [-coeffs[j] - (j in neg) for j in basis]
+    return tuple([sum(map(operator.mul, row, t)) for row in U])
+
+
+def _other_bases(fan: Fan) -> Iterator[tuple[tuple[int, ...], IntMat]]:
+    """The unimodular sets of dim rays that are no maximal cone, with their inverses.
+
+    They are found, and inverted, only when first reached, so a fan whose
+    surviving regions each hold a cone's vertex never pays for its C(r, n)
+    ray sets.  An inverse is det.adj, as det = +-1.
+    """
+    known = fan._rank_cache.get("other bases")
+    if known is None:
+        cones, found = set(fan.max_cones), []
+        for basis in itertools.combinations(range(fan.n_rays), fan.dim):
+            if basis not in cones:
+                det, adj = adjugate(fan.cone_matrix(basis))
+                if det in (1, -1):
+                    found.append((basis, tuple(tuple(det * x for x in row) for row in adj)))
+        known = fan._rank_cache["other bases"] = tuple(found)
+    yield from known
 
 
 def _pattern_region(fan: Fan, coeffs: IntVec, neg: frozenset[int]) -> LinearSystem:
@@ -404,11 +451,13 @@ def _pattern_region(fan: Fan, coeffs: IntVec, neg: frozenset[int]) -> LinearSyst
 
     The strict < of the negativity condition is integer-tight, so a neg row
     is stored as <v_rho, m> <= -a_rho - 1, and any other as <-v_rho, m> <= a_rho,
-    with -v_rho from the fan's negated rays.
+    with -v_rho from the fan's negated rays.  The rays and the coefficients
+    of a library divisor are ints already, so the rows are not normalized again.
     """
     rows = zip(fan.rays, _active_patterns(fan)[3], coeffs)
-    return LinearSystem(fan.dim, tuple((ray, -a - 1, False) if i in neg else (down, a, False)
-                                       for i, (ray, down, a) in enumerate(rows)))
+    return LinearSystem._of_ints(fan.dim, tuple([
+        (ray, -a - 1, False) if i in neg else (down, a, False)
+        for i, (ray, down, a) in enumerate(rows)]))
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +476,16 @@ def weight_patterns(fan: Fan, D: TorusDivisor, skip: Optional[int] = None
     if fan._factors:
         return _joined_patterns(fan, D, skip)
     bases = fan._rank_cache.setdefault("bases", {})
+    proved = fan._rank_cache.setdefault("proved", {})
+    last = fan._rank_cache.get("survivors")
+    if last and last[2] is D.coeffs:  # the representative _counted built: its class is known
+        survivors = last[1]
+    else:
+        survivors = _survivors(fan, divisor_class(D).coords)
     out = []
-    for verts, ranks, _, single, bounded in _survivors(fan, divisor_class(D).coords):
+    for verts, ranks, _, single, bounded in survivors:
         region = _pattern_region(fan, D.coeffs, verts)
-        if not feasible(region, _cone_witnesses(fan, D.coeffs, verts)):
+        if not feasible(region, _basis_vertices(fan, D.coeffs, verts, proved)):
             raise AssertionError(
                 f"weight region of sign pattern {sorted(verts)} is empty "
                 "but no circuit certifies it"
@@ -519,7 +574,9 @@ def _counted(fan: Fan, coords: IntVec) -> tuple[int, ...]:
         tally[single] += 1
     skip = tally.index(max(tally[:-1]))
     total = [0] * (fan.dim + 1)
-    for p in weight_patterns(fan, DivisorClass(coords, fan).representative(), skip=skip):
+    D = DivisorClass(coords, fan).representative()
+    fan._rank_cache["survivors"] = (coords, survivors, D.coeffs)
+    for p in weight_patterns(fan, D, skip=skip):
         for q, r in enumerate(p.reduced_ranks):
             total[q] += p.point_count * r
     if tally[skip]:
@@ -561,13 +618,3 @@ def cohomology(fan: Fan, D: TorusDivisor) -> CohomologyVector:
     _require_on_fan(fan, D)
     return CohomologyVector(_class_cohomology(fan, divisor_class(D).coords))
 
-
-def ext_dims(fan: Fan, L: DivisorClass, M: DivisorClass) -> CohomologyVector:
-    """Ext^*(O(L), O(M)) = H^*(X, O(M - L)) for line bundles.
-
-    The class M - L goes to the per-class cache directly, so a cached
-    class costs no representative and no class reduction.
-    """
-    fan.require_valid()
-    _require_on_fan(fan, L, M)
-    return CohomologyVector(_class_cohomology(fan, tuple(map(operator.sub, M.coords, L.coords))))

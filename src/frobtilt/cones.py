@@ -52,11 +52,6 @@ def is_nef(D: TorusDivisor) -> NefVerdict:
     return NefVerdict(cls, least >= 0, least > 0, failing)
 
 
-def is_antinef(D: TorusDivisor) -> bool:
-    D.fan.require_valid()
-    return all(degree <= 0 for degree in _wall_degrees(divisor_class(D)))
-
-
 def bu_set(fan: Fan, frob: Optional[FrobSet] = None) -> tuple[DivisorClass, ...]:
     """The anti-nef frob classes, sorted by canonical coordinates.
 

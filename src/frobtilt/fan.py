@@ -390,11 +390,6 @@ def canonical_divisor(fan: Fan) -> TorusDivisor:
     return TorusDivisor(fan, tuple(-1 for _ in fan.rays))
 
 
-def principal_divisor(fan: Fan, w: IntVec) -> TorusDivisor:
-    """div of the character with exponent w: coefficients <w, v_rho>."""
-    return TorusDivisor(fan, tuple(dot(w, r) for r in fan.rays))
-
-
 # ---------------------------------------------------------------------------
 # validation
 

@@ -56,6 +56,14 @@ class LinearSystem:
             raise ValueError("row dimension mismatch")
         object.__setattr__(self, "rows", rows)
 
+    @classmethod
+    def _of_ints(cls, dim: int, rows: tuple[tuple[IntVec, int, bool], ...]) -> "LinearSystem":
+        """A system of rows the library already holds as ints and bools, taken as they are."""
+        system = object.__new__(cls)
+        object.__setattr__(system, "dim", dim)
+        object.__setattr__(system, "rows", rows)
+        return system
+
 
 # ---------------------------------------------------------------------------
 # integer linear algebra
@@ -349,7 +357,10 @@ def feasible(S: LinearSystem, candidates: Iterable[Sequence[int]] = ()) -> bool:
     for m in candidates:
         if len(m) != S.dim:
             raise ValueError("candidate dimension mismatch")
-        if all(sum(map(operator.mul, a, m)) <= b - strict for a, b, strict in S.rows):
+        for a, b, strict in S.rows:
+            if sum(map(operator.mul, a, m)) > b - strict:
+                break
+        else:
             return True
     return feasible_point(S) is not None
 

@@ -21,6 +21,10 @@ walks the ridges from one adjugate instead), and the first lattice basis of
 rays by trying every set of dim rays in order (the library walks prefixes,
 and a product joins its factors' bases).
 
+It keeps the public routes the library no longer exports: Ext dimensions
+as the cohomology of a divisor of M - L, principal divisors, and
+anti-nefness as nefness of -D.
+
 It also builds the seeded chains of star subdivisions that the cohomology
 and Frobenius tests share, GL(n, Z) images of fans with their rays
 reordered, and the mixed copy of a product, whose blocks one unimodular
@@ -38,6 +42,7 @@ from typing import Optional, Sequence
 
 from frobtilt.catalog import builtin
 from frobtilt.cohomology import CohomologyVector, cohomology, weight_patterns
+from frobtilt.cones import is_nef
 from frobtilt.fan import (
     DivisorClass, Fan, TorusDivisor, ValidationReport, canonical_divisor, divisor_class,
     star_subdivision,
@@ -77,6 +82,25 @@ def counted_cohomology(fan: Fan, D: TorusDivisor) -> tuple[int, ...]:
         for q, r in enumerate(p.reduced_ranks):
             total[q] += p.point_count * r
     return tuple(total)
+
+
+def ext_dims(fan: Fan, L: DivisorClass, M: DivisorClass) -> CohomologyVector:
+    """Ext^*(O(L), O(M)) = H^*(X, O(M - L)), from the cohomology of a divisor of M - L.
+
+    Both classes must lie on fan; the library's Ext table reads its
+    per-class cache on the coordinates of M - L instead.
+    """
+    return cohomology(fan, M.representative() - L.representative())
+
+
+def principal_divisor(fan: Fan, w: IntVec) -> TorusDivisor:
+    """div of the character with exponent w: coefficients <w, v_rho>."""
+    return TorusDivisor(fan, tuple(dot(w, r) for r in fan.rays))
+
+
+def is_antinef(D: TorusDivisor) -> bool:
+    """Whether -D is nef; the library's bu_set reads the wall degrees of a class directly."""
+    return is_nef(-D).is_nef
 
 
 def top_nonzero(vec: CohomologyVector) -> Optional[int]:

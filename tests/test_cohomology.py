@@ -12,14 +12,12 @@ from frobtilt.cohomology import (
     _active_patterns,
     _circuits,
     _class_cohomology,
-    _cone_witnesses,
     _emptied,
     _euler_characteristic,
     _localization,
     _pattern_region,
     _survivors,
     cohomology,
-    ext_dims,
     weight_patterns,
 )
 from frobtilt.fan import (
@@ -30,16 +28,16 @@ from frobtilt.fan import (
     ValidationReport,
     canonical_divisor,
     divisor_class,
-    principal_divisor,
     product,
     projective_space,
 )
 from frobtilt.cones import is_nef
 from frobtilt.lattice import LinearSystem, count_points, dot, feasible
-from frobtilt.tilting import orlov_check
+from frobtilt.tilting import build_candidate, orlov_check
 from oracles import (
-    certificates_on_coefficients, counted_cohomology, localized_chi_on_coefficients,
-    recession_cone_is_zero, subcomplex_ranks, subdivision_chain, weight_cohomology,
+    certificates_on_coefficients, counted_cohomology, ext_dims, localized_chi_on_coefficients,
+    principal_divisor, recession_cone_is_zero, subcomplex_ranks, subdivision_chain,
+    weight_cohomology,
 )
 
 P1 = builtin("P1").fan
@@ -407,7 +405,7 @@ def test_incomplete_fans_have_unbounded_patterns(fan):
         cohomology(fan, TorusDivisor(fan, (0,) * fan.n_rays))
 
 
-# --- cone-vertex witnesses before the survivor LP ----------------------------------
+# --- unimodular-basis vertices before the survivor LP ----------------------------------
 
 cohomology_module = importlib.import_module("frobtilt.cohomology")
 lattice_module = importlib.import_module("frobtilt.lattice")
@@ -431,28 +429,95 @@ def survivor_lps(monkeypatch):
 
 @pytest.mark.parametrize("name, fan", WITNESSED, ids=[c[0] for c in WITNESSED])
 def test_accepted_cone_witnesses_lie_in_their_regions(name, fan, monkeypatch, survivor_lps):
-    accepted = []
+    # each candidate is the vertex of the basis that gave it, in this order: the hint (the
+    # basis that last proved the pattern), the other maximal cones, the other unimodular
+    # bases; an accepted one is integral, tight on that basis's rows and in its region
+    yielded, accepted = [], []
+    real_vertices = cohomology_module._basis_vertices
+
+    def vertices(on, coeffs, neg, proved):
+        hint = proved.get(neg)
+        first = [hint[0]] if hint else []
+        first += [cone for cone in on.max_cones if cone not in first]
+        for k, m in enumerate(real_vertices(on, coeffs, neg, proved)):
+            basis = proved[neg][0]
+            if k < len(first):
+                assert basis == first[k], (k, basis)
+            else:
+                assert basis not in first and len(set(basis)) == on.dim, basis
+            source = "hint" if k == 0 and hint else "cone" if k < len(first) else "other"
+            yielded.append((on, coeffs, neg, basis, source, m))
+            yield m
 
     def recording(S, candidates=()):
-        tried, lps = [], len(survivor_lps)
-        ok = feasible(S, (tried.append(m) or m for m in candidates))
-        if len(survivor_lps) == lps:  # no LP: the last candidate tried fits
-            accepted.append((S, tried[-1]))
+        lps = len(survivor_lps)
+        ok = feasible(S, candidates)
+        if len(survivor_lps) == lps:  # no LP: the last candidate yielded fits
+            accepted.append((S, yielded[-1]))
         return ok
 
+    monkeypatch.setattr(cohomology_module, "_basis_vertices", vertices)
     monkeypatch.setattr(cohomology_module, "feasible", recording)
+    fan = Fan(fan.dim, fan.rays, fan.max_cones)  # no hints yet
     rng = random.Random(fan.n_rays * 7 + fan.dim)
     for _ in range(8):
         D = TorusDivisor(fan, tuple(rng.randint(-5, 5) for _ in fan.rays))
         assert cohomology(fan, D).dims == counted_cohomology(fan, D), D.coeffs
-        # each witness is its cone's vertex: tight on the cone's rows
-        for neg in (frozenset(), frozenset(range(0, fan.n_rays, 2))):
-            for cone, m in zip(fan.max_cones, _cone_witnesses(fan, D.coeffs, neg)):
-                assert all(dot(m, fan.rays[j]) == -D.coeffs[j] - (j in neg) for j in cone)
     assert accepted
-    for S, m in accepted:
+    for on, coeffs, neg, basis, _, m in yielded:
         assert all(type(x) is int for x in m)
+        assert all(dot(m, on.rays[j]) == -coeffs[j] - (j in neg) for j in basis), (basis, m)
+    for S, (_, _, _, _, _, m) in accepted:
         assert all(dot(a, m) <= b - strict for a, b, strict in S.rows), (S, m)
+    sources = {entry[4] for _, entry in accepted}
+    assert {"hint", "cone"} <= sources, sources
+    if "dP6" in name:
+        assert "other" in sources
+
+
+CLASS_FANS = [(n, builtin(n).fan) for n in catalog_names()] + [
+    (f"dP6xP1-factor{k}", factor) for k, (_, factor, _) in enumerate(dP6xP1._factors)]
+
+
+@pytest.mark.parametrize("name, fan", CLASS_FANS, ids=[c[0] for c in CLASS_FANS])
+def test_unimodular_vertices_prove_every_survivor(name, fan, survivor_lps):
+    # a nonempty bounded region has a vertex; on these fans one is always where the rows
+    # of a unimodular set of dim rays are tight, so no survivor reaches the LP
+    fresh = Fan(fan.dim, fan.rays, fan.max_cones)  # no hints and no class cache
+    rng = random.Random(f"vertices-{name}")
+    for _ in range(40):
+        D = TorusDivisor(fresh, tuple(rng.randint(-4, 4) for _ in fresh.rays))
+        assert cohomology(fresh, D).dims == counted_cohomology(fresh, D), D.coeffs
+    assert survivor_lps == []
+
+
+@pytest.mark.parametrize("name, fan", [("dP6", dP6), ("BlptP3", builtin("BlptP3").fan),
+                                       ("dP6xP1", dP6xP1)], ids=["dP6", "BlptP3", "dP6xP1"])
+def test_cold_class_with_a_survivor_is_reduced_once(name, fan, monkeypatch):
+    # cohomology reduces D to its class; the weight_patterns scan of the class's
+    # representative takes the class from _counted instead of reducing it again
+    rng = random.Random(f"reduced-{name}")
+    draws = [tuple(rng.randint(-4, 4) for _ in fan.rays) for _ in range(12)]
+    expected = [counted_cohomology(fan, TorusDivisor(fan, coeffs)) for coeffs in draws]
+    calls, scans = [], []
+    real_reduce, real_scan = cohomology_module.divisor_class, cohomology_module.weight_patterns
+    monkeypatch.setattr(cohomology_module, "divisor_class",
+                        lambda E: calls.append(E) or real_reduce(E))
+    monkeypatch.setattr(cohomology_module, "weight_patterns",
+                        lambda *args, **kw: scans.append(args) or real_scan(*args, **kw))
+    scanned = 0
+    for coeffs, dims in zip(draws, expected):
+        fresh = Fan(fan.dim, fan.rays, fan.max_cones)  # an empty class cache
+        calls.clear()
+        scans.clear()
+        assert cohomology(fresh, TorusDivisor(fresh, coeffs)).dims == dims, coeffs
+        assert len(calls) == 1, coeffs
+        scanned += bool(scans)
+        # a divisor handed to weight_patterns from outside is reduced there, per factor
+        calls.clear()
+        weight_patterns(fresh, TorusDivisor(fresh, coeffs))
+        assert len(calls) == (len(fresh._factors) or 1), coeffs
+    assert scanned
 
 
 @pytest.mark.parametrize("make", [lambda: product(dP6, P2), lambda: product(P1xP1, P1xP1)],
@@ -478,10 +543,6 @@ def test_empty_survivor_still_reaches_the_lp_and_fails(monkeypatch, survivor_lps
 
 
 # --- class coordinates against the coefficients of every representative -----------------------
-
-CLASS_FANS = [(n, builtin(n).fan) for n in catalog_names()] + [
-    (f"dP6xP1-factor{k}", factor) for k, (_, factor, _) in enumerate(dP6xP1._factors)]
-
 
 @pytest.mark.parametrize("name, fan", CLASS_FANS, ids=[c[0] for c in CLASS_FANS])
 def test_class_route_does_not_depend_on_the_representative(name, fan, monkeypatch):
@@ -580,8 +641,8 @@ def test_divisor_from_another_fan_raises_and_leaves_the_cache():
     calls = [
         lambda: cohomology(fan, K_F1),
         lambda: weight_patterns(fan, K_F1),
-        lambda: ext_dims(fan, O, divisor_class(K_F1)),
-        lambda: ext_dims(fan, divisor_class(K_F1), O),
+        lambda: build_candidate(fan, (O, divisor_class(K_F1))),
+        lambda: build_candidate(fan, (divisor_class(K_F1), O)),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="^the divisor is not on this fan$"):

@@ -4,11 +4,14 @@ import pytest
 
 from frobtilt.catalog import builtin, catalog_names
 from frobtilt.cohomology import cohomology
-from frobtilt.cones import FANO, NEF_FANO, NEITHER, bu_set, is_antinef, is_nef, nef_fano_status
-from frobtilt.fan import TorusDivisor, canonical_divisor, divisor_class, principal_divisor, product
+from frobtilt.cones import FANO, NEF_FANO, NEITHER, bu_set, is_nef, nef_fano_status
+from frobtilt.fan import TorusDivisor, canonical_divisor, divisor_class, product
 from frobtilt.frobenius import frob_set
 from frobtilt.lattice import dot
-from oracles import nef_by_support_function, nef_by_walls, scrambled, solve_integer, subdivision_chain
+from oracles import (
+    is_antinef, nef_by_support_function, nef_by_walls, principal_divisor, scrambled, solve_integer,
+    subdivision_chain,
+)
 
 P1 = builtin("P1").fan
 P2 = builtin("P2").fan

@@ -18,7 +18,6 @@ from frobtilt.fan import (
     cartier_data,
     divisor_class,
     hirzebruch,
-    principal_divisor,
     product,
     projective_space,
     star_subdivision,
@@ -28,8 +27,8 @@ from frobtilt.frobenius import frob_set, pushforward_summands
 from frobtilt.lattice import dot
 from frobtilt.tilting import orlov_check
 from oracles import (
-    cone_contains, cone_inverses, hermite_normal_form, scrambled, subdivision_chain,
-    validate_by_adjugates,
+    cone_contains, cone_inverses, hermite_normal_form, principal_divisor, scrambled,
+    subdivision_chain, validate_by_adjugates,
 )
 
 

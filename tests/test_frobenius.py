@@ -9,15 +9,15 @@ import pytest
 
 from frobtilt.catalog import builtin, catalog_names
 from frobtilt.fan import (
-    DivisorClass, TorusDivisor, divisor_class, principal_divisor, product, projective_space,
+    DivisorClass, TorusDivisor, divisor_class, product, projective_space,
 )
 from frobtilt.frobenius import (
     FrobSet, _chamber_leaves, _realizes, frob_set, minimal_stabilizing_ell, pushforward_summands,
 )
 from frobtilt.lattice import dot
 from oracles import (
-    chamber_leaves, chamber_walk, residue_walk, stabilizing_ell_from_one, subdivision_chain,
-    summand_divisor,
+    chamber_leaves, chamber_walk, principal_divisor, residue_walk, stabilizing_ell_from_one,
+    subdivision_chain, summand_divisor,
 )
 
 P1 = builtin("P1").fan

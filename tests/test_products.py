@@ -22,15 +22,16 @@ import pytest
 
 from frobtilt.catalog import CatalogEntry, builtin, catalog_names, load, save
 from frobtilt.cli import main
-from frobtilt.cohomology import cohomology, ext_dims, weight_patterns
-from frobtilt.cones import FANO, NEF_FANO, NEITHER, bu_set, is_antinef, is_nef, nef_fano_status
+from frobtilt.cohomology import cohomology, weight_patterns
+from frobtilt.cones import FANO, NEF_FANO, NEITHER, bu_set, is_nef, nef_fano_status
 from frobtilt.fan import (
     DivisorClass, Fan, TorusDivisor, canonical_divisor, divisor_class, product, validate,
 )
 from frobtilt.frobenius import FrobSet, frob_set, minimal_stabilizing_ell
 from frobtilt.tilting import build_candidate, m0, orlov_check
 from oracles import (
-    chamber_walk, counted_cohomology, first_lattice_basis, mixed, nef_by_walls, subdivision_chain,
+    chamber_walk, counted_cohomology, ext_dims, first_lattice_basis, is_antinef, mixed,
+    nef_by_walls, subdivision_chain,
 )
 
 cohomology_module = importlib.import_module("frobtilt.cohomology")
