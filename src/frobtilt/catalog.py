@@ -157,6 +157,10 @@ def read_json(path):
         raise FanFileError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise FanFileError(f"{path}: not valid JSON (line {exc.lineno}, col {exc.colno})") from exc
+    except RecursionError as exc:
+        raise FanFileError(f"{path}: JSON nested too deeply to read") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise FanFileError(f"{path}: a JSON integer has too many digits") from exc
 
 
 def load(path) -> CatalogEntry:

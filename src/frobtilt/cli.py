@@ -111,10 +111,7 @@ def _cmd_frob(entry, args):
     fan = entry.fan
     D = _parse_divisor(args.divisor, fan)
     counts = pushforward_summands(fan, D, args.ell)
-    summands = [
-        {"coords": list(cls.coords), "multiplicity": counts[cls]}
-        for cls in sorted(counts)
-    ]
+    summands = [{"coords": list(cls.coords), "multiplicity": m} for cls, m in counts.items()]
     payload = {
         "name": entry.name,
         "ell": args.ell,

@@ -30,18 +30,17 @@ per maximal cone, in an exponent read on the class coordinates too.
 Per class, every surviving region is proven nonempty and bounded.  The
 integer point where the rows of a unimodular set of dim rays are tight
 proves it nonempty with no LP when it meets the other rows.  The sets are
-tried in this order: the one that last proved the same pattern on the fan,
-then the maximal cones (whose points are the Cartier points of D plus the
-divisors of the region's negative rays), then the other unimodular sets,
-found and inverted the first time no cone's point fits.  The LP runs only
-when no such vertex lies in the region.  The class's coordinates come
-with the representative that is scanned, so a class is reduced once.  The
-regions whose ranks are nonzero in one degree q* alone,
-q* the degree with the most of them, are not counted: h^{q*} is what chi
-leaves of the other degrees, and chi is evaluated only when such a region
-survives.  The regions that are counted keep one optimal LP tableau per
-constraint matrix and direction, so once a direction is solved its bound
-on a new divisor is a warm dual simplex, not an LP from scratch.
+tried in one fixed order: the maximal cones (whose points are the Cartier
+points of D plus the divisors of the region's negative rays), then the
+other unimodular sets, found and inverted the first time no cone's point
+fits.  The LP runs only when no such vertex lies in the region.  The
+class's coordinates come with the representative that is scanned, so a
+class is reduced once.  The regions whose ranks are nonzero in one degree
+q* alone, q* the degree with the most of them, are not counted: h^{q*} is
+what chi leaves of the other degrees, and chi is evaluated only when such a
+region survives.  The regions that are counted keep one optimal LP tableau
+per constraint matrix and direction, so once a direction is solved its
+bound on a new divisor is a warm dual simplex, not an LP from scratch.
 
 A product fan (Fan._factors) never builds its own patterns.  A class goes
 by Kunneth, H^*(X x Y, L x M) = H^*(X, L) (x) H^*(Y, M): the factors'
@@ -398,33 +397,18 @@ def _survivors(fan: Fan, coords: IntVec) -> list[Pattern]:
     return last[1]
 
 
-def _basis_vertices(fan: Fan, coeffs: IntVec, neg: frozenset[int], proved: dict
-                    ) -> Iterator[IntVec]:
+def _basis_vertices(fan: Fan, coeffs: IntVec, neg: frozenset[int]) -> Iterator[IntVec]:
     """Per unimodular ray basis B, the m with <m, v_j> = -a_j - [j in neg] on B's rays.
 
-    m is integral because B is unimodular, and a vertex of neg's region
-    whenever it meets the region's other rows.  The basis that last proved
-    neg's region on this fan comes first, then the maximal cones (where m
-    is the Cartier point of D + sum_{j in neg} D_j), then the other
-    unimodular sets of dim rays.  proved[neg] holds each basis, with its
-    inverse, while its vertex is tried, so it names the accepted one once
-    the caller stops; it is dropped when every basis has been tried.
+    m = U.t, t_j = -a_j - [j in neg], with U the inverse of B's ray matrix.
+    It is integral because B is unimodular, and a vertex of neg's region
+    whenever it meets the region's other rows.  The maximal cones come first,
+    in the fan's order (there m is the Cartier point of D + sum_{j in neg}
+    D_j), then the other unimodular sets of dim rays.
     """
-    hint = proved.get(neg)
-    if hint:
-        yield _vertex(*hint, coeffs, neg)
-    skip = hint[0] if hint else None  # the hint is not tried again in its own place
     for basis, U in itertools.chain(zip(fan.max_cones, fan._cone_inverses), _other_bases(fan)):
-        if basis is not skip:
-            proved[neg] = basis, U
-            yield _vertex(basis, U, coeffs, neg)
-    del proved[neg]
-
-
-def _vertex(basis: tuple[int, ...], U: IntMat, coeffs: IntVec, neg: frozenset[int]) -> IntVec:
-    """U.t, t_j = -a_j - [j in neg] on the basis rays, U the inverse of their matrix."""
-    t = [-coeffs[j] - (j in neg) for j in basis]
-    return tuple([sum(map(operator.mul, row, t)) for row in U])
+        t = [-coeffs[j] - (j in neg) for j in basis]
+        yield tuple([sum(map(operator.mul, row, t)) for row in U])
 
 
 def _other_bases(fan: Fan) -> Iterator[tuple[tuple[int, ...], IntMat]]:
@@ -476,7 +460,6 @@ def weight_patterns(fan: Fan, D: TorusDivisor, skip: Optional[int] = None
     if fan._factors:
         return _joined_patterns(fan, D, skip)
     bases = fan._rank_cache.setdefault("bases", {})
-    proved = fan._rank_cache.setdefault("proved", {})
     last = fan._rank_cache.get("survivors")
     if last and last[2] is D.coeffs:  # the representative _counted built: its class is known
         survivors = last[1]
@@ -485,7 +468,7 @@ def weight_patterns(fan: Fan, D: TorusDivisor, skip: Optional[int] = None
     out = []
     for verts, ranks, _, single, bounded in survivors:
         region = _pattern_region(fan, D.coeffs, verts)
-        if not feasible(region, _basis_vertices(fan, D.coeffs, verts, proved)):
+        if not feasible(region, _basis_vertices(fan, D.coeffs, verts)):
             raise AssertionError(
                 f"weight region of sign pattern {sorted(verts)} is empty "
                 "but no circuit certifies it"

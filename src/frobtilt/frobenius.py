@@ -113,9 +113,8 @@ def pushforward_summands(fan: Fan, D: TorusDivisor, ell: int) -> Counter:
     the ell^(n-1) prefixes.  Classes are packed into integers,
     sum_i coords[i] * width^i with width above twice any coordinate a
     partial floor sum can reach, so each step is one integer addition.
-    Both routes insert each class at its least residue u, as the walk
-    over u in lexicographic order would.  Raises ValueError, before any
-    walk, when ell has more than MAX_FROB_RESIDUES residues.
+    The Counter lists the classes in sorted order.  Raises ValueError,
+    before any walk, when ell has more than MAX_FROB_RESIDUES residues.
     """
     fan.require_valid()
     if ell < 1:
@@ -140,18 +139,15 @@ def pushforward_summands(fan: Fan, D: TorusDivisor, ell: int) -> Counter:
     else:
         counts = _merged_counts(fan, D.coeffs, packed, ell)
     rank = fan.picard_rank
-    return Counter({DivisorClass(_unpack(z, width, rank), fan): m for z, m in counts.items()})
+    classes = sorted((_unpack(z, width, rank), m) for z, m in counts.items())
+    return Counter({DivisorClass(coords, fan): m for coords, m in classes})
 
 
 def _merged_counts(fan: Fan, coeffs: IntVec, packed: list[int], ell: int) -> dict[int, int]:
-    """Packed class -> multiplicity by the merged walk, in the order of first residues."""
+    """Packed class -> multiplicity by the merged walk."""
     last = [max(i for i, x in enumerate(ray) if x) for ray in fan.rays]
     live = list(range(fan.n_rays))
     base = sum(a // ell * unit for a, unit in zip(coeffs, packed))
-    # states and counts keep the order of first residues: states are visited
-    # in the order of their least prefix p, and p*ell + y lies below every
-    # later state's successors, so each state, and then each class, is
-    # first inserted at its least residue, as in the residue-by-residue walk.
     states = {(tuple(a % ell for a in coeffs), base): 1}
     for j in range(fan.dim - 1):
         moving = [(pos, fan.rays[i][j], packed[i]) for pos, i in enumerate(live) if fan.rays[i][j]]
@@ -184,16 +180,13 @@ def _merged_counts(fan: Fan, coeffs: IntVec, packed: list[int], ell: int) -> dic
 
 
 def _piece_counts(coeffs: IntVec, rays: tuple[IntVec, ...], packed: list[int], ell: int) -> dict:
-    """Packed class -> multiplicity on a fan of dimension <= 2, in the order of first residues.
+    """Packed class -> multiplicity on a fan of dimension <= 2.
 
     The residues are u = (y, x), or u = (x) with the single y = 0 on P1.
     The y are walked one residue class mod step = lcm |v_rho[1]| at a
     time, in pieces y, y + step, ... given by _piece, on which every x-run
     keeps its class and has a length affine in the piece index t; the
-    lengths are summed in closed form.  A class's first residue is the
-    least (y, x) where one of its runs is nonempty: at t = 0, or at t = 1
-    when the run opens there, since a length >= 0 that is 0 at t = 0 and
-    grows is positive at t = 1.
+    lengths are summed in closed form.
     """
     if len(rays[0]) == 1:
         walk, ys, step = [(a, 0, g, unit) for a, (g,), unit in zip(coeffs, rays, packed)], 1, 1
@@ -201,20 +194,15 @@ def _piece_counts(coeffs: IntVec, rays: tuple[IntVec, ...], packed: list[int], e
         walk = [(a, h, g, unit) for a, (h, g), unit in zip(coeffs, rays, packed)]
         ys, step = ell, math.lcm(*(abs(g) for _, g in rays if g))
     counts: dict[int, int] = {}
-    first: dict[int, tuple[int, int]] = {}
     for y in range(min(step, ys)):
         while y < ys:
             size, base, runs = _piece(walk, ell, y, step, (ys - 1 - y) // step + 1)
-            for off, x, dx, length, grow in runs:
+            for off, length, grow in runs:
                 total = size * length + grow * size * (size - 1) // 2
                 if total:
-                    cls, t = base + off, 0 if length else 1
-                    counts[cls] = counts.get(cls, 0) + total
-                    at = (y + t * step, x + t * dx)
-                    if first.get(cls, at) >= at:
-                        first[cls] = at
+                    counts[base + off] = counts.get(base + off, 0) + total
             y += size * step
-    return {cls: counts[cls] for cls in sorted(counts, key=first.__getitem__)}
+    return counts
 
 
 def _piece(walk: list, ell: int, y: int, step: int, left: int) -> tuple[int, int, list]:
@@ -229,7 +217,7 @@ def _piece(walk: list, ell: int, y: int, step: int, left: int) -> tuple[int, int
     of those floors changes, or where two neighbours in (x, slope) order
     cross, x = 0 and x = ell bounding the first and last run.  Returns
     (size, packed class at x = 0, runs), each run (packed offset from that
-    class, start x, its slope, length at t = 0, the length's slope).
+    class, length at t = 0, the length's growth per t).
     """
     size, base, events = left, 0, []
     for a, h, g, unit in walk:
@@ -245,7 +233,7 @@ def _piece(walk: list, ell: int, y: int, step: int, left: int) -> tuple[int, int
     for nx, ndx, jump in events + [(ell, 0, 0)]:
         if dx > ndx:
             size = min(size, (nx - x) // (dx - ndx) + 1)
-        runs.append((off, x, dx, nx - x, ndx - dx))
+        runs.append((off, nx - x, ndx - dx))
         off, x, dx = off + jump, nx, ndx
     return size, base, runs
 

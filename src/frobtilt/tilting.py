@@ -159,11 +159,9 @@ def m0(candidate: TiltingCandidate) -> int:
         factors = []  # per factor: the factor, each summand's slot, per slot pair the class and t_f
         for _, factor, positions in fan._factors:
             K = divisor_class(canonical_divisor(factor)).coords
-            index: dict[tuple[int, ...], int] = {}
-            slots = [index.setdefault(tuple([s.coords[p] for p in positions]), len(index))
-                     for s in summands]
-            twisted = [[tuple(map(operator.sub, b, map(operator.add, a, K))) for b in index]
-                       for a in index]
+            slots, classes = _projected(summands, positions)
+            twisted = [[tuple(map(operator.sub, b, map(operator.add, a, K))) for b in classes]
+                       for a in classes]
             factors.append((factor, slots, twisted, [[_top_degree(factor, c, 0) for c in row]
                                                      for row in twisted]))
         if not any(t for *_, tops in factors for row in tops for t in row):
@@ -196,13 +194,23 @@ def _factor_pairs(fan: Fan, summands: tuple[DivisorClass, ...]
     """
     parts = []
     for _, factor, positions in fan._factors:
-        index: dict[tuple[int, ...], int] = {}
-        slots = [index.setdefault(tuple([s.coords[p] for p in positions]), len(index))
-                 for s in summands]
-        rows = [[_class_cohomology(factor, tuple(map(operator.sub, b, a))) for b in index]
-                for a in index]
+        slots, classes = _projected(summands, positions)
+        rows = [[_class_cohomology(factor, tuple(map(operator.sub, b, a))) for b in classes]
+                for a in classes]
         parts.append((slots, [[row[x] for x in slots] for row in rows]))
     return [list(zip(*[wide[s[i]] for s, wide in parts])) for i in range(len(summands))]
+
+
+def _projected(summands: tuple[DivisorClass, ...], positions: tuple[int, ...]
+               ) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Each summand's slot on a factor, and the distinct factor classes the slots index.
+
+    positions picks the factor's class coordinates out of the product's.
+    """
+    index: dict[tuple[int, ...], int] = {}
+    slots = [index.setdefault(tuple([s.coords[p] for p in positions]), len(index))
+             for s in summands]
+    return slots, list(index)
 
 
 def orlov_check(fan: Fan, name: str = "") -> OrlovReport:

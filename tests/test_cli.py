@@ -387,6 +387,24 @@ def test_unreadable_manifest_exits_two_naming_it(tmp_path, capsys, content, reas
     assert err.count("\n") == 1 and err.startswith(f"error: {manifest}: {reason}")
 
 
+@pytest.mark.parametrize("command", ["describe", "batch"])
+@pytest.mark.parametrize("content, reason", [
+    (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+    (b'{"name": "P1", "dim": 1, "rays": [[1' + b"0" * 5000 + b'], [-1]]}',
+     "a JSON integer has too many digits"),
+], ids=["deep", "long-integer"])
+def test_json_past_the_reader_limits_exits_two_naming_the_file(tmp_path, capsys, command,
+                                                               content, reason):
+    # the JSON reader refuses 100,000 nested arrays and a 5,001-digit integer
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    argv = ["describe", str(path)] if command == "describe" else ["batch", "--manifest", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}: {reason}")
+
+
 def test_invalid_fan_refused_by_orlov(tmp_path, capsys):
     p = tmp_path / "nonsmooth.json"
     p.write_text(json.dumps({

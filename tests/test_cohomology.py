@@ -429,23 +429,22 @@ def survivor_lps(monkeypatch):
 
 @pytest.mark.parametrize("name, fan", WITNESSED, ids=[c[0] for c in WITNESSED])
 def test_accepted_cone_witnesses_lie_in_their_regions(name, fan, monkeypatch, survivor_lps):
-    # each candidate is the vertex of the basis that gave it, in this order: the hint (the
-    # basis that last proved the pattern), the other maximal cones, the other unimodular
-    # bases; an accepted one is integral, tight on that basis's rows and in its region
+    # each candidate is the vertex of the basis that gave it, in one fixed order: the maximal
+    # cones in the fan's order, then the unimodular bases that are no cone; an accepted one
+    # is integral, tight on that basis's rows and in its region
     yielded, accepted = [], []
     real_vertices = cohomology_module._basis_vertices
 
-    def vertices(on, coeffs, neg, proved):
-        hint = proved.get(neg)
-        first = [hint[0]] if hint else []
-        first += [cone for cone in on.max_cones if cone not in first]
-        for k, m in enumerate(real_vertices(on, coeffs, neg, proved)):
-            basis = proved[neg][0]
-            if k < len(first):
-                assert basis == first[k], (k, basis)
+    def vertices(on, coeffs, neg):
+        cones = on.max_cones
+        for k, m in enumerate(real_vertices(on, coeffs, neg)):
+            if k < len(cones):
+                basis, source = cones[k], "cone"
             else:
-                assert basis not in first and len(set(basis)) == on.dim, basis
-            source = "hint" if k == 0 and hint else "cone" if k < len(first) else "other"
+                if k == len(cones):  # the other bases are found when first reached
+                    others = [basis for basis, _ in cohomology_module._other_bases(on)]
+                basis, source = others[k - len(cones)], "other"
+                assert basis not in cones and len(set(basis)) == on.dim, basis
             yielded.append((on, coeffs, neg, basis, source, m))
             yield m
 
@@ -458,7 +457,7 @@ def test_accepted_cone_witnesses_lie_in_their_regions(name, fan, monkeypatch, su
 
     monkeypatch.setattr(cohomology_module, "_basis_vertices", vertices)
     monkeypatch.setattr(cohomology_module, "feasible", recording)
-    fan = Fan(fan.dim, fan.rays, fan.max_cones)  # no hints yet
+    fan = Fan(fan.dim, fan.rays, fan.max_cones)  # no cached classes or bases yet
     rng = random.Random(fan.n_rays * 7 + fan.dim)
     for _ in range(8):
         D = TorusDivisor(fan, tuple(rng.randint(-5, 5) for _ in fan.rays))
@@ -470,7 +469,7 @@ def test_accepted_cone_witnesses_lie_in_their_regions(name, fan, monkeypatch, su
     for S, (_, _, _, _, _, m) in accepted:
         assert all(dot(a, m) <= b - strict for a, b, strict in S.rows), (S, m)
     sources = {entry[4] for _, entry in accepted}
-    assert {"hint", "cone"} <= sources, sources
+    assert "cone" in sources, sources
     if "dP6" in name:
         assert "other" in sources
 

@@ -93,7 +93,7 @@ def test_run_walk_matches_residue_walk_on_catalog(name):
             counts = pushforward_summands(fan, D, ell)
             walk = residue_walk(fan, D, ell)
             assert dict(counts) == dict(walk), (ell, D.coeffs)
-            assert list(counts) == list(walk), (ell, D.coeffs)
+            assert list(counts) == sorted(walk), (ell, D.coeffs)
 
 
 def steps_coincide(fan, D, ell):
@@ -129,7 +129,7 @@ def test_run_walk_matches_residue_walk_at_coinciding_breakpoints(name, ell, coef
     counts = pushforward_summands(fan, D, ell)
     walk = residue_walk(fan, D, ell)
     assert dict(counts) == dict(walk)
-    assert list(counts) == list(walk)
+    assert list(counts) == sorted(walk)
 
 
 # Products and P^n, where prefixes with equal live-ray remainders merge, and
@@ -169,7 +169,7 @@ def test_level_walk_matches_residue_walk_where_states_merge_or_not(fan, ell):
     counts = pushforward_summands(fan, D, ell)
     walk = residue_walk(fan, D, ell)
     assert dict(counts) == dict(walk)
-    assert list(counts) == list(walk)
+    assert list(counts) == sorted(walk)
 
 
 def projective_closed_form(n, ell):
