@@ -37,9 +37,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, target=True):
         if target:
             sp.add_argument("target", help="builtin name or fan file path")
+            sp.add_argument("-v", "--verbose", action="store_true",
+                            help="name the resolved target on stderr")
         sp.add_argument("--format", dest="fmt", choices=("json", "md", "csv"),
                         default="json")
-        sp.add_argument("-v", "--verbose", action="store_true")
 
     common(sub.add_parser("describe", help="fan data, ray order, validation"))
     sp = sub.add_parser("frob", help="summands of one pushforward")

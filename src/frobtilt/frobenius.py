@@ -10,12 +10,12 @@ between at most sum_rho |v_rho[1]| breakpoints, and along each residue
 class of y mod lcm |v_rho[1]| the breakpoints move by fixed integer
 steps, so y is summed in pieces on which every run keeps its class and
 its length is affine in y: a number of pieces that does not grow with
-ell (P1 is one piece).  From dimension 3 on, the residues are walked one
+ell.  On every other fan, P1 included, the residues are walked one
 coordinate at a time, and residue prefixes merge when the rays still to
 be walked have equal remainders mod ell and the floors settled so far
 have equal classes: P^n and product fans take about ell^2 steps, and at
 most ell^(n-1) states reach the last coordinate, which is counted run by
-run.
+run by the same routine that finds a surface's runs, at a single y.
 
 The full summand set over every ell is computed exactly from the chambers
 of the arrangement {<t, v_rho> = k} inside the half-open unit cube.  Each
@@ -25,8 +25,9 @@ realizes its class at the chamber ell that clears t's denominators.  A
 product fan's chambers are products of its factors' chambers, so only
 the distinct factors are walked, and the product's leaves are the tuples
 of theirs.  The least ell at which a class, or
-every class, appears is found with no pushforward, by asking whether a
-leaf's chamber scaled by ell holds an integer point.
+every class, appears is found with no pushforward by one upward sweep
+over ell, which asks whether a leaf's chamber scaled by ell holds an
+integer point.
 """
 
 from __future__ import annotations
@@ -74,9 +75,9 @@ class FrobSet:
 
     @cached_property
     def witnesses(self) -> tuple[FrobWitness, ...]:
-        """Each class's least ell, over its leaves, at which a leaf's cell has a point."""
+        """Each class's least ell, by its least chamber ell, at which a leaf's cell has a point."""
         return tuple(
-            FrobWitness(cls, min(_least_ell(self.fan, b, last) for b, last in leaves))
+            FrobWitness(cls, _least_ell(self.fan, (leaves,), min(e for _, e in leaves)))
             for cls, leaves in zip(self.classes, self.cells)
         )
 
@@ -92,8 +93,8 @@ def pushforward_summands(fan: Fan, D: TorusDivisor, ell: int) -> Counter:
 
     divisor_class is linear, a_N - P.a_B in the Picard coordinates, so
     each ray divisor D_rho is reduced once and a floor vector b has the
-    class sum_rho b_rho [D_rho].  On a fan of dimension <= 2 the classes
-    are summed over pieces of y (_piece_counts).  Otherwise the residues
+    class sum_rho b_rho [D_rho].  On a surface the classes are summed
+    over pieces of y (_piece_counts).  Otherwise, P1 included, the residues
     are walked one coordinate at a time, with c_rho = a_rho +
     <u[:j], v_rho[:j]> split by floor((c + t) / ell) = c // ell +
     floor((c % ell + t) / ell): a state holds the remainders c_rho % ell
@@ -103,8 +104,8 @@ def pushforward_summands(fan: Fan, D: TorusDivisor, ell: int) -> Counter:
     they merge into one state with the sum of their multiplicities.  Each
     coordinate before the last steps u_j over [0, ell) once per distinct
     remainder key; along the last one the floors are constant on runs
-    between at most sum_rho |v_rho[n-1]| breakpoints, walked once per key
-    and added to each state's base.
+    between at most sum_rho |v_rho[n-1]| breakpoints, found once per key
+    by _piece at the single y = 0 and added to each state's base.
 
     On P^n the keys differ only in the remainder of the ray that mixes
     every coordinate, and on a product fan one factor's remainders stay
@@ -134,7 +135,7 @@ def pushforward_summands(fan: Fan, D: TorusDivisor, ell: int) -> Counter:
     )
     width = 1 << (2 * bound + 1).bit_length()
     packed = [sum(x * width**i for i, x in enumerate(unit)) for unit in units]
-    if fan.dim <= 2:
+    if fan.dim == 2:
         counts = _piece_counts(D.coeffs, fan.rays, packed, ell)
     else:
         counts = _merged_counts(fan, D.coeffs, packed, ell)
@@ -163,40 +164,34 @@ def _merged_counts(fan: Fan, coeffs: IntVec, packed: list[int], ell: int) -> dic
                 state = (succ_key, base + off)
                 merged[state] = merged.get(state, 0) + m
         states = merged
-    walk = [
-        (pos, fan.rays[i][-1], packed[i] if fan.rays[i][-1] > 0 else -packed[i])
-        for pos, i in enumerate(live)
-    ]
-    runs: dict[IntVec, tuple[list, list]] = {}
+    lasts = [(fan.rays[i][-1], packed[i]) for i in live]
+    runs: dict[IntVec, list] = {}
     counts: dict[int, int] = {}
     for (key, base), m in states.items():
         run = runs.get(key)
         if run is None:
-            run = runs[key] = _last_runs(key, walk, ell)
-        for off, length in zip(*run):
+            walk = [(r, 0, g, unit) for r, (g, unit) in zip(key, lasts)]
+            runs[key] = run = [r[:2] for r in _piece(walk, ell, 0, 1, 1)[2] if r[1]]
+        for off, length in run:
             cls = base + off
             counts[cls] = counts.get(cls, 0) + m * length
     return counts
 
 
 def _piece_counts(coeffs: IntVec, rays: tuple[IntVec, ...], packed: list[int], ell: int) -> dict:
-    """Packed class -> multiplicity on a fan of dimension <= 2.
+    """Packed class -> multiplicity on a surface.
 
-    The residues are u = (y, x), or u = (x) with the single y = 0 on P1.
-    The y are walked one residue class mod step = lcm |v_rho[1]| at a
-    time, in pieces y, y + step, ... given by _piece, on which every x-run
-    keeps its class and has a length affine in the piece index t; the
-    lengths are summed in closed form.
+    The residues are u = (y, x).  The y are walked one residue class mod
+    step = lcm |v_rho[1]| at a time, in pieces y, y + step, ... given by
+    _piece, on which every x-run keeps its class and has a length affine
+    in the piece index t; the lengths are summed in closed form.
     """
-    if len(rays[0]) == 1:
-        walk, ys, step = [(a, 0, g, unit) for a, (g,), unit in zip(coeffs, rays, packed)], 1, 1
-    else:
-        walk = [(a, h, g, unit) for a, (h, g), unit in zip(coeffs, rays, packed)]
-        ys, step = ell, math.lcm(*(abs(g) for _, g in rays if g))
+    walk = [(a, h, g, unit) for a, (h, g), unit in zip(coeffs, rays, packed)]
+    step = math.lcm(*(abs(g) for _, g in rays if g))
     counts: dict[int, int] = {}
-    for y in range(min(step, ys)):
-        while y < ys:
-            size, base, runs = _piece(walk, ell, y, step, (ys - 1 - y) // step + 1)
+    for y in range(min(step, ell)):
+        while y < ell:
+            size, base, runs = _piece(walk, ell, y, step, (ell - 1 - y) // step + 1)
             for off, length, grow in runs:
                 total = size * length + grow * size * (size - 1) // 2
                 if total:
@@ -213,19 +208,22 @@ def _piece(walk: list, ell: int, y: int, step: int, left: int) -> tuple[int, int
     moves by exactly -h*step/g per t, since g divides step, as long as its
     k stays, that is, as long as the ray's floors at x = 0 and at
     x = ell - 1 stay; they also set the base class and keep every
-    breakpoint in [1, ell - 1].  The piece ends at the first t where one
-    of those floors changes, or where two neighbours in (x, slope) order
-    cross, x = 0 and x = ell bounding the first and last run.  Returns
-    (size, packed class at x = 0, runs), each run (packed offset from that
-    class, length at t = 0, the length's growth per t).
+    breakpoint in [1, ell - 1].  A ray with h = 0 never moves them.  The
+    piece ends at the first t where one of those floors changes, or where
+    two neighbours in (x, slope) order cross, x = 0 and x = ell bounding
+    the first and last run.  Returns (size, packed class at x = 0, runs),
+    each run (packed offset from that class, length at t = 0, the length's
+    growth per t); breakpoints of several rays at one x leave runs of
+    length 0 between them.  The merged walk's last coordinate is the
+    single y = 0 (left = 1) of a walk with h = 0 and a = the remainder.
     """
     size, base, events = left, 0, []
     for a, h, g, unit in walk:
         c = a + h * y
         base += c // ell * unit
-        size = min(size, _steady(c, h * step, ell))
+        if h:
+            size = min(size, _steady(c, h * step, ell), _steady(c + g * (ell - 1), h * step, ell))
         if g:
-            size = min(size, _steady(c + g * (ell - 1), h * step, ell))
             slope, jump = -h * step // g, unit if g > 0 else -unit
             events += [(x, slope, jump) for x in _breakpoints(c, g, ell)]
     events.sort()
@@ -238,13 +236,11 @@ def _piece(walk: list, ell: int, y: int, step: int, left: int) -> tuple[int, int
     return size, base, runs
 
 
-def _steady(c: int, d: int, ell: int) -> int | float:
-    """The least t >= 1 with (c + d*t) // ell != c // ell; infinite when d = 0."""
+def _steady(c: int, d: int, ell: int) -> int:
+    """The least t >= 1 with (c + d*t) // ell != c // ell, for d != 0."""
     if d > 0:
         return (ell - 1 - c % ell) // d + 1
-    if d < 0:
-        return c % ell // -d + 1
-    return math.inf
+    return c % ell // -d + 1
 
 
 def _level_steps(key: IntVec, moving: list, kept: list, ell: int) -> tuple[list, list]:
@@ -262,26 +258,6 @@ def _level_steps(key: IntVec, moving: list, kept: list, ell: int) -> tuple[list,
         if pos in cols:
             cols[pos] = [(r + g * y) % ell for y in ys]
     return list(zip(*cols.values())), offsets
-
-
-def _last_runs(key: IntVec, walk: list, ell: int) -> tuple[list, list]:
-    """The runs of constant floors along the last coordinate: packed class offsets and lengths.
-
-    walk holds (position in key, v_rho[n-1], +-packed [D_rho]), the sign
-    of v_rho[n-1]: the step of the ray's floor at each of its breakpoints.
-    Breakpoints of several rays at one x make one step.
-    """
-    events = sorted([(x, step) for pos, g, step in walk for x in _breakpoints(key[pos], g, ell)])
-    offsets, lengths, start = [0], [], 0
-    for x, step in events:
-        if x == start:
-            offsets[-1] += step
-        else:
-            offsets.append(offsets[-1] + step)
-            lengths.append(x - start)
-            start = x
-    lengths.append(ell - start)
-    return offsets, lengths
 
 
 def _unpack(z: int, width: int, rank: int) -> IntVec:
@@ -354,12 +330,10 @@ def _chamber_leaves(fan: Fan) -> list[tuple[IntVec, int]]:
     tableau's vertex t.
     """
     units = identity_matrix(fan.dim)
-    steps = []  # per ray: None for a unit vector, else each floor b with its two rows
+    steps = []  # per ray: None for a unit vector, else each floor b with its cell's rows
     for ray in fan.rays:
-        down = tuple(-x for x in ray)
-        floors = range(-sum(max(x, 0) for x in down), max(sum(max(x, 0) for x in ray), 1))
-        steps.append(None if ray in units else
-                     [(b, ((down, -b, False), (ray, b + 1, True))) for b in floors])
+        floors = range(sum(min(x, 0) for x in ray), max(sum(max(x, 0) for x in ray), 1))
+        steps.append(None if ray in units else [(b, _cell((ray,), (b,), 1)) for b in floors])
     leaves: list[tuple[IntVec, int]] = []
     root = _strict_tableau(fan.dim, [(e, 1, True) for e in units])
     _descend(fan.dim, steps, (), root, leaves)
@@ -402,10 +376,16 @@ def _realizes(fan: Fan, b: IntVec, ell: int) -> bool:
     return bool(_count_box(_cell(fan.rays, b, ell), [(0, ell - 1)] * fan.dim, any))
 
 
-def _least_ell(fan: Fan, b: IntVec, last: int) -> int:
-    """The least ell at which b's cell has a point; at its chamber ell last it must."""
+def _least_ell(fan: Fan, cells: tuple[tuple[tuple[IntVec, int], ...], ...], last: int) -> int:
+    """The least ell <= last at which every class in cells has a leaf whose cell has a point.
+
+    cells holds, per class, its leaves (b, chamber ell).  The ells are
+    tried upward from 1, each class's leaves in order until one has a
+    point.  A leaf's cell has a point at its chamber ell, so a caller's
+    last is an ell at which every class must be found.
+    """
     for ell in range(1, last + 1):
-        if _realizes(fan, b, ell):
+        if all(any(_realizes(fan, b, ell) for b, _ in leaves) for leaves in cells):
             return ell
     raise AssertionError("a chamber leaf has no residue at its chamber ell")
 
@@ -419,8 +399,4 @@ def minimal_stabilizing_ell(fan: Fan) -> int:
     ells, which ends the search from ell = 1.
     """
     fs = frob_set(fan)
-    last = math.lcm(*(e for leaves in fs.cells for _, e in leaves))
-    for ell in range(1, last + 1):
-        if all(any(_realizes(fan, b, ell) for b, _ in leaves) for leaves in fs.cells):
-            return ell
-    raise AssertionError("stabilization bound violated; chamber ells inconsistent")
+    return _least_ell(fan, fs.cells, math.lcm(*(e for leaves in fs.cells for _, e in leaves)))

@@ -169,6 +169,30 @@ def test_json_output_serializes_only_the_payload(argv, capsys, monkeypatch):
     capsys.readouterr()
 
 
+TARGET_ARGS = {
+    "describe": [], "frob": ["--ell", "3"], "frob-set": [], "stabilize": [],
+    "nef": ["--divisor", "1,1,1"], "cohom": ["--divisor", "-3,0,0"],
+    "bu": [], "tilting": [], "orlov": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+def test_verbose_names_the_target_on_stderr_alone(capsys, command):
+    argv = [command, "P2", *TARGET_ARGS[command]]
+    code, out, err = run(capsys, *argv)
+    assert err == ""
+    assert run(capsys, *argv, "-v") == (code, out, f"resolved P2 ({builtin('P2').provenance})\n")
+
+
+def test_batch_takes_no_verbose_flag(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(["P1"]))
+    with pytest.raises(SystemExit) as exc:
+        main(["batch", "--manifest", str(manifest), "-v"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_unknown_target_exits_two(capsys):
     code, out, err = run(capsys, "describe", "NotAFan")
     assert code == 2

@@ -482,7 +482,7 @@ CLASS_FANS = [(n, builtin(n).fan) for n in catalog_names()] + [
 def test_unimodular_vertices_prove_every_survivor(name, fan, survivor_lps):
     # a nonempty bounded region has a vertex; on these fans one is always where the rows
     # of a unimodular set of dim rays are tight, so no survivor reaches the LP
-    fresh = Fan(fan.dim, fan.rays, fan.max_cones)  # no hints and no class cache
+    fresh = Fan(fan.dim, fan.rays, fan.max_cones)  # no class cache
     rng = random.Random(f"vertices-{name}")
     for _ in range(40):
         D = TorusDivisor(fresh, tuple(rng.randint(-4, 4) for _ in fresh.rays))

@@ -16,8 +16,8 @@ from frobtilt.frobenius import (
 )
 from frobtilt.lattice import dot
 from oracles import (
-    chamber_leaves, chamber_walk, principal_divisor, residue_walk, stabilizing_ell_from_one,
-    subdivision_chain, summand_divisor,
+    chamber_leaves, chamber_walk, principal_divisor, residue_walk, scrambled,
+    stabilizing_ell_from_one, subdivision_chain, summand_divisor,
 )
 
 P1 = builtin("P1").fan
@@ -424,19 +424,52 @@ def test_projective_space_witness_and_stabilizing_ells_have_closed_forms(n):
     assert minimal_stabilizing_ell(projective_space(n)) == n + 1
 
 
-def test_witnesses_fail_on_a_leaf_whose_cell_has_no_point(monkeypatch):
-    # A cell test that never finds P2's class (-1,) must end that leaf's
-    # search at its chamber ell with an error.
+def miss_p2_class(monkeypatch):
+    """P2's frob set, with the cell test patched to never find its class (-1,)."""
     frobenius = importlib.import_module("frobtilt.frobenius")
     fs = frob_set(P2)
     ((missed, _),) = fs.cells[fs.classes.index(DivisorClass((-1,), P2))]
     real = frobenius._realizes
     monkeypatch.setattr(frobenius, "_realizes",
                         lambda fan, b, ell: b != missed and real(fan, b, ell))
+    return fs
+
+
+def test_witnesses_fail_on_a_leaf_whose_cell_has_no_point(monkeypatch):
+    # A cell test that never finds P2's class (-1,) must end that leaf's
+    # search at its chamber ell with an error.
+    fs = miss_p2_class(monkeypatch)
     start = time.perf_counter()
     with pytest.raises(AssertionError, match="no residue at its chamber ell"):
         fs.witnesses
     assert time.perf_counter() - start < 1
+
+
+def test_stabilize_fails_on_a_class_whose_cells_have_no_point(monkeypatch):
+    # the stabilizing search is the witness sweep over every class, ended at
+    # the lcm of the chamber ells
+    miss_p2_class(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(AssertionError, match="no residue at its chamber ell"):
+        minimal_stabilizing_ell(P2)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("name", ["P2", "dP6", "F3", "P3", "BlptP3"])
+def test_witness_and_stabilizing_ells_on_classes_with_several_leaves(name):
+    # On the catalog fans every class has one leaf.  A scrambled copy cuts the
+    # cube along other hyperplanes, so a class's residues fall into several
+    # chambers; seed 3 maps dP6's hexagon onto itself, seed 5 splits every fan.
+    fan = builtin(name).fan
+    copy = scrambled(fan, 5)
+    fs = frob_set(copy)
+    assert max(len(leaves) for leaves in fs.cells) >= 2
+    witnesses = {w.cls: w.min_ell for w in fs.witnesses}
+    assert witnesses == chamber_walk(copy)
+    ell = minimal_stabilizing_ell(copy)
+    assert ell == stabilizing_ell_from_one(copy)
+    assert sorted(witnesses.values()) == sorted(w.min_ell for w in frob_set(fan).witnesses)
+    assert ell == minimal_stabilizing_ell(fan)
 
 
 @pytest.mark.parametrize("name", ["P2", "dP6", "BlptP3", "P2xP2"])
