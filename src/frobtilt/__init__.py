@@ -40,8 +40,6 @@ from .lattice import (
     IntMat,
     IntVec,
     LinearSystem,
-    UnboundedSystemError,
-    count_points,
     determinant,
     feasible,
     feasible_point,

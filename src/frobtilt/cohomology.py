@@ -12,10 +12,10 @@ Most of those regions are empty.  A region's constraint matrix depends only
 on the fan and the pattern, so emptiness is decided by Farkas certificates
 computed once per fan: the sign-consistent circuits of the rays.  Per class
 each circuit costs one dot product with its Picard coordinates, and only the
-regions that no certificate empties reach the simplex and the lattice point
-count; a class with none has h = 0 and builds no divisor.  m0 asks a class
-only for its top degree above the best so far (_top_degree), and one with
-no survivor ranked higher builds none either.
+regions that no certificate empties are proven nonempty and counted; a class
+with none has h = 0 and builds no divisor.  m0 asks a class only for its top
+degree above the best so far (_top_degree), and one with no survivor ranked
+higher builds none either.
 
 The per-fan set-up is one walk over the ray subsets.  The nerve is a
 triangulated sphere, so Alexander duality ranks every full subcomplex from
@@ -38,9 +38,13 @@ class's coordinates come with the representative that is scanned, so a
 class is reduced once.  The regions whose ranks are nonzero in one degree
 q* alone, q* the degree with the most of them, are not counted: h^{q*} is
 what chi leaves of the other degrees, and chi is evaluated only when such a
-region survives.  The regions that are counted keep one optimal LP tableau
-per constraint matrix and direction, so once a direction is solved its
-bound on a new divisor is a warm dual simplex, not an LP from scratch.
+region survives.
+
+A region is counted in the slack coordinates of one maximal cone.  By LP
+duality its certificates are the dual vertices, so they also bound it:
+each certificate y caps every row slack in its support by y.b // y_j, and
+the weights are the integer points of that slack box that meet the other
+rows.  No LP runs to find the box.
 
 A product fan (Fan._factors) never builds its own patterns.  A class goes
 by Kunneth, H^*(X x Y, L x M) = H^*(X, L) (x) H^*(Y, M): the factors'
@@ -64,8 +68,8 @@ from .lattice import (
     IntMat,
     IntVec,
     LinearSystem,
+    _count_box,
     adjugate,
-    count_points,
     dot,
     feasible,
     integer_rank,
@@ -80,7 +84,8 @@ from .lattice import (
 # patterns, so the bound applies to each of its factors.
 MAX_PATTERN_RAYS = 16
 
-Circuit = tuple[IntVec, int, int]  # lambda on the class coordinates, positive-part sums of +-lambda
+# lambda on the class coordinates, positive-part sums of +-lambda, (ray, |lambda|) on its support
+Circuit = tuple[IntVec, int, int, tuple[tuple[int, int], ...]]
 # rays, ranks, certificate mask, the one degree with a nonzero rank (or -1), bounded
 Pattern = tuple[frozenset[int], tuple[int, ...], int, int, bool]
 # the denominator, and per maximal cone alpha on the class coordinates and chi's numerators
@@ -332,9 +337,10 @@ def _active_patterns(fan: Fan) -> tuple[tuple[Circuit, ...], tuple[Pattern, ...]
             if x:
                 need_in[i] |= 1 << 2 * c + (x < 0)
                 need_out[i] |= 1 << 2 * c + (x > 0)
+        support = tuple((i, abs(x)) for i, x in enumerate(lam) if x)
         circuits.append((tuple([lam[j] for j in fan._pic[1]]), sum(x for x in lam if x > 0),
-                         -sum(x for x in lam if x < 0)))
-        supports += [sum(1 << i for i, x in enumerate(lam) if x)] * 2
+                         -sum(x for x in lam if x < 0), support))
+        supports += [sum(1 << i for i, _ in support)] * 2
     every = (1 << 2 * len(circuits)) - 1
     full, spans = (1 << fan.n_rays) - 1, integer_rank(fan.rays) == fan.dim
     faces = {f for cone in fan.max_cones for k in range(len(cone) + 1)
@@ -370,7 +376,7 @@ def _emptied(circuits: tuple[Circuit, ...], coords: IntVec) -> int:
     so the certificate applies when <y, a> plus that sum is positive.
     """
     out = 0
-    for c, (lam, pos_sum, neg_sum) in enumerate(circuits):
+    for c, (lam, pos_sum, neg_sum, _) in enumerate(circuits):
         t = sum(map(operator.mul, lam, coords))
         if t + pos_sum > 0:
             out |= 1 << 2 * c
@@ -444,6 +450,61 @@ def _pattern_region(fan: Fan, coeffs: IntVec, neg: frozenset[int]) -> LinearSyst
         for i, (ray, down, a) in enumerate(rows)]))
 
 
+def _slack_caps(circuits: tuple[Circuit, ...], coords: IntVec, mask: int) -> dict[int, int]:
+    """Per ray in the certificates' supports, the least y.b // |lambda_j| over the mask's y.
+
+    Certificate 2c has y.b = -(lambda.a + the positive sum), 2c + 1 has
+    y.b = lambda.a - the negative sum, with lambda.a read on the class coordinates.
+    """
+    caps: dict[int, int] = {}
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        bit = low.bit_length() - 1
+        lam, pos_sum, neg_sum, support = circuits[bit >> 1]
+        t = sum(map(operator.mul, lam, coords))
+        yb = t - neg_sum if bit & 1 else -t - pos_sum
+        for j, y in support:
+            cap = yb // y
+            if cap < caps.get(j, cap + 1):
+                caps[j] = cap
+    return caps
+
+
+def _count_region(fan: Fan, coords: IntVec, coeffs: IntVec, neg: frozenset[int], mask: int,
+                  total=sum) -> int:
+    """The integer weights of neg's bounded, surviving region; with total=any, whether there is one.
+
+    Row i of the region is e_i <v_i, m> <= b_i, with e_i = 1 and b_i = -a_i - 1
+    on neg, e_i = -1 and b_i = a_i off it; its slack is s_i = b_i - e_i <v_i, m>.
+    A certificate y of the mask has y^T A = 0, so sum y_i s_i = y.b, and none
+    of them empties a survivor, so y.b >= 0 caps each slack in y's support
+    by y.b // |lambda_j| (_slack_caps).  The certificates of a bounded region
+    cover every ray, and as they are the dual vertices, the least cap on s_j
+    is the floor of its maximum.  On a maximal cone sigma, m = U_sigma.(e_j
+    (b_j - s_j))_j maps the integer slacks of sigma's rays one to one onto
+    the weights, so the region is s_j in [0, cap_j] on sigma's rays and, for
+    each other ray i, -g_i.s <= b_i - g_i.b_sigma with g_ij = e_i e_j <v_i,
+    u_j>, u_j the columns of U_sigma.  The cone taken is the one whose box
+    has fewest points once its largest side is left out, and its rays are
+    walked by increasing cap, so the largest is counted as one interval.
+    """
+    caps = _slack_caps(_active_patterns(fan)[0], coords, mask)
+    k = min(range(len(fan.max_cones)),
+            key=lambda k: math.prod(sorted(caps[j] + 1 for j in fan.max_cones[k])[:-1]))
+    cone, U = fan.max_cones[k], fan._cone_inverses[k]
+    walk = sorted(zip(cone, zip(*U)), key=lambda ju: caps[ju[0]])
+    sign = [1 if i in neg else -1 for i in range(fan.n_rays)]
+    b = [-a - 1 if i in neg else a for i, a in enumerate(coeffs)]
+    rows = []
+    for i, ray in enumerate(fan.rays):
+        if i not in cone:
+            g = [sign[i] * sign[j] * dot(ray, u) for j, u in walk]
+            rows.append((tuple([-x for x in g]),
+                         b[i] - sum(x * b[j] for x, (j, _) in zip(g, walk)), False))
+    return _count_box(rows, [(0, caps[j]) for j, _ in walk], total)
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -459,14 +520,14 @@ def weight_patterns(fan: Fan, D: TorusDivisor, skip: Optional[int] = None
     _require_on_fan(fan, D)
     if fan._factors:
         return _joined_patterns(fan, D, skip)
-    bases = fan._rank_cache.setdefault("bases", {})
     last = fan._rank_cache.get("survivors")
     if last and last[2] is D.coeffs:  # the representative _counted built: its class is known
-        survivors = last[1]
+        coords, survivors = last[0], last[1]
     else:
-        survivors = _survivors(fan, divisor_class(D).coords)
+        coords = divisor_class(D).coords
+        survivors = _survivors(fan, coords)
     out = []
-    for verts, ranks, _, single, bounded in survivors:
+    for verts, ranks, mask, single, bounded in survivors:
         region = _pattern_region(fan, D.coeffs, verts)
         if not feasible(region, _basis_vertices(fan, D.coeffs, verts)):
             raise AssertionError(
@@ -477,7 +538,7 @@ def weight_patterns(fan: Fan, D: TorusDivisor, skip: Optional[int] = None
             raise _unbounded(verts)
         if single == skip:
             continue
-        count = count_points(region, bases)
+        count = _count_region(fan, coords, D.coeffs, verts, mask)
         if count:
             out.append(WeightPattern(tuple(sorted(verts)), ranks, count))
     return tuple(out)
@@ -575,17 +636,16 @@ def _top_degree(fan: Fan, coords: IntVec, above: int) -> int:
     h^q != 0 iff a survivor ranked in q has an integer point, so the survivors
     go from their top degree down; with none ranked above `above` no divisor is built.
     """
-    tops = sorted(((max(q for q, r in enumerate(ranks) if r), verts, bounded)
-                   for verts, ranks, _, _, bounded in _survivors(fan, coords)
+    tops = sorted(((max(q for q, r in enumerate(ranks) if r), verts, mask, bounded)
+                   for verts, ranks, mask, _, bounded in _survivors(fan, coords)
                    if any(ranks[above + 1:])), key=operator.itemgetter(0), reverse=True)
     if not tops:
         return above
     coeffs = DivisorClass(coords, fan).representative().coeffs
-    bases = fan._rank_cache.setdefault("bases", {})
-    for q, verts, bounded in tops:
+    for q, verts, mask, bounded in tops:
         if not bounded:
             raise _unbounded(verts)
-        if count_points(_pattern_region(fan, coeffs, verts), bases, any):
+        if _count_region(fan, coords, coeffs, verts, mask, any):
             return q
     return above
 

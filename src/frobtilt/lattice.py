@@ -2,22 +2,18 @@
 
 All arithmetic is arbitrary precision: integer vectors and matrices are
 plain tuples of Python ints.  A linear system is a tuple of integer rows
-a.x <= b, strict (a.x < b) where flagged.  Rational values stay integer
-numerators over one shared denominator (an LP optimum or point is read
-off the simplex tableau), and coordinate bounds are the integer box.  No
+a.x <= b, strict (a.x < b) where flagged.  A rational point stays integer
+numerators over one shared denominator, read off the simplex tableau.  No
 floating point is used anywhere; strict rows are decided exactly (via an
 auxiliary slack maximization, never a numeric tolerance).  A tableau
-stores only its nonbasic columns and the rhs; every LP tableau is built
-by one routine from a dual-feasible basis, so one dual simplex is its
-phase 1 and no artificial columns are used.  A system over nonnegative
+stores only its nonbasic columns and the rhs; every tableau is built by
+one routine from a dual-feasible basis, so one dual simplex is its whole
+solve and no artificial columns are used.  A system over nonnegative
 variables can also grow row by row: each step appends its new rows, in
-the current basis, to a copy of the last optimal tableau, whose rows
-keep their width, and dual simplex re-optimizes it.  Coordinate bounds
-keep one optimal tableau per constraint matrix and direction: a new
-right-hand side is written into its rhs column, and dual simplex
-re-optimizes it.  The integer points of a bounded system are counted in
-its coordinate box, not listed; an empty relaxation counts 0, and
-otherwise an unbounded coordinate raises UnboundedSystemError.
+the current basis, to a copy of the last optimal tableau, whose rows keep
+their width, and dual simplex re-optimizes it.  The integer points of
+rows inside a box the caller gives are counted by walking the box with
+per-coordinate interval tightening, not listed.
 """
 
 from __future__ import annotations
@@ -28,10 +24,6 @@ from typing import Iterable, Optional, Sequence
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
-
-
-class UnboundedSystemError(ValueError):
-    """Raised when an operation requires a bounded solution set."""
 
 
 @dataclass(frozen=True)
@@ -159,11 +151,6 @@ def integer_rank(A: Sequence[Sequence[int]]) -> int:
 # ---------------------------------------------------------------------------
 # exact simplex (fraction-free tableau with integer pivoting, Bland's rule)
 
-_OPTIMAL = "optimal"
-_INFEASIBLE = "infeasible"
-_UNBOUNDED = "unbounded"
-
-
 class _Tableau:
     """Integer simplex tableau over one positive denominator, nonbasic columns only.
 
@@ -209,46 +196,26 @@ class _Tableau:
         self.den = p
         self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
 
-    def maximize(self) -> str:
-        """Run simplex on the objective row by Bland's rule: the smallest variable
-        with a negative objective entry enters, and the least rhs/entry over the
-        rows with a positive entry there leaves, ties to the smallest basic one.
-        """
-        rows, basis = self.rows, self.basis
-        while True:
-            enter = min(((v, j) for j, (o, v) in enumerate(zip(rows[-1], self.nonbasic))
-                         if o < 0), default=(None, None))[1]
-            if enter is None:
-                return _OPTIMAL
-            r = None
-            for i, (row, v) in enumerate(zip(rows, basis)):
-                a = row[enter]
-                if a > 0 and (r is None or (cmp := row[-1] * ra - rb * a) < 0 or cmp == 0 and v < rv):
-                    r, rb, ra, rv = i, row[-1], a, v
-            if r is None:
-                return _UNBOUNDED
-            self.pivot(r, enter)
-
-    def dual_simplex(self) -> str:
+    def dual_simplex(self) -> bool:
         """Run dual simplex from an objective row >= 0 until every rhs is >= 0.
 
         Bland's rule on both sides: the row of negative rhs with the smallest
         basic variable leaves; of the columns with a negative entry there,
         the least objective/-entry enters, ties to the smallest variable.
-        _INFEASIBLE when the row has no negative entry.
+        False, infeasible, when the row has no negative entry.
         """
         rows, basis, nonbasic = self.rows, self.basis, self.nonbasic
         while True:
             r = min((i for i in range(len(basis)) if rows[i][-1] < 0),
                     key=basis.__getitem__, default=None)
             if r is None:
-                return _OPTIMAL
+                return True
             enter = None
             for j, (a, o, v) in enumerate(zip(rows[r], rows[-1], nonbasic)):
                 if a < 0 and (enter is None or (cmp := o * ea - eo * a) > 0 or cmp == 0 and v < ev):
                     enter, ea, eo, ev = j, a, o, v
             if enter is None:
-                return _INFEASIBLE
+                return False
             self.pivot(r, enter)
 
 
@@ -286,41 +253,9 @@ def _strict_tableau(dim: int, rows: Sequence[tuple[Sequence[int], int, bool]],
         body.append(new)
     body.append(parent.rows[-1])
     tab = _Tableau(body, parent.basis + list(range(n, n + len(rows))), nonbasic.copy(), den)
-    if tab.dual_simplex() != _OPTIMAL or tab.rows[-1][-1] == 0:
+    if not tab.dual_simplex() or tab.rows[-1][-1] == 0:
         return None
     return tab
-
-
-def lp_maximize(dim: int, rows: Sequence[tuple[Sequence[int], int]], objective: Sequence[int]
-                ) -> tuple[str, Optional[int], Optional[_Tableau]]:
-    """Maximize objective.x over {x : a.x <= b for each row (a, b)}, x free.
-
-    Rows and objective are integer; returns (status, value, tableau).
-    Phase 1 is _strict_tableau over x+ and x- with no strict row, so the
-    variables are x+ (dim), x- (dim), the strictness slack s, the slack of
-    s <= 1, then one slack per row; s stays basic at 1 and plays no part.
-    The objective, priced in that feasible basis, is then maximized by
-    primal simplex.  At an optimum the maximum is value / tableau.den, and
-    x_k is the rhs of a row with x+_k basic (tableau.basis holds k) less
-    that of a row with x-_k basic (dim + k), over tableau.den.  Every row,
-    the objective row included, has as rhs its stored slack columns times
-    (1, b), plus den times b_j when its basic variable is the slack of b_j
-    (b_0 = 1).  Otherwise value and tableau are None.
-    """
-    if dim <= 0:
-        raise ValueError("dimension must be positive")
-    tab = _strict_tableau(2 * dim, [((*a, *(-v for v in a)), b, False) for a, b in rows])
-    if tab is None:
-        return _INFEASIBLE, None, None
-    cost = [*objective, *(-v for v in objective)]
-    obj = [-tab.den * cost[v] if v < 2 * dim else 0 for v in tab.nonbasic] + [0]
-    for row, col in zip(tab.rows, tab.basis):
-        if col < 2 * dim and cost[col]:
-            obj = [x + cost[col] * y for x, y in zip(obj, row)]
-    tab.rows[-1] = obj
-    if tab.maximize() == _UNBOUNDED:
-        return _UNBOUNDED, None, None
-    return _OPTIMAL, tab.rows[-1][-1], tab
 
 
 def feasible_point(S: LinearSystem) -> Optional[tuple[IntVec, int]]:
@@ -363,70 +298,6 @@ def feasible(S: LinearSystem, candidates: Iterable[Sequence[int]] = ()) -> bool:
         else:
             return True
     return feasible_point(S) is not None
-
-
-def coordinate_bounds(S: LinearSystem, bases: Optional[dict] = None
-                      ) -> Optional[list[tuple[int, int]]]:
-    """The integer box [ceil(min), floor(max)] of each coordinate over the
-    non-strict relaxation.
-
-    Returns None when the relaxation is empty; raises UnboundedSystemError
-    when some coordinate is unbounded.  The first direction's solve sees
-    every row, so an empty relaxation is found before any direction can be
-    unbounded.  bases, a dict the caller keeps across systems, holds the
-    optimal lp_maximize tableau of each constraint matrix and direction.
-    Its objective row does not depend on the right-hand sides, so a cached
-    direction overwrites each row's rhs, in place, with its stored slack
-    columns times (1, b), plus den times b_j when the row's basic variable
-    is the slack of row j, and re-optimizes by dual simplex; only a
-    direction with no tableau yet calls lp_maximize.
-    """
-    A = tuple(a for a, _, _ in S.rows)
-    rhs = (1, *(b for _, b, _ in S.rows))  # the leading 1 is the rhs of s <= 1
-    first = 2 * S.dim + 1  # the variable of the slack of s <= 1; the row slacks follow
-    known = ({} if bases is None else bases).setdefault(A, {})
-    out = []
-    for k in range(S.dim):
-        pair = []
-        for sgn in (-1, 1):
-            # the maximum of sgn * x_k is the objective row's rhs over den
-            tab = known.get((k, sgn))
-            if tab is not None:
-                slacks = [(c, rhs[v - first]) for c, v in enumerate(tab.nonbasic) if v >= first]
-                for row, v in zip(tab.rows, [*tab.basis, 0]):  # the objective row's 0 is no slack
-                    own = tab.den * rhs[v - first] if v >= first else 0
-                    row[-1] = own + sum(row[c] * b for c, b in slacks)
-                if tab.dual_simplex() == _INFEASIBLE:
-                    return None
-            else:
-                obj = [0] * S.dim
-                obj[k] = sgn
-                status, _, tab = lp_maximize(S.dim, list(zip(A, rhs[1:])), obj)
-                if status == _INFEASIBLE:
-                    return None
-                if status == _UNBOUNDED:
-                    raise UnboundedSystemError("coordinate %d unbounded" % k)
-                known[k, sgn] = tab
-            pair.append(sgn * (tab.rows[-1][-1] // tab.den))
-        out.append((pair[0], pair[1]))
-    return out
-
-
-def count_points(S: LinearSystem, bases: Optional[dict] = None, total=sum) -> int:
-    """The number of integer points satisfying S; with total=any, whether there is one.
-
-    The box of S is coordinate_bounds(S, bases): an empty non-strict
-    relaxation gives 0 (phase 1 finds it before any coordinate can be
-    unbounded), an unbounded coordinate raises UnboundedSystemError, and a
-    box with no integer point gives 0.  Otherwise the box is walked with
-    per-coordinate interval tightening, counting the last coordinate's
-    interval in one step; a strict row is a.x <= b - 1 on integer points,
-    so a strict 0 < 0 row leaves no point.
-    """
-    boxes = coordinate_bounds(S, bases)
-    if boxes is None or any(lo > hi for lo, hi in boxes):
-        return 0
-    return _count_box(S.rows, boxes, total)
 
 
 def _count_box(rows: Sequence[tuple[IntVec, int, bool]], boxes: list[tuple[int, int]],

@@ -4,22 +4,22 @@ The tests compare the library's answers with these: the per-weight brute
 force for cohomology, m0 as the largest top degree of whole h-vectors (the
 library decides only each class's top degree), the sum over every active
 region with each region counted (the library leaves one degree to the Euler
-characteristic), the
+characteristic), the integer points of a region's Fourier-Motzkin box, each
+one tried (the library walks the slack box of its certificates), the
 emptiness certificates and the localized Euler characteristic read on all
 n_rays coefficients of a divisor (the library reads both on its class
-coordinates), an
-LP on the recession cone of a pattern region, the reduced-cohomology ranks of one ray subcomplex
-built from the maximal cones alone (the reference for the per-fan pattern
-table), the residue-by-residue walk for pushforwards, the chamber walk
-with one LP at every node for frob(X), the ell sweep from 1 for the
-stabilizing ell, the projection-formula identity between
-pushforwards and cohomology, wall-curve intersection numbers by a rational
-solve per wall and the support-function scan for nefness, an integer solve
-per cone for Cartier data, through the row Hermite normal form, the fan
-certificate and the cone inverses with an adjugate per cone (the library
-walks the ridges from one adjugate instead), and the first lattice basis of
-rays by trying every set of dim rays in order (the library walks prefixes,
-and a product joins its factors' bases).
+coordinates), the recession cone of a pattern region decided by feasibility,
+the reduced-cohomology ranks of one ray subcomplex built from the maximal
+cones alone (the reference for the per-fan pattern table), the
+residue-by-residue walk for pushforwards, the chamber walk with one LP at
+every node for frob(X), the ell sweep from 1 for the stabilizing ell, the
+projection-formula identity between pushforwards and cohomology, wall-curve
+intersection numbers by a rational solve per wall and the support-function
+scan for nefness, an integer solve per cone for Cartier data, through the
+row Hermite normal form, the fan certificate and the cone inverses with an
+adjugate per cone (the library walks the ridges from one adjugate instead),
+and the first lattice basis of rays by trying every set of dim rays in order
+(the library walks prefixes, and a product joins its factors' bases).
 
 It keeps the public routes the library no longer exports: Ext dimensions
 as the cohomology of a divisor of M - L, principal divisors, and
@@ -54,10 +54,10 @@ from frobtilt.lattice import (
     LinearSystem,
     adjugate,
     dot,
+    feasible,
     feasible_point,
     identity_matrix,
     integer_rank,
-    lp_maximize,
 )
 
 
@@ -158,13 +158,48 @@ def recession_cone_is_zero(fan: Fan, verts: frozenset[int]) -> bool:
     """True iff {d : <v_i, d> <= 0 for i in verts, >= 0 otherwise} is {0}.
 
     That cone is the recession cone of every pattern region of verts, so a
-    nonempty region is bounded iff each +-e_k has the maximum 0 on it.
+    nonempty region is bounded iff it is {0}.  A cone holds a d != 0 iff it
+    holds one with some +-d_k >= 1, so it is {0} iff no such system is feasible.
     """
-    rows = [(ray if i in verts else tuple(-x for x in ray), 0) for i, ray in enumerate(fan.rays)]
-    return all(
-        lp_maximize(fan.dim, rows, tuple(sign * (j == k) for j in range(fan.dim)))[0] == "optimal"
+    rows = tuple((ray if i in verts else tuple(-x for x in ray), 0, False)
+                 for i, ray in enumerate(fan.rays))
+    return not any(
+        feasible(LinearSystem(fan.dim, rows + ((tuple(-sign * (j == k) for j in range(fan.dim)),
+                                                -1, False),)))
         for k in range(fan.dim)
         for sign in (1, -1)
+    )
+
+
+def fm_interval(S: LinearSystem, k: int) -> Optional[tuple[Fraction, Fraction]]:
+    """Fourier-Motzkin projection of the non-strict relaxation onto x_k.
+
+    The exact rational (min, max) of x_k, or None when the relaxation is
+    empty; assumes x_k bounded.
+    """
+    rows = [(list(a), b) for a, b, _ in S.rows]
+    for j in range(S.dim):
+        if j == k:
+            continue
+        lower = [(a, b) for a, b in rows if a[j] < 0]
+        upper = [(a, b) for a, b in rows if a[j] > 0]
+        rows = [(a, b) for a, b in rows if a[j] == 0] + [
+            ([-la[j] * u + ua[j] * l for l, u in zip(la, ua)], -la[j] * ub + ua[j] * lb)
+            for la, lb in lower
+            for ua, ub in upper
+        ]
+    if any(a[k] == 0 and b < 0 for a, b in rows):
+        return None
+    lo = max(Fraction(b, a[k]) for a, b in rows if a[k] < 0)
+    hi = min(Fraction(b, a[k]) for a, b in rows if a[k] > 0)
+    return None if lo > hi else (lo, hi)
+
+
+def brute_count(S: LinearSystem, box: Sequence[tuple[int, int]]) -> int:
+    """The integer points of the box [lo_k, hi_k] that meet every row of S, each point tried."""
+    return sum(
+        all(dot(a, pt) <= b - strict for a, b, strict in S.rows)
+        for pt in itertools.product(*(range(lo, hi + 1) for lo, hi in box))
     )
 
 

@@ -12,10 +12,12 @@ from frobtilt.cohomology import (
     _active_patterns,
     _circuits,
     _class_cohomology,
+    _count_region,
     _emptied,
     _euler_characteristic,
     _localization,
     _pattern_region,
+    _slack_caps,
     _survivors,
     cohomology,
     weight_patterns,
@@ -32,12 +34,12 @@ from frobtilt.fan import (
     projective_space,
 )
 from frobtilt.cones import is_nef
-from frobtilt.lattice import LinearSystem, count_points, dot, feasible
+from frobtilt.lattice import LinearSystem, dot, feasible
 from frobtilt.tilting import build_candidate, orlov_check
 from oracles import (
-    certificates_on_coefficients, counted_cohomology, ext_dims, localized_chi_on_coefficients,
-    principal_divisor, recession_cone_is_zero, subcomplex_ranks, subdivision_chain,
-    weight_cohomology,
+    brute_count, certificates_on_coefficients, counted_cohomology, ext_dims, fm_interval,
+    localized_chi_on_coefficients, principal_divisor, recession_cone_is_zero, subcomplex_ranks,
+    subdivision_chain, weight_cohomology,
 )
 
 P1 = builtin("P1").fan
@@ -73,6 +75,11 @@ def h_p1xp1_oracle(a, b):
 
 def pn_divisor(fan, j):
     return TorusDivisor(fan, (j,) + (0,) * (fan.n_rays - 1))
+
+
+def fm_box(S):
+    """The integer box of a bounded, nonempty S from its Fourier-Motzkin intervals."""
+    return [(math.ceil(lo), math.floor(hi)) for lo, hi in (fm_interval(S, k) for k in range(S.dim))]
 
 
 # --- weight_cohomology (Cech-by-hand oracle values) -------------------------
@@ -187,7 +194,7 @@ def test_sign_pattern_partition_counts_sections():
             assert len(empties) == 1
             rows = [(tuple(-x for x in ray), c, False) for ray, c in zip(fan.rays, D.coeffs)]
             polytope = LinearSystem(fan.dim, tuple(rows))
-            assert empties[0].point_count == count_points(polytope)
+            assert empties[0].point_count == brute_count(polytope, fm_box(polytope))
             assert cohomology(fan, D).dims[0] == empties[0].point_count
 
 
@@ -285,7 +292,7 @@ def test_circuits_of_product_are_those_of_the_factors(x, y):
 def test_product_regions_are_counted_per_factor(x, y):
     # a product's pattern region is the product of its factors' regions, so
     # its weight patterns are counted by the factors and obey Kunneth; the
-    # product builds no pattern table and caches no tableau of its own
+    # product builds no pattern table of its own
     fx, fy = builtin(x).fan, builtin(y).fan
     fan = product(fx, fy)
     rng = random.Random(31)
@@ -300,7 +307,7 @@ def test_product_regions_are_counted_per_factor(x, y):
         D = TorusDivisor(fan, ax + ay)
         assert counted_cohomology(fan, D) == tuple(expected)
         assert cohomology(fan, D).dims == tuple(expected)
-    assert "patterns" not in fan._rank_cache and "bases" not in fan._rank_cache
+    assert "patterns" not in fan._rank_cache
 
 
 def test_circuit_counts():
@@ -488,6 +495,74 @@ def test_unimodular_vertices_prove_every_survivor(name, fan, survivor_lps):
         D = TorusDivisor(fresh, tuple(rng.randint(-4, 4) for _ in fresh.rays))
         assert cohomology(fresh, D).dims == counted_cohomology(fresh, D), D.coeffs
     assert survivor_lps == []
+
+
+@pytest.mark.parametrize("name, fan", CLASS_FANS, ids=[c[0] for c in CLASS_FANS])
+def test_counting_every_region_builds_no_simplex_tableau(name, fan, monkeypatch):
+    # the slack box to count comes from the certificates, and every survivor of these classes
+    # holds a basis vertex, so a scan that counts every region solves no LP at all
+    calls = []
+    real = lattice_module._strict_tableau
+    monkeypatch.setattr(lattice_module, "_strict_tableau",
+                        lambda *args: calls.append(args) or real(*args))
+    fresh = Fan(fan.dim, fan.rays, fan.max_cones)  # no class cache
+    rng = random.Random(f"vertices-{name}")
+    counted = 0
+    for _ in range(40):
+        D = TorusDivisor(fresh, tuple(rng.randint(-4, 4) for _ in fresh.rays))
+        counted += sum(p.point_count for p in weight_patterns(fresh, D))
+    assert counted
+    assert calls == []
+
+
+# --- the slack box of the certificates against Fourier-Motzkin and the LP ------------------
+
+COUNT_FANS = [(n, builtin(n).fan) for n in catalog_names() if not builtin(n).fan._factors] + [
+    ("P3-chain8", subdivision_chain("P3", 4, 3))]
+CAP_FANS = COUNT_FANS + [("P4-chain13", P4_CHAIN)]
+
+
+def seeded_survivors(fan, seed, draws, bound):
+    """(coords, representative coefficients, pattern) for each survivor of seeded classes."""
+    rng = random.Random(seed)
+    for _ in range(draws):
+        D = TorusDivisor(fan, tuple(rng.randint(-bound, bound) for _ in fan.rays))
+        coords = divisor_class(D).coords
+        coeffs = DivisorClass(coords, fan).representative().coeffs
+        for pattern in _survivors(fan, coords):
+            yield coords, coeffs, pattern
+
+
+@pytest.mark.parametrize("name, fan", COUNT_FANS, ids=[c[0] for c in COUNT_FANS])
+def test_region_count_is_the_brute_count_of_its_fourier_motzkin_box(name, fan):
+    seen = nonzero = 0
+    for coords, coeffs, (verts, _, mask, _, bounded) in seeded_survivors(fan, f"fm-{name}", 40, 4):
+        assert bounded
+        region = _pattern_region(fan, coeffs, verts)
+        count = _count_region(fan, coords, coeffs, verts, mask)
+        assert count == brute_count(region, fm_box(region)), (coeffs, sorted(verts))
+        assert bool(_count_region(fan, coords, coeffs, verts, mask, any)) == (count > 0)
+        seen += 1
+        nonzero += count > 0
+    assert nonzero, seen
+
+
+@pytest.mark.parametrize("name, fan", CAP_FANS, ids=[c[0] for c in CAP_FANS])
+def test_each_slack_cap_is_the_floor_of_the_slack_maximum(name, fan):
+    # the region with slack_j >= cap_j is feasible, and with slack_j >= cap_j + 1 it is not
+    circuits = _active_patterns(fan)[0]
+    seen = 0
+    for coords, coeffs, (verts, _, mask, _, _) in seeded_survivors(fan, f"caps-{name}", 6, 4):
+        rows = _pattern_region(fan, coeffs, verts).rows
+        caps = _slack_caps(circuits, coords, mask)
+        assert sorted(caps) == list(range(fan.n_rays)), sorted(verts)
+        for j, cap in caps.items():
+            a, b, _ = rows[j]
+            for extra, want in ((cap, True), (cap + 1, False)):
+                moved = rows[:j] + ((a, b - extra, False),) + rows[j + 1:]
+                assert feasible(LinearSystem(fan.dim, moved)) == want, (coeffs, sorted(verts), j)
+            seen += 1
+    assert seen
 
 
 @pytest.mark.parametrize("name, fan", [("dP6", dP6), ("BlptP3", builtin("BlptP3").fan),

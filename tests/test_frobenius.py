@@ -367,7 +367,6 @@ def test_chamber_walk_reuses_the_parent_point(monkeypatch):
             return real(*args)
         return wrapper
 
-    monkeypatch.setattr(lattice, "lp_maximize", counted(lattice.lp_maximize))
     monkeypatch.setattr(lattice, "feasible_point", counted(lattice.feasible_point))
     fans = [builtin(name).fan for name in catalog_names()]
     for fan in fans + [product(builtin("dP6").fan, P1), projective_space(5), projective_space(6)]:

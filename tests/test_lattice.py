@@ -13,17 +13,14 @@ from frobtilt.catalog import builtin, catalog_names
 from frobtilt.frobenius import _chamber_leaves
 from frobtilt.lattice import (
     LinearSystem,
-    UnboundedSystemError,
     adjugate,
-    coordinate_bounds,
-    count_points,
     determinant,
     dot,
     feasible,
     feasible_point,
     integer_rank,
 )
-from oracles import hermite_normal_form, solve_integer, subdivision_chain
+from oracles import brute_count, hermite_normal_form, solve_integer, subdivision_chain
 
 
 def system(dim, rows):
@@ -106,30 +103,6 @@ def fm_feasible(S):
                 new.append((coeffs, la * urhs + ua * lrhs, lstrict or ustrict))
         rows = new
     return all(0 < rhs if strict else 0 <= rhs for _, rhs, strict in rows)
-
-
-def fm_interval(S, k):
-    """Fourier-Motzkin projection of the non-strict relaxation onto x_k.
-
-    The exact rational (min, max) of x_k, or None when the relaxation is
-    empty; assumes x_k bounded.
-    """
-    rows = [(list(a), b) for a, b, _ in S.rows]
-    for j in range(S.dim):
-        if j == k:
-            continue
-        lower = [(a, b) for a, b in rows if a[j] < 0]
-        upper = [(a, b) for a, b in rows if a[j] > 0]
-        rows = [(a, b) for a, b in rows if a[j] == 0] + [
-            ([-la[j] * u + ua[j] * l for l, u in zip(la, ua)], -la[j] * ub + ua[j] * lb)
-            for la, lb in lower
-            for ua, ub in upper
-        ]
-    if any(a[k] == 0 and b < 0 for a, b in rows):
-        return None
-    lo = max(Fraction(b, a[k]) for a, b in rows if a[k] < 0)
-    hi = min(Fraction(b, a[k]) for a, b in rows if a[k] > 0)
-    return None if lo > hi else (lo, hi)
 
 
 def satisfies(S, point, den=1):
@@ -412,83 +385,18 @@ def test_feasible_grid_hits_imply_feasible(seed):
         assert feasible(S)
 
 
-# --- lp_maximize: dual simplex from the tableau of s <= 1 is phase 1 ---------
-
-
-def lp_point(tab, dim):
-    """The optimal x of an lp_maximize tableau, as numerators over tab.den."""
-    num = [0] * dim
-    for row, col in zip(tab.rows, tab.basis):
-        if col < 2 * dim:
-            num[col % dim] += row[-1] if col < dim else -row[-1]
-    return num
-
-
-def negative_rhs_lp(seed):
-    """(dim, rows, objective): a box (often empty) and cuts, the first rhs negative.
-
-    The slack basis starts primal infeasible; every eighth seed makes every
-    rhs negative, which empties the box.
-    """
-    rng = random.Random(15000 + seed)
-    dim = rng.randint(1, 3)
-    rows = [(tuple(s * int(i == j) for j in range(dim)), rng.randint(-2, 5))
-            for i in range(dim) for s in (1, -1)]
-    rows += [(tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(-2, 6))
-             for _ in range(rng.randint(0, 4))]
-    rows[0] = (rows[0][0], rng.randint(-2, -1))
-    if seed % 8 == 0:
-        rows = [(a, -abs(b) - 1) for a, b in rows]
-    return dim, rows, tuple(rng.randint(-2, 2) for _ in range(dim))
-
-
-@pytest.mark.parametrize("seed", range(40))
-def test_lp_maximize_from_negative_rhs_agrees_with_fourier_motzkin(seed):
-    # Fourier-Motzkin reads the maximum of c.x as that of y, a last
-    # coordinate with y = c.x
-    dim, rows, c = negative_rhs_lp(seed)
-    status, value, tab = lattice.lp_maximize(dim, rows, c)
-    y = LinearSystem(dim + 1, tuple((a + (0,), b, False) for a, b in rows) + (
-        (c + (-1,), 0, False), (tuple(-x for x in c) + (1,), 0, False)))
-    interval = fm_interval(y, dim)
-    assert (status == lattice._INFEASIBLE) == (interval is None)
-    if interval is not None:
-        assert status == lattice._OPTIMAL and tab.den > 0
-        assert Fraction(value, tab.den) == interval[1]
-        num = lp_point(tab, dim)
-        assert satisfies(LinearSystem(dim, tuple((a, b, False) for a, b in rows)), num, tab.den)
-        assert dot(c, num) == value
-
-
-def test_lp_maximize_on_a_half_line_is_unbounded():
-    # x >= 2 and y >= 1 + x: no slack starts feasible, and x grows freely
-    rows = [((-1, 0), -2), ((1, -1), -1)]
-    assert lattice.lp_maximize(2, rows, (1, 0))[0] == lattice._UNBOUNDED
-    status, value, tab = lattice.lp_maximize(2, rows, (-1, -1))
-    assert status == lattice._OPTIMAL and Fraction(value, tab.den) == -5
-    assert lattice.lp_maximize(1, [((1,), -1), ((-1,), -1)], (1,))[0] == lattice._INFEASIBLE
-
-
 # all 26 rows a.x <= a.v, a in {-1, 0, 1}^3 \ 0, are tight at the one point
 # v = (1/2, -1, 2), and half of them start infeasible
 V2 = (1, -2, 4)  # 2v
 DEGENERATE_ROWS = [(tuple(2 * x for x in a), dot(a, V2))
                    for a in itertools.product((-1, 0, 1), repeat=3) if any(a)]
-UNIT_DIRECTIONS = [(k, sgn) for k in range(3) for sgn in (1, -1)]
 
 
-def unit(k, sgn):
-    return tuple(sgn * int(j == k) for j in range(3))
-
-
-def test_lp_maximize_ends_on_a_degenerate_vertex():
-    # the zero-objective dual simplex must end at v under Bland's rule
+def test_feasible_point_ends_on_a_degenerate_vertex():
+    # the dual simplex from the tableau of s <= 1 must end at v under Bland's rule
     assert sum(b < 0 for _, b in DEGENERATE_ROWS) >= 10
-    for k, sgn in UNIT_DIRECTIONS:
-        status, value, tab = lattice.lp_maximize(3, DEGENERATE_ROWS, unit(k, sgn))
-        assert status == lattice._OPTIMAL
-        assert Fraction(value, tab.den) == Fraction(sgn * V2[k], 2)
-        assert [Fraction(x, tab.den) for x in lp_point(tab, 3)] == [Fraction(x, 2) for x in V2]
+    num, den = feasible_point(LinearSystem(3, tuple((a, b, False) for a, b in DEGENERATE_ROWS)))
+    assert [Fraction(x, den) for x in num] == [Fraction(x, 2) for x in V2]
 
 
 # --- feasible with integer candidates ----------------------------------------
@@ -571,7 +479,11 @@ def test_dot_of_different_lengths_raises():
         dot((1, 2, 3), (1, 2))
 
 
-# --- count_points ----------------------------------------------------------
+# --- _count_box: the integer points of rows in an explicit box --------------
+
+
+def count_in(S, boxes, total=sum):
+    return lattice._count_box(S.rows, boxes, total)
 
 
 def test_lattice_points_square():
@@ -579,22 +491,17 @@ def test_lattice_points_square():
         ((1, 0), ">=", 0), ((1, 0), "<=", 2),
         ((0, 1), ">=", 0), ((0, 1), "<=", 2),
     ])
-    assert count_points(S) == 9
+    assert count_in(S, [(-5, 5)] * 2) == 9
 
 
 def test_lattice_points_open_interval_empty():
     S = system(1, [((1,), ">", 0), ((1,), "<", 1)])
-    assert count_points(S) == 0
+    assert count_in(S, [(-5, 5)]) == 0
 
 
 def test_lattice_points_degree_two_triangle():
     S = system(2, [((1, 0), ">=", 0), ((0, 1), ">=", 0), ((-1, -1), ">=", -2)])
-    assert count_points(S) == 6
-
-
-def test_lattice_points_unbounded_errors():
-    with pytest.raises(UnboundedSystemError):
-        count_points(system(1, [((1,), ">=", 0)]))
+    assert count_in(S, [(0, 2)] * 2) == count_in(S, [(-9, 9)] * 2) == 6
 
 
 def test_lattice_points_leaves_no_reference_cycles():
@@ -602,7 +509,7 @@ def test_lattice_points_leaves_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        assert count_points(S) == 6
+        assert count_in(S, [(0, 2)] * 2) == 6
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -618,7 +525,7 @@ def test_linear_system_rejects_non_integer_data():
 
 def test_lattice_points_empty_relaxation():
     S = system(2, [((1, 0), ">=", 1), ((1, 0), "<=", 0)])
-    assert count_points(S) == 0
+    assert count_in(S, [(-3, 3)] * 2) == 0
 
 
 def seeded_box_system(seed):
@@ -647,7 +554,7 @@ def test_lattice_points_vs_brute_force(seed):
         for pt in itertools.product(range(-3, 4), repeat=n)
         if satisfies(S, pt)
     ]
-    assert count_points(S) == len(brute)
+    assert count_in(S, [(-3, 3)] * n) == count_in(S, [(-5, 4)] * n) == len(brute)
 
 
 def test_lattice_point_count_unimodular_invariance():
@@ -657,16 +564,13 @@ def test_lattice_point_count_unimodular_invariance():
     T = LinearSystem(2, tuple(
         (tuple(dot(a, col) for col in zip(*U)), b, strict) for a, b, strict in S.rows
     ))
-    assert count_points(S) == count_points(T)
+    # S lies in [0, 3]^2, and T, its points moved by U^-1, in [-3, 3] x [0, 3]
+    assert count_in(S, [(0, 3)] * 2) == count_in(T, [(-3, 3), (0, 3)]) == 10
 
 
-# --- count_points on independent coordinate blocks -------------------------
+# --- _count_box on independent coordinate blocks ----------------------------
 
-
-def brute_count(S, radius=3):
-    return sum(
-        satisfies(S, pt) for pt in itertools.product(range(-radius, radius + 1), repeat=S.dim)
-    )
+CUBE = [(-3, 3)] * 5
 
 
 def interleaved_blocks(seed):
@@ -689,7 +593,7 @@ def interleaved_blocks(seed):
         for _ in range(rng.randint(0, 3)):
             a = tuple(rng.randint(-2, 2) for _ in coords)
             local.append((a, rng.randint(-2, 4), rng.random() < 0.3))
-        factors.append(brute_count(LinearSystem(len(coords), tuple(local))))
+        factors.append(brute_count(LinearSystem(len(coords), tuple(local)), CUBE[:len(coords)]))
         for a, b, strict in local:
             full = [0] * dim
             for k, x in zip(coords, a):
@@ -702,34 +606,20 @@ def interleaved_blocks(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_count_is_the_product_of_interleaved_block_counts(seed):
     S, factors = interleaved_blocks(seed)
-    assert count_points(S) == brute_count(S) == math.prod(factors)
+    assert count_in(S, CUBE[:S.dim]) == brute_count(S, CUBE[:S.dim]) == math.prod(factors)
 
 
 def test_empty_block_beside_unbounded_block_counts_zero():
-    # x_e >= 1 and x_e <= 0 is empty; x_u >= 0 is unbounded; either
-    # coordinate and either row order may come first
+    # x_e >= 1 and x_e <= 0 is empty; x_u >= 0 leaves x_u bounded by the box
+    # alone; either coordinate and either row order may come first
     for e, u in ((0, 1), (1, 0)):
         empty = (
             (tuple(-int(k == e) for k in range(2)), -1, False),
             (tuple(int(k == e) for k in range(2)), 0, False),
         )
         unbounded = ((tuple(-int(k == u) for k in range(2)), 0, False),)
-        assert count_points(LinearSystem(2, empty + unbounded)) == 0
-        assert count_points(LinearSystem(2, unbounded + empty)) == 0
-
-
-def test_unbounded_block_wins_over_integer_empty_block():
-    # 2x = 1 has no integer point, but y >= 0 is unbounded
-    S = LinearSystem(2, (((2, 0), 1, False), ((-2, 0), -1, False), ((0, -1), 0, False)))
-    with pytest.raises(UnboundedSystemError):
-        count_points(S)
-
-
-def test_untouched_coordinate_is_unbounded():
-    S = system(3, [((1, 0, 0), ">=", 0), ((1, 0, 0), "<=", 2),
-                   ((0, 0, 1), ">=", 0), ((0, 0, 1), "<=", 2)])
-    with pytest.raises(UnboundedSystemError):
-        count_points(S)
+        assert count_in(LinearSystem(2, empty + unbounded), [(-9, 9)] * 2) == 0
+        assert count_in(LinearSystem(2, unbounded + empty), [(-9, 9)] * 2) == 0
 
 
 def test_all_zero_rows_are_decided_alone():
@@ -737,9 +627,9 @@ def test_all_zero_rows_are_decided_alone():
     for b, strict, count in ((-1, False, 0), (0, True, 0), (-1, True, 0),
                              (0, False, 9), (1, True, 9), (5, False, 9)):
         S = LinearSystem(2, square[:2] + (((0, 0), b, strict),) + square[2:])
-        assert count_points(S) == count, (b, strict)
-    # a false all-zero row empties the system even beside an unbounded coordinate
-    assert count_points(LinearSystem(2, square[:2] + (((0, 0), -1, False),))) == 0
+        assert count_in(S, [(-4, 4)] * 2) == count, (b, strict)
+    # a false all-zero row empties the system even where the box alone bounds a coordinate
+    assert count_in(LinearSystem(2, square[:2] + (((0, 0), -1, False),)), [(-4, 4)] * 2) == 0
 
 
 # --- the count walk stopped at the first point ------------------------------
@@ -763,11 +653,9 @@ EMPTY_SYSTEMS = [
 )
 def test_any_walk_decides_what_counting_counts(S):
     # every seeded point lies in [-3, 3]^n; the empty systems hold none there
-    exists = lattice._count_box(S.rows, [(-3, 3)] * S.dim, any)
-    assert bool(exists) == (brute_count(S) > 0)
-    assert bool(exists) == (lattice._count_box(S.rows, [(-3, 3)] * S.dim) > 0)
-    if S not in EMPTY_SYSTEMS:
-        assert bool(exists) == (count_points(S) > 0) == bool(count_points(S, total=any))
+    exists = count_in(S, [(-3, 3)] * S.dim, any)
+    assert bool(exists) == (brute_count(S, [(-3, 3)] * S.dim) > 0)
+    assert bool(exists) == (count_in(S, [(-3, 3)] * S.dim) > 0)
 
 
 def test_any_walk_stops_at_the_first_point(monkeypatch):
@@ -780,173 +668,6 @@ def test_any_walk_stops_at_the_first_point(monkeypatch):
     calls.clear()
     assert lattice._count_box(cube.rows, [(0, 99)] * 3, any)
     assert calls == [0, 1, 2]
-
-
-# --- coordinate bounds from cached optimal tableaus --------------------------
-
-
-def rows_with(A, rhs):
-    return LinearSystem(len(A[0]), tuple((a, b, False) for a, b in zip(A, rhs)))
-
-
-@pytest.fixture
-def lp_counter(monkeypatch):
-    """The statuses of the lp_maximize calls, in order."""
-    calls = []
-    original = lattice.lp_maximize
-
-    def counted(*args):
-        result = original(*args)
-        calls.append(result[0])
-        return result
-
-    monkeypatch.setattr(lattice, "lp_maximize", counted)
-    return calls
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_cached_bases_give_the_bounds_of_fresh_lps(seed, lp_counter):
-    # a box around the origin keeps every region bounded; the cuts shape it
-    rng = random.Random(900 + seed)
-    dim = rng.randint(1, 4)
-    A = [tuple(s * int(i == j) for j in range(dim)) for i in range(dim) for s in (1, -1)]
-    A += [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(1, 5))]
-    # count_points fills a dict of its own, so bases holds only what
-    # coordinate_bounds put there
-    bases, count_bases = {}, {}
-    cold = warm = warm_optimal = empty = 0
-    for _ in range(40):
-        rhs = [rng.randint(-1, 8) for _ in A]
-        S = rows_with(A, rhs)
-        before = len(lp_counter)
-        expected = coordinate_bounds(S)
-        cold += len(lp_counter) - before
-        before = len(lp_counter)
-        assert coordinate_bounds(S, bases) == expected
-        warm += len(lp_counter) - before
-        warm_optimal += lp_counter[before:].count(lattice._OPTIMAL)
-        assert count_points(S, count_bases) == count_points(S)
-        empty += expected is None
-    assert list(bases) == [tuple(A)]
-    assert 0 < empty < 40
-    assert warm < cold
-    # a direction solved once is re-solved from its tableau ever after
-    assert warm_optimal <= 2 * dim
-
-
-def test_warm_cache_still_sees_empty_and_unbounded_regions():
-    bases = {}
-    box = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1))
-    assert coordinate_bounds(rows_with(box, (3, 0, 3, 0, 4)), bases) == [(0, 3), (0, 3)]
-    assert coordinate_bounds(rows_with(box, (2, -1, 2, -1, 5)), bases) == [(1, 2), (1, 2)]
-    # x >= 2, y >= 2 and x + y <= 3: empty, so the warm dual simplex is infeasible
-    assert coordinate_bounds(rows_with(box, (3, -2, 3, -2, 3)), bases) is None
-    assert count_points(rows_with(box, (3, -2, 3, -2, 3)), bases) == 0
-    # y has no lower bound: the x bounds are cached before y raises, and a
-    # later region of the same matrix reuses them and raises again
-    strip = ((1, 0), (-1, 0), (0, 1))
-    for rhs in ((2, 0, 5), (4, -1, 0)):
-        with pytest.raises(UnboundedSystemError, match="coordinate 1"):
-            coordinate_bounds(rows_with(strip, rhs), bases)
-    assert set(bases[strip]) == {(0, -1), (0, 1)}
-    assert coordinate_bounds(rows_with(strip, (-1, 0, 5)), bases) is None
-    assert set(bases) == {box, strip}
-
-
-def assert_rhs_is_slack_block_times(tab, dim, rhs):
-    """Every row's rhs, the objective row's included, is its slack block times (1, rhs).
-
-    The variables are x+, x-, s, then the slacks (of s <= 1, then of each
-    row); a row stores the nonbasic columns and the rhs.  A slack's entry
-    in a row's block is its stored column there when it is nonbasic, and
-    den or 0 (its implicit unit column) when it is basic.
-    """
-    full = (1, *rhs)
-    first = 2 * dim + 1
-    assert sorted(tab.basis + tab.nonbasic) == list(range(first + len(full)))
-    assert len(tab.nonbasic) == first and len(tab.rows) == len(tab.basis) + 1
-    for i, row in enumerate(tab.rows):
-        assert len(row) == first + 1
-        stored = dict(zip(tab.nonbasic, row))
-        block = [stored[v] if v in stored else tab.den * (i < len(tab.basis) and tab.basis[i] == v)
-                 for v in range(first, first + len(full))]
-        assert row[-1] == dot(block, full)
-
-
-def boxed_lp(seed):
-    """(dim, rows, objective): a box, nonempty when every bound is >= 0, and cuts."""
-    rng = random.Random(16000 + seed)
-    dim = rng.randint(1, 3)
-    rows = [(tuple(s * int(i == j) for j in range(dim)), rng.randint(-1, 6))
-            for i in range(dim) for s in (1, -1)]
-    rows += [(tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(-2, 6))
-             for _ in range(rng.randint(0, 4))]
-    return dim, rows, tuple(rng.randint(-2, 2) for _ in range(dim))
-
-
-@pytest.mark.parametrize("seed", range(30))
-def test_lp_maximize_rhs_is_the_slack_block_times_the_full_rhs(seed):
-    # the invariant a cached coordinate bound re-solves from: the slack
-    # block is den * A_B^-1, the first column that of s <= 1
-    dim, rows, c = boxed_lp(seed)
-    status, _, tab = lattice.lp_maximize(dim, rows, c)
-    if status == lattice._OPTIMAL:
-        assert_rhs_is_slack_block_times(tab, dim, [b for _, b in rows])
-
-
-def test_warm_bound_pivots_when_the_cached_vertex_breaks_a_row(lp_counter, monkeypatch):
-    # max x over the box 0 <= x, y <= 3 with x + y <= 4 ends at x = 3; with
-    # x + y <= 5/2 (2x + 2y <= 5) that vertex breaks the cut, so dual
-    # simplex must pivot to find max x = 5/2
-    box = ((1, 0), (-1, 0), (0, 1), (0, -1), (2, 2))
-    bases = {}
-    assert coordinate_bounds(rows_with(box, (3, 0, 3, 0, 8)), bases) == [(0, 3), (0, 3)]
-    tab = bases[box][0, 1]
-    assert Fraction(tab.rows[-1][-1], tab.den) == 3
-    pivots = []
-    original = lattice._Tableau.pivot
-
-    def counted(self, r, c):
-        pivots.append(c)
-        original(self, r, c)
-
-    monkeypatch.setattr(lattice._Tableau, "pivot", counted)
-    lp_counter.clear()
-    rhs = (3, 0, 3, 0, 5)
-    S = rows_with(box, rhs)
-    intervals = [fm_interval(S, k) for k in range(2)]
-    assert intervals[0][1] == Fraction(5, 2)
-    assert coordinate_bounds(S, bases) == [(math.ceil(lo), math.floor(hi)) for lo, hi in intervals]
-    assert lp_counter == [] and pivots
-    assert bases[box][0, 1] is tab and Fraction(tab.rows[-1][-1], tab.den) == Fraction(5, 2)
-    # the re-solved tableau keeps the invariant, s <= 1 row included
-    for t in bases[box].values():
-        assert_rhs_is_slack_block_times(t, 2, rhs)
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_coordinate_bounds_are_the_integer_box_of_fourier_motzkin(seed):
-    # scaled box rows c*x_i <= b give fractional, often negative, optima,
-    # where floor and ceiling differ from truncation toward zero
-    rng = random.Random(6000 + seed)
-    dim = rng.randint(1, 3)
-    A = [tuple(s * rng.randint(2, 5) * int(i == j) for j in range(dim))
-         for i in range(dim) for s in (1, -1)]
-    A += [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(0, 3))]
-    bases = {}
-    fractional = 0
-    for _ in range(15):
-        # rows loose by -1..8 at an integer centre, mostly negative: few regions are empty
-        centre = [rng.randint(-4, 1) for _ in range(dim)]
-        S = rows_with(A, [dot(a, centre) + rng.randint(-1, 8) for a in A])
-        intervals = [fm_interval(S, k) for k in range(dim)]
-        expected = None if None in intervals else [
-            (math.ceil(lo), math.floor(hi)) for lo, hi in intervals
-        ]
-        assert coordinate_bounds(S) == expected
-        assert coordinate_bounds(S, bases) == expected
-        fractional += sum(x < 0 and x.denominator > 1 for iv in intervals if iv for x in iv)
-    assert fractional > 0
 
 
 # --- the pivot path, pinned --------------------------------------------------
@@ -968,19 +689,6 @@ def test_pins_cover_the_catalog_and_both_chains():
 def test_chamber_walk_keeps_its_pinned_ells(name):
     fan = subdivision_chain(*CHAINS[name]) if name in CHAINS else builtin(name).fan
     assert [ell for _, ell in _chamber_leaves(fan)] == PINS["chamber_ells"][name]
-
-
-def lp_outcome(dim, rows, objective):
-    status, value, tab = lattice.lp_maximize(dim, rows, objective)
-    return [status, value, tab and tab.den, tab and tab.basis]
-
-
-def test_lp_maximize_keeps_its_pinned_pivot_path():
-    pins = PINS["lp_maximize"]
-    assert [lp_outcome(*negative_rhs_lp(seed)) for seed in range(40)] == pins["negative_rhs_lp"]
-    assert [lp_outcome(*boxed_lp(seed)) for seed in range(30)] == pins["boxed_lp"]
-    assert [lp_outcome(3, DEGENERATE_ROWS, unit(k, sgn))
-            for k, sgn in UNIT_DIRECTIONS] == pins["degenerate"]
 
 
 @pytest.mark.parametrize("seed", range(60))

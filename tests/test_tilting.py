@@ -175,7 +175,7 @@ def test_cold_m0_is_decided_by_the_certificate_masks_alone(name, monkeypatch):
     c = build_candidate(fresh(ROUTE_FANS[name]))
     assert bool(c.fan._factors) == ("x" in name)
     calls = []
-    for attr in ("weight_patterns", "count_points", "_euler_characteristic"):
+    for attr in ("weight_patterns", "_count_region", "_euler_characteristic"):
         real = getattr(cohomology_module, attr)
         monkeypatch.setattr(cohomology_module, attr, lambda *args, attr=attr, real=real, **kw:
                             calls.append(attr) or real(*args, **kw))
