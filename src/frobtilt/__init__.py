@@ -39,7 +39,6 @@ from .frobenius import (
 from .lattice import (
     IntMat,
     IntVec,
-    LinearSystem,
     determinant,
     feasible,
     feasible_point,

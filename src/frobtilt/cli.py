@@ -6,7 +6,8 @@ verification failed (e.g. orlov status is not VERIFIED_MODULO_FULLNESS),
 2 invalid input (unknown target, malformed file or divisor, invalid fan,
 a fan whose cohomology turns out infinite, i.e. one that is not complete,
 or work beyond a supported bound: the residues of frob --ell, or the ray
-count).
+count) or output that cannot be written (stdout closed or full, an answer
+integer past the interpreter's digit limit).
 """
 
 from __future__ import annotations
@@ -71,10 +72,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_divisor(text: Optional[str], fan) -> TorusDivisor:
     if text is None:
         return TorusDivisor(fan, (0,) * fan.n_rays)
+    parts = text.split(",")
     try:
-        coeffs = tuple(int(x) for x in text.split(","))
+        coeffs = tuple(map(int, parts))
     except ValueError:
-        raise ValueError(f"divisor {text!r} is not a comma-separated integer list")
+        # the interpreter refuses a run of more digits than its limit (0 is none)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and any(sum(c.isdigit() for c in x) > limit for x in parts):
+            raise ValueError(f"a divisor coefficient has more than {limit} digits") from None
+        raise ValueError(f"divisor {text!r} is not a comma-separated integer list") from None
     if len(coeffs) != fan.n_rays:
         raise ValueError(
             f"divisor needs {fan.n_rays} coefficients (one per ray), got {len(coeffs)}"
@@ -414,13 +420,23 @@ def main(argv=None) -> int:
             if args.verbose:
                 print(f"resolved {args.target} ({entry.provenance})", file=sys.stderr)
             payload, headers, rows, code = _HANDLERS[args.command](entry, args)
+        text = _render(payload, headers, rows, args.fmt)  # an int past the digit limit: ValueError
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:  # the reader has gone (broken pipe) or the disk is full
+            # the flush at exit would fail again: point fd 1 at devnull (the SIGPIPE
+            # note of the signal module's docs)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise OSError(f"output not written: {exc.strerror}") from None
     except (KeyError, FanFileError, InvalidFanError, InfiniteCohomologyError,
             ValueError, OSError) as exc:
         # str() of a KeyError quotes its message
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)
         return 2
-    sys.stdout.write(_render(payload, headers, rows, args.fmt))
     return code
 
 

@@ -67,7 +67,6 @@ from .fan import DivisorClass, Fan, TorusDivisor, _require_on_fan, divisor_class
 from .lattice import (
     IntMat,
     IntVec,
-    LinearSystem,
     _count_box,
     adjugate,
     dot,
@@ -436,18 +435,17 @@ def _other_bases(fan: Fan) -> Iterator[tuple[tuple[int, ...], IntMat]]:
     yield from known
 
 
-def _pattern_region(fan: Fan, coeffs: IntVec, neg: frozenset[int]) -> LinearSystem:
-    """Weights m with <m, v_rho> <= -a_rho - 1 on neg rays, >= -a_rho off them.
+def _pattern_region(fan: Fan, coeffs: IntVec, neg: frozenset[int]
+                    ) -> tuple[tuple[IntVec, int, bool], ...]:
+    """The rows of the weights m with <m, v_rho> <= -a_rho - 1 on neg rays, >= -a_rho off them.
 
     The strict < of the negativity condition is integer-tight, so a neg row
-    is stored as <v_rho, m> <= -a_rho - 1, and any other as <-v_rho, m> <= a_rho,
-    with -v_rho from the fan's negated rays.  The rays and the coefficients
-    of a library divisor are ints already, so the rows are not normalized again.
+    is <v_rho, m> <= -a_rho - 1, and any other <-v_rho, m> <= a_rho, with
+    -v_rho from the fan's negated rays.
     """
     rows = zip(fan.rays, _active_patterns(fan)[3], coeffs)
-    return LinearSystem._of_ints(fan.dim, tuple([
-        (ray, -a - 1, False) if i in neg else (down, a, False)
-        for i, (ray, down, a) in enumerate(rows)]))
+    return tuple([(ray, -a - 1, False) if i in neg else (down, a, False)
+                  for i, (ray, down, a) in enumerate(rows)])
 
 
 def _slack_caps(circuits: tuple[Circuit, ...], coords: IntVec, mask: int) -> dict[int, int]:
@@ -529,7 +527,7 @@ def weight_patterns(fan: Fan, D: TorusDivisor, skip: Optional[int] = None
     out = []
     for verts, ranks, mask, single, bounded in survivors:
         region = _pattern_region(fan, D.coeffs, verts)
-        if not feasible(region, _basis_vertices(fan, D.coeffs, verts)):
+        if not feasible(fan.dim, region, _basis_vertices(fan, D.coeffs, verts)):
             raise AssertionError(
                 f"weight region of sign pattern {sorted(verts)} is empty "
                 "but no circuit certifies it"

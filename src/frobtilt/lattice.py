@@ -19,42 +19,10 @@ per-coordinate interval tightening, not listed.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """Integer rows (a, b, strict) over dim free rational variables.
-
-    Each row means a.x <= b, or a.x < b when strict is set; non-integer
-    coefficients or right-hand sides raise TypeError.
-    """
-
-    dim: int
-    rows: tuple[tuple[IntVec, int, bool], ...]
-
-    def __post_init__(self) -> None:
-        if self.dim <= 0:
-            raise ValueError("system dimension must be positive")
-        rows = tuple(
-            (tuple(map(operator.index, a)), operator.index(b), bool(strict))
-            for a, b, strict in self.rows
-        )
-        if any(len(a) != self.dim for a, _, _ in rows):
-            raise ValueError("row dimension mismatch")
-        object.__setattr__(self, "rows", rows)
-
-    @classmethod
-    def _of_ints(cls, dim: int, rows: tuple[tuple[IntVec, int, bool], ...]) -> "LinearSystem":
-        """A system of rows the library already holds as ints and bools, taken as they are."""
-        system = object.__new__(cls)
-        object.__setattr__(system, "dim", dim)
-        object.__setattr__(system, "rows", rows)
-        return system
 
 
 # ---------------------------------------------------------------------------
@@ -71,29 +39,31 @@ def identity_matrix(n: int) -> IntMat:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def adjugate(A: Sequence[Sequence[int]]) -> tuple[int, Optional[IntMat]]:
-    """(det, adj) of a square integer A, with A.adj = det.I; adj is None when det = 0.
+def _eliminate(M: list[list[int]], width: int, above: bool = False) -> tuple[int, int, int]:
+    """Fraction-free (Bareiss) elimination of the integer rows M in place.
 
-    Fraction-free Gauss-Jordan on [A | I], the exact-division update of
-    _bareiss applied above each pivot too: [A | I] ends at s.[det.I | adj],
-    s the sign of the row swaps.
+    Pivots in the first width columns, skipping a column with no pivot
+    left, and clears each pivot's column below it, and with above=True
+    above it too (Gauss-Jordan).  Row i becomes (p.row_i - f.prow) / prev,
+    f its entry in the pivot column: every entry stays a minor of M, so
+    each division is exact.  Returns (rank, the sign of the row swaps, the
+    last pivot); a square M of full rank has determinant sign * last pivot.
     """
-    n = len(A)
-    M = [list(map(operator.index, row)) + list(e) for row, e in zip(A, identity_matrix(n))]
-    if any(len(row) != 2 * n for row in M):
-        raise ValueError("matrix must be square")
-    sign, prev = 1, 1
-    for c in range(n):
-        if M[c][c] == 0:
-            piv = next((i for i in range(c + 1, n) if M[i][c] != 0), None)
+    m = len(M)
+    sign, prev, r = 1, 1, 0
+    for c in range(width):
+        if r == m:
+            break
+        if M[r][c] == 0:
+            piv = next((i for i in range(r + 1, m) if M[i][c]), None)
             if piv is None:
-                return 0, None
-            M[c], M[piv] = M[piv], M[c]
+                continue
+            M[r], M[piv] = M[piv], M[r]
             sign = -sign
-        prow = M[c]
+        prow = M[r]
         p = prow[c]
-        for i in range(n):
-            if i != c:
+        for i in range(0 if above else r + 1, m):
+            if i != r:
                 row = M[i]
                 f = row[c]
                 if f:
@@ -101,51 +71,40 @@ def adjugate(A: Sequence[Sequence[int]]) -> tuple[int, Optional[IntMat]]:
                 elif p != prev:
                     M[i] = [(p * a) // prev for a in row]
         prev = p
-    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in M)
-
-
-def _bareiss(M: list[list[int]]) -> tuple[int, int]:
-    """Bareiss (fraction-free) elimination of the integer rows M, in place.
-
-    Returns (rank, det), det the determinant of a square M and 0 for any
-    other shape.  A column with no pivot left is skipped; every entry
-    stays a minor of M, so each division is exact.
-    """
-    m, n = len(M), len(M[0]) if M else 0
-    sign, prev, r = 1, 1, 0
-    for c in range(n):
-        if r == m:
-            break
-        if M[r][c] == 0:
-            piv = next((i for i in range(r + 1, m) if M[i][c] != 0), None)
-            if piv is None:
-                continue
-            M[r], M[piv] = M[piv], M[r]
-            sign = -sign
-        prow = M[r]
-        p = prow[c]
-        for i in range(r + 1, m):
-            row = M[i]
-            f = row[c]
-            for j in range(c + 1, n):
-                row[j] = (row[j] * p - f * prow[j]) // prev
-            row[c] = 0
-        prev = p
         r += 1
-    return r, sign * prev if r == m == n else 0
+    return r, sign, prev
+
+
+def adjugate(A: Sequence[Sequence[int]]) -> tuple[int, Optional[IntMat]]:
+    """(det, adj) of a square integer A, with A.adj = det.I; adj is None when det = 0.
+
+    Gauss-Jordan _eliminate on [A | I] ends at s.[det.I | adj], s the sign
+    of the row swaps.
+    """
+    n = len(A)
+    M = [list(map(operator.index, row)) + list(e) for row, e in zip(A, identity_matrix(n))]
+    if any(len(row) != 2 * n for row in M):
+        raise ValueError("matrix must be square")
+    rank, sign, last = _eliminate(M, n, above=True)
+    if rank < n:
+        return 0, None
+    return sign * last, tuple(tuple(sign * x for x in row[n:]) for row in M)
 
 
 def determinant(A: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free elimination."""
     M = [list(map(operator.index, row)) for row in A]
-    if any(len(row) != len(M) for row in M):
+    n = len(M)
+    if any(len(row) != n for row in M):
         raise ValueError("matrix must be square")
-    return _bareiss(M)[1]
+    rank, sign, last = _eliminate(M, n)
+    return sign * last if rank == n else 0
 
 
 def integer_rank(A: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals of an integer matrix (Bareiss elimination)."""
-    return _bareiss([list(map(operator.index, row)) for row in A])[0]
+    """Rank over the rationals of an integer matrix (fraction-free elimination)."""
+    M = [list(map(operator.index, row)) for row in A]
+    return _eliminate(M, len(M[0]) if M else 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -258,46 +217,50 @@ def _strict_tableau(dim: int, rows: Sequence[tuple[Sequence[int], int, bool]],
     return tab
 
 
-def feasible_point(S: LinearSystem) -> Optional[tuple[IntVec, int]]:
-    """An exact rational point satisfying S (strictness included), or None.
+def feasible_point(dim: int, rows: Sequence[tuple[Sequence[int], int, bool]]
+                   ) -> Optional[tuple[IntVec, int]]:
+    """An exact rational point meeting the integer rows (a, b, strict) over dim variables, or None.
 
     The point is returned as (numerators, denominator), the denominator
     positive.  It is x = x+ - x- at the optimal tableau of _strict_tableau
     over the nonnegative x+ and x-: the strictness slack s shared by the
-    strict rows is maximized, and S has a point iff its optimum is positive.
-    The one dual simplex from the tableau of s <= 1 is the whole solve,
-    with no artificial columns and no second phase.
+    strict rows is maximized, and the rows have a point iff its optimum is
+    positive.  The one dual simplex from the tableau of s <= 1 is the whole
+    solve, with no artificial columns and no second phase.  A row of another
+    length raises ValueError, a non-integer entry TypeError.
     """
-    n = S.dim
-    tab = _strict_tableau(2 * n, [(a + tuple(-x for x in a), b, strict) for a, b, strict in S.rows])
+    if any(len(a) != dim for a, _, _ in rows):
+        raise ValueError("row dimension mismatch")
+    tab = _strict_tableau(2 * dim, [((*a, *[-x for x in a]), b, strict) for a, b, strict in rows])
     if tab is None:
         return None
-    num = [0] * n
+    num = [0] * dim
     for row, col in zip(tab.rows, tab.basis):
-        if col < n:
+        if col < dim:
             num[col] += row[-1]
-        elif col < 2 * n:
-            num[col - n] -= row[-1]
+        elif col < 2 * dim:
+            num[col - dim] -= row[-1]
     return tuple(num), tab.den
 
 
-def feasible(S: LinearSystem, candidates: Iterable[Sequence[int]] = ()) -> bool:
-    """True iff some rational point satisfies every row of S.
+def feasible(dim: int, rows: Sequence[tuple[Sequence[int], int, bool]],
+             candidates: Iterable[Sequence[int]] = ()) -> bool:
+    """True iff some rational point meets every row (a, b, strict) over dim variables.
 
-    The integer candidates, each of length S.dim, are tried first, in
-    order: the first that meets every row (a.m <= b, or a.m <= b - 1 on a
-    strict row) proves S nonempty with no LP.  Only when none does is the
-    LP solved.
+    The integer candidates, each of length dim, are tried first, in order:
+    the first that meets every row (a.m <= b, or a.m <= b - 1 on a strict
+    row) proves the rows meet with no LP.  Only when none does is the LP
+    solved.
     """
     for m in candidates:
-        if len(m) != S.dim:
+        if len(m) != dim:
             raise ValueError("candidate dimension mismatch")
-        for a, b, strict in S.rows:
+        for a, b, strict in rows:
             if sum(map(operator.mul, a, m)) > b - strict:
                 break
         else:
             return True
-    return feasible_point(S) is not None
+    return feasible_point(dim, rows) is not None
 
 
 def _count_box(rows: Sequence[tuple[IntVec, int, bool]], boxes: list[tuple[int, int]],

@@ -51,7 +51,6 @@ from frobtilt.frobenius import frob_set, pushforward_summands
 from frobtilt.lattice import (
     IntMat,
     IntVec,
-    LinearSystem,
     adjugate,
     dot,
     feasible,
@@ -164,21 +163,21 @@ def recession_cone_is_zero(fan: Fan, verts: frozenset[int]) -> bool:
     rows = tuple((ray if i in verts else tuple(-x for x in ray), 0, False)
                  for i, ray in enumerate(fan.rays))
     return not any(
-        feasible(LinearSystem(fan.dim, rows + ((tuple(-sign * (j == k) for j in range(fan.dim)),
-                                                -1, False),)))
+        feasible(fan.dim, rows + ((tuple(-sign * (j == k) for j in range(fan.dim)), -1, False),))
         for k in range(fan.dim)
         for sign in (1, -1)
     )
 
 
-def fm_interval(S: LinearSystem, k: int) -> Optional[tuple[Fraction, Fraction]]:
-    """Fourier-Motzkin projection of the non-strict relaxation onto x_k.
+def fm_interval(dim: int, rows: Sequence[tuple[IntVec, int, bool]], k: int
+                ) -> Optional[tuple[Fraction, Fraction]]:
+    """Fourier-Motzkin projection of the rows' non-strict relaxation onto x_k.
 
     The exact rational (min, max) of x_k, or None when the relaxation is
     empty; assumes x_k bounded.
     """
-    rows = [(list(a), b) for a, b, _ in S.rows]
-    for j in range(S.dim):
+    rows = [(list(a), b) for a, b, _ in rows]
+    for j in range(dim):
         if j == k:
             continue
         lower = [(a, b) for a, b in rows if a[j] < 0]
@@ -195,10 +194,10 @@ def fm_interval(S: LinearSystem, k: int) -> Optional[tuple[Fraction, Fraction]]:
     return None if lo > hi else (lo, hi)
 
 
-def brute_count(S: LinearSystem, box: Sequence[tuple[int, int]]) -> int:
-    """The integer points of the box [lo_k, hi_k] that meet every row of S, each point tried."""
+def brute_count(rows: Sequence[tuple[IntVec, int, bool]], box: Sequence[tuple[int, int]]) -> int:
+    """The integer points of the box [lo_k, hi_k] meeting every row (a, b, strict), each one tried."""
     return sum(
-        all(dot(a, pt) <= b - strict for a, b, strict in S.rows)
+        all(dot(a, pt) <= b - strict for a, b, strict in rows)
         for pt in itertools.product(*(range(lo, hi + 1) for lo, hi in box))
     )
 
@@ -308,8 +307,8 @@ def residue_walk(fan: Fan, D: TorusDivisor, ell: int) -> Counter:
     return counts
 
 
-def chamber_system(fan: Fan, bs: tuple[int, ...]) -> LinearSystem:
-    """t in [0,1)^n with <t, v_rho> in [b_rho, b_rho + 1) for the first len(bs) rays."""
+def chamber_system(fan: Fan, bs: tuple[int, ...]) -> tuple[tuple[IntVec, int, bool], ...]:
+    """The rows of t in [0,1)^n with <t, v_rho> in [b_rho, b_rho + 1) for the first len(bs) rays."""
     n = fan.dim
     rows = []
     for i in range(n):
@@ -319,7 +318,7 @@ def chamber_system(fan: Fan, bs: tuple[int, ...]) -> LinearSystem:
     for ray, b in zip(fan.rays, bs):
         rows.append((tuple(-x for x in ray), -b, False))
         rows.append((ray, b + 1, True))
-    return LinearSystem(n, tuple(rows))
+    return tuple(rows)
 
 
 def chamber_leaves(fan: Fan) -> dict[IntVec, int]:
@@ -337,7 +336,7 @@ def chamber_leaves(fan: Fan) -> dict[IntVec, int]:
         ranges.append(range(lo, max(hi, 1)))
 
     def descend(k: int, prefix: tuple[int, ...]) -> None:
-        point = feasible_point(chamber_system(fan, prefix))
+        point = feasible_point(fan.dim, chamber_system(fan, prefix))
         if point is None:
             return
         if k == fan.n_rays:

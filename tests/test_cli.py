@@ -429,6 +429,58 @@ def test_json_past_the_reader_limits_exits_two_naming_the_file(tmp_path, capsys,
     assert err.count("\n") == 1 and err.startswith(f"error: {path}: {reason}")
 
 
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                       reason="this Python has no integer digit limit")
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default limit of 4,300 digits on int <-> str, for the test's length."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@needs_digit_limit
+def test_answer_past_the_digit_limit_exits_two(capsys, digit_limit):
+    # h^0 of a.H on P2 is (a + 1)(a + 2) / 2: 2,200 nines give an answer of about 4,400 digits
+    code, out, err = run(capsys, "cohom", "P2", f"--divisor={'9' * 2200},0,0")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and f"({digit_limit} digits)" in err
+
+
+@needs_digit_limit
+def test_coefficient_past_the_digit_limit_names_the_limit(capsys, digit_limit):
+    code, out, err = run(capsys, "cohom", "P2", f"--divisor={'9' * (digit_limit + 1)},0,0")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: a divisor coefficient has more than {digit_limit} digits\n"
+
+
+@pytest.mark.parametrize("stdout", ["closed pipe", "/dev/full"])
+def test_unwritable_stdout_exits_two_with_one_error_line(stdout):
+    # the pipe's read end is closed before the child starts, so its first write breaks
+    # the pipe; /dev/full refuses every write as a full disk
+    if stdout == "closed pipe":
+        read, out = os.pipe()
+        os.close(read)
+    elif os.path.exists(stdout):
+        out = os.open(stdout, os.O_WRONLY)
+    else:
+        pytest.skip(f"no {stdout} here")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    try:
+        done = subprocess.run([sys.executable, "-m", "frobtilt.cli", "frob-set", "P2"], env=env,
+                              stdout=out, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(out)
+    assert done.returncode == 2
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: output not written")
+    assert "Traceback" not in done.stderr
+
+
 def test_invalid_fan_refused_by_orlov(tmp_path, capsys):
     p = tmp_path / "nonsmooth.json"
     p.write_text(json.dumps({

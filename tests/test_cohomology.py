@@ -34,7 +34,7 @@ from frobtilt.fan import (
     projective_space,
 )
 from frobtilt.cones import is_nef
-from frobtilt.lattice import LinearSystem, dot, feasible
+from frobtilt.lattice import dot, feasible
 from frobtilt.tilting import build_candidate, orlov_check
 from oracles import (
     brute_count, certificates_on_coefficients, counted_cohomology, ext_dims, fm_interval,
@@ -77,9 +77,10 @@ def pn_divisor(fan, j):
     return TorusDivisor(fan, (j,) + (0,) * (fan.n_rays - 1))
 
 
-def fm_box(S):
-    """The integer box of a bounded, nonempty S from its Fourier-Motzkin intervals."""
-    return [(math.ceil(lo), math.floor(hi)) for lo, hi in (fm_interval(S, k) for k in range(S.dim))]
+def fm_box(dim, rows):
+    """The integer box of bounded, nonempty rows from their Fourier-Motzkin intervals."""
+    return [(math.ceil(lo), math.floor(hi))
+            for lo, hi in (fm_interval(dim, rows, k) for k in range(dim))]
 
 
 # --- weight_cohomology (Cech-by-hand oracle values) -------------------------
@@ -193,8 +194,7 @@ def test_sign_pattern_partition_counts_sections():
             empties = [p for p in pats if p.neg_rays == ()]
             assert len(empties) == 1
             rows = [(tuple(-x for x in ray), c, False) for ray, c in zip(fan.rays, D.coeffs)]
-            polytope = LinearSystem(fan.dim, tuple(rows))
-            assert empties[0].point_count == brute_count(polytope, fm_box(polytope))
+            assert empties[0].point_count == brute_count(rows, fm_box(fan.dim, rows))
             assert cohomology(fan, D).dims[0] == empties[0].point_count
 
 
@@ -272,7 +272,7 @@ def test_certificates_agree_with_feasibility_lp(fan):
         coeffs = tuple(rng.randint(-3, 3) for _ in fan.rays)
         emptied = _emptied(circuits, divisor_class(TorusDivisor(fan, coeffs)).coords)
         for verts, _, mask, *_ in patterns:
-            lp = feasible(_pattern_region(fan, coeffs, verts))
+            lp = feasible(fan.dim, _pattern_region(fan, coeffs, verts))
             assert lp == (not mask & emptied), (coeffs, sorted(verts))
             nonempty += lp
     assert nonempty > 0
@@ -426,9 +426,9 @@ def survivor_lps(monkeypatch):
     calls = []
     real = lattice_module.feasible_point
 
-    def counted(S):
-        calls.append(S)
-        return real(S)
+    def counted(dim, rows):
+        calls.append(rows)
+        return real(dim, rows)
 
     monkeypatch.setattr(lattice_module, "feasible_point", counted)
     return calls
@@ -455,11 +455,11 @@ def test_accepted_cone_witnesses_lie_in_their_regions(name, fan, monkeypatch, su
             yielded.append((on, coeffs, neg, basis, source, m))
             yield m
 
-    def recording(S, candidates=()):
+    def recording(dim, rows, candidates=()):
         lps = len(survivor_lps)
-        ok = feasible(S, candidates)
+        ok = feasible(dim, rows, candidates)
         if len(survivor_lps) == lps:  # no LP: the last candidate yielded fits
-            accepted.append((S, yielded[-1]))
+            accepted.append((rows, yielded[-1]))
         return ok
 
     monkeypatch.setattr(cohomology_module, "_basis_vertices", vertices)
@@ -473,8 +473,8 @@ def test_accepted_cone_witnesses_lie_in_their_regions(name, fan, monkeypatch, su
     for on, coeffs, neg, basis, _, m in yielded:
         assert all(type(x) is int for x in m)
         assert all(dot(m, on.rays[j]) == -coeffs[j] - (j in neg) for j in basis), (basis, m)
-    for S, (_, _, _, _, _, m) in accepted:
-        assert all(dot(a, m) <= b - strict for a, b, strict in S.rows), (S, m)
+    for rows, (_, _, _, _, _, m) in accepted:
+        assert all(dot(a, m) <= b - strict for a, b, strict in rows), (rows, m)
     sources = {entry[4] for _, entry in accepted}
     assert "cone" in sources, sources
     if "dP6" in name:
@@ -540,7 +540,7 @@ def test_region_count_is_the_brute_count_of_its_fourier_motzkin_box(name, fan):
         assert bounded
         region = _pattern_region(fan, coeffs, verts)
         count = _count_region(fan, coords, coeffs, verts, mask)
-        assert count == brute_count(region, fm_box(region)), (coeffs, sorted(verts))
+        assert count == brute_count(region, fm_box(fan.dim, region)), (coeffs, sorted(verts))
         assert bool(_count_region(fan, coords, coeffs, verts, mask, any)) == (count > 0)
         seen += 1
         nonzero += count > 0
@@ -553,14 +553,14 @@ def test_each_slack_cap_is_the_floor_of_the_slack_maximum(name, fan):
     circuits = _active_patterns(fan)[0]
     seen = 0
     for coords, coeffs, (verts, _, mask, _, _) in seeded_survivors(fan, f"caps-{name}", 6, 4):
-        rows = _pattern_region(fan, coeffs, verts).rows
+        rows = _pattern_region(fan, coeffs, verts)
         caps = _slack_caps(circuits, coords, mask)
         assert sorted(caps) == list(range(fan.n_rays)), sorted(verts)
         for j, cap in caps.items():
             a, b, _ = rows[j]
             for extra, want in ((cap, True), (cap + 1, False)):
                 moved = rows[:j] + ((a, b - extra, False),) + rows[j + 1:]
-                assert feasible(LinearSystem(fan.dim, moved)) == want, (coeffs, sorted(verts), j)
+                assert feasible(fan.dim, moved) == want, (coeffs, sorted(verts), j)
             seen += 1
     assert seen
 

@@ -230,9 +230,9 @@ def test_top_degree_passes_over_a_region_with_no_integer_point(monkeypatch):
     assert survivor[1] == (0, 1, 0, 0)
     region = cohomology_module._pattern_region(
         fan, DivisorClass(coords, fan).representative().coeffs, survivor[0])
-    assert feasible_point(region) is not None
+    assert feasible_point(fan.dim, region) is not None
     # its rows give x, z >= 0, y = -1 and 2x + y + z <= 0, so it lies in [0, 1]^3 - (0, 1, 0)
-    assert not any(all(dot(a, m) <= b for a, b, _ in region.rows)
+    assert not any(all(dot(a, m) <= b for a, b, _ in region)
                    for m in itertools.product(range(-2, 3), repeat=3))
     monkeypatch.setattr(cohomology_module, "_survivors", lambda fan, coords: [survivor])
     assert _top_degree(fan, coords, 0) == 0
