@@ -80,7 +80,9 @@ def _parse_divisor(text: Optional[str], fan) -> TorusDivisor:
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit and any(sum(c.isdigit() for c in x) > limit for x in parts):
             raise ValueError(f"a divisor coefficient has more than {limit} digits") from None
-        raise ValueError(f"divisor {text!r} is not a comma-separated integer list") from None
+        # a long value is cut short: ascii() spends at most 10 bytes on a character
+        shown = repr(text) if len(text) <= 80 else ascii(text[:12]) + "..."
+        raise ValueError(f"divisor {shown} is not a comma-separated integer list") from None
     if len(coeffs) != fan.n_rays:
         raise ValueError(
             f"divisor needs {fan.n_rays} coefficients (one per ray), got {len(coeffs)}"

@@ -63,16 +63,8 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .fan import DivisorClass, Fan, TorusDivisor, _require_on_fan, divisor_class
-from .lattice import (
-    IntMat,
-    IntVec,
-    _count_box,
-    adjugate,
-    dot,
-    feasible,
-    integer_rank,
-)
+from .fan import DivisorClass, Fan, TorusDivisor, _require_on_fan, _unimodular_bases, divisor_class
+from .lattice import IntMat, IntVec, _count_box, dot, feasible, identity_matrix, integer_rank
 
 # _active_patterns visits all 2^r ray subsets, and its time about doubles
 # with each ray: 0.19 s at 14 rays and 0.9 s at 16 in dimension 3, 1.3 s at
@@ -213,31 +205,29 @@ def _circuits(fan: Fan) -> tuple[IntVec, ...]:
     """The minimal linear relations sum lambda_i v_i = 0 among the rays, up to sign.
 
     A depth-first walk over the independent ray sets in index order keeps
-    each set in fraction-free echelon form, with every echelon row's
-    combination of the rays.  A later ray that reduces to zero gives the
-    unique relation on the set and that ray; it is a circuit when it uses
-    all of them, and is stored primitive with its first entry positive.
+    each set in fraction-free echelon form.  A later ray goes down as one
+    row, the ray reduced by the set and then its combination of the rays,
+    so a node reduces it once, by its one new echelon row.  A ray reduced
+    to zero gives the unique relation on the set and that ray; it is a
+    circuit when it uses all of them, stored primitive, first entry positive.
     """
     out: list[IntVec] = []
-    _grow_circuits(fan.rays, [], [], out)
+    rows = [ray + e for ray, e in zip(fan.rays, identity_matrix(fan.n_rays))]
+    _grow_circuits(rows, fan.dim, 0, out)
     return tuple(out)
 
 
-def _grow_circuits(rays: tuple[IntVec, ...], support: list[int], echelon: list, out: list) -> None:
-    """Extend the independent set support by each later ray; append the circuits found to out."""
-    for j in range(support[-1] + 1 if support else 0, len(rays)):
-        vec, lam = list(rays[j]), [int(i == j) for i in range(len(rays))]
-        for c, row, comb in echelon:
-            p, q = row[c], vec[c]
-            if q:
-                vec = [p * a - q * b for a, b in zip(vec, row)]
-                lam = [p * a - q * b for a, b in zip(lam, comb)]
-        if any(vec):
-            nxt = echelon + [(next(c for c, x in enumerate(vec) if x), vec, lam)]
-            _grow_circuits(rays, support + [j], nxt, out)
-        elif all(lam[i] for i in support):
-            g = math.gcd(*lam) * (1 if lam[support[0]] > 0 else -1)
-            out.append(tuple(x // g for x in lam))
+def _grow_circuits(later: list, dim: int, size: int, out: list) -> None:
+    """Extend an independent set of size rays by each later row; append the circuits to out."""
+    for k, row in enumerate(later):
+        c = next((c for c in range(dim) if row[c]), None)
+        if c is not None:
+            p = row[c]
+            _grow_circuits([[p * a - r[c] * b for a, b in zip(r, row)] if r[c] else r
+                            for r in later[k + 1:]], dim, size + 1, out)
+        elif sum(map(bool, row)) > size:  # the relation uses every ray of the set
+            g = math.gcd(*row) * (1 if next(filter(None, row)) > 0 else -1)
+            out.append(tuple(x // g for x in row[dim:]))
 
 
 def _localization(fan: Fan) -> tuple[int, tuple[tuple[tuple[int, ...], IntVec, IntVec], ...]]:
@@ -318,9 +308,10 @@ def _active_patterns(fan: Fan) -> tuple[tuple[Circuit, ...], tuple[Pattern, ...]
     coefficients, 0 on the basis rays), as lambda.a is the same for every
     divisor of a class.  A nonempty region is bounded iff the rows
     of A_S positively span R^n: the rays span R^n and the certificates'
-    supports (the conformal circuits of the rows) cover every ray.  Each
-    pattern also carries the degree q when its ranks are nonzero in q
-    alone, -1 otherwise.  The walk visits all 2^r ray subsets, so fans with
+    supports (the conformal circuits of the rows) cover every ray: the
+    mask meets on_ray[i], the certificates whose support holds ray i, for
+    each i.  Each pattern also carries the degree q when its ranks are
+    nonzero in q alone, -1 otherwise.  The walk visits all 2^r ray subsets, so fans with
     more than MAX_PATTERN_RAYS rays raise ValueError first.
     """
     hit = fan._rank_cache.get("patterns")
@@ -328,7 +319,6 @@ def _active_patterns(fan: Fan) -> tuple[tuple[Circuit, ...], tuple[Pattern, ...]
         return hit
     require_pattern_rays(fan)
     circuits = []
-    supports = []  # per certificate, its rays
     need_in = [0] * fan.n_rays  # the certificates that need ray i in S
     need_out = [0] * fan.n_rays  # and those that need it off S
     for c, lam in enumerate(_circuits(fan)):
@@ -336,12 +326,12 @@ def _active_patterns(fan: Fan) -> tuple[tuple[Circuit, ...], tuple[Pattern, ...]
             if x:
                 need_in[i] |= 1 << 2 * c + (x < 0)
                 need_out[i] |= 1 << 2 * c + (x > 0)
-        support = tuple((i, abs(x)) for i, x in enumerate(lam) if x)
         circuits.append((tuple([lam[j] for j in fan._pic[1]]), sum(x for x in lam if x > 0),
-                         -sum(x for x in lam if x < 0), support))
-        supports += [sum(1 << i for i, _ in support)] * 2
+                         -sum(x for x in lam if x < 0),
+                         tuple((i, abs(x)) for i, x in enumerate(lam) if x)))
+    on_ray = [a | b for a, b in zip(need_in, need_out)]  # the certificates whose support has ray i
     every = (1 << 2 * len(circuits)) - 1
-    full, spans = (1 << fan.n_rays) - 1, integer_rank(fan.rays) == fan.dim
+    rays, spans = range(fan.n_rays), integer_rank(fan.rays) == fan.dim
     faces = {f for cone in fan.max_cones for k in range(len(cone) + 1)
              for f in itertools.combinations(cone, k)}
     nerve = [(sum(1 << i for i in f), f) for f in sorted(faces)]
@@ -349,16 +339,12 @@ def _active_patterns(fan: Fan) -> tuple[tuple[Circuit, ...], tuple[Pattern, ...]
     for s, ranks in enumerate(_nerve_ranks(fan, nerve)):
         if any(ranks):
             mask = every
-            for i in range(fan.n_rays):
+            for i in rays:
                 mask &= ~(need_out[i] if s >> i & 1 else need_in[i])
-            cover, rest = 0, mask
-            while rest:
-                low = rest & -rest
-                cover |= supports[low.bit_length() - 1]
-                rest ^= low
             degrees = [q for q, r in enumerate(ranks) if r]
-            patterns.append((frozenset(i for i in range(fan.n_rays) if s >> i & 1), ranks, mask,
-                             degrees[0] if len(degrees) == 1 else -1, spans and cover == full))
+            patterns.append((frozenset(i for i in rays if s >> i & 1), ranks, mask,
+                             degrees[0] if len(degrees) == 1 else -1,
+                             spans and all(mask & on_ray[i] for i in rays)))
     patterns.sort(key=lambda p: (len(p[0]), sorted(p[0])))
     den, cones = _localization(fan)
     chi = den, tuple((tuple([-beta[cone.index(j)] if j in cone else 0 for j in fan._pic[1]]), poly)
@@ -417,22 +403,14 @@ def _basis_vertices(fan: Fan, coeffs: IntVec, neg: frozenset[int]) -> Iterator[I
 
 
 def _other_bases(fan: Fan) -> Iterator[tuple[tuple[int, ...], IntMat]]:
-    """The unimodular sets of dim rays that are no maximal cone, with their inverses.
+    """The unimodular sets of dim rays that are no maximal cone, with their inverses det.adj.
 
-    They are found, and inverted, only when first reached, so a fan whose
-    surviving regions each hold a cone's vertex never pays for its C(r, n)
-    ray sets.  An inverse is det.adj, as det = +-1.
+    They are found, and inverted, only when first reached, so a fan whose surviving
+    regions each hold a cone's vertex never pays for its C(r, n) ray sets.
     """
-    known = fan._rank_cache.get("other bases")
-    if known is None:
-        cones, found = set(fan.max_cones), []
-        for basis in itertools.combinations(range(fan.n_rays), fan.dim):
-            if basis not in cones:
-                det, adj = adjugate(fan.cone_matrix(basis))
-                if det in (1, -1):
-                    found.append((basis, tuple(tuple(det * x for x in row) for row in adj)))
-        known = fan._rank_cache["other bases"] = tuple(found)
-    yield from known
+    if "other bases" not in fan._rank_cache:
+        fan._rank_cache["other bases"] = tuple(_unimodular_bases(fan, set(fan.max_cones)))
+    yield from fan._rank_cache["other bases"]
 
 
 def _pattern_region(fan: Fan, coeffs: IntVec, neg: frozenset[int]

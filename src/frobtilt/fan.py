@@ -31,9 +31,9 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, prod
-from typing import Iterable
+from typing import Container, Iterable, Iterator
 
-from .lattice import IntMat, IntVec, adjugate, dot, integer_rank
+from .lattice import IntMat, IntVec, adjugate, determinant, dot
 
 
 class InvalidFanError(ValueError):
@@ -209,25 +209,23 @@ class Fan:
         """The basis rays B, the other rays N, and each N ray's coordinates in B.
 
         B is the lexicographically first set of dim rays that is a Z-basis,
-        found depth first over the rays in index order, dropping every
-        dependent prefix.  The class of D is a_N - P.a_B, with P the rows of
-        coordinates: D plus the principal divisor of m = B^-1(-a_B), which
-        vanishes on B.  Rays of a product form a Z-basis iff each block's do,
-        and the least element of the symmetric difference of two sets
-        decides their order, so a product takes its factors' first bases.
+        the first that _unimodular_bases yields with its inverse U.  The class
+        of D is a_N - P.a_B, P the rows v_j.U: D plus the principal divisor of
+        m = U(-a_B), which vanishes on B.  Rays of a product form a Z-basis
+        iff each block's do, and the least element of the symmetric difference
+        of two sets decides their order, so a product takes its factors' first bases.
         """
         rays, factors = self.rays, self._factors
         if factors:
             basis = tuple(sorted(idx[j] for idx, factor, _ in factors for j in factor._pic[0]))
-            det, adj = adjugate([rays[i] for i in basis])
+            det, adj = adjugate(self.cone_matrix(basis))
+            U = tuple(tuple(det * x for x in row) for row in adj)
         else:
-            found = _first_basis(rays, self.dim, ())
-            if found is None:
+            basis, U = next(_unimodular_bases(self), (None, None))
+            if basis is None:
                 raise InvalidFanError("no dim rays form a lattice basis; fan is not smooth+complete")
-            basis, det, adj = found
         others = tuple(j for j in range(self.n_rays) if j not in basis)
-        return basis, others, tuple(tuple(det * dot(rays[j], col) for col in zip(*adj))
-                                    for j in others)
+        return basis, others, tuple(tuple(dot(rays[j], col) for col in zip(*U)) for j in others)
 
     @property
     def picard_rank(self) -> int:
@@ -285,17 +283,13 @@ def _coordinate_blocks(masks: Iterable[int]) -> list[int]:
     return blocks
 
 
-def _first_basis(rays: tuple[IntVec, ...], n: int, chosen: tuple[int, ...]):
-    """(basis, det, adj) for the first n rays after chosen that extend it to a Z-basis, or None."""
-    if len(chosen) == n:
-        det, adj = adjugate([rays[i] for i in chosen])
-        return (chosen, det, adj) if det in (1, -1) else None
-    for i in range(chosen[-1] + 1 if chosen else 0, len(rays)):
-        nxt = chosen + (i,)
-        found = integer_rank([rays[j] for j in nxt]) == len(nxt) and _first_basis(rays, n, nxt)
-        if found:
-            return found
-    return None
+def _unimodular_bases(fan: Fan, skip: Container[tuple[int, ...]] = frozenset()
+                      ) -> Iterator[tuple[tuple[int, ...], IntMat]]:
+    """The unimodular sets of dim rays not in skip, in lexicographic order, with inverses det.adj."""
+    for basis in itertools.combinations(range(fan.n_rays), fan.dim):
+        if basis not in skip and determinant(M := fan.cone_matrix(basis)) in (1, -1):
+            det, adj = adjugate(M)
+            yield basis, tuple(tuple(det * x for x in row) for row in adj)
 
 
 @dataclass(frozen=True)

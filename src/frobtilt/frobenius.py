@@ -20,11 +20,12 @@ run by the same routine that finds a surface's runs, at a single y.
 The full summand set over every ell is computed exactly from the chambers
 of the arrangement {<t, v_rho> = k} inside the half-open unit cube.  Each
 chamber node hands its simplex tableau on to its children, which add
-their two rows and re-optimize it by dual simplex.  A leaf's point t
-realizes its class at the chamber ell that clears t's denominators.  A
-product fan's chambers are products of its factors' chambers, so only
-the distinct factors are walked, and the product's leaves are the tuples
-of theirs.  The least ell at which a class, or
+their two rows and re-optimize it by dual simplex, a ray's floors tried
+outward from the one at the tableau's point, as a cell is convex.  A
+leaf's point t realizes its class at the chamber ell that clears t's
+denominators.  A product fan's chambers are products of its factors'
+chambers, so only the distinct factors are walked, and the product's
+leaves are the tuples of theirs.  The least ell at which a class, or
 every class, appears is found with no pushforward by one upward sweep
 over ell, which asks whether a leaf's chamber scaled by ell holds an
 integer point.
@@ -325,15 +326,16 @@ def _chamber_leaves(fan: Fan) -> list[tuple[IntVec, int]]:
     hi = 0.  The root's tableau holds t in [0, 1)^n, the rows of the unit
     vectors, and each child adds b <= <t, v_k> < b + 1 to a copy of its
     parent's tableau and re-optimizes it by dual simplex; no child solves
-    an LP from scratch, and a unit vector's one child keeps its parent's
-    tableau.  A leaf's chamber ell clears the denominators of its
-    tableau's vertex t.
+    an LP from scratch, a unit vector's one child keeps its parent's
+    tableau, and _descend tries floors outward from the tableau's point.
+    A leaf's chamber ell clears the denominators of its tableau's vertex t.
     """
     units = identity_matrix(fan.dim)
-    steps = []  # per ray: None for a unit vector, else each floor b with its cell's rows
+    steps = []  # per ray: None for a unit vector, else the ray and each floor b with its rows
     for ray in fan.rays:
         floors = range(sum(min(x, 0) for x in ray), max(sum(max(x, 0) for x in ray), 1))
-        steps.append(None if ray in units else [(b, _cell((ray,), (b,), 1)) for b in floors])
+        steps.append(None if ray in units else
+                     (ray, [(b, _cell((ray,), (b,), 1)) for b in floors]))
     leaves: list[tuple[IntVec, int]] = []
     root = _strict_tableau(fan.dim, [(e, 1, True) for e in units])
     _descend(fan.dim, steps, (), root, leaves)
@@ -341,7 +343,13 @@ def _chamber_leaves(fan: Fan) -> list[tuple[IntVec, int]]:
 
 
 def _descend(dim: int, steps: list, prefix: IntVec, tab: _Tableau, leaves: list) -> None:
-    """Try each floor of the ray after prefix; append the leaves below tab to leaves."""
+    """Append the leaves below tab to leaves, trying the floors of the ray after prefix.
+
+    A cell is convex, so its nonempty children are an interval of floors,
+    which holds the floor of <t*, v> at the tableau's point t*.  The
+    floors are tried outward from it, each side up to its first empty
+    child; children go in increasing b.
+    """
     k = len(prefix)
     if k == len(steps):
         # u = ell*t is a residue at ell = the lcm of t's denominators,
@@ -352,10 +360,20 @@ def _descend(dim: int, steps: list, prefix: IntVec, tab: _Tableau, leaves: list)
     if steps[k] is None:  # a unit vector: its rows 0 <= t_i < 1 are the cube's
         _descend(dim, steps, prefix + (0,), tab, leaves)
         return
-    for b, rows in steps[k]:
-        child = _strict_tableau(dim, rows, tab)
-        if child is not None:
-            _descend(dim, steps, prefix + (b,), child, leaves)
+    ray, floors = steps[k]
+    at = sum([ray[col] * row[-1] for row, col in zip(tab.rows, tab.basis) if col < dim])
+    star = at // tab.den - floors[0][0]  # the place of t*'s floor
+    children = []
+    for side in (floors[star::-1], floors[star + 1:]):  # down from t*'s floor, then up
+        children.reverse()  # the floors below t*'s go first, in increasing b
+        for b, rows in side:
+            if (child := _strict_tableau(dim, rows, tab)) is None:
+                break
+            children.append((b, child))
+        if not children:
+            raise AssertionError("the chamber of the tableau's point is empty")
+    for b, child in children:
+        _descend(dim, steps, prefix + (b,), child, leaves)
 
 
 def _cell(vectors: tuple[IntVec, ...], bs: tuple[int, ...], ell: int) -> tuple:

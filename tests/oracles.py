@@ -18,8 +18,11 @@ intersection numbers by a rational solve per wall and the support-function
 scan for nefness, an integer solve per cone for Cartier data, through the
 row Hermite normal form, the fan certificate and the cone inverses with an
 adjugate per cone (the library walks the ridges from one adjugate instead),
-and the first lattice basis of rays by trying every set of dim rays in order
-(the library walks prefixes, and a product joins its factors' bases).
+the first lattice basis of rays by trying every set of dim rays in order
+for a Hermite normal form of identity (the library takes the first
+determinant +-1, and a product joins its factors' bases), and the circuits
+of the rays by a rational null space per ray set (the library walks the
+independent sets in fraction-free echelon form).
 
 It keeps the public routes the library no longer exports: Ext dimensions
 as the cohomology of a divisor of M - L, principal divisors, and
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from frobtilt.catalog import builtin
+from frobtilt.catalog import builtin, catalog_names
 from frobtilt.cohomology import CohomologyVector, cohomology, weight_patterns
 from frobtilt.cones import is_nef
 from frobtilt.fan import (
@@ -271,6 +274,20 @@ def mixed(fan: Fan) -> Fan:
     return Fan(fan.dim, rays, fan.max_cones)
 
 
+def catalog_copies_and_chains() -> dict[str, Fan]:
+    """Fresh catalog fans, their scrambled (seeds 1-3) and mixed copies, and six chains."""
+    out = {}
+    for name in catalog_names():
+        fan = builtin(name).fan
+        out[name] = Fan(fan.dim, fan.rays, fan.max_cones)
+        out.update({f"{name}-scrambled{seed}": scrambled(fan, seed) for seed in (1, 2, 3)})
+        out[f"{name}-mixed"] = mixed(fan)
+    for chain in [("P2", 9, 2), ("P3", 4, 11), ("P3", 5, 11), ("P3", 8, 3), ("P4", 8, 5),
+                  ("F3", 4, 5)]:
+        out["chain %s %d %d" % chain] = subdivision_chain(*chain)
+    return out
+
+
 def scrambled(fan: Fan, seed: int) -> Fan:
     """The fan under a seeded g in GL(n, Z), with its rays in a seeded order.
 
@@ -474,6 +491,51 @@ def first_lattice_basis(fan: Fan) -> tuple[int, ...]:
     unit = identity_matrix(fan.dim)
     return next(c for c in itertools.combinations(range(fan.n_rays), fan.dim)
                 if hermite_normal_form([fan.rays[i] for i in c])[0] == unit)
+
+
+def brute_circuits(fan: Fan) -> set[IntVec]:
+    """The circuits of the rays, each primitive with its first entry positive.
+
+    A circuit is a set of at most dim + 1 rays whose kernel, a rational null
+    space per set, is one-dimensional with full support.
+    """
+    out = set()
+    for k in range(1, fan.dim + 2):
+        for rays in itertools.combinations(range(fan.n_rays), k):
+            kernel = _null_space([fan.rays[i] for i in rays])
+            if len(kernel) == 1 and all(kernel[0]):
+                scale = math.lcm(*(x.denominator for x in kernel[0]))
+                lam = [int(x * scale) for x in kernel[0]]
+                g = math.gcd(*lam) * (1 if lam[0] > 0 else -1)
+                full = [0] * fan.n_rays
+                for i, x in zip(rays, lam):
+                    full[i] = x // g
+                out.add(tuple(full))
+    return out
+
+
+def _null_space(columns: Sequence[IntVec]) -> list[list[Fraction]]:
+    """A basis of {x : sum_k x_k columns[k] = 0}, one vector per free column of the RREF."""
+    M = [[Fraction(col[r]) for col in columns] for r in range(len(columns[0]))]
+    pivots: list[int] = []
+    for c in range(len(columns)):
+        r = len(pivots)
+        p = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if p is None:
+            continue
+        M[r], M[p] = M[p], M[r]
+        M[r] = [x / M[r][c] for x in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][c]:
+                M[i] = [x - M[i][c] * y for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(len(columns)) if c not in pivots):
+        x = [Fraction(int(c == free)) for c in range(len(columns))]
+        for row, c in zip(M, pivots):
+            x[c] = -row[free]
+        basis.append(x)
+    return basis
 
 
 def solve_integer(A: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[IntVec]:

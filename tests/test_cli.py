@@ -459,6 +459,23 @@ def test_coefficient_past_the_digit_limit_names_the_limit(capsys, digit_limit):
     assert err == f"error: a divisor coefficient has more than {digit_limit} digits\n"
 
 
+@pytest.mark.parametrize("text", ["x" * 5000 + ",0,0", "0," + "\U0001f600" * 5000 + ",0"],
+                         ids=["ascii", "astral"])
+def test_long_divisor_that_is_no_integer_list_is_not_repeated(capsys, text):
+    code, out, err = run(capsys, "cohom", "P2", f"--divisor={text}")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: divisor {ascii(text[:12])}...")
+    assert err.endswith(" is not a comma-separated integer list\n") and len(err.encode()) < 200
+
+
+def test_short_divisor_that_is_no_integer_list_keeps_its_message(capsys):
+    text = "1,x" + "0" * 77  # 80 characters
+    code, _, err = run(capsys, "cohom", "P2", f"--divisor={text}")
+    assert code == 2
+    assert err == f"error: divisor {text!r} is not a comma-separated integer list\n"
+
+
 @pytest.mark.parametrize("stdout", ["closed pipe", "/dev/full"])
 def test_unwritable_stdout_exits_two_with_one_error_line(stdout):
     # the pipe's read end is closed before the child starts, so its first write breaks

@@ -37,7 +37,8 @@ from frobtilt.cones import is_nef
 from frobtilt.lattice import dot, feasible
 from frobtilt.tilting import build_candidate, orlov_check
 from oracles import (
-    brute_count, certificates_on_coefficients, counted_cohomology, ext_dims, fm_interval,
+    brute_circuits, brute_count, catalog_copies_and_chains, certificates_on_coefficients,
+    counted_cohomology, ext_dims, fm_interval,
     localized_chi_on_coefficients, principal_divisor, recession_cone_is_zero, subcomplex_ranks,
     subdivision_chain, weight_cohomology,
 )
@@ -308,6 +309,18 @@ def test_product_regions_are_counted_per_factor(x, y):
         assert counted_cohomology(fan, D) == tuple(expected)
         assert cohomology(fan, D).dims == tuple(expected)
     assert "patterns" not in fan._rank_cache
+
+
+COPIES_AND_CHAINS = catalog_copies_and_chains()
+
+
+@pytest.mark.parametrize("name", COPIES_AND_CHAINS)
+def test_circuits_are_the_brute_force_circuits(name):
+    # each minimal relation once, against a rational null space per ray set
+    fan = COPIES_AND_CHAINS[name]
+    got = _circuits(fan)
+    assert len(got) == len(set(got))
+    assert set(got) == brute_circuits(fan)
 
 
 def test_circuit_counts():

@@ -27,8 +27,8 @@ from frobtilt.frobenius import frob_set, pushforward_summands
 from frobtilt.lattice import dot
 from frobtilt.tilting import orlov_check
 from oracles import (
-    cone_contains, cone_inverses, hermite_normal_form, principal_divisor, scrambled,
-    subdivision_chain, validate_by_adjugates,
+    catalog_copies_and_chains, cone_contains, cone_inverses, first_lattice_basis,
+    hermite_normal_form, principal_divisor, scrambled, subdivision_chain, validate_by_adjugates,
 )
 
 
@@ -294,6 +294,16 @@ def test_fan_whose_first_independent_rays_are_no_basis_verifies():
     assert validate(FAN5).ok
     assert FAN5.picard_rank == 3
     assert _orlov_summary(FAN5) == ("VERIFIED_MODULO_FULLNESS", 6, 5, 0, 1, True)
+
+
+COPIES_AND_CHAINS = catalog_copies_and_chains()
+
+
+@pytest.mark.parametrize("name", COPIES_AND_CHAINS)
+def test_picard_basis_is_the_first_lattice_basis(name):
+    # irreducible fans as well as products: the first unimodular set of dim rays
+    fan = COPIES_AND_CHAINS[name]
+    assert fan._pic[0] == first_lattice_basis(fan)
 
 
 def test_picard_basis_missing_raises_invalid_fan_error():

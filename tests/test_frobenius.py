@@ -379,14 +379,28 @@ def test_chamber_walk_reuses_the_parent_point(monkeypatch):
 
 @pytest.mark.parametrize("base,steps,seed", [
     ("P2", 3, 1), ("P2", 5, 2), ("P2", 7, 3), ("P3", 2, 4), ("P3", 4, 5), ("P3", 6, 6),
+    ("P2", 9, 2), ("P3", 5, 11),
 ])
-def test_warm_walk_finds_the_oracle_leaves(base, steps, seed):
-    # chains of up to 10 rays: the same floor vectors as the walk with an LP
-    # at every node, and each leaf's cell has a point at its chamber ell
+def test_warm_walk_finds_the_oracle_leaves(monkeypatch, base, steps, seed):
+    # chains of up to 12 rays: the same floor vectors as the walk with an LP
+    # at every node, and each leaf's cell has a point at its chamber ell; a
+    # node's nonempty children are an interval, so it tries at most two empty ones
+    frobenius = importlib.import_module("frobtilt.frobenius")
+    real, empty, parents = frobenius._strict_tableau, Counter(), []
+
+    def counted(dim, rows, parent=None):
+        child = real(dim, rows, parent)
+        if child is None:
+            empty[id(parent)] += 1
+            parents.append(parent)  # kept alive, so no other node takes its id
+        return child
+
+    monkeypatch.setattr(frobenius, "_strict_tableau", counted)
     fan = subdivision_chain(base, steps, seed)
     leaves = _chamber_leaves(fan)
     assert sorted(b for b, _ in leaves) == sorted(chamber_leaves(fan))
     assert all(_realizes(fan, b, ell) for b, ell in leaves)
+    assert empty and max(empty.values()) <= 2
 
 
 def test_frob_contains_trivial_class_with_witness_one():
